@@ -20,13 +20,15 @@
 //	      -autoscale 2:8                          # autoscaled fleet
 //
 // A scenario file is the JSON encoding of extsched.Scenario: a warmup,
-// a sample interval, and an ordered list of phases (closed, open,
-// ramp, burst, trace) with optional mid-phase events (set_mpl,
-// set_wfq_high_weight, set_shard_speed, set_dispatch,
+// a sample interval, an optional tenants block, fairness controller and
+// autoscaler, and an ordered list of phases (closed, open, ramp, burst,
+// trace, diurnal, flash) with optional mid-phase events (set_mpl,
+// set_weights, set_tenant_limits, set_tenant_deadlines,
+// enable_fairness, disable_fairness, set_shard_speed, set_dispatch,
 // enable_controller, disable_controller, set_slo, disable_slo,
-// set_class_limits, set_admit_deadline, shard_fail, shard_recover,
-// shard_add, shard_remove) and an optional per-phase churn generator
-// (mtbf/mttr). With -scenario, dbsim prints a per-phase report table
+// shard_fail, shard_recover, shard_add, shard_remove) and an optional
+// per-phase churn generator (mtbf/mttr). Tenant-keyed events take
+// "high"/"low" on two-class runs. With -scenario, dbsim prints a per-phase report table
 // and, when the scenario sets sample_interval, the interval time
 // series; sharded systems (-shards) append a per-shard table with
 // lifecycle state and availability.
@@ -419,9 +421,6 @@ func runScenarioFile(sys *extsched.System, path string, autoscale *extsched.Auto
 	sc, err := extsched.ParseScenario(data)
 	if err != nil {
 		return err
-	}
-	for _, d := range sc.Deprecations() {
-		fmt.Fprintf(os.Stderr, "dbsim: deprecated: %s\n", d)
 	}
 	if autoscale != nil {
 		sc.Autoscale = autoscale

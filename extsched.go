@@ -127,6 +127,27 @@ type Config struct {
 	Seed uint64
 }
 
+// ClassLimits is a static MPL partition installed before warmup: at
+// most High high-class and Low low-class transactions dispatched
+// concurrently (each >= 1), with work-conserving borrowing when one
+// class has no waiting work. Scenario events repartition mid-run with
+// set_tenant_limits keyed "high"/"low".
+type ClassLimits struct {
+	High int `json:"high"`
+	Low  int `json:"low"`
+}
+
+// AdmitDeadline sets per-class admission deadlines in seconds, from
+// before warmup: a transaction that cannot START within its class's
+// deadline of arriving is shed — rejected without executing, counted
+// in Report.Shed — instead of queueing unboundedly. Zero disables a
+// class's deadline. Scenario events change them mid-run with
+// set_tenant_deadlines keyed "high"/"low".
+type AdmitDeadline struct {
+	High float64 `json:"high,omitempty"`
+	Low  float64 `json:"low,omitempty"`
+}
+
 // Recovery modes accepted by RecoverySpec.Mode.
 const (
 	// RecoveryShed loses a dead shard's work: each txn's callback fires
@@ -205,11 +226,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("extsched: PercentileSamples %d must be >= 0", c.PercentileSamples)
 	}
 	if s := c.SLO; s != nil {
-		rs, err := s.spec()
-		if err != nil {
-			return err
-		}
-		if err := rs.Validate(); err != nil {
+		if err := s.Validate(); err != nil {
 			return err
 		}
 		if c.MPL < 2 {
@@ -404,13 +421,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 	if st.PercentileSamples == 0 && (cfg.SLO != nil || cfg.AdmitDeadline != nil) {
 		st.PercentileSamples = 2048
 	}
-	if cfg.SLO != nil {
-		rs, err := cfg.SLO.spec()
-		if err != nil {
-			return runner.Stack{}, err
-		}
-		st.SLO = &rs
-	}
+	st.SLO = cfg.SLO
 	if n := cfg.Shards.Count; n > 0 {
 		// Sharded: n identical DBMS+frontend pairs (per-shard queue
 		// policy instances — they are stateful) behind one dispatcher.
@@ -519,45 +530,6 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 	workload.Prewarm(db, s.setup.Workload, cfg.Seed)
 	st.DB, st.FE = db, fe
 	return st, nil
-}
-
-// Report summarizes one measurement window. The windowing rule is
-// uniform across all run styles: the window opens when warmup ends and
-// closes when the scenario's last phase elapses, and a completion
-// counts if and only if it lands inside the window — work still in
-// flight at the close is excluded, and nothing completing later can
-// pollute the numbers.
-type Report struct {
-	SimSeconds    float64
-	Completed     uint64
-	Throughput    float64 // transactions/second
-	MeanRT        float64 // overall mean response time (s)
-	HighRT        float64 // high-priority class mean RT (s)
-	LowRT         float64 // low-priority class mean RT (s)
-	MeanInside    float64 // mean time inside the DBMS (s)
-	ExternalW     float64 // mean external queue wait (s)
-	Restarts      uint64  // abort/restart cycles observed
-	CPUUtil       float64
-	DiskUtil      float64
-	DemandC2      float64 // measured C² of the time spent inside the DBMS
-	LockWaits     uint64
-	Deadlocks     uint64
-	Preemptions   uint64
-	Dropped       uint64  // admission-control rejections (QueueLimit mode)
-	Shed          uint64  // deadline-missed rejections (AdmitDeadline mode)
-	ShedHigh      uint64  // high-class share of Shed
-	ShedLow       uint64  // low-class share of Shed
-	Failed        uint64  // txns terminally lost to shard failures
-	Resubmitted   uint64  // logical txns re-routed to a survivor at least once
-	Retries       uint64  // resubmission events (one txn can retry several times)
-	P50, P95, P99 float64 // response-time percentiles (PercentileSamples mode)
-	HighP95       float64 // high-class p95 (PercentileSamples mode) — the SLO signal
-	LowP95        float64 // low-class p95 (PercentileSamples mode)
-	// Classes is the per-tenant breakdown of the window, in ascending
-	// class-ID order: one entry per class that completed or shed work.
-	// The N-tenant generalization of the High/Low fields above (which
-	// remain for two-class runs).
-	Classes []ClassResult
 }
 
 // RunClosed drives the system with a fixed client population (the

@@ -31,8 +31,8 @@ func TestAcquireDeadlineSheds(t *testing.T) {
 		t.Errorf("shed took %v — the deadline timer did not fire eagerly", waited)
 	}
 	s := g.Stats()
-	if s.Shed != 1 || s.ShedLow() != 1 || s.ShedHigh() != 0 {
-		t.Errorf("Shed counters = %d/%d/%d, want 1 total, 1 low, 0 high", s.Shed, s.ShedHigh(), s.ShedLow())
+	if s.Shed != 1 || s.Class(0).Shed != 1 || s.Class(1).Shed != 0 {
+		t.Errorf("Shed counters = %d/%d/%d, want 1 total, 1 low, 0 high", s.Shed, s.Class(1).Shed, s.Class(0).Shed)
 	}
 	if g.Inflight() != 1 || g.Queued() != 0 {
 		t.Errorf("inflight %d queued %d after shed, want 1 and 0", g.Inflight(), g.Queued())

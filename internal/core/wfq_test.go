@@ -162,3 +162,22 @@ func TestWFQEndToEndSharing(t *testing.T) {
 	}
 	eng.RunAll()
 }
+
+// TestSetWFQWeightsReplacesMap pins the SetWeights contract the
+// tenant-keyed set_weights event relies on: each call replaces the
+// whole weight map, so a class left out of the newer map falls back to
+// weight 1 rather than keeping its old weight.
+func TestSetWFQWeightsReplacesMap(t *testing.T) {
+	p := NewWFQ(nil)
+	_, fe := rig(t, 1, p)
+	if !fe.SetWFQWeights(map[Class]float64{1: 2, 0: 5}) {
+		t.Fatal("SetWFQWeights reported a non-WFQ policy")
+	}
+	if w0, w1 := p.weight(0), p.weight(1); w0 != 5 || w1 != 2 {
+		t.Fatalf("weights after the first call = %v/%v, want 5/2", w0, w1)
+	}
+	fe.SetWFQWeights(map[Class]float64{1: 3})
+	if w0, w1 := p.weight(0), p.weight(1); w0 != 1 || w1 != 3 {
+		t.Errorf("weights after the second call = %v/%v, want 1 (class 0 dropped from the map) and 3", w0, w1)
+	}
+}

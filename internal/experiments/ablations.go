@@ -31,7 +31,7 @@ func GroupCommitAblation(setupID int, mpls []int, opts RunOpts) (*Figure, error)
 		if err != nil {
 			return 0, err
 		}
-		return r.Throughput(), nil
+		return r.Throughput, nil
 	})
 	if err != nil {
 		return nil, err
@@ -83,11 +83,11 @@ func POWAblation(opts RunOpts) (*Figure, error) {
 	for i, r := range results {
 		x := float64(i)
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, r.Metrics.High.Mean())
+		high.Y = append(high.Y, r.HighRT)
 		low.X = append(low.X, x)
-		low.Y = append(low.Y, r.Metrics.Low.Mean())
+		low.Y = append(low.Y, r.LowRT)
 		preempt.X = append(preempt.X, x)
-		preempt.Y = append(preempt.Y, float64(r.Lock.Preemptions))
+		preempt.Y = append(preempt.Y, float64(r.Preemptions))
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, variants[i].name))
 	}
 	f.Series = []Series{high, low, preempt}
@@ -128,11 +128,11 @@ func PolicyComparison(setupID, mpl int, opts RunOpts) (*Figure, error) {
 	for i, r := range results {
 		x := float64(i)
 		mean.X = append(mean.X, x)
-		mean.Y = append(mean.Y, r.MeanRT())
+		mean.Y = append(mean.Y, r.MeanRT)
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, r.Metrics.High.Mean())
+		high.Y = append(high.Y, r.HighRT)
 		tput.X = append(tput.X, x)
-		tput.Y = append(tput.Y, r.Throughput())
+		tput.Y = append(tput.Y, r.Throughput)
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, policies[i].name))
 	}
 	f.Series = []Series{mean, high, tput}
@@ -153,7 +153,7 @@ func AdmissionComparison(setupID, mpl, queueLimit int, utilization float64, opts
 	if err != nil {
 		return nil, err
 	}
-	lambda := utilization * base.Throughput()
+	lambda := utilization * base.Throughput
 	f := &Figure{
 		ID:    "ablate-admission",
 		Title: fmt.Sprintf("External scheduling vs admission control (drop beyond %d queued), setup %d, MPL %d", queueLimit, setupID, mpl),
@@ -200,8 +200,8 @@ func runOpenWithLimit(setup workload.Setup, mpl int, lambda float64, limit int, 
 		return openLimitResult{}, err
 	}
 	return openLimitResult{
-		tput:     r.Metrics.Throughput(),
-		meanRT:   r.Metrics.All.Mean(),
+		tput:     r.Throughput,
+		meanRT:   r.MeanRT,
 		dropRate: float64(r.Dropped) / r.SimSeconds,
 	}, nil
 }

@@ -11,7 +11,7 @@ import (
 // autoscaleOutcome is one fleet-configuration run of the autoscale
 // figure.
 type autoscaleOutcome struct {
-	out   runner.Outcome
+	out   runner.Result
 	rt    Series // windowed high-class mean response over time
 	fleet Series // Up fleet size over time
 }
@@ -44,7 +44,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -69,19 +69,19 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	// The diurnal curve: trough load a fixed fleet wastes capacity on,
 	// a peak that needs most of nMax.
-	spec := func(a *runner.AutoscaleSpec) runner.Spec {
-		return runner.Spec{
+	spec := func(a *runner.AutoscaleSpec) runner.Scenario {
+		return runner.Scenario{
 			Warmup:         opts.Warmup,
 			SampleInterval: seg / 10,
 			Autoscale:      a,
 			Phases: []runner.Phase{
-				{Name: "morning", Kind: runner.KindRamp,
+				{Name: "morning", Kind: runner.PhaseRamp,
 					Lambda: 0.1 * capacity, Lambda2: 0.65 * capacity, Duration: seg},
-				{Name: "peak", Kind: runner.KindOpen,
+				{Name: "peak", Kind: runner.PhaseOpen,
 					Lambda: 0.65 * capacity, Duration: seg / 2},
-				{Name: "evening", Kind: runner.KindRamp,
+				{Name: "evening", Kind: runner.PhaseRamp,
 					Lambda: 0.65 * capacity, Lambda2: 0.1 * capacity, Duration: seg},
-				{Name: "night", Kind: runner.KindOpen,
+				{Name: "night", Kind: runner.PhaseOpen,
 					Lambda: 0.1 * capacity, Duration: seg / 2},
 			},
 		}
@@ -110,7 +110,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		o.fleet = Series{Name: "fleet size " + c.label}
 		out, err := runner.Run(opts.ctx(), st, spec(c.asc), metrics.ObserverFunc(func(s metrics.Snapshot) {
 			o.rt.X = append(o.rt.X, s.Time)
-			o.rt.Y = append(o.rt.Y, s.HighResponse())
+			o.rt.Y = append(o.rt.Y, s.Class(1).Mean)
 			o.fleet.X = append(o.fleet.X, s.Time)
 			o.fleet.Y = append(o.fleet.Y, float64(s.FleetUp))
 		}))
@@ -134,14 +134,14 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		f.Series = append(f.Series, results[i].rt, results[i].fleet)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, completed %d",
-			c.label, r.HighP95, r.Throughput(), r.Completed))
+			c.label, r.HighP95, r.Throughput, r.Completed))
 	}
 	auto, fixed := results[0].out, results[1].out
 	rep := auto.Autoscale
 	if rep == nil {
 		return nil, fmt.Errorf("experiments: autoscaled run produced no autoscale report")
 	}
-	fixedBill := float64(nMax) * fixed.Total.Window
+	fixedBill := float64(nMax) * fixed.Total.SimSeconds
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("autoscaler: %d scale-ups, %d scale-downs, fleet peaked at %d, ended at %d",
 			rep.ScaleUps, rep.ScaleDowns, rep.PeakFleet, rep.FinalFleet),

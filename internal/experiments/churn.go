@@ -11,7 +11,7 @@ import (
 
 // churnOutcome is one recovery-configuration run of the churn figure.
 type churnOutcome struct {
-	out    runner.Outcome
+	out    runner.Result
 	series Series
 }
 
@@ -44,7 +44,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -57,21 +57,21 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	mplTotal := perShardMPL * len(speeds)
 	seg := opts.Measure
 	victim := len(speeds) - 1
-	// Each run gets a fresh Spec: phases carry event slices the runner
+	// Each run gets a fresh Scenario: phases carry event slices the runner
 	// sorts (and churn-free here, but fresh keeps sweep goroutines
 	// independent).
-	spec := func() runner.Spec {
+	spec := func() runner.Scenario {
 		idx := victim
-		return runner.Spec{
+		return runner.Scenario{
 			Warmup:         opts.Warmup,
 			SampleInterval: seg / 8,
 			Phases: []runner.Phase{
 				{
-					Name: "steady", Kind: runner.KindOpen,
+					Name: "steady", Kind: runner.PhaseOpen,
 					Lambda: 0.55 * capacity, Duration: seg,
 				},
 				{
-					Name: "burst", Kind: runner.KindBurst,
+					Name: "burst", Kind: runner.PhaseBurst,
 					Lambda: 0.75 * capacity, BurstFactor: 1.5, BurstPeriod: seg / 8,
 					Duration: seg,
 					Events: []runner.Event{
@@ -80,7 +80,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 					},
 				},
 				{
-					Name: "recovered", Kind: runner.KindOpen,
+					Name: "recovered", Kind: runner.PhaseOpen,
 					Lambda: 0.55 * capacity, Duration: seg,
 				},
 			},
@@ -107,7 +107,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		o.series = Series{Name: "high mean RT " + c.label}
 		out, err := runner.Run(opts.ctx(), st, spec(), metrics.ObserverFunc(func(s metrics.Snapshot) {
 			o.series.X = append(o.series.X, s.Time)
-			o.series.Y = append(o.series.Y, s.HighResponse())
+			o.series.Y = append(o.series.Y, s.Class(1).Mean)
 		}))
 		if err != nil {
 			return churnOutcome{}, err
@@ -134,7 +134,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		})
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, failed %d, resubmitted %d, retries %d",
-			c.label, r.HighP95, r.Throughput(), r.Failed, r.Resubmitted, r.Retries))
+			c.label, r.HighP95, r.Throughput, r.Failed, r.Resubmitted, r.Retries))
 	}
 	resub, shed := results[0].out.Total, results[1].out.Total
 	f.Notes = append(f.Notes,

@@ -51,14 +51,14 @@ func RunController(setupID int, lossFrac float64, jumpStart bool, opts RunOpts) 
 	// the feedback loop; observation windows are CI-gated, so their
 	// length adapts to the workload's noise — give the loop a generous
 	// horizon and stop at convergence.
-	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Spec{
+	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Scenario{
 		Warmup:         opts.Warmup,
 		SampleInterval: opts.Measure / 10, // convergence-check granularity
 		Phases: []runner.Phase{{
-			Kind: runner.KindClosed, Clients: opts.Clients, Duration: 20 * opts.Measure,
+			Kind: runner.PhaseClosed, Clients: opts.Clients, Duration: 20 * opts.Measure,
 			Events: []runner.Event{{EnableController: &runner.ControllerSpec{
 				MaxThroughputLoss:   lossFrac,
-				ReferenceThroughput: base.Throughput(),
+				ReferenceThroughput: base.Throughput,
 				StopOnConverge:      true,
 			}}},
 		}},

@@ -78,7 +78,7 @@ type DispatchPoint struct {
 	Throughput float64
 	MeanRT     float64
 	P95        float64
-	Shards     []runner.ShardReport
+	Shards     []runner.ShardResult
 }
 
 // RunDispatch measures one dispatch policy on a heterogeneous shard
@@ -89,9 +89,9 @@ func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTot
 		return DispatchPoint{}, err
 	}
 	st.PercentileSamples = 4096
-	out, err := runner.Run(opts.ctx(), st, runner.Spec{
+	out, err := runner.Run(opts.ctx(), st, runner.Scenario{
 		Warmup: opts.Warmup,
-		Phases: []runner.Phase{{Kind: runner.KindOpen, Lambda: lambda, Duration: opts.Measure}},
+		Phases: []runner.Phase{{Kind: runner.PhaseOpen, Lambda: lambda, Duration: opts.Measure}},
 	})
 	if err != nil {
 		return DispatchPoint{}, err
@@ -99,8 +99,8 @@ func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTot
 	return DispatchPoint{
 		Policy:     dispatch,
 		Lambda:     lambda,
-		Throughput: out.Total.Throughput(),
-		MeanRT:     out.Total.All.Mean(),
+		Throughput: out.Total.Throughput,
+		MeanRT:     out.Total.MeanRT,
 		P95:        out.Total.P95,
 		Shards:     out.Shards,
 	}, nil
@@ -132,7 +132,7 @@ func DispatchFigure(setupID int, slowFactor float64, opts RunOpts) (*Figure, err
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}

@@ -22,7 +22,7 @@ func TestDispatchJSQBeatsRR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	speeds := []float64{1, 1, 1, 0.25}
 	capacity := 3.25 * ref
 	lambda := 0.85 * capacity

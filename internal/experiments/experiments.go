@@ -181,30 +181,14 @@ func (o RunOpts) withDefaults(setup workload.Setup) RunOpts {
 	return o
 }
 
-// LockStats are the lock manager's counters over the measured window.
-type LockStats struct {
-	Waits, Deadlocks, Preemptions uint64
-}
-
-// RunResult is one measured run. All fields cover exactly the
-// measurement window (utilizations and lock counters included — the
-// warmup is excluded everywhere).
+// RunResult is one measured run: the setup and MPL it ran at, and the
+// runner's report of exactly the measurement window (utilizations and
+// lock counters included — the warmup is excluded everywhere).
 type RunResult struct {
-	Setup      workload.Setup
-	MPL        int
-	Metrics    core.Metrics
-	CPUUtil    float64
-	DiskUtil   float64
-	Dropped    uint64
-	SimSeconds float64
-	Lock       LockStats
+	Setup workload.Setup
+	MPL   int
+	runner.Report
 }
-
-// Throughput is the measured transaction rate.
-func (r RunResult) Throughput() float64 { return r.Metrics.Throughput() }
-
-// MeanRT is the measured overall mean response time.
-func (r RunResult) MeanRT() float64 { return r.Metrics.All.Mean() }
 
 // buildStack assembles engine + DB + frontend + generator for a setup,
 // with the buffer pool pre-warmed.
@@ -232,42 +216,29 @@ func buildStack(setup workload.Setup, mpl int, policy core.Policy, dbo workload.
 // RunPhases measures a setup under an arbitrary phased scenario — the
 // general entry every specialized Run* helper builds on, and the one
 // scenario-shaped figures (Surge) drive directly. Observers receive
-// one windowed snapshot per spec.SampleInterval.
-func RunPhases(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts, spec runner.Spec, obs ...metrics.Observer) (runner.Outcome, error) {
+// one windowed snapshot per sc.SampleInterval.
+func RunPhases(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts, sc runner.Scenario, obs ...metrics.Observer) (runner.Result, error) {
 	eng, db, fe, gen, err := buildStack(setup, mpl, policy, dbo, opts)
 	if err != nil {
-		return runner.Outcome{}, err
+		return runner.Result{}, err
 	}
 	st := runner.Stack{
 		Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed,
 		PercentileSamples: opts.PercentileSamples,
 	}
-	return runner.Run(opts.ctx(), st, spec, obs...)
+	return runner.Run(opts.ctx(), st, sc, obs...)
 }
 
 // runOne measures a single-phase scenario and shapes it as a RunResult.
 func runOne(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts, ph runner.Phase) (RunResult, error) {
-	out, err := RunPhases(setup, mpl, policy, dbo, opts, runner.Spec{
+	out, err := RunPhases(setup, mpl, policy, dbo, opts, runner.Scenario{
 		Warmup: opts.Warmup,
 		Phases: []runner.Phase{ph},
 	})
 	if err != nil {
 		return RunResult{}, err
 	}
-	return RunResult{
-		Setup:      setup,
-		MPL:        mpl,
-		Metrics:    out.Total.CoreMetrics(),
-		CPUUtil:    out.Total.CPUUtil,
-		DiskUtil:   out.Total.DiskUtil,
-		Dropped:    out.Total.Dropped,
-		SimSeconds: out.Total.Window,
-		Lock: LockStats{
-			Waits:       out.Total.LockWaits,
-			Deadlocks:   out.Total.Deadlocks,
-			Preemptions: out.Total.Preemptions,
-		},
-	}, nil
+	return RunResult{Setup: setup, MPL: mpl, Report: out.Total}, nil
 }
 
 // RunClosed measures a Table 2 setup at the given MPL (0 = no limit)
@@ -276,7 +247,7 @@ func runOne(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOp
 func RunClosed(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
 	opts = opts.withDefaults(setup)
 	return runOne(setup, mpl, policy, dbo, opts, runner.Phase{
-		Kind: runner.KindClosed, Clients: opts.Clients, Duration: opts.Measure,
+		Kind: runner.PhaseClosed, Clients: opts.Clients, Duration: opts.Measure,
 	})
 }
 
@@ -287,7 +258,7 @@ func RunClosed(setup workload.Setup, mpl int, policy core.Policy, dbo workload.D
 func RunOpen(setup workload.Setup, mpl int, lambda float64, policy core.Policy, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
 	opts = opts.withDefaults(setup)
 	return runOne(setup, mpl, policy, dbo, opts, runner.Phase{
-		Kind: runner.KindOpen, Lambda: lambda, Duration: opts.Measure,
+		Kind: runner.PhaseOpen, Lambda: lambda, Duration: opts.Measure,
 	})
 }
 

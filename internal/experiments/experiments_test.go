@@ -18,10 +18,10 @@ func TestRunClosedBasics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Throughput() < 50 || r.Throughput() > 150 {
-		t.Errorf("setup 1 MPL 5 throughput = %v, want ~95", r.Throughput())
+	if r.Throughput < 50 || r.Throughput > 150 {
+		t.Errorf("setup 1 MPL 5 throughput = %v, want ~95", r.Throughput)
 	}
-	if r.MeanRT() <= 0 {
+	if r.MeanRT <= 0 {
 		t.Error("mean RT missing")
 	}
 	if r.CPUUtil <= 0.5 {
@@ -39,7 +39,7 @@ func TestRunClosedDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.Throughput() != b.Throughput() || a.MeanRT() != b.MeanRT() {
+	if a.Throughput != b.Throughput || a.MeanRT != b.MeanRT {
 		t.Error("same-seed runs differ")
 	}
 }
@@ -186,11 +186,11 @@ func TestFindMPLForLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpl5, err := FindMPLForLoss(setup, base.Throughput(), 0.05, 60, fastOpts)
+	mpl5, err := FindMPLForLoss(setup, base.Throughput, 0.05, 60, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	mpl20, err := FindMPLForLoss(setup, base.Throughput(), 0.20, 60, fastOpts)
+	mpl20, err := FindMPLForLoss(setup, base.Throughput, 0.20, 60, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,8 +205,8 @@ func TestFindMPLForLoss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Throughput() < 0.93*base.Throughput() {
-		t.Errorf("MPL %d gives %v, baseline %v: misses the 5%% target", mpl5, r.Throughput(), base.Throughput())
+	if r.Throughput < 0.93*base.Throughput {
+		t.Errorf("MPL %d gives %v, baseline %v: misses the 5%% target", mpl5, r.Throughput, base.Throughput)
 	}
 }
 

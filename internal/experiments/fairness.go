@@ -12,13 +12,13 @@ import (
 
 // fairnessOutcome is one configuration's run of the fairness figure.
 type fairnessOutcome struct {
-	out    runner.Outcome
+	out    runner.Result
 	series Series
 }
 
 // victimP95s pulls the victim tenants' p95s out of a whole-run report
 // (classes 0..victims-1; a victim that completed nothing reports 0).
-func victimP95s(out runner.Outcome, victims int) []float64 {
+func victimP95s(out runner.Result, victims int) []float64 {
 	p := make([]float64, victims)
 	for _, c := range out.Total.Classes {
 		if int(c.Class) >= 1 && int(c.Class) <= victims {
@@ -78,7 +78,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -122,6 +122,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			return fairnessOutcome{}, err
 		}
 		weights := make(map[core.Class]float64, len(c.mix))
+		byName := make(map[string]float64, len(c.mix))
 		for _, m := range c.mix {
 			cl := core.Class(m.Class)
 			w := victimWeight
@@ -130,6 +131,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			}
 			fe.RegisterClass(names[cl], w, 0)
 			weights[cl] = w
+			byName[names[cl]] = w
 		}
 		if err := gen.SetMix(c.mix); err != nil {
 			return fairnessOutcome{}, err
@@ -139,6 +141,13 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			PercentileSamples: opts.PercentileSamples,
 			ClassNames:        names,
 		}
+		sc := runner.Scenario{
+			Warmup: opts.Warmup,
+			Phases: []runner.Phase{{
+				Name: "contended", Kind: runner.PhaseOpen,
+				Lambda: c.lambda, Duration: opts.Measure,
+			}},
+		}
 		if c.fairness {
 			// The runner attaches the controller at measure start; warm
 			// up under the same initial weighted partition it will
@@ -146,16 +155,9 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			// never drains an unpartitioned warmup backlog.
 			fe.SetClassLimits(fairness.Allocate(mpl, weights))
 			fe.SetStrictPartition(true)
-			st.Fairness = &runner.FairnessSpec{Weights: weights, Strict: true, MinObservations: 100, Hysteresis: 2}
+			sc.Fairness = &runner.FairnessSpec{Weights: byName, Strict: true, MinObservations: 100, Hysteresis: 2}
 		}
-		spec := runner.Spec{
-			Warmup: opts.Warmup,
-			Phases: []runner.Phase{{
-				Name: "contended", Kind: runner.KindOpen,
-				Lambda: c.lambda, Duration: opts.Measure,
-			}},
-		}
-		out, err := runner.Run(opts.ctx(), st, spec)
+		out, err := runner.Run(opts.ctx(), st, sc)
 		if err != nil {
 			return fairnessOutcome{}, err
 		}
@@ -196,7 +198,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: victim p95s %.3gs/%.3gs/%.3gs, throughput %.2f tx/s, aggressor completed %d",
 			c.label, results[i].series.Y[0], results[i].series.Y[1], results[i].series.Y[2],
-			r.Throughput(), agg))
+			r.Throughput, agg))
 	}
 	// The isolation verdict: every victim within 2x of its own
 	// baseline under fairness, and at least one victim blown past it

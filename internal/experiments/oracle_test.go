@@ -95,16 +95,16 @@ func TestOracleClosedVsMVA(t *testing.T) {
 	for _, n := range pops {
 		out, err := RunPhases(setup, 0, nil, workload.DBOptions{},
 			RunOpts{Seed: 3, Warmup: 1, Measure: 1, Clients: n}, // explicit spec below
-			runner.Spec{
+			runner.Scenario{
 				Warmup: 100,
 				Phases: []runner.Phase{{
-					Kind: runner.KindClosed, Clients: n, ThinkTime: think, Duration: horizon,
+					Kind: runner.PhaseClosed, Clients: n, ThinkTime: think, Duration: horizon,
 				}},
 			})
 		if err != nil {
 			t.Fatal(err)
 		}
-		sim := out.Total.Throughput()
+		sim := out.Total.Throughput
 		model := nw.Throughput(n)
 		relErr := math.Abs(sim-model) / model
 		t.Logf("N=%2d: sim %8.3f tx/s, MVA %8.3f tx/s, err %.2f%% (%d completions)",
@@ -136,22 +136,33 @@ func TestOracleOpenVsMMC(t *testing.T) {
 	if !testing.Short() {
 		horizon = 6000 // nightly soak: 3x the arrivals, tighter CI
 	}
-	out, err := RunPhases(setup, 0, nil, workload.DBOptions{},
-		RunOpts{Seed: 5, Warmup: 1, Measure: 1},
-		runner.Spec{
+	opts := RunOpts{Seed: 5}
+	eng, db, fe, gen, err := buildStack(setup, 0, nil, workload.DBOptions{}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := runner.Run(opts.ctx(), runner.Stack{Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed},
+		runner.Scenario{
 			Warmup: 100,
 			Phases: []runner.Phase{{
-				Kind: runner.KindOpen, Lambda: p.Lambda, Duration: horizon,
+				Kind: runner.PhaseOpen, Lambda: p.Lambda, Duration: horizon,
 			}},
 		})
 	if err != nil {
 		t.Fatal(err)
 	}
-	sim := out.Total.All.Mean()
-	// Response times of successive arrivals are positively correlated,
-	// so inflate the iid CI half-width by a safety factor; the floor
-	// keeps the assertion meaningful if the CI collapses.
-	ci := out.Total.All.CIHalfWidth(0.95)
+	sim := out.Total.MeanRT
+	// The frontend's own metrics window opened with the measurement
+	// window and the engine stopped at its close, so it holds the same
+	// response times. Successive arrivals' response times are
+	// positively correlated, so inflate the iid CI half-width by a
+	// safety factor; the floor keeps the assertion meaningful if the CI
+	// collapses.
+	all := fe.Metrics().All
+	if all.Count() != int64(out.Total.Completed) {
+		t.Fatalf("frontend window holds %d completions, report %d", all.Count(), out.Total.Completed)
+	}
+	ci := all.CIHalfWidth(0.95)
 	tol := math.Max(5*ci, 0.05*model)
 	t.Logf("M/M/%d rho=%.2f: sim E[T]=%.5fs, model %.5fs, |diff|=%.5fs, tol %.5fs (%d completions)",
 		cpus, rho, sim, model, math.Abs(sim-model), tol, out.Total.Completed)

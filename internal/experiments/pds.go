@@ -69,7 +69,7 @@ func buildParallelShardedStack(setup workload.Setup, speeds []float64, dispatch 
 // PDSFigure measures the conservative parallel engine against the
 // sequential single-queue engine on the same sharded runs: identical
 // seeds, fleets, and open workloads, timed wall-clock. The parallel
-// run must produce a DeepEqual Outcome — the speedup column is only
+// run must produce a DeepEqual Result — the speedup column is only
 // meaningful because the results are the same — so this figure is both
 // a performance plot and an end-to-end equivalence check.
 //
@@ -89,7 +89,7 @@ func PDSFigure(setupID int, opts RunOpts) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -110,11 +110,11 @@ func PDSFigure(setupID int, opts RunOpts) (*Figure, error) {
 			speeds[i] = 1
 		}
 		lambda := 0.6 * float64(n) * ref
-		spec := runner.Spec{
+		spec := runner.Scenario{
 			Warmup:         opts.Warmup,
 			SampleInterval: seg / 10,
 			Phases: []runner.Phase{
-				{Name: "open", Kind: runner.KindOpen, Lambda: lambda, Duration: seg},
+				{Name: "open", Kind: runner.PhaseOpen, Lambda: lambda, Duration: seg},
 			},
 		}
 
@@ -152,7 +152,7 @@ func PDSFigure(setupID int, opts RunOpts) (*Figure, error) {
 		speedup.X, speedup.Y = append(speedup.X, x), append(speedup.Y, sp)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%d shards: %.2f tx/s, seq %.2fs vs par %.2fs wall (speedup %.2fx), outcomes identical",
-			n, seqOut.Total.Throughput(), seqWall, parWall, sp))
+			n, seqOut.Total.Throughput, seqWall, parWall, sp))
 	}
 	f.Series = append(f.Series, seq, par, speedup)
 	f.Notes = append(f.Notes,

@@ -33,7 +33,7 @@ func FindMPLForLoss(setup workload.Setup, baselineTput, lossFrac float64, maxMPL
 		if err != nil {
 			return 0, err
 		}
-		return r.Throughput(), nil
+		return r.Throughput, nil
 	}
 	tput, err := measure(mpl)
 	if err != nil {
@@ -115,7 +115,7 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
-	mpl, err := FindMPLForLoss(setup, base.Throughput(), lossFrac, 100, opts)
+	mpl, err := FindMPLForLoss(setup, base.Throughput, lossFrac, 100, opts)
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
@@ -126,12 +126,12 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	return PrioritizationResult{
 		SetupID:  setupID,
 		MPL:      mpl,
-		HighRT:   prio.Metrics.High.Mean(),
-		LowRT:    prio.Metrics.Low.Mean(),
-		NoPrioRT: base.MeanRT(),
-		AllRT:    prio.MeanRT(),
-		Baseline: base.Throughput(),
-		Tput:     prio.Throughput(),
+		HighRT:   prio.HighRT,
+		LowRT:    prio.LowRT,
+		NoPrioRT: base.MeanRT,
+		AllRT:    prio.MeanRT,
+		Baseline: base.Throughput,
+		Tput:     prio.Throughput,
 	}, nil
 }
 
@@ -239,13 +239,13 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 			}
 			return InternalComparison{
 				Variant: "internal",
-				HighRT:  internal.Metrics.High.Mean(),
-				LowRT:   internal.Metrics.Low.Mean(),
-				MeanRT:  internal.MeanRT(),
+				HighRT:  internal.HighRT,
+				LowRT:   internal.LowRT,
+				MeanRT:  internal.MeanRT,
 			}, nil
 		}
 		v := externals[i-1]
-		mpl, err := FindMPLForLoss(setup, base.Throughput(), v.loss, 100, opts)
+		mpl, err := FindMPLForLoss(setup, base.Throughput, v.loss, 100, opts)
 		if err != nil {
 			return InternalComparison{}, err
 		}
@@ -255,9 +255,9 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 		}
 		return InternalComparison{
 			Variant: v.name,
-			HighRT:  r.Metrics.High.Mean(),
-			LowRT:   r.Metrics.Low.Mean(),
-			MeanRT:  r.MeanRT(),
+			HighRT:  r.HighRT,
+			LowRT:   r.LowRT,
+			MeanRT:  r.MeanRT,
 			MPL:     mpl,
 		}, nil
 	})

@@ -24,7 +24,7 @@ func Section32RT(setupID int, utilization float64, mpls []int, opts RunOpts) (*F
 	if err != nil {
 		return nil, err
 	}
-	lambda := utilization * base.Throughput()
+	lambda := utilization * base.Throughput
 	if lambda <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -40,7 +40,7 @@ func Section32RT(setupID int, utilization float64, mpls []int, opts RunOpts) (*F
 		if err != nil {
 			return 0, err
 		}
-		return r.MeanRT(), nil
+		return r.MeanRT, nil
 	})
 	if err != nil {
 		return nil, err

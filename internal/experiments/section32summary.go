@@ -63,13 +63,13 @@ func minMPLForRT(setupID int, utilization, tolerance float64, mpls []int, opts R
 	if err != nil {
 		return 0, 0, err
 	}
-	lambda := utilization * base.Throughput()
+	lambda := utilization * base.Throughput
 	probe := func(m int) (float64, error) {
 		r, err := RunOpen(setup, m, lambda, nil, workload.DBOptions{}, opts)
 		if err != nil {
 			return 0, err
 		}
-		return r.MeanRT(), nil
+		return r.MeanRT, nil
 	}
 	// rtAt fetches the RT for mpls[i]: lazily (sequential execution,
 	// preserving the early exit — probes past the answer cost real

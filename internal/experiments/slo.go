@@ -13,7 +13,7 @@ type sloOutcome struct {
 	highP95 float64
 	lowTput float64
 	shed    uint64
-	out     runner.Outcome
+	out     runner.Result
 }
 
 // SLOFigure is the SLO-driven-admission comparison: under a flash-
@@ -48,30 +48,30 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
 	if targetP95 <= 0 {
-		targetP95 = 0.75 * base.MeanRT()
+		targetP95 = 0.75 * base.MeanRT
 	}
 	seg := opts.Measure
-	spec := func(extra []runner.Event) runner.Spec {
-		return runner.Spec{
+	spec := func(extra []runner.Event) runner.Scenario {
+		return runner.Scenario{
 			Warmup: opts.Warmup,
 			Phases: []runner.Phase{
 				{
-					Name: "steady", Kind: runner.KindOpen,
+					Name: "steady", Kind: runner.PhaseOpen,
 					Lambda: 0.7 * ref, Duration: seg,
 					Events: extra,
 				},
 				{
-					Name: "burst", Kind: runner.KindBurst,
+					Name: "burst", Kind: runner.PhaseBurst,
 					Lambda: 1.1 * ref, BurstFactor: 3, BurstPeriod: seg / 8,
 					Duration: seg,
 				},
 				{
-					Name: "recover", Kind: runner.KindOpen,
+					Name: "recover", Kind: runner.PhaseOpen,
 					Lambda: 0.6 * ref, Duration: seg,
 				},
 			},
@@ -85,8 +85,15 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		var o sloOutcome
 		o.out = out
 		o.highP95 = out.Total.HighP95
-		if w := out.Total.Window; w > 0 {
-			o.lowTput = float64(out.Total.Low.Count()) / w
+		if w := out.Total.SimSeconds; w > 0 {
+			// Every completion outside the high class is low-class work.
+			low := out.Total.Completed
+			for _, c := range out.Total.Classes {
+				if c.Class == int(core.ClassHigh) {
+					low -= c.Completed
+				}
+			}
+			o.lowTput = float64(low) / w
 		}
 		o.shed = out.Total.Shed
 		return o, nil
@@ -103,10 +110,10 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 			return runOne(sloMPL, []runner.Event{{
 				At: 0,
 				SetSLO: &runner.SLOSpec{
-					Class:  core.ClassHigh,
+					Class:  "high",
 					Target: targetP95,
 				},
-				SetAdmitDeadline: &runner.AdmitDeadline{Low: 3 * targetP95},
+				SetTenantDeadlines: map[string]float64{"low": 3 * targetP95},
 			}})
 		}
 		return runOne(mpls[i-1], nil)

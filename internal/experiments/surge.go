@@ -28,7 +28,7 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	if err != nil {
 		return nil, err
 	}
-	ref := base.Throughput()
+	ref := base.Throughput
 	if ref <= 0 {
 		return nil, fmt.Errorf("experiments: degenerate baseline throughput")
 	}
@@ -46,23 +46,23 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	}
 	seg := opts.Measure
 	var col metrics.Collector
-	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Spec{
+	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Scenario{
 		Warmup:         opts.Warmup,
 		SampleInterval: seg / 10,
 		Phases: []runner.Phase{
 			{
-				Name: "steady", Kind: runner.KindClosed, Clients: opts.Clients, Duration: seg,
+				Name: "steady", Kind: runner.PhaseClosed, Clients: opts.Clients, Duration: seg,
 				Events: []runner.Event{{EnableController: &runner.ControllerSpec{
 					MaxThroughputLoss:   lossFrac,
 					ReferenceThroughput: ref,
 				}}},
 			},
 			{
-				Name: "surge", Kind: runner.KindRamp,
+				Name: "surge", Kind: runner.PhaseRamp,
 				Lambda: 0.5 * ref, Lambda2: 1.3 * ref, Duration: seg,
 			},
 			{
-				Name: "bursty", Kind: runner.KindBurst,
+				Name: "bursty", Kind: runner.PhaseBurst,
 				Lambda: 0.7 * ref, BurstFactor: 2, BurstPeriod: seg / 8, Duration: seg,
 			},
 		},
@@ -98,7 +98,7 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	return f, nil
 }
 
-func tuneIterations(out runner.Outcome) int {
+func tuneIterations(out runner.Result) int {
 	if out.Tune == nil {
 		return 0
 	}

@@ -202,7 +202,7 @@ func throughputGrid(ids []int, mpls []int, opts RunOpts) ([]Series, error) {
 		if err != nil {
 			return 0, fmt.Errorf("setup %d MPL %d: %w", p.setupID, p.mpl, err)
 		}
-		return r.Throughput(), nil
+		return r.Throughput, nil
 	})
 	if err != nil {
 		return nil, err

@@ -1,9 +1,11 @@
 // Package runner executes phased workload scenarios on an assembled
-// simulation stack. It is the engine behind the public Scenario API
-// (extsched.System.Run) and the experiment harness's single-phase
-// runs: one place that owns the measurement-window rule, phase
-// sequencing, mid-phase control events, and interval snapshot
-// streaming, so that every run in the repository measures the same way.
+// simulation stack. It defines the scenario and result vocabulary once
+// (package extsched re-exports each type by alias) and is the engine
+// behind the public Scenario API (extsched.System.Run) and the
+// experiment harness's runs: one place that owns the measurement-window
+// rule, phase sequencing, mid-phase control events, and interval
+// snapshot streaming, so that every run in the repository measures the
+// same way.
 //
 // # The windowing rule
 //
@@ -33,6 +35,7 @@ import (
 	"extsched/internal/dbms"
 	"extsched/internal/dist"
 	"extsched/internal/fairness"
+	"extsched/internal/lockmgr"
 	"extsched/internal/sim"
 	"extsched/internal/stats"
 	"extsched/internal/trace"
@@ -40,623 +43,7 @@ import (
 	"extsched/metrics"
 )
 
-// Kind names a phase's traffic source.
-type Kind string
-
-const (
-	// KindClosed is a fixed client population (think-submit-wait loop).
-	KindClosed Kind = "closed"
-	// KindOpen is a stationary Poisson arrival process.
-	KindOpen Kind = "open"
-	// KindRamp ramps the Poisson rate linearly from Lambda to Lambda2
-	// over the phase's duration.
-	KindRamp Kind = "ramp"
-	// KindBurst is a two-state Markov-modulated Poisson process with
-	// long-run mean rate Lambda (flash-crowd arrivals).
-	KindBurst Kind = "burst"
-	// KindTrace replays a recorded trace.
-	KindTrace Kind = "trace"
-	// KindDiurnal is a non-homogeneous Poisson process whose rate
-	// follows a sine around Lambda (DiurnalAmp / DiurnalPeriod), the
-	// shape of a day's multi-tenant traffic; an optional flash-crowd
-	// window (FlashFactor / FlashAt / FlashDuration) may overlay it.
-	KindDiurnal Kind = "diurnal"
-	// KindFlash is a stationary Poisson process at Lambda with one
-	// flash-crowd window during which the rate is multiplied by
-	// FlashFactor; an optional diurnal sine may overlay it.
-	KindFlash Kind = "flash"
-)
-
-// ControllerSpec configures the Section 4.3 feedback controller when a
-// phase event enables it.
-type ControllerSpec struct {
-	// MaxThroughputLoss is the acceptable fractional throughput loss
-	// versus the reference (e.g. 0.05). Required.
-	MaxThroughputLoss float64
-	// ReferenceThroughput is the no-MPL optimum in completions per
-	// second. Required.
-	ReferenceThroughput float64
-	// MaxRTIncrease / ReferenceRT enable the optional response-time
-	// criterion; zero values disable it.
-	MaxRTIncrease float64
-	ReferenceRT   float64
-	// MinObservations gates window close; 0 = the paper's 100.
-	MinObservations int
-	// HoldWindows is the convergence hold count; 0 = 2.
-	HoldWindows int
-	// StopOnConverge ends the whole run as soon as the controller
-	// converges (the AutoTune workflow); the remaining phase time and
-	// any later phases are skipped.
-	StopOnConverge bool
-}
-
-// ShardSpeed retargets one shard's relative CPU speed (a slowdown,
-// failure-in-slow-motion, or recovery).
-type ShardSpeed struct {
-	Shard int
-	Speed float64
-}
-
-// SLOSpec configures the per-class latency-SLO controller when a phase
-// event (or Stack.SLO) enables it: partition the MPL across classes
-// and steer the split so Class's Percentile-th response-time
-// percentile stays at or below Target seconds.
-type SLOSpec struct {
-	// Class is the protected class; the partition's other side is the
-	// complementary class (high protects against low and vice versa).
-	Class core.Class
-	// Percentile is the controlled percentile (0 = 95).
-	Percentile float64
-	// Target is the latency bound in seconds. Required, > 0.
-	Target float64
-	// MinObservations gates SLO observation-window close (0 = 50).
-	MinObservations int
-	// Margin is the give-back hysteresis fraction (0 = 0.5).
-	Margin float64
-}
-
-// FairnessSpec configures the N-tenant weighted max-min fairness
-// controller (internal/fairness) when a phase event or Stack.Fairness
-// enables it: partition the MPL across the weighted tenant classes and
-// steer the split so each tenant's weight-normalized attained service
-// equalizes. Unsharded stacks only (the class partition lives on the
-// lone frontend), and mutually exclusive with the SLO loop and the
-// throughput controller — all three share the metrics window.
-type FairnessSpec struct {
-	// Weights maps each governed tenant class to its relative share
-	// weight. Required: >= 2 entries, every weight > 0.
-	Weights map[core.Class]float64
-	// MinObservations gates fairness-window close (0 = 50).
-	MinObservations int
-	// Hysteresis is the imbalance ratio a busy donor must exceed before
-	// a slot moves (0 = 1.2; must be >= 1 otherwise).
-	Hysteresis float64
-	// Strict makes the partition a hard cap: a tenant at its limit
-	// never borrows idle capacity. Trades utilization for latency
-	// isolation. Default false (work-conserving borrowing).
-	Strict bool
-}
-
-// Validate checks a FairnessSpec's standalone fields.
-func (f FairnessSpec) Validate() error {
-	if len(f.Weights) < 2 {
-		return fmt.Errorf("runner: fairness needs >= 2 weighted classes, got %d", len(f.Weights))
-	}
-	for c, w := range f.Weights {
-		if w <= 0 || !finite(w) {
-			return fmt.Errorf("runner: fairness class %d weight %v must be positive", c, w)
-		}
-	}
-	if !finite(f.Hysteresis) || (f.Hysteresis != 0 && f.Hysteresis < 1) {
-		return fmt.Errorf("runner: fairness hysteresis %v must be >= 1 (0 = default)", f.Hysteresis)
-	}
-	if f.MinObservations < 0 {
-		return fmt.Errorf("runner: fairness MinObservations %d must be >= 0", f.MinObservations)
-	}
-	return nil
-}
-
-// ClassLimits is a static MPL partition: High and Low concurrent slots
-// for the two priority classes. Both zero clears the partition.
-type ClassLimits struct {
-	High, Low int
-}
-
-// AdmitDeadline sets per-class admission deadlines in seconds (the
-// deadline-shedding mechanism): a transaction that cannot start within
-// its class's deadline of arriving is shed. Zero clears that class's
-// deadline.
-type AdmitDeadline struct {
-	High, Low float64
-}
-
-// ChurnSpec is a deterministic MTBF/MTTR fault generator for one
-// phase: each shard independently alternates exponential up times
-// (mean MTBF seconds) and down times (mean MTTR seconds), drawn from a
-// seeded per-shard stream, so the same spec and seed produce the same
-// failure schedule on every run. The generated fail events are
-// guarded: a failure that would take the last Up shard down is skipped
-// (the fleet never churns itself completely dark). Sharded stacks
-// only.
-type ChurnSpec struct {
-	// MTBF is the per-shard mean time between failures in simulated
-	// seconds (> 0).
-	MTBF float64
-	// MTTR is the per-shard mean time to recovery in simulated seconds
-	// (> 0).
-	MTTR float64
-	// Seed drives the failure schedule (0 = the stack seed).
-	Seed uint64
-}
-
-// Validate checks a churn generator's parameters.
-func (c ChurnSpec) Validate() error {
-	if !finite(c.MTBF, c.MTTR) {
-		return fmt.Errorf("runner: churn MTBF/MTTR must be finite")
-	}
-	if c.MTBF <= 0 {
-		return fmt.Errorf("runner: churn MTBF %v must be positive", c.MTBF)
-	}
-	if c.MTTR <= 0 {
-		return fmt.Errorf("runner: churn MTTR %v must be positive", c.MTTR)
-	}
-	return nil
-}
-
-// Event is a mid-phase control action, applied At seconds after the
-// phase's measured start (for the first phase, after warmup ends).
-// Exactly the actions a DBA could take against a live system: move the
-// MPL, reweight the queue, hand control to the feedback loop, degrade
-// a shard, switch the dispatch policy, crash or drain or add a shard.
-type Event struct {
-	At float64
-	// SetMPL, when non-nil, changes the MPL (0 = unlimited). On a
-	// sharded stack the value is the cluster-wide limit, split across
-	// shards by cluster.SplitMPL.
-	SetMPL *int
-	// SetWFQHighWeight, when non-nil, reweights the WFQ policy's high
-	// class (low keeps weight 1). Ignored (with no error) when the
-	// frontend's policy is not WFQ.
-	//
-	// Deprecated: the two-class shorthand is superseded by SetWeights,
-	// which reweights arbitrary tenant classes.
-	SetWFQHighWeight *float64
-	// SetWeights, when non-empty, reweights the WFQ policy per class
-	// (classes absent from the map keep their current weight). Ignored
-	// (with no error) when the frontend's policy is not WFQ.
-	SetWeights map[core.Class]float64
-	// SetTenantLimits, when non-nil, installs a static MPL partition
-	// over arbitrary tenant classes (each limit >= 1; an empty map
-	// clears the partition). Unsharded stacks only. The generalization
-	// of SetClassLimits.
-	SetTenantLimits map[core.Class]int
-	// SetTenantDeadlines, when non-nil, sets per-class admission
-	// deadlines for arbitrary tenant classes (seconds; zero clears that
-	// class's deadline). Both stack shapes. The generalization of
-	// SetAdmitDeadline.
-	SetTenantDeadlines map[core.Class]float64
-	// EnableFairness attaches the weighted max-min fairness controller
-	// to the completion stream; DisableFairness detaches it, freezing
-	// the class partition where the loop left it. Unsharded stacks only.
-	EnableFairness  *FairnessSpec
-	DisableFairness bool
-	// SetShardSpeed, when non-nil, changes one shard's relative CPU
-	// speed. Running on an unsharded stack is an error.
-	SetShardSpeed *ShardSpeed
-	// SetDispatch, when non-empty, switches the cluster's dispatch
-	// policy (cluster.NewPolicy names). Running on an unsharded stack
-	// is an error.
-	SetDispatch string
-	// EnableController attaches the feedback controller to the
-	// completion stream; DisableController detaches it, freezing the
-	// MPL where the loop left it.
-	EnableController  *ControllerSpec
-	DisableController bool
-	// SetSLO attaches (or replaces) the per-class latency-SLO
-	// controller; DisableSLO detaches it, freezing the class partition
-	// where the loop left it. Unsharded stacks only.
-	SetSLO     *SLOSpec
-	DisableSLO bool
-	// SetClassLimits installs a static MPL partition (unsharded stacks
-	// only; both-zero clears it).
-	SetClassLimits *ClassLimits
-	// SetAdmitDeadline changes the per-class admission deadlines (both
-	// stack shapes; zero clears a class's deadline).
-	SetAdmitDeadline *AdmitDeadline
-	// ShardFail, when non-nil, crashes that shard: it goes Down, its
-	// MPL share moves to the survivors, and the work it held is handed
-	// to the stack's recovery policy (resubmit with backoff, or shed —
-	// see Stack.Recovery). Sharded stacks only.
-	ShardFail *int
-	// ShardRecover, when non-nil, returns a Down shard to service (or
-	// cancels a drain). Sharded stacks only.
-	ShardRecover *int
-	// ShardRemove, when non-nil, drains that shard gracefully: no new
-	// work routes to it and it goes Down once empty. Sharded stacks
-	// only.
-	ShardRemove *int
-	// ShardAdd, when true, joins a fresh shard built by Stack.NewShard.
-	// Sharded stacks only.
-	ShardAdd bool
-	// churn marks a generator-synthesized fail event, which is skipped
-	// if it would take the last Up shard down.
-	churn bool
-}
-
-// Phase is one segment of a scenario: a traffic source run for
-// Duration simulated seconds, with optional control events.
-type Phase struct {
-	// Name labels the phase in reports and snapshots (defaults to the
-	// kind).
-	Name string
-	Kind Kind
-	// Duration is the phase length in simulated seconds (>= 0; a
-	// zero-duration phase starts and stops its driver at one instant,
-	// injecting only what the driver does synchronously at start).
-	Duration float64
-	// Clients / ThinkTime configure KindClosed (0 clients = 100;
-	// ThinkTime is the mean of an exponential think time, 0 = none).
-	Clients   int
-	ThinkTime float64
-	// Lambda is the arrival rate for KindOpen/KindBurst and the
-	// starting rate for KindRamp; Lambda2 is KindRamp's ending rate.
-	Lambda, Lambda2 float64
-	// BurstFactor / BurstPeriod configure KindBurst: the on/off state
-	// rates differ by Factor², normalized so the long-run mean rate is
-	// exactly Lambda; sojourns are exponential with mean Period
-	// seconds. Defaults: factor 2, period 100 mean interarrivals.
-	BurstFactor, BurstPeriod float64
-	// DiurnalAmp / DiurnalPeriod configure KindDiurnal (required there:
-	// amplitude in (0,1], period > 0; optional overlay on KindFlash):
-	// the rate swings between Lambda·(1−Amp) and Lambda·(1+Amp) with
-	// the given period in seconds.
-	DiurnalAmp, DiurnalPeriod float64
-	// FlashFactor / FlashAt / FlashDuration configure KindFlash
-	// (required there: factor >= 1, duration > 0; optional overlay on
-	// KindDiurnal): for FlashDuration seconds starting FlashAt seconds
-	// into the phase, the instantaneous rate is multiplied by
-	// FlashFactor.
-	FlashFactor, FlashAt, FlashDuration float64
-	// Trace / TraceSpeedup configure KindTrace (Speedup 0 = 1).
-	Trace        *trace.Trace
-	TraceSpeedup float64
-	// Churn, when non-nil, runs the deterministic MTBF/MTTR fault
-	// generator for this phase's duration (sharded stacks only); the
-	// generated fail/recover events merge with Events.
-	Churn  *ChurnSpec
-	Events []Event
-}
-
-// label returns the phase's display name.
-func (p Phase) label() string {
-	if p.Name != "" {
-		return p.Name
-	}
-	return string(p.Kind)
-}
-
-// AutoscaleSpec arms the fleet autoscaler for the whole run: a
-// hysteresis controller (internal/autoscale) ticking every Interval
-// simulated seconds from the moment the measurement window opens,
-// reading the fleet's mean per-up-shard backlog ((queued+inflight)/up)
-// and growing or draining the shard set within [Min, Max]. Scale-ups
-// reuse a parked (Down or Draining) slot first and only build a fresh
-// shard through Stack.NewShard when every slot is serving; scale-downs
-// drain the highest-index Up shard. Sharded stacks only.
-type AutoscaleSpec struct {
-	// Min / Max bound the Up fleet size (1 <= Min <= Max).
-	Min, Max int
-	// Interval is the controller tick period in simulated seconds
-	// (0 = 1).
-	Interval float64
-	// HighWater / LowWater are the per-up-shard backlog watermarks:
-	// signal >= HighWater for BreachWindows consecutive ticks scales
-	// up, signal <= LowWater for CalmWindows ticks scales down, and
-	// the band between them holds. Zero values take the
-	// internal/autoscale defaults (HighWater 8, LowWater HighWater/4).
-	HighWater, LowWater float64
-	// BreachWindows / CalmWindows are the consecutive-tick thresholds
-	// (0 = defaults: 2, and 3x BreachWindows).
-	BreachWindows, CalmWindows int
-	// Cooldown is the minimum time between actions in simulated
-	// seconds (0 = 2x Interval).
-	Cooldown float64
-	// MPLPerShard, when > 0, retargets the cluster-wide MPL to
-	// MPLPerShard slots per Up shard after every fleet change, so
-	// admitted concurrency scales with capacity instead of staying
-	// pinned at the configured total.
-	MPLPerShard int
-}
-
-// config translates the spec to the controller's vocabulary.
-func (a AutoscaleSpec) config() autoscale.Config {
-	return autoscale.Config{
-		Min:           a.Min,
-		Max:           a.Max,
-		Interval:      a.Interval,
-		HighWater:     a.HighWater,
-		LowWater:      a.LowWater,
-		BreachWindows: a.BreachWindows,
-		CalmWindows:   a.CalmWindows,
-		Cooldown:      a.Cooldown,
-	}
-}
-
-// Validate checks an autoscale spec without touching a stack.
-func (a AutoscaleSpec) Validate() error {
-	if a.MPLPerShard < 0 {
-		return fmt.Errorf("runner: autoscale MPL per shard %d must be >= 0", a.MPLPerShard)
-	}
-	return a.config().Validate()
-}
-
-// Spec is a full scenario: warmup, then the phases in order.
-type Spec struct {
-	// Warmup is discarded simulated seconds driven by the FIRST
-	// phase's traffic source before the measurement window opens.
-	Warmup float64
-	// SampleInterval, when > 0, emits one metrics.Snapshot to every
-	// observer each interval (windowed: counters cover the interval).
-	SampleInterval float64
-	// Autoscale, when non-nil, arms the fleet autoscaler for the whole
-	// run (sharded stacks only).
-	Autoscale *AutoscaleSpec
-	// ParallelShards opts a sharded run into the conservative parallel
-	// engine: each shard advances on its own sim.Engine on its own
-	// goroutine, synchronized in bounded windows at the dispatcher
-	// boundary (Stack.Par must be set on sharded stacks). Snapshot and
-	// windowing rules are unchanged — every breakpoint still observes
-	// all clocks standing at the same instant. On an unsharded stack
-	// the knob is a no-op (there is only one engine to run).
-	ParallelShards bool
-	Phases         []Phase
-}
-
-// finite reports whether every value is a finite float — the
-// executor schedules events at these offsets, and the engine (rightly)
-// panics on NaN/Inf times, so Validate must reject them first. JSON
-// cannot encode non-finite numbers, but scenarios built in code can.
-func finite(vals ...float64) bool {
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return false
-		}
-	}
-	return true
-}
-
-// Validate checks the spec's shape without touching a stack.
-func (s Spec) Validate() error {
-	if len(s.Phases) == 0 {
-		return fmt.Errorf("runner: scenario has no phases")
-	}
-	if s.Warmup < 0 || !finite(s.Warmup) {
-		return fmt.Errorf("runner: warmup %v must be finite and >= 0", s.Warmup)
-	}
-	if s.SampleInterval < 0 || !finite(s.SampleInterval) {
-		return fmt.Errorf("runner: sample interval %v must be finite and >= 0", s.SampleInterval)
-	}
-	if s.Autoscale != nil {
-		if err := s.Autoscale.Validate(); err != nil {
-			return err
-		}
-	}
-	for i, ph := range s.Phases {
-		prefix := fmt.Sprintf("runner: phase %d (%s)", i, ph.label())
-		if !finite(ph.Duration, ph.ThinkTime, ph.Lambda, ph.Lambda2, ph.BurstFactor, ph.BurstPeriod, ph.TraceSpeedup,
-			ph.DiurnalAmp, ph.DiurnalPeriod, ph.FlashFactor, ph.FlashAt, ph.FlashDuration) {
-			return fmt.Errorf("%s: parameters must be finite", prefix)
-		}
-		if ph.Duration < 0 {
-			return fmt.Errorf("%s: duration %v must be >= 0", prefix, ph.Duration)
-		}
-		switch ph.Kind {
-		case KindClosed:
-			if ph.Clients < 0 {
-				return fmt.Errorf("%s: clients %d must be >= 0", prefix, ph.Clients)
-			}
-			if ph.ThinkTime < 0 {
-				return fmt.Errorf("%s: think time %v must be >= 0", prefix, ph.ThinkTime)
-			}
-		case KindOpen:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-		case KindRamp:
-			if ph.Lambda < 0 || ph.Lambda2 < 0 || (ph.Lambda == 0 && ph.Lambda2 == 0) {
-				return fmt.Errorf("%s: ramp rates %v -> %v must be >= 0 with a positive peak", prefix, ph.Lambda, ph.Lambda2)
-			}
-			if ph.Duration <= 0 {
-				return fmt.Errorf("%s: a ramp needs a positive duration", prefix)
-			}
-		case KindBurst:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.BurstFactor < 0 || (ph.BurstFactor > 0 && ph.BurstFactor < 1) {
-				return fmt.Errorf("%s: burst factor %v must be >= 1 (0 = default)", prefix, ph.BurstFactor)
-			}
-			if ph.BurstPeriod < 0 {
-				return fmt.Errorf("%s: burst period %v must be >= 0 (0 = default)", prefix, ph.BurstPeriod)
-			}
-		case KindTrace:
-			if ph.Trace == nil || ph.Trace.Len() == 0 {
-				return fmt.Errorf("%s: a trace phase needs a non-empty trace", prefix)
-			}
-			if err := ph.Trace.Validate(); err != nil {
-				return fmt.Errorf("%s: %w", prefix, err)
-			}
-			if ph.TraceSpeedup < 0 {
-				return fmt.Errorf("%s: trace speedup %v must be >= 0 (0 = 1)", prefix, ph.TraceSpeedup)
-			}
-		case KindDiurnal:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.DiurnalAmp <= 0 || ph.DiurnalAmp > 1 {
-				return fmt.Errorf("%s: diurnal amplitude %v must be in (0,1]", prefix, ph.DiurnalAmp)
-			}
-			if ph.DiurnalPeriod <= 0 {
-				return fmt.Errorf("%s: diurnal period %v must be positive", prefix, ph.DiurnalPeriod)
-			}
-			if ph.FlashFactor != 0 && ph.FlashFactor < 1 {
-				return fmt.Errorf("%s: flash factor %v must be >= 1 (0 = none)", prefix, ph.FlashFactor)
-			}
-			if ph.FlashAt < 0 || ph.FlashDuration < 0 {
-				return fmt.Errorf("%s: flash window [%v, +%v) must be >= 0", prefix, ph.FlashAt, ph.FlashDuration)
-			}
-		case KindFlash:
-			if ph.Lambda <= 0 {
-				return fmt.Errorf("%s: lambda %v must be positive", prefix, ph.Lambda)
-			}
-			if ph.FlashFactor < 1 {
-				return fmt.Errorf("%s: flash factor %v must be >= 1", prefix, ph.FlashFactor)
-			}
-			if ph.FlashAt < 0 || ph.FlashDuration <= 0 {
-				return fmt.Errorf("%s: flash window [%v, +%v) needs a positive duration and offset >= 0", prefix, ph.FlashAt, ph.FlashDuration)
-			}
-			if ph.DiurnalAmp != 0 {
-				if ph.DiurnalAmp < 0 || ph.DiurnalAmp > 1 {
-					return fmt.Errorf("%s: diurnal amplitude %v must be in (0,1] (0 = none)", prefix, ph.DiurnalAmp)
-				}
-				if ph.DiurnalPeriod <= 0 {
-					return fmt.Errorf("%s: diurnal period %v must be positive", prefix, ph.DiurnalPeriod)
-				}
-			}
-		default:
-			return fmt.Errorf("%s: unknown kind %q (want %s, %s, %s, %s, %s, %s or %s)",
-				prefix, ph.Kind, KindClosed, KindOpen, KindRamp, KindBurst, KindTrace, KindDiurnal, KindFlash)
-		}
-		if ph.Churn != nil {
-			if err := ph.Churn.Validate(); err != nil {
-				return fmt.Errorf("%s: %w", prefix, err)
-			}
-		}
-		for j, ev := range ph.Events {
-			if ev.At < 0 || !finite(ev.At) {
-				return fmt.Errorf("%s event %d: offset %v must be finite and >= 0", prefix, j, ev.At)
-			}
-			if ev.SetMPL != nil && *ev.SetMPL < 0 {
-				return fmt.Errorf("%s event %d: MPL %d must be >= 0", prefix, j, *ev.SetMPL)
-			}
-			if ev.SetWFQHighWeight != nil && (*ev.SetWFQHighWeight <= 0 || !finite(*ev.SetWFQHighWeight)) {
-				return fmt.Errorf("%s event %d: WFQ weight %v must be positive", prefix, j, *ev.SetWFQHighWeight)
-			}
-			for c, w := range ev.SetWeights {
-				if w <= 0 || !finite(w) {
-					return fmt.Errorf("%s event %d: class %d WFQ weight %v must be positive", prefix, j, c, w)
-				}
-			}
-			for c, l := range ev.SetTenantLimits {
-				if l < 1 {
-					return fmt.Errorf("%s event %d: class %d tenant limit %d must be >= 1", prefix, j, c, l)
-				}
-			}
-			for c, d := range ev.SetTenantDeadlines {
-				if d < 0 || !finite(d) {
-					return fmt.Errorf("%s event %d: class %d admit deadline %v must be finite and >= 0", prefix, j, c, d)
-				}
-			}
-			if ev.EnableFairness != nil {
-				if err := ev.EnableFairness.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ss := ev.SetShardSpeed; ss != nil {
-				if ss.Shard < 0 {
-					return fmt.Errorf("%s event %d: shard %d must be >= 0", prefix, j, ss.Shard)
-				}
-				if ss.Speed <= 0 || !finite(ss.Speed) {
-					return fmt.Errorf("%s event %d: shard speed %v must be positive", prefix, j, ss.Speed)
-				}
-			}
-			if ev.SetDispatch != "" {
-				if _, err := cluster.NewPolicy(ev.SetDispatch); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ev.EnableController != nil {
-				cs := ev.EnableController
-				if cs.MaxThroughputLoss < 0 || cs.MaxThroughputLoss >= 1 {
-					return fmt.Errorf("%s event %d: MaxThroughputLoss %v outside [0,1)", prefix, j, cs.MaxThroughputLoss)
-				}
-				if cs.ReferenceThroughput <= 0 {
-					return fmt.Errorf("%s event %d: ReferenceThroughput required", prefix, j)
-				}
-			}
-			if ev.SetSLO != nil {
-				if err := ev.SetSLO.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if cl := ev.SetClassLimits; cl != nil {
-				if err := cl.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			if ad := ev.SetAdmitDeadline; ad != nil {
-				if err := ad.Validate(); err != nil {
-					return fmt.Errorf("%s event %d: %w", prefix, j, err)
-				}
-			}
-			for _, sh := range []struct {
-				name string
-				idx  *int
-			}{
-				{"shard_fail", ev.ShardFail},
-				{"shard_recover", ev.ShardRecover},
-				{"shard_remove", ev.ShardRemove},
-			} {
-				if sh.idx != nil && *sh.idx < 0 {
-					return fmt.Errorf("%s event %d: %s shard %d must be >= 0", prefix, j, sh.name, *sh.idx)
-				}
-			}
-		}
-	}
-	return nil
-}
-
-// Validate checks an SLOSpec's standalone fields.
-func (s SLOSpec) Validate() error {
-	if !finite(s.Target, s.Percentile, s.Margin) {
-		return fmt.Errorf("runner: SLO parameters must be finite")
-	}
-	if s.Target <= 0 {
-		return fmt.Errorf("runner: SLO target %v must be positive seconds", s.Target)
-	}
-	if s.Percentile < 0 || s.Percentile >= 100 {
-		return fmt.Errorf("runner: SLO percentile %v outside [0,100) (0 = 95)", s.Percentile)
-	}
-	if s.Margin < 0 || s.Margin >= 1 {
-		return fmt.Errorf("runner: SLO margin %v outside [0,1) (0 = 0.5)", s.Margin)
-	}
-	if s.MinObservations < 0 {
-		return fmt.Errorf("runner: SLO MinObservations %d must be >= 0", s.MinObservations)
-	}
-	return nil
-}
-
-// Validate checks a ClassLimits partition: both limits >= 1, or both
-// zero (clear).
-func (cl ClassLimits) Validate() error {
-	if cl.High == 0 && cl.Low == 0 {
-		return nil
-	}
-	if cl.High < 1 || cl.Low < 1 {
-		return fmt.Errorf("runner: class limits high=%d low=%d must both be >= 1 (or both 0 to clear)", cl.High, cl.Low)
-	}
-	return nil
-}
-
-// Validate checks admission deadlines: finite, >= 0.
-func (ad AdmitDeadline) Validate() error {
-	if !finite(ad.High, ad.Low) || ad.High < 0 || ad.Low < 0 {
-		return fmt.Errorf("runner: admit deadlines high=%v low=%v must be finite and >= 0", ad.High, ad.Low)
-	}
-	return nil
-}
-
-// Stack is the assembled simulation the spec runs on. Exactly one of
+// Stack is the assembled simulation a scenario runs on. Exactly one of
 // two shapes: single-backend (DB + FE set, Cluster nil) or sharded
 // (Cluster set, DB/FE ignored). The runner owns the completion hooks
 // (FE.OnComplete or Cluster.OnComplete) for the duration of the run.
@@ -688,21 +75,20 @@ type Stack struct {
 	// event-free way to run a scenario under SLO control; scenario
 	// SetSLO events can still replace it). Unsharded stacks only.
 	SLO *SLOSpec
-	// Fairness, when non-nil, attaches the N-tenant max-min fairness
-	// controller for the whole run, from the moment the measurement
-	// window opens. Unsharded stacks only; mutually exclusive with SLO.
-	Fairness *FairnessSpec
-	// ClassNames labels tenant classes in per-class reports and
-	// snapshots. Classes absent from the map fall back to the
-	// frontend's tenant registry (core.Frontend.RegisterClass) on
-	// unsharded stacks, then to the empty string.
+	// ClassNames registers tenant names for classes outside a
+	// scenario's tenants block: events and fairness specs may address
+	// them by name, and per-class reports and snapshots label them.
+	// Classes absent from both fall back to the frontend's tenant
+	// registry (core.Frontend.RegisterClass) on unsharded stacks, then
+	// to the empty string.
 	ClassNames map[core.Class]string
 	// Par, when non-nil, is the conservative parallel ensemble over Eng
-	// (the coordinator) and the shards' member engines. The runner
-	// drives it instead of Eng whenever Spec.ParallelShards is set,
-	// switching the horizon rule per phase (lockstep for closed-loop
-	// phases, coordinator-horizon otherwise). Requires a sharded stack
-	// whose shards were each built on their own engine (Shard.Eng set).
+	// (the coordinator) and the shards' member engines; it must be set
+	// exactly when a sharded stack runs a Scenario.ParallelShards
+	// scenario. The runner drives it instead of Eng, switching the
+	// horizon rule per phase (lockstep for closed-loop phases,
+	// coordinator-horizon otherwise). Requires a sharded stack whose
+	// shards were each built on their own engine (Shard.Eng set).
 	Par *sim.ParallelEngine
 }
 
@@ -723,188 +109,11 @@ func (st Stack) sink() workload.Sink {
 	return st.FE
 }
 
-// Report aggregates one window (the whole run, or one phase's slice of
-// it). Accumulators expose mean/variance/C² etc.; counter fields are
-// deltas over the window.
-type Report struct {
-	// Window is the report's length in simulated seconds.
-	Window float64
-	// Completed counts completions inside the window.
-	Completed uint64
-	// All/High/Low accumulate response times (external queueing
-	// included); Inside the time within the backend; ExtWait the
-	// external queueing portion.
-	All, High, Low, Inside, ExtWait stats.Accumulator
-	// Restarts counts abort/restart cycles; Dropped admission-control
-	// rejections.
-	Restarts, Dropped uint64
-	// Shed counts deadline-missed rejections in the window;
-	// ShedHigh/ShedLow split it by class.
-	Shed, ShedHigh, ShedLow uint64
-	// Failed counts transactions terminally lost to shard failures in
-	// the window; Resubmitted counts logical txns re-routed to a
-	// survivor at least once; Retries counts resubmission events.
-	Failed, Resubmitted, Retries uint64
-	// CPUUtil / DiskUtil are device utilizations over the window.
-	CPUUtil, DiskUtil float64
-	// LockWaits / Deadlocks / Preemptions are lock-manager deltas.
-	LockWaits, Deadlocks, Preemptions uint64
-	// P50/P95/P99 are run-so-far response-time percentiles (zero
-	// unless Stack.PercentileSamples was set); HighP95/LowP95 split the
-	// tail by priority class — the SLO signal.
-	P50, P95, P99   float64
-	HighP95, LowP95 float64
-	// Classes is the per-tenant breakdown of the window, in ascending
-	// class-ID order: one entry for every class that completed or shed
-	// work. The N-tenant generalization of the High/Low fields above
-	// (which remain for the two-class figures).
-	Classes []ClassReport
-}
-
-// ClassReport is one tenant class's slice of a Report window.
-type ClassReport struct {
-	Class core.Class
-	// Name is the registered tenant name (Stack.ClassNames or the
-	// frontend's tenant registry; empty when neither knows the class).
-	Name string
-	// Completed counts the class's completions in the window; Shed its
-	// deadline-shed rejections.
-	Completed, Shed uint64
-	// Mean is the class's mean response time; P95 its run-so-far 95th
-	// percentile (0 unless Stack.PercentileSamples is set — and only in
-	// whole-run reports, phase slices have no per-class reservoir).
-	Mean, P95 float64
-}
-
-// Throughput returns completions per second over the window.
-func (r Report) Throughput() float64 {
-	if r.Window <= 0 {
-		return 0
-	}
-	return float64(r.Completed) / r.Window
-}
-
-// CoreMetrics converts the report to the core.Metrics vocabulary.
-func (r Report) CoreMetrics() core.Metrics {
-	return core.Metrics{
-		Completed: r.Completed,
-		All:       r.All,
-		High:      r.High,
-		Low:       r.Low,
-		Inside:    r.Inside,
-		ExtWait:   r.ExtWait,
-		Restarts:  r.Restarts,
-	}.WithWindow(r.Window)
-}
-
-// PhaseReport is one phase's slice of the measurement window.
-type PhaseReport struct {
-	Name string
-	Kind Kind
-	Report
-}
-
-// ShardReport is one shard's slice of the whole measurement window
-// (sharded stacks only). Lock counters and device utilizations are the
-// shard's own; Dispatched counts the arrivals the dispatcher routed to
-// it inside the window.
-type ShardReport struct {
-	Shard int
-	// Speed is the shard's relative CPU speed when the run ended.
-	Speed      float64
-	Dispatched uint64
-	// State is the shard's lifecycle state when the run ended ("up",
-	// "draining", "down").
-	State string
-	// Availability is the fraction of the measurement window the shard
-	// was serving (a shard added mid-run accrues only from its join).
-	Availability float64
-	// P95 is the shard's own response-time 95th percentile, estimated
-	// with a constant-memory P² quantile tracker (percentile mode only;
-	// 0 otherwise). Unlike the aggregate reservoir percentiles this
-	// costs O(1) memory per shard, which is what keeps per-shard
-	// reporting affordable at thousand-shard fleets.
-	P95 float64
-	Report
-}
-
-// TuneReport summarizes a controller-enabled run.
-type TuneReport struct {
-	StartMPL   int
-	FinalMPL   int
-	Iterations int
-	Converged  bool
-}
-
-// SLOReport summarizes an SLO-controlled run: the final class
-// partition and the loop's activity.
-type SLOReport struct {
-	// Class is the protected class; SLOLimit/OtherLimit the final slot
-	// partition (they sum to the final MPL).
-	Class                core.Class
-	SLOLimit, OtherLimit int
-	// Iterations counts completed SLO reactions; LastMeasured is the
-	// last closed window's measured percentile (0 before any window
-	// closed).
-	Iterations   int
-	LastMeasured float64
-}
-
-// FairnessReport summarizes a fairness-controlled run: the final
-// tenant partition and the loop's activity.
-type FairnessReport struct {
-	// Limits is the final per-tenant slot partition (sums to the final
-	// MPL).
-	Limits map[core.Class]int
-	// Iterations counts completed fairness reactions; Moves how many of
-	// them actually moved a slot.
-	Iterations, Moves int
-}
-
-// AutoscaleReport summarizes an autoscaled run's fleet trajectory.
-type AutoscaleReport struct {
-	// ScaleUps / ScaleDowns count controller actions over the run.
-	ScaleUps, ScaleDowns uint64
-	// FinalFleet is the Up shard count when the run ended; PeakFleet
-	// and MinFleet the extremes observed at controller ticks.
-	FinalFleet, PeakFleet, MinFleet int
-	// ShardSeconds is the total shard-up time accrued inside the
-	// measurement window (summed over all slots) — the capacity bill
-	// an autoscaled fleet is trying to shrink versus a fixed one.
-	ShardSeconds float64
-}
-
-// Outcome is a completed run.
-type Outcome struct {
-	Total  Report
-	Phases []PhaseReport
-	// Shards holds each shard's slice of the whole window (nil for
-	// single-backend stacks).
-	Shards []ShardReport
-	// Tune is non-nil when an EnableController event fired.
-	Tune *TuneReport
-	// SLO is non-nil when the latency-SLO controller ran (Stack.SLO or
-	// a SetSLO event).
-	SLO *SLOReport
-	// Fairness is non-nil when the max-min fairness controller ran
-	// (Stack.Fairness or an EnableFairness event).
-	Fairness *FairnessReport
-	// Autoscale is non-nil when Spec.Autoscale armed the fleet
-	// autoscaler.
-	Autoscale *AutoscaleReport
-	// FinalMPL is the MPL when the run ended (events or the controller
-	// may have moved it from the configured value). For sharded stacks
-	// it is the cluster-wide limit (sum of shard limits; 0 if any shard
-	// is unlimited).
-	FinalMPL int
-}
-
 // mark captures the cumulative counters a windowed delta is taken
 // against.
 type mark struct {
 	t                       float64
-	dropped, canceled       uint64
-	shed, shedHigh, shedLow uint64
+	dropped, canceled, shed uint64
 	// shedClass splits shed by tenant class (nil while nothing shed).
 	shedClass              map[core.Class]uint64
 	waits, dl, preempt     uint64
@@ -915,11 +124,10 @@ type mark struct {
 }
 
 type shardMark struct {
-	routed, dropped, canceled uint64
-	shed, shedHigh, shedLow   uint64
-	waits, dl, preempt        uint64
-	cpuBusy, diskBusy         float64
-	upSec                     float64
+	routed, dropped    uint64
+	waits, dl, preempt uint64
+	cpuBusy, diskBusy  float64
+	upSec              float64
 }
 
 func takeMark(st Stack) mark {
@@ -935,13 +143,8 @@ func takeMark(st Stack) mark {
 			sm := &m.shards[i]
 			sm.routed = routed[i]
 			sm.upSec = c.UpSeconds(i)
-			sm.dropped, sm.canceled = sh.FE.Dropped(), sh.FE.Canceled()
-			sm.shed = sh.FE.Shed()
-			sm.shedHigh = sh.FE.ShedByClass(core.ClassHigh)
-			sm.shedLow = sm.shed - sm.shedHigh
-			m.shed += sm.shed
-			m.shedHigh += sm.shedHigh
-			m.shedLow += sm.shedLow
+			sm.dropped = sh.FE.Dropped()
+			m.shed += sh.FE.Shed()
 			for c, n := range sh.FE.ShedClasses() {
 				if m.shedClass == nil {
 					m.shedClass = make(map[core.Class]uint64)
@@ -966,8 +169,6 @@ func takeMark(st Stack) mark {
 	}
 	m.dropped, m.canceled = st.FE.Dropped(), st.FE.Canceled()
 	m.shed = st.FE.Shed()
-	m.shedHigh = st.FE.ShedByClass(core.ClassHigh)
-	m.shedLow = m.shed - m.shedHigh
 	m.shedClass = st.FE.ShedClasses()
 	if st.DB != nil {
 		s := st.DB.Stats()
@@ -1031,22 +232,25 @@ func (a *acc) reset() {
 	a.classes = classes
 }
 
-// className resolves a class's display name: the stack's explicit map
-// first, then the unsharded frontend's tenant registry.
-func className(st Stack, c core.Class) string {
-	if n, ok := st.ClassNames[c]; ok {
+// className resolves a class's display name: the scenario's tenants
+// block first, then the stack's registered names, then the unsharded
+// frontend's tenant registry.
+func (r *run) className(c core.Class) string {
+	if c >= 0 && int(c) < len(r.sc.Tenants) {
+		return r.sc.Tenants[c].Name
+	}
+	if n, ok := r.st.ClassNames[c]; ok {
 		return n
 	}
-	if st.Cluster == nil && st.FE != nil {
-		return st.FE.TenantName(c)
+	if r.st.Cluster == nil && r.st.FE != nil {
+		return r.st.FE.TenantName(c)
 	}
 	return ""
 }
 
-// classReports assembles the per-tenant breakdown of one window: every
-// class that completed or shed work between the marks, ascending.
-// resClass, when non-nil, supplies run-so-far per-class percentiles.
-func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stats.Reservoir) []ClassReport {
+// activeClasses lists, ascending, every class that completed work in
+// a or shed work between the marks.
+func activeClasses(a *acc, from, to mark) []core.Class {
 	ids := make(map[core.Class]struct{}, len(a.classes))
 	for c, ca := range a.classes {
 		if ca.Count() > 0 {
@@ -1058,78 +262,88 @@ func classReports(st Stack, a *acc, from, to mark, resClass map[core.Class]*stat
 			ids[c] = struct{}{}
 		}
 	}
-	if len(ids) == 0 {
-		return nil
-	}
 	classes := make([]core.Class, 0, len(ids))
 	for c := range ids {
 		classes = append(classes, c)
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	out := make([]ClassReport, len(classes))
-	for i, c := range classes {
-		cr := ClassReport{
-			Class: c,
-			Name:  className(st, c),
-			Shed:  to.shedClass[c] - from.shedClass[c],
-		}
-		if ca := a.classes[c]; ca != nil {
-			cr.Completed = uint64(ca.Count())
-			cr.Mean = ca.Mean()
-		}
-		if rv := resClass[c]; rv != nil {
-			cr.P95 = rv.Percentile(95)
-		}
-		out[i] = cr
-	}
-	return out
+	return classes
 }
 
-// report assembles a Report from an accumulator scope and its marks.
-func (a *acc) report(st Stack, from mark, res, resHigh, resLow *stats.Reservoir, resClass map[core.Class]*stats.Reservoir) Report {
-	to := takeMark(st)
-	r := Report{
-		Window:      to.t - from.t,
-		Completed:   a.completed,
-		All:         a.all,
-		High:        a.high,
-		Low:         a.low,
-		Inside:      a.inside,
-		ExtWait:     a.extwait,
-		Restarts:    a.restarts,
-		Dropped:     to.dropped - from.dropped,
-		Shed:        to.shed - from.shed,
-		ShedHigh:    to.shedHigh - from.shedHigh,
-		ShedLow:     to.shedLow - from.shedLow,
-		LockWaits:   to.waits - from.waits,
-		Deadlocks:   to.dl - from.dl,
-		Preemptions: to.preempt - from.preempt,
-		Failed:      to.failed - from.failed,
-		Resubmitted: to.resub - from.resub,
-		Retries:     to.retries - from.retries,
-		CPUUtil:     utilDelta(from.cpuBusy, to.cpuBusy, from.t, to.t),
-		DiskUtil:    utilDelta(from.diskBusy, to.diskBusy, from.t, to.t),
+// classStat is class c's slice of one window; withP95 adds the
+// run-so-far per-class percentile when percentile sampling is on.
+func (r *run) classStat(a *acc, from, to mark, c core.Class, withP95 bool) metrics.ClassStat {
+	cs := metrics.ClassStat{
+		Class: int(c),
+		Name:  r.className(c),
+		Shed:  to.shedClass[c] - from.shedClass[c],
 	}
-	if res != nil {
-		r.P50 = res.Percentile(50)
-		r.P95 = res.Percentile(95)
-		r.P99 = res.Percentile(99)
+	if ca := a.classes[c]; ca != nil {
+		cs.Completed = uint64(ca.Count())
+		cs.Mean = ca.Mean()
 	}
-	if resHigh != nil {
-		r.HighP95 = resHigh.Percentile(95)
+	if rv := r.resClass[c]; rv != nil && withP95 {
+		cs.P95 = rv.Percentile(95)
 	}
-	if resLow != nil {
-		r.LowP95 = resLow.Percentile(95)
+	return cs
+}
+
+// fill sets the Report fields an accumulator scope determines.
+func (a *acc) fill(rep *Report, window float64) {
+	rep.SimSeconds = window
+	rep.Completed = a.completed
+	if window > 0 {
+		rep.Throughput = float64(a.completed) / window
 	}
-	r.Classes = classReports(st, a, from, to, resClass)
-	return r
+	rep.MeanRT = a.all.Mean()
+	rep.HighRT = a.high.Mean()
+	rep.LowRT = a.low.Mean()
+	rep.MeanInside = a.inside.Mean()
+	rep.ExternalW = a.extwait.Mean()
+	rep.DemandC2 = a.inside.C2()
+	rep.Restarts = a.restarts
+}
+
+// report assembles a Report from an accumulator scope and its opening
+// mark. A whole-run report carries the run-so-far percentiles; a
+// phase slice has no reservoirs of its own.
+func (r *run) report(a *acc, from mark, whole bool) Report {
+	to := takeMark(r.st)
+	var rep Report
+	a.fill(&rep, to.t-from.t)
+	rep.Dropped = to.dropped - from.dropped
+	rep.Shed = to.shed - from.shed
+	rep.ShedHigh = to.shedClass[core.ClassHigh] - from.shedClass[core.ClassHigh]
+	rep.ShedLow = rep.Shed - rep.ShedHigh
+	rep.LockWaits = to.waits - from.waits
+	rep.Deadlocks = to.dl - from.dl
+	rep.Preemptions = to.preempt - from.preempt
+	rep.Failed = to.failed - from.failed
+	rep.Resubmitted = to.resub - from.resub
+	rep.Retries = to.retries - from.retries
+	rep.CPUUtil = utilDelta(from.cpuBusy, to.cpuBusy, from.t, to.t)
+	rep.DiskUtil = utilDelta(from.diskBusy, to.diskBusy, from.t, to.t)
+	if whole && r.res != nil {
+		rep.P50 = r.res.Percentile(50)
+		rep.P95 = r.res.Percentile(95)
+		rep.P99 = r.res.Percentile(99)
+		rep.HighP95 = r.resHigh.Percentile(95)
+		rep.LowP95 = r.resLow.Percentile(95)
+	}
+	for _, c := range activeClasses(a, from, to) {
+		cs := r.classStat(a, from, to, c, whole)
+		rep.Classes = append(rep.Classes, ClassResult{
+			Class: cs.Class, Name: cs.Name, Completed: cs.Completed, Shed: cs.Shed, MeanRT: cs.Mean, P95: cs.P95,
+		})
+	}
+	return rep
 }
 
 // buildDriver assembles the phase's traffic source.
-func buildDriver(st Stack, ph Phase) (workload.Driver, error) {
+func buildDriver(st Stack, ph *Phase) (workload.Driver, error) {
 	sink := st.sink()
 	switch ph.Kind {
-	case KindClosed:
+	case PhaseClosed:
 		clients := ph.Clients
 		if clients <= 0 {
 			clients = 100
@@ -1139,11 +353,11 @@ func buildDriver(st Stack, ph Phase) (workload.Driver, error) {
 			think = dist.NewExponential(ph.ThinkTime)
 		}
 		return workload.NewClosedDriver(st.Eng, sink, st.Gen, clients, think), nil
-	case KindOpen:
+	case PhaseOpen:
 		return workload.NewOpenDriver(st.Eng, sink, st.Gen, ph.Lambda, 0), nil
-	case KindRamp:
+	case PhaseRamp:
 		return workload.NewRampDriver(st.Eng, sink, st.Gen, ph.Lambda, ph.Lambda2, ph.Duration), nil
-	case KindBurst:
+	case PhaseBurst:
 		factor := ph.BurstFactor
 		if factor == 0 {
 			factor = 2
@@ -1153,7 +367,7 @@ func buildDriver(st Stack, ph Phase) (workload.Driver, error) {
 			period = 100 / ph.Lambda
 		}
 		return workload.NewBurstDriver(st.Eng, sink, st.Gen, ph.Lambda, factor, period), nil
-	case KindDiurnal, KindFlash:
+	case PhaseDiurnal, PhaseFlash:
 		return workload.NewShapedDriver(st.Eng, sink, st.Gen, workload.ShapedConfig{
 			Base:          ph.Lambda,
 			Amp:           ph.DiurnalAmp,
@@ -1162,8 +376,15 @@ func buildDriver(st Stack, ph Phase) (workload.Driver, error) {
 			FlashAt:       ph.FlashAt,
 			FlashDuration: ph.FlashDuration,
 		}), nil
-	case KindTrace:
-		d, err := workload.NewTraceDriver(st.Eng, sink, ph.Trace)
+	case PhaseTrace:
+		tr := ph.Trace
+		if ph.TraceSynth != nil {
+			var err error
+			if tr, err = trace.Synthesize(*ph.TraceSynth); err != nil {
+				return nil, err
+			}
+		}
+		d, err := workload.NewTraceDriver(st.Eng, sink, tr)
 		if err != nil {
 			return nil, err
 		}
@@ -1178,9 +399,10 @@ func buildDriver(st Stack, ph Phase) (workload.Driver, error) {
 
 // run carries the mutable state of one execution.
 type run struct {
-	st   Stack
-	spec Spec
-	obs  []metrics.Observer
+	st  Stack
+	sc  *Scenario
+	obs []metrics.Observer
+	out Result
 
 	measuring bool
 	total     acc
@@ -1193,11 +415,11 @@ type run struct {
 	// resClass samples response times per tenant class (run-so-far) for
 	// the per-class P95 report and snapshot fields. Lazily built, one
 	// reservoir per distinct class seen, on its own seeded stream — the
-	// legacy res/resHigh/resLow draws are untouched, so historical
-	// two-class figures stay bit-identical.
+	// res/resHigh/resLow draws are untouched, so the two-class figures
+	// stay bit-identical.
 	resClass map[core.Class]*stats.Reservoir
 	// shardTotal / winShard split the window per shard (sharded stacks
-	// only): whole-window accumulators for Outcome.Shards, and
+	// only): whole-window accumulators for Result.Shards, and
 	// per-interval completion counts for Snapshot.Shards.
 	shardTotal []acc
 	winShard   []uint64
@@ -1211,15 +433,16 @@ type run struct {
 	nextSnap                      float64
 
 	ctl            *controller.Controller
-	tune           *TuneReport
+	tune           *TuneResult
 	stopOnConverge bool
 
-	slo      *controller.SLOController
-	sloSpec  SLOSpec
-	sloFinal *SLOReport
+	slo *controller.SLOController
+	// sloClass names the attached loop's protected class.
+	sloClass string
+	sloFinal *SLOResult
 
 	fair      *fairness.Controller
-	fairFinal *FairnessReport
+	fairFinal *FairnessResult
 
 	// asc is the armed fleet autoscaler; ascErr the first error a tick
 	// hit (the tick runs inside an engine callback and cannot return
@@ -1305,37 +528,33 @@ func (r *run) classRes(c core.Class) *stats.Reservoir {
 	return rv
 }
 
-// Run executes spec on st. Observers receive one windowed Snapshot per
-// SampleInterval, synchronously on the simulation goroutine (they may
-// inspect or adjust the stack from the callback). ctx is checked at
-// every internal breakpoint — phase boundaries, events, snapshot ticks
-// — and a canceled run returns ctx.Err() with the partial Outcome
-// discarded.
-func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Outcome, error) {
-	if err := spec.Validate(); err != nil {
-		return Outcome{}, err
-	}
-	r := &run{st: st, spec: spec, obs: obs}
+// Run executes the scenario on st. It validates sc against the stack
+// first (the stack's registered tenant names resolve, and shard
+// actions must fit its fleet), then applies the tenants block.
+// Observers receive one windowed Snapshot per SampleInterval,
+// synchronously on the simulation goroutine (they may inspect or
+// adjust the stack from the callback). ctx is checked at every
+// internal breakpoint — phase boundaries, events, snapshot ticks — and
+// a canceled run returns ctx.Err() with the partial Result discarded.
+func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (Result, error) {
 	if st.Par != nil {
-		if st.Cluster == nil {
-			return Outcome{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
-		}
-		// The feedback controller actuates SetMPL from inside the
-		// per-completion observation path; replayed at window bounds its
-		// actuations would land at different instants than a sequential
-		// run's, so the combination is refused rather than silently
-		// diverging.
-		for i, ph := range spec.Phases {
-			for _, ev := range ph.Events {
-				if ev.EnableController != nil {
-					return Outcome{}, fmt.Errorf("runner: phase %d (%s): the feedback controller is not supported with ParallelShards", i, ph.label())
-				}
-			}
-		}
 		defer st.Par.Close()
-	} else if spec.ParallelShards && st.Cluster != nil {
-		return Outcome{}, fmt.Errorf("runner: ParallelShards needs a stack assembled with a parallel ensemble (Stack.Par)")
 	}
+	if err := sc.validate(&st); err != nil {
+		return Result{}, err
+	}
+	if st.Par != nil && st.Cluster == nil {
+		return Result{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
+	}
+	if st.Cluster != nil && (st.Par != nil) != sc.ParallelShards {
+		return Result{}, fmt.Errorf("runner: a sharded stack needs a parallel ensemble (Stack.Par) exactly when the scenario sets ParallelShards")
+	}
+	if len(sc.Tenants) > 0 {
+		if err := applyTenants(st, sc.Tenants); err != nil {
+			return Result{}, err
+		}
+	}
+	r := &run{st: st, sc: &sc, obs: obs}
 	if st.PercentileSamples > 0 {
 		seed := st.Seed
 		if seed == 0 {
@@ -1358,7 +577,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 			rp.Seed = st.Seed
 		}
 		if err := c.SetRecovery(st.Eng, rp); err != nil {
-			return Outcome{}, err
+			return Result{}, err
 		}
 		r.shardTotal = make([]acc, c.NumShards())
 		r.winShard = make([]uint64, c.NumShards())
@@ -1372,18 +591,19 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	} else {
 		st.FE.OnComplete = func(t *dbfe.Txn) { r.onComplete(0, t) }
 	}
-	out := Outcome{}
-	for i, ph := range spec.Phases {
+	out := &r.out
+	for i := range sc.Phases {
+		ph := &sc.Phases[i]
 		driver, err := buildDriver(st, ph)
 		if err != nil {
-			return Outcome{}, err
+			return Result{}, err
 		}
 		if st.Par != nil {
 			// Closed-loop phases feed completions straight back into
 			// submissions, so the window horizon must cover member events
 			// too (lockstep); autonomous-arrival phases are bounded by the
 			// coordinator's own next event.
-			st.Par.SetLockstep(ph.Kind == KindClosed)
+			st.Par.SetLockstep(ph.Kind == PhaseClosed)
 		}
 		driver.Start()
 		if i == 0 {
@@ -1391,41 +611,41 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 			// included: a fleet frozen at its starting size while warmup
 			// load climbs would open the measurement window buried under
 			// a backlog the controller was never allowed to absorb.
-			if spec.Autoscale != nil {
-				if err := r.armAutoscale(*spec.Autoscale); err != nil {
-					return Outcome{}, err
+			if sc.Autoscale != nil {
+				if err := r.armAutoscale(*sc.Autoscale); err != nil {
+					return Result{}, err
 				}
 			}
-			if spec.Warmup > 0 {
-				r.advance(st.Eng.Now() + spec.Warmup)
+			if sc.Warmup > 0 {
+				r.advance(st.Eng.Now() + sc.Warmup)
 				if err := ctx.Err(); err != nil {
-					return Outcome{}, err
+					return Result{}, err
 				}
 				if r.ascErr != nil {
-					return Outcome{}, r.ascErr
+					return Result{}, r.ascErr
 				}
 			}
 			r.beginMeasurement()
 			if st.SLO != nil {
 				if err := r.attachSLO(*st.SLO); err != nil {
-					return Outcome{}, err
+					return Result{}, err
 				}
 			}
-			if st.Fairness != nil {
-				if err := r.attachFairness(*st.Fairness); err != nil {
-					return Outcome{}, err
+			if sc.Fairness != nil {
+				if err := r.attachFairness(*sc.Fairness); err != nil {
+					return Result{}, err
 				}
 			}
 		}
 		stopped, err := r.runPhase(ctx, ph)
 		driver.Stop()
 		if err != nil {
-			return Outcome{}, err
+			return Result{}, err
 		}
-		out.Phases = append(out.Phases, PhaseReport{
+		out.Phases = append(out.Phases, PhaseResult{
 			Name:   ph.label(),
 			Kind:   ph.Kind,
-			Report: r.phase.report(st, r.phaseMark, nil, nil, nil, nil),
+			Report: r.report(&r.phase, r.phaseMark, false),
 		})
 		r.phase.reset()
 		r.phaseMark = takeMark(st)
@@ -1434,7 +654,7 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 		}
 	}
 	r.measuring = false
-	out.Total = r.total.report(st, r.totalMark, r.res, r.resHigh, r.resLow, r.resClass)
+	out.Total = r.report(&r.total, r.totalMark, true)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
 	if r.tune != nil {
@@ -1459,7 +679,39 @@ func Run(ctx context.Context, st Stack, spec Spec, obs ...metrics.Observer) (Out
 	if r.asc != nil {
 		out.Autoscale = r.autoscaleReport()
 	}
-	return out, nil
+	return *out, nil
+}
+
+// applyTenants installs a tenants block on the fresh stack: every
+// frontend's registry gets the names, weights and SLO targets, the WFQ
+// policy (when the queue policy is WFQ) is reweighted to the tenants'
+// declared weights, and the generator's arrival stream is split by the
+// tenants' shares, replacing the high-class fraction tagging.
+func applyTenants(st Stack, tenants []TenantSpec) error {
+	weights := make(map[core.Class]float64, len(tenants))
+	mix := make([]workload.TenantMix, len(tenants))
+	for i, t := range tenants {
+		if st.Cluster != nil {
+			for _, sh := range st.Cluster.Shards() {
+				sh.FE.RegisterClass(t.Name, t.weight(), t.SLOTarget)
+			}
+		} else {
+			st.FE.RegisterClass(t.Name, t.weight(), t.SLOTarget)
+		}
+		weights[core.Class(i)] = t.weight()
+		mix[i] = workload.TenantMix{
+			Class:    lockmgr.Class(i),
+			Share:    t.Share,
+			SizeMean: t.SizeMean,
+			SizeC2:   t.SizeC2,
+		}
+	}
+	if st.Cluster != nil {
+		st.Cluster.SetWFQWeights(weights)
+	} else {
+		st.FE.SetWFQWeights(weights)
+	}
+	return st.Gen.SetMix(mix)
 }
 
 // armAutoscale builds the fleet controller and starts its tick timer
@@ -1578,8 +830,8 @@ func (r *run) retargetMPL() error {
 }
 
 // autoscaleReport assembles the run's fleet trajectory summary.
-func (r *run) autoscaleReport() *AutoscaleReport {
-	rep := &AutoscaleReport{
+func (r *run) autoscaleReport() *AutoscaleResult {
+	rep := &AutoscaleResult{
 		ScaleUps:   r.asc.ScaleUps(),
 		ScaleDowns: r.asc.ScaleDowns(),
 		FinalFleet: r.st.Cluster.UpCount(),
@@ -1598,10 +850,10 @@ func (r *run) autoscaleReport() *AutoscaleReport {
 }
 
 // sloReport snapshots the attached SLO loop's state.
-func (r *run) sloReport() *SLOReport {
+func (r *run) sloReport() *SLOResult {
 	slo, other := r.slo.Limits()
-	rep := &SLOReport{
-		Class:      r.sloSpec.Class,
+	rep := &SLOResult{
+		Class:      r.sloClass,
 		SLOLimit:   slo,
 		OtherLimit: other,
 		Iterations: r.slo.Iterations(),
@@ -1634,9 +886,13 @@ func (r *run) attachSLO(spec SLOSpec) error {
 		}
 		fe.EnablePercentiles(sloSampleCapacity, seed)
 	}
+	class, err := spec.class()
+	if err != nil {
+		return err
+	}
 	slo, err := controller.NewSLO(r.st.Eng.Clock(), fe, controller.SLOConfig{
 		Target: controller.SLOTarget{
-			Class:      spec.Class,
+			Class:      class,
 			Percentile: spec.Percentile,
 			Target:     spec.Target,
 		},
@@ -1647,7 +903,10 @@ func (r *run) attachSLO(spec SLOSpec) error {
 		return err
 	}
 	r.slo = slo
-	r.sloSpec = spec
+	r.sloClass = "high"
+	if class == core.ClassLow {
+		r.sloClass = "low"
+	}
 	return nil
 }
 
@@ -1671,8 +930,12 @@ func (r *run) attachFairness(spec FairnessSpec) error {
 	if r.ctl != nil {
 		return fmt.Errorf("runner: the fairness controller and the throughput controller share the metrics window; disable the controller first")
 	}
+	weights, err := r.sc.fairnessWeights(r.st.ClassNames, spec)
+	if err != nil {
+		return err
+	}
 	fair, err := fairness.New(r.st.FE.Frontend, fairness.Config{
-		Weights:         spec.Weights,
+		Weights:         weights,
 		MinObservations: spec.MinObservations,
 		Hysteresis:      spec.Hysteresis,
 		Strict:          spec.Strict,
@@ -1685,12 +948,17 @@ func (r *run) attachFairness(spec FairnessSpec) error {
 }
 
 // fairReport snapshots the attached fairness loop's state.
-func (r *run) fairReport() *FairnessReport {
-	return &FairnessReport{
-		Limits:     r.fair.Limits(),
+func (r *run) fairReport() *FairnessResult {
+	limits := r.fair.Limits()
+	rep := &FairnessResult{
+		Limits:     make(map[int]int, len(limits)),
 		Iterations: r.fair.Iterations(),
 		Moves:      r.fair.Moves(),
 	}
+	for c, l := range limits {
+		rep.Limits[int(c)] = l
+	}
+	return rep
 }
 
 // beginMeasurement opens the measurement window at the engine's
@@ -1712,7 +980,7 @@ func (r *run) beginMeasurement() {
 	r.measuring = true
 	m := takeMark(r.st)
 	r.totalMark, r.phaseMark, r.winMark = m, m, m
-	r.nextSnap = m.t + r.spec.SampleInterval
+	r.nextSnap = m.t + r.sc.SampleInterval
 }
 
 // churnEvents precomputes one phase's failure schedule: per shard, an
@@ -1767,16 +1035,13 @@ func (r *run) advance(t float64) {
 // runPhase advances the engine through one phase's measured duration,
 // pausing at event and snapshot breakpoints. It reports whether the
 // run should stop early (controller convergence).
-func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error) {
+func (r *run) runPhase(ctx context.Context, ph *Phase) (stopEarly bool, err error) {
 	eng := r.st.Eng
 	phaseStart := eng.Now()
 	phaseEnd := phaseStart + ph.Duration
 	// Events fire in offset order, clamped into the phase.
 	evs := append([]Event(nil), ph.Events...)
 	if ph.Churn != nil {
-		if r.st.Cluster == nil {
-			return false, fmt.Errorf("runner: churn phase on an unsharded system")
-		}
 		evs = append(evs, churnEvents(*ph.Churn, r.st.Cluster.NumShards(), ph.Duration, r.st.Seed)...)
 	}
 	sort.SliceStable(evs, func(i, j int) bool { return evs[i].At < evs[j].At })
@@ -1788,7 +1053,7 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 				t = et
 			}
 		}
-		if r.spec.SampleInterval > 0 && r.nextSnap < t {
+		if r.sc.SampleInterval > 0 && r.nextSnap < t {
 			t = r.nextSnap
 		}
 		r.advance(t)
@@ -1801,14 +1066,14 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 		// Apply everything due at this breakpoint: events first (a
 		// snapshot at the same instant observes their effect).
 		for ei < len(evs) && min(phaseStart+evs[ei].At, phaseEnd) <= t {
-			if err := r.applyEvent(evs[ei]); err != nil {
+			if err := r.applyEvent(&evs[ei]); err != nil {
 				return false, err
 			}
 			ei++
 		}
-		if r.spec.SampleInterval > 0 && r.nextSnap <= t {
+		if r.sc.SampleInterval > 0 && r.nextSnap <= t {
 			r.emitSnapshot(ph)
-			r.nextSnap += r.spec.SampleInterval
+			r.nextSnap += r.sc.SampleInterval
 		}
 		if r.stopOnConverge && r.ctl != nil && r.ctl.Converged() {
 			return true, nil
@@ -1819,43 +1084,56 @@ func (r *run) runPhase(ctx context.Context, ph Phase) (stopEarly bool, err error
 	}
 }
 
-// setWFQWeights reaches the queue policy on either stack shape.
-func (r *run) setWFQWeights(w map[core.Class]float64) {
-	if c := r.st.Cluster; c != nil {
-		c.SetWFQWeights(w)
-		return
+// classes resolves a name-keyed event map to class IDs (validation
+// already checked that every name resolves).
+func classes[V any](r *run, byName map[string]V) (map[core.Class]V, error) {
+	out := make(map[core.Class]V, len(byName))
+	for name, v := range byName {
+		c, err := r.sc.classOf(r.st.ClassNames, name)
+		if err != nil {
+			return nil, err
+		}
+		out[c] = v
 	}
-	r.st.FE.SetWFQWeights(w)
+	return out, nil
 }
 
 // applyEvent performs one control action at the engine's current time.
-func (r *run) applyEvent(ev Event) error {
+func (r *run) applyEvent(ev *Event) error {
 	gate := r.st.Gate()
 	if ev.SetMPL != nil {
 		gate.SetMPL(*ev.SetMPL)
 	}
-	if ev.SetWFQHighWeight != nil {
-		r.setWFQWeights(map[core.Class]float64{core.ClassHigh: *ev.SetWFQHighWeight, core.ClassLow: 1})
-	}
 	if len(ev.SetWeights) > 0 {
-		r.setWFQWeights(ev.SetWeights)
+		w, err := classes(r, ev.SetWeights)
+		if err != nil {
+			return err
+		}
+		if c := r.st.Cluster; c != nil {
+			c.SetWFQWeights(w)
+		} else {
+			r.st.FE.SetWFQWeights(w)
+		}
 	}
 	if ev.SetTenantLimits != nil {
 		if r.st.Cluster != nil {
 			return fmt.Errorf("runner: SetTenantLimits event on a sharded system")
 		}
-		if len(ev.SetTenantLimits) == 0 {
-			r.st.FE.SetClassLimits(nil)
-		} else {
-			limits := make(map[core.Class]int, len(ev.SetTenantLimits))
-			for c, l := range ev.SetTenantLimits {
-				limits[c] = l
-			}
-			r.st.FE.SetClassLimits(limits)
+		limits, err := classes(r, *ev.SetTenantLimits)
+		if err != nil {
+			return err
 		}
+		if len(limits) == 0 {
+			limits = nil
+		}
+		r.st.FE.SetClassLimits(limits)
 	}
 	if ev.SetTenantDeadlines != nil {
-		for c, d := range ev.SetTenantDeadlines {
+		deadlines, err := classes(r, ev.SetTenantDeadlines)
+		if err != nil {
+			return err
+		}
+		for c, d := range deadlines {
 			if cl := r.st.Cluster; cl != nil {
 				cl.SetAdmitDeadline(c, d)
 			} else {
@@ -1937,28 +1215,6 @@ func (r *run) applyEvent(ev Event) error {
 			return err
 		}
 	}
-	if ad := ev.SetAdmitDeadline; ad != nil {
-		if c := r.st.Cluster; c != nil {
-			c.SetAdmitDeadline(core.ClassHigh, ad.High)
-			c.SetAdmitDeadline(core.ClassLow, ad.Low)
-		} else {
-			r.st.FE.SetAdmitDeadline(core.ClassHigh, ad.High)
-			r.st.FE.SetAdmitDeadline(core.ClassLow, ad.Low)
-		}
-	}
-	if cl := ev.SetClassLimits; cl != nil {
-		if r.st.Cluster != nil {
-			return fmt.Errorf("runner: SetClassLimits event on a sharded system")
-		}
-		if cl.High == 0 && cl.Low == 0 {
-			r.st.FE.SetClassLimits(nil)
-		} else {
-			r.st.FE.SetClassLimits(map[core.Class]int{
-				core.ClassHigh: cl.High,
-				core.ClassLow:  cl.Low,
-			})
-		}
-	}
 	// Both disables run before either enable, so one event can hand
 	// control from one loop to the other ({disable_controller,
 	// set_slo} and {disable_slo, enable_controller} both work).
@@ -1980,7 +1236,7 @@ func (r *run) applyEvent(ev Event) error {
 	}
 	if ev.DisableController {
 		// Record the detached loop's outcome before dropping it, so the
-		// run's TuneReport survives the disable.
+		// run's TuneResult survives the disable.
 		if r.ctl != nil && r.tune != nil {
 			r.tune.FinalMPL = gate.MPL()
 			r.tune.Iterations = r.ctl.Iterations()
@@ -2024,7 +1280,7 @@ func (r *run) applyEvent(ev Event) error {
 		r.ctl = ctl
 		r.stopOnConverge = cs.StopOnConverge
 		if r.tune == nil {
-			r.tune = &TuneReport{StartMPL: gate.MPL()}
+			r.tune = &TuneResult{StartMPL: gate.MPL()}
 		}
 	}
 	return nil
@@ -2032,27 +1288,21 @@ func (r *run) applyEvent(ev Event) error {
 
 // shardReports assembles each shard's slice of the whole measurement
 // window (nil for single-backend stacks).
-func (r *run) shardReports() []ShardReport {
+func (r *run) shardReports() []ShardResult {
 	c := r.st.Cluster
 	if c == nil {
 		return nil
 	}
 	to := takeMark(r.st)
 	from := r.totalMark
-	out := make([]ShardReport, c.NumShards())
+	out := make([]ShardResult, c.NumShards())
 	for i, sh := range c.Shards() {
-		sr := ShardReport{Shard: i, Speed: sh.Speed, State: c.State(i).String()}
-		sr.Report = Report{Window: to.t - from.t}
+		sr := ShardResult{Shard: i, Speed: sh.Speed, State: c.State(i).String()}
+		a := &acc{}
 		if i < len(r.shardTotal) {
-			a := &r.shardTotal[i]
-			sr.Completed = a.completed
-			sr.All = a.all
-			sr.High = a.high
-			sr.Low = a.low
-			sr.Inside = a.inside
-			sr.ExtWait = a.extwait
-			sr.Restarts = a.restarts
+			a = &r.shardTotal[i]
 		}
+		a.fill(&sr.Report, to.t-from.t)
 		if i < len(r.shardP95) && r.shardP95[i].Count() > 0 {
 			sr.P95 = r.shardP95[i].Quantile()
 		}
@@ -2085,7 +1335,7 @@ func (r *run) shardReports() []ShardReport {
 // carries: above this fleet size a collector holding the run's time
 // series would grow O(N) per interval, so snapshots keep only the
 // aggregate (and fleet-size) fields. Whole-run per-shard reports in
-// the Outcome are unaffected — they are emitted once, not per tick.
+// the Result are unaffected — they are emitted once, not per tick.
 const maxSnapshotShards = 128
 
 // shardStats assembles the per-shard slice of an interval snapshot and
@@ -2142,55 +1392,27 @@ func (r *run) shardStats(to mark) []metrics.ShardStat {
 // carries, like maxSnapshotShards does for shards: above this tenant
 // count a collector holding the run's time series would grow O(N) per
 // interval, so snapshots keep only the aggregate fields. Whole-run
-// per-class reports in the Outcome are unaffected — they are emitted
+// per-class reports in the Result are unaffected — they are emitted
 // once, not per tick.
 const maxSnapshotClasses = 64
 
 // classStats assembles the per-class slice of an interval snapshot:
 // every class that completed or shed work this window, ascending.
 func (r *run) classStats(to mark) []metrics.ClassStat {
-	w := &r.window
-	ids := make(map[core.Class]struct{}, len(w.classes))
-	for c, ca := range w.classes {
-		if ca.Count() > 0 {
-			ids[c] = struct{}{}
-		}
-	}
-	for c, n := range to.shedClass {
-		if n > r.winMark.shedClass[c] {
-			ids[c] = struct{}{}
-		}
-	}
-	if len(ids) == 0 || len(ids) > maxSnapshotClasses {
+	classes := activeClasses(&r.window, r.winMark, to)
+	if len(classes) == 0 || len(classes) > maxSnapshotClasses {
 		return nil
 	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
 	out := make([]metrics.ClassStat, len(classes))
 	for i, c := range classes {
-		cs := metrics.ClassStat{
-			Class: int(c),
-			Name:  className(r.st, c),
-			Shed:  to.shedClass[c] - r.winMark.shedClass[c],
-		}
-		if ca := w.classes[c]; ca != nil {
-			cs.Completed = uint64(ca.Count())
-			cs.Mean = ca.Mean()
-		}
-		if rv := r.resClass[c]; rv != nil {
-			cs.P95 = rv.Percentile(95)
-		}
-		out[i] = cs
+		out[i] = r.classStat(&r.window, r.winMark, to, c, true)
 	}
 	return out
 }
 
-// emitSnapshot sends the current interval window to every observer and
-// opens the next one.
-func (r *run) emitSnapshot(ph Phase) {
+// emitSnapshot sends the current interval window to every observer,
+// records it in the Result, and opens the next one.
+func (r *run) emitSnapshot(ph *Phase) {
 	st := r.st
 	gate := st.Gate()
 	to := takeMark(st)
@@ -2239,6 +1461,7 @@ func (r *run) emitSnapshot(ph Phase) {
 	for _, o := range r.obs {
 		o.OnInterval(s)
 	}
+	r.out.Snapshots = append(r.out.Snapshots, s)
 	r.window.reset()
 	r.winMark = to
 }

@@ -40,27 +40,27 @@ func TestSpecValidate(t *testing.T) {
 	zero := 0.0
 	cases := []struct {
 		name string
-		spec Spec
+		spec Scenario
 		ok   bool
 	}{
-		{"empty", Spec{}, false},
-		{"negative warmup", Spec{Warmup: -1, Phases: []Phase{{Kind: KindClosed, Duration: 1}}}, false},
-		{"unknown kind", Spec{Phases: []Phase{{Kind: "weird", Duration: 1}}}, false},
-		{"open without lambda", Spec{Phases: []Phase{{Kind: KindOpen, Duration: 1}}}, false},
-		{"ramp without duration", Spec{Phases: []Phase{{Kind: KindRamp, Lambda: 1, Lambda2: 2}}}, false},
-		{"ramp both rates zero", Spec{Phases: []Phase{{Kind: KindRamp, Duration: 1}}}, false},
-		{"burst factor below one", Spec{Phases: []Phase{{Kind: KindBurst, Lambda: 5, BurstFactor: 0.5, Duration: 1}}}, false},
-		{"trace without trace", Spec{Phases: []Phase{{Kind: KindTrace, Duration: 1}}}, false},
-		{"negative event offset", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{At: -1}}}}}, false},
-		{"negative event MPL", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{SetMPL: &neg}}}}}, false},
-		{"controller without reference", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1,
+		{"empty", Scenario{}, false},
+		{"negative warmup", Scenario{Warmup: -1, Phases: []Phase{{Kind: PhaseClosed, Duration: 1}}}, false},
+		{"unknown kind", Scenario{Phases: []Phase{{Kind: "weird", Duration: 1}}}, false},
+		{"open without lambda", Scenario{Phases: []Phase{{Kind: PhaseOpen, Duration: 1}}}, false},
+		{"ramp without duration", Scenario{Phases: []Phase{{Kind: PhaseRamp, Lambda: 1, Lambda2: 2}}}, false},
+		{"ramp both rates zero", Scenario{Phases: []Phase{{Kind: PhaseRamp, Duration: 1}}}, false},
+		{"burst factor below one", Scenario{Phases: []Phase{{Kind: PhaseBurst, Lambda: 5, BurstFactor: 0.5, Duration: 1}}}, false},
+		{"trace without trace", Scenario{Phases: []Phase{{Kind: PhaseTrace, Duration: 1}}}, false},
+		{"negative event offset", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1, Events: []Event{{At: -1}}}}}, false},
+		{"negative event MPL", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1, Events: []Event{{SetMPL: &neg}}}}}, false},
+		{"controller without reference", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
 			Events: []Event{{EnableController: &ControllerSpec{MaxThroughputLoss: 0.05}}}}}}, false},
-		{"bad wfq weight", Spec{Phases: []Phase{{Kind: KindClosed, Duration: 1, Events: []Event{{SetWFQHighWeight: &zero}}}}}, false},
-		{"valid closed", Spec{Warmup: 1, Phases: []Phase{{Kind: KindClosed, Duration: 1}}}, true},
-		{"valid multi", Spec{Phases: []Phase{
-			{Kind: KindClosed, Duration: 1},
-			{Kind: KindRamp, Lambda: 1, Lambda2: 5, Duration: 2},
-			{Kind: KindBurst, Lambda: 5, Duration: 1},
+		{"bad wfq weight", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1, Events: []Event{{SetWeights: map[string]float64{"high": zero}}}}}}, false},
+		{"valid closed", Scenario{Warmup: 1, Phases: []Phase{{Kind: PhaseClosed, Duration: 1}}}, true},
+		{"valid multi", Scenario{Phases: []Phase{
+			{Kind: PhaseClosed, Duration: 1},
+			{Kind: PhaseRamp, Lambda: 1, Lambda2: 5, Duration: 2},
+			{Kind: PhaseBurst, Lambda: 5, Duration: 1},
 		}}, true},
 	}
 	for _, tc := range cases {
@@ -82,15 +82,15 @@ func TestWindowingRule(t *testing.T) {
 	st := testStack(t, 2, 1)
 	// Offered load far above what MPL 2 can serve: a large backlog is
 	// guaranteed to be in flight when the window closes.
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup: 5,
-		Phases: []Phase{{Kind: KindOpen, Lambda: 300, Duration: 30}},
+		Phases: []Phase{{Kind: PhaseOpen, Lambda: 300, Duration: 30}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Total.Window != 30 {
-		t.Errorf("window = %v, want 30", out.Total.Window)
+	if out.Total.SimSeconds != 30 {
+		t.Errorf("window = %v, want 30", out.Total.SimSeconds)
 	}
 	if st.FE.QueueLen() == 0 {
 		t.Fatal("test needs a backlog at window close to be meaningful")
@@ -108,18 +108,18 @@ func TestWindowingRule(t *testing.T) {
 	}
 	// Throughput is in-window completions over the window, and cannot
 	// exceed the service capacity at MPL 2 (far below the offered 300/s).
-	if tput := out.Total.Throughput(); tput >= 300 {
+	if tput := out.Total.Throughput; tput >= 300 {
 		t.Errorf("throughput %v includes post-window completions", tput)
 	}
 }
 
 func TestPhaseSequencingAndReports(t *testing.T) {
 	st := testStack(t, 5, 2)
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup: 10,
 		Phases: []Phase{
-			{Name: "steady", Kind: KindClosed, Clients: 50, Duration: 40},
-			{Name: "surge", Kind: KindOpen, Lambda: 60, Duration: 40},
+			{Name: "steady", Kind: PhaseClosed, Clients: 50, Duration: 40},
+			{Name: "surge", Kind: PhaseOpen, Lambda: 60, Duration: 40},
 		},
 	})
 	if err != nil {
@@ -131,12 +131,12 @@ func TestPhaseSequencingAndReports(t *testing.T) {
 	if out.Phases[0].Name != "steady" || out.Phases[1].Name != "surge" {
 		t.Errorf("phase names wrong: %q, %q", out.Phases[0].Name, out.Phases[1].Name)
 	}
-	if out.Phases[0].Window != 40 || out.Phases[1].Window != 40 {
+	if out.Phases[0].SimSeconds != 40 || out.Phases[1].SimSeconds != 40 {
 		t.Errorf("phase windows = %v, %v, want 40 each (warmup excluded)",
-			out.Phases[0].Window, out.Phases[1].Window)
+			out.Phases[0].SimSeconds, out.Phases[1].SimSeconds)
 	}
-	if out.Total.Window != 80 {
-		t.Errorf("total window = %v, want 80", out.Total.Window)
+	if out.Total.SimSeconds != 80 {
+		t.Errorf("total window = %v, want 80", out.Total.SimSeconds)
 	}
 	if sum := out.Phases[0].Completed + out.Phases[1].Completed; sum != out.Total.Completed {
 		t.Errorf("phase completions %d don't sum to total %d", sum, out.Total.Completed)
@@ -149,10 +149,10 @@ func TestPhaseSequencingAndReports(t *testing.T) {
 func TestSnapshotsAreWindowed(t *testing.T) {
 	st := testStack(t, 5, 3)
 	var col metrics.Collector
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup:         5,
 		SampleInterval: 10,
-		Phases:         []Phase{{Kind: KindClosed, Clients: 50, Duration: 100}},
+		Phases:         []Phase{{Kind: PhaseClosed, Clients: 50, Duration: 100}},
 	}, &col)
 	if err != nil {
 		t.Fatal(err)
@@ -190,10 +190,10 @@ func TestMidPhaseEvents(t *testing.T) {
 	st := testStack(t, 2, 4)
 	mpl := 20
 	var col metrics.Collector
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		SampleInterval: 10,
 		Phases: []Phase{{
-			Kind: KindClosed, Clients: 50, Duration: 100,
+			Kind: PhaseClosed, Clients: 50, Duration: 100,
 			Events: []Event{{At: 50, SetMPL: &mpl}},
 		}},
 	}, &col)
@@ -219,22 +219,22 @@ func TestControllerEventAndEarlyStop(t *testing.T) {
 	// Measure a no-MPL reference, then let the controller tune a fresh
 	// stack from a deliberately wrong start.
 	ref := testStack(t, 0, 5)
-	base, err := Run(context.Background(), ref, Spec{
+	base, err := Run(context.Background(), ref, Scenario{
 		Warmup: 20,
-		Phases: []Phase{{Kind: KindClosed, Duration: 150}},
+		Phases: []Phase{{Kind: PhaseClosed, Duration: 150}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := testStack(t, 30, 5)
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup:         20,
 		SampleInterval: 25,
 		Phases: []Phase{{
-			Kind: KindClosed, Duration: 4000,
+			Kind: PhaseClosed, Duration: 4000,
 			Events: []Event{{At: 0, EnableController: &ControllerSpec{
 				MaxThroughputLoss:   0.05,
-				ReferenceThroughput: base.Total.Throughput(),
+				ReferenceThroughput: base.Total.Throughput,
 				StopOnConverge:      true,
 			}}},
 		}},
@@ -255,8 +255,8 @@ func TestControllerEventAndEarlyStop(t *testing.T) {
 		t.Errorf("final MPL = %d, want tuned below the wasteful 30", out.Tune.FinalMPL)
 	}
 	// Early stop: the run ended well before the 4000-second horizon.
-	if out.Total.Window >= 4000 {
-		t.Errorf("run used the whole horizon (%v): early stop broken", out.Total.Window)
+	if out.Total.SimSeconds >= 4000 {
+		t.Errorf("run used the whole horizon (%v): early stop broken", out.Total.SimSeconds)
 	}
 }
 
@@ -265,21 +265,21 @@ func TestControllerEventAndEarlyStop(t *testing.T) {
 // the completion stream even when the spec has no SampleInterval.
 func TestStopOnConvergeWithoutSampling(t *testing.T) {
 	ref := testStack(t, 0, 5)
-	base, err := Run(context.Background(), ref, Spec{
+	base, err := Run(context.Background(), ref, Scenario{
 		Warmup: 20,
-		Phases: []Phase{{Kind: KindClosed, Duration: 150}},
+		Phases: []Phase{{Kind: PhaseClosed, Duration: 150}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := testStack(t, 30, 5)
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup: 20,
 		Phases: []Phase{{
-			Kind: KindClosed, Duration: 100000,
+			Kind: PhaseClosed, Duration: 100000,
 			Events: []Event{{At: 0, EnableController: &ControllerSpec{
 				MaxThroughputLoss:   0.05,
-				ReferenceThroughput: base.Total.Throughput(),
+				ReferenceThroughput: base.Total.Throughput,
 				StopOnConverge:      true,
 			}}},
 		}},
@@ -290,30 +290,30 @@ func TestStopOnConvergeWithoutSampling(t *testing.T) {
 	if out.Tune == nil || !out.Tune.Converged {
 		t.Fatalf("controller did not converge: %+v", out.Tune)
 	}
-	if out.Total.Window >= 100000 {
-		t.Errorf("run consumed the whole horizon (%v) despite convergence", out.Total.Window)
+	if out.Total.SimSeconds >= 100000 {
+		t.Errorf("run consumed the whole horizon (%v) despite convergence", out.Total.SimSeconds)
 	}
 }
 
 func TestDisableControllerFreezesTuneReport(t *testing.T) {
 	ref := testStack(t, 0, 5)
-	base, err := Run(context.Background(), ref, Spec{
+	base, err := Run(context.Background(), ref, Scenario{
 		Warmup: 20,
-		Phases: []Phase{{Kind: KindClosed, Duration: 150}},
+		Phases: []Phase{{Kind: PhaseClosed, Duration: 150}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	st := testStack(t, 8, 5)
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Warmup:         20,
 		SampleInterval: 25,
 		Phases: []Phase{
-			{Kind: KindClosed, Duration: 600, Events: []Event{{EnableController: &ControllerSpec{
+			{Kind: PhaseClosed, Duration: 600, Events: []Event{{EnableController: &ControllerSpec{
 				MaxThroughputLoss:   0.05,
-				ReferenceThroughput: base.Total.Throughput(),
+				ReferenceThroughput: base.Total.Throughput,
 			}}}},
-			{Kind: KindClosed, Duration: 50, Events: []Event{{DisableController: true}}},
+			{Kind: PhaseClosed, Duration: 50, Events: []Event{{DisableController: true}}},
 		},
 	})
 	if err != nil {
@@ -333,10 +333,10 @@ func TestDisableControllerFreezesTuneReport(t *testing.T) {
 
 func TestZeroDurationPhase(t *testing.T) {
 	st := testStack(t, 5, 6)
-	out, err := Run(context.Background(), st, Spec{
+	out, err := Run(context.Background(), st, Scenario{
 		Phases: []Phase{
-			{Name: "blip", Kind: KindClosed, Clients: 10, Duration: 0},
-			{Name: "main", Kind: KindOpen, Lambda: 40, Duration: 50},
+			{Name: "blip", Kind: PhaseClosed, Clients: 10, Duration: 0},
+			{Name: "main", Kind: PhaseOpen, Lambda: 40, Duration: 50},
 		},
 	})
 	if err != nil {
@@ -345,31 +345,31 @@ func TestZeroDurationPhase(t *testing.T) {
 	if len(out.Phases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(out.Phases))
 	}
-	if out.Phases[0].Window != 0 {
-		t.Errorf("zero-duration phase window = %v", out.Phases[0].Window)
+	if out.Phases[0].SimSeconds != 0 {
+		t.Errorf("zero-duration phase window = %v", out.Phases[0].SimSeconds)
 	}
 	// The blip's 10 clients were submitted at the boundary instant and
 	// completed during the main phase (stopped clients do not recycle).
 	if out.Total.Completed == 0 {
 		t.Error("no completions")
 	}
-	if out.Total.Window != 50 {
-		t.Errorf("total window = %v, want 50", out.Total.Window)
+	if out.Total.SimSeconds != 50 {
+		t.Errorf("total window = %v, want 50", out.Total.SimSeconds)
 	}
 }
 
 func TestRunDeterministicAcrossRebuilds(t *testing.T) {
 	tr := trace.SyntheticRetailer(2000, 9)
-	spec := Spec{
+	spec := Scenario{
 		Warmup:         5,
 		SampleInterval: 7,
 		Phases: []Phase{
-			{Kind: KindClosed, Clients: 30, Duration: 30},
-			{Kind: KindRamp, Lambda: 10, Lambda2: 80, Duration: 30},
-			{Kind: KindTrace, Trace: tr, TraceSpeedup: 2, Duration: 20},
+			{Kind: PhaseClosed, Clients: 30, Duration: 30},
+			{Kind: PhaseRamp, Lambda: 10, Lambda2: 80, Duration: 30},
+			{Kind: PhaseTrace, Trace: tr, TraceSpeedup: 2, Duration: 20},
 		},
 	}
-	do := func() (Outcome, []metrics.Snapshot) {
+	do := func() (Result, []metrics.Snapshot) {
 		st := testStack(t, 4, 7)
 		st.PercentileSamples = 1000
 		var col metrics.Collector
@@ -399,9 +399,9 @@ func TestRunContextCancellation(t *testing.T) {
 	st := testStack(t, 5, 8)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := Run(ctx, st, Spec{
+	if _, err := Run(ctx, st, Scenario{
 		SampleInterval: 1,
-		Phases:         []Phase{{Kind: KindClosed, Duration: 100}},
+		Phases:         []Phase{{Kind: PhaseClosed, Duration: 100}},
 	}); err == nil {
 		t.Error("canceled context accepted")
 	}

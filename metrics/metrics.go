@@ -97,9 +97,7 @@ type Snapshot struct {
 	ScaleUps, ScaleDowns uint64
 
 	// Classes carries per-class (per-tenant) completion stats, in
-	// ascending class-ID order. It replaces the old hard-coded two-class
-	// fields (HighResponse/LowResponse, HighP95/LowP95, ShedHigh/
-	// ShedLow), which survive as derived accessor methods. Like Shards
+	// ascending class-ID order; Class looks one up by ID. Like Shards
 	// it is elided above a cardinality threshold (see the runner), so
 	// per-snapshot memory stays bounded at hundreds of tenants; the
 	// aggregate fields above remain populated.
@@ -130,9 +128,10 @@ type ClassStat struct {
 	Mean, P95 float64
 }
 
-// classStat finds the entry for a class ID (zero value when absent —
-// a class with no completions, no shed work, and no samples).
-func (s Snapshot) classStat(id int) ClassStat {
+// Class finds the entry for a class ID (zero value when absent — a
+// class with no completions, no shed work, and no samples). The
+// two-class workloads' high class is ID 1, their low class ID 0.
+func (s Snapshot) Class(id int) ClassStat {
 	for _, c := range s.Classes {
 		if c.Class == id {
 			return c
@@ -140,39 +139,6 @@ func (s Snapshot) classStat(id int) ClassStat {
 	}
 	return ClassStat{}
 }
-
-// HighResponse is the high-priority (class 1) mean response time.
-//
-// Deprecated: the two-class vocabulary is superseded by Classes; use
-// classStat entries for arbitrary tenants. Kept so existing two-class
-// figures and dashboards read identical values.
-func (s Snapshot) HighResponse() float64 { return s.classStat(1).Mean }
-
-// LowResponse is the low-priority (class 0) mean response time.
-//
-// Deprecated: use Classes.
-func (s Snapshot) LowResponse() float64 { return s.classStat(0).Mean }
-
-// HighP95 is the high-priority (class 1) p95 response time.
-//
-// Deprecated: use Classes.
-func (s Snapshot) HighP95() float64 { return s.classStat(1).P95 }
-
-// LowP95 is the low-priority (class 0) p95 response time.
-//
-// Deprecated: use Classes.
-func (s Snapshot) LowP95() float64 { return s.classStat(0).P95 }
-
-// ShedHigh is the high-priority (class 1) share of Shed.
-//
-// Deprecated: use Classes.
-func (s Snapshot) ShedHigh() uint64 { return s.classStat(1).Shed }
-
-// ShedLow is everything in Shed not attributed to the high class —
-// the historical "low" bucket, which lumped all non-high classes.
-//
-// Deprecated: use Classes.
-func (s Snapshot) ShedLow() uint64 { return s.Shed - s.classStat(1).Shed }
 
 // ShardStat is one dispatch member's slice of a Snapshot: instantaneous
 // gate state plus the member's share of the window's traffic.

@@ -3,6 +3,7 @@ package extsched
 import (
 	"context"
 	"reflect"
+	"strings"
 	"testing"
 
 	"extsched/metrics"
@@ -69,8 +70,8 @@ func parallelFingerprints() []parallelFingerprint {
 				Phases: []Phase{
 					{Name: "steady", Kind: PhaseOpen, Lambda: 65, Duration: 60,
 						Events: []Event{{
-							SetSLO:           &SLOSpec{Class: "high", Target: 0.4},
-							SetAdmitDeadline: &AdmitDeadline{Low: 1.5},
+							SetSLO:             &SLOSpec{Class: "high", Target: 0.4},
+							SetTenantDeadlines: map[string]float64{"low": 1.5},
 						}}},
 					{Name: "burst", Kind: PhaseBurst, Lambda: 105, BurstFactor: 3, BurstPeriod: 15, Duration: 60},
 					{Name: "recover", Kind: PhaseOpen, Lambda: 55, Duration: 60},
@@ -230,5 +231,30 @@ func TestParallelControllerRejected(t *testing.T) {
 	}
 	if err := sc.Validate(); err == nil {
 		t.Fatal("enable_controller with parallel_shards validated, want error")
+	}
+}
+
+// TestParallelRejectsPerCompletionControllers: every controller that
+// actuates per completion is refused under parallel_shards, by the one
+// check in scenario validation, whichever way the file arms it.
+func TestParallelRejectsPerCompletionControllers(t *testing.T) {
+	const tenants = `"tenants":[{"name":"a","share":0.5},{"name":"b","share":0.5}],`
+	for name, js := range map[string]string{
+		"scenario fairness": `{"parallel_shards":true,` + tenants + `"fairness":{"strict":true},
+			"phases":[{"kind":"open","duration":5,"lambda":10}]}`,
+		"enable_fairness event": `{"parallel_shards":true,` + tenants + `
+			"phases":[{"kind":"open","duration":5,"lambda":10,"events":[{"at":1,"enable_fairness":{}}]}]}`,
+		"enable_controller event": `{"parallel_shards":true,
+			"phases":[{"kind":"open","duration":5,"lambda":10,"events":[{"at":1,
+				"enable_controller":{"max_throughput_loss":0.05,"reference_throughput":90}}]}]}`,
+	} {
+		_, err := ParseScenario([]byte(js))
+		if err == nil || !strings.Contains(err.Error(), "parallel_shards") {
+			t.Errorf("%s: err = %v, want a parallel_shards rejection", name, err)
+		}
+		// The same file without parallel_shards is valid.
+		if _, err := ParseScenario([]byte(strings.Replace(js, `"parallel_shards":true,`, "", 1))); err != nil {
+			t.Errorf("%s without parallel_shards rejected: %v", name, err)
+		}
 	}
 }

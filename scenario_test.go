@@ -165,7 +165,7 @@ func TestScenarioWFQWeightEvent(t *testing.T) {
 		Phases: []Phase{
 			{Name: "even", Kind: PhaseClosed, Duration: 120},
 			{Name: "skewed", Kind: PhaseClosed, Duration: 120,
-				Events: []Event{{At: 0, SetWFQHighWeight: &w}}},
+				Events: []Event{{At: 0, SetWeights: map[string]float64{"high": w}}}},
 		},
 	})
 	if err != nil {
@@ -227,10 +227,10 @@ func TestScenarioValidation(t *testing.T) {
 			Events: []Event{{SetSLO: &SLOSpec{Class: "platinum", Target: 1}}}}}}, "class"},
 		{"slo bad percentile", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
 			Events: []Event{{SetSLO: &SLOSpec{Target: 1, Percentile: 100}}}}}}, "percentile"},
-		{"class limit below 1", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
-			Events: []Event{{SetClassLimits: &ClassLimits{High: 1}}}}}}, "class limits"},
+		{"tenant limit below 1", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
+			Events: []Event{{SetTenantLimits: &TenantLimits{"high": 1, "low": 0}}}}}}, "limit"},
 		{"negative deadline", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
-			Events: []Event{{SetAdmitDeadline: &AdmitDeadline{Low: -1}}}}}}, "deadline"},
+			Events: []Event{{SetTenantDeadlines: map[string]float64{"low": -1}}}}}}, "deadline"},
 		{"negative mttr", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
 			Churn: &ChurnSpec{MTBF: 10, MTTR: -2}}}}, "MTTR"},
 		{"zero mtbf", Scenario{Phases: []Phase{{Kind: PhaseClosed, Duration: 1,
@@ -447,8 +447,8 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 		Phases: []Phase{
 			{Name: "steady", Kind: PhaseOpen, Lambda: 65, Duration: 60,
 				Events: []Event{{
-					SetSLO:           &SLOSpec{Class: "high", Target: 0.4},
-					SetAdmitDeadline: &AdmitDeadline{Low: 1.5},
+					SetSLO:             &SLOSpec{Class: "high", Target: 0.4},
+					SetTenantDeadlines: map[string]float64{"low": 1.5},
 				}}},
 			{Name: "burst", Kind: PhaseBurst, Lambda: 105, BurstFactor: 3, BurstPeriod: 15, Duration: 60},
 			{Name: "recover", Kind: PhaseOpen, Lambda: 55, Duration: 60},
@@ -514,8 +514,8 @@ func TestSLOEventsRequireUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, ev := range map[string]Event{
-		"set_slo":          {SetSLO: &SLOSpec{Target: 0.5}},
-		"set_class_limits": {SetClassLimits: &ClassLimits{High: 2, Low: 6}},
+		"set_slo":           {SetSLO: &SLOSpec{Target: 0.5}},
+		"set_tenant_limits": {SetTenantLimits: &TenantLimits{"high": 2, "low": 6}},
 	} {
 		_, err := sys.Run(context.Background(), Scenario{Phases: []Phase{{
 			Kind: PhaseClosed, Clients: 5, Duration: 1, Events: []Event{ev},
@@ -528,9 +528,9 @@ func TestSLOEventsRequireUnsharded(t *testing.T) {
 	// queue).
 	if _, err := sys.Run(context.Background(), Scenario{Phases: []Phase{{
 		Kind: PhaseClosed, Clients: 5, Duration: 1,
-		Events: []Event{{SetAdmitDeadline: &AdmitDeadline{Low: 0.5}}},
+		Events: []Event{{SetTenantDeadlines: map[string]float64{"low": 0.5}}},
 	}}}); err != nil {
-		t.Errorf("set_admit_deadline on sharded system: %v", err)
+		t.Errorf("set_tenant_deadlines on sharded system: %v", err)
 	}
 }
 

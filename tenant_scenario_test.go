@@ -159,9 +159,6 @@ func TestTenantScenarioParse(t *testing.T) {
 	if !reflect.DeepEqual(sc, back) {
 		t.Errorf("tenants round trip lost data:\n%+v\nvs\n%+v", sc, back)
 	}
-	if dep := sc.Deprecations(); len(dep) != 0 {
-		t.Errorf("clean scenario flagged deprecations: %v", dep)
-	}
 
 	rejects := []struct {
 		name, js, wantErr string
@@ -200,16 +197,25 @@ func TestTenantScenarioParse(t *testing.T) {
 	}
 }
 
-// TestTenantScenarioDeprecations: the legacy two-class vocabulary
-// still runs but is flagged, so migrating files is a grep away.
-func TestTenantScenarioDeprecations(t *testing.T) {
-	sc, err := ParseScenario([]byte(`{"phases":[{"kind":"open","duration":5,"lambda":10,
-		"events":[{"at":1,"set_wfq_high_weight":2}]}]}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	dep := sc.Deprecations()
-	if len(dep) != 1 || !strings.Contains(dep[0], "set_wfq_high_weight") {
-		t.Errorf("Deprecations() = %v, want one set_wfq_high_weight notice", dep)
+// TestRemovedTwoClassEventsRejected: the two-class event shorthands
+// are gone — their tenant-keyed forms keyed "high"/"low" do the same
+// thing — so ParseScenario rejects each as an unknown field, and the
+// replacement parses.
+func TestRemovedTwoClassEventsRejected(t *testing.T) {
+	for removed, replacement := range map[string]string{
+		`"set_wfq_high_weight":2`:                 `"set_weights":{"high":2}`,
+		`"set_class_limits":{"high":3,"low":5}`:   `"set_tenant_limits":{"high":3,"low":5}`,
+		`"set_admit_deadline":{"high":1,"low":2}`: `"set_tenant_deadlines":{"high":1,"low":2}`,
+	} {
+		wrap := func(ev string) []byte {
+			return []byte(`{"phases":[{"kind":"open","duration":5,"lambda":10,"events":[{"at":1,` + ev + `}]}]}`)
+		}
+		_, err := ParseScenario(wrap(removed))
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field rejection", removed, err)
+		}
+		if _, err := ParseScenario(wrap(replacement)); err != nil {
+			t.Errorf("replacement %s rejected: %v", replacement, err)
+		}
 	}
 }
