@@ -5,7 +5,9 @@
 // live-gate overhead (serial plus RunParallel
 // contention sweeps at GOMAXPROCS 2/4/8, and the Pool fast path),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
-// "jsq-d" path must stay allocation-free and flat in N), and the
+// "jsq-d" path must stay allocation-free and flat in N), the DBMS
+// model's allocations (a cold-key lock request, a CPU burst and a
+// disk I/O at 0 per op; a warmed closed setup-1 run per commit), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
 // autoscale and fairness figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
@@ -43,8 +45,15 @@ import (
 
 	"extsched/gate"
 	"extsched/internal/cluster"
+	"extsched/internal/core"
+	"extsched/internal/cpusched"
+	"extsched/internal/dbfe"
+	"extsched/internal/dbms"
+	"extsched/internal/disk"
 	"extsched/internal/experiments"
+	"extsched/internal/lockmgr"
 	"extsched/internal/sim"
+	"extsched/internal/workload"
 )
 
 // Metric is one tracked measurement.
@@ -400,6 +409,20 @@ func measure() ([]Metric, error) {
 		Tolerance: 1.0,
 	})
 
+	// DBMS model layers: once their free lists are warm, a lock
+	// request on a cold key, a CPU burst and a disk I/O allocate
+	// nothing, and a whole simulated transaction allocates only its
+	// profile and the frontend's per-transaction record.
+	lockAllocs, cpuAllocs, diskAllocs := modelLayerAllocs()
+	add("lockmgr/acquire_release_cold/allocs_op", "allocs", lockAllocs)
+	add("cpusched/submit_complete/allocs_op", "allocs", cpuAllocs)
+	add("disk/submit_complete/allocs_op", "allocs", diskAllocs)
+	perTxn, err := closedRunAllocs()
+	if err != nil {
+		return nil, err
+	}
+	out = append(out, Metric{Name: "sim/closed_setup1/allocs_per_txn", Value: perTxn, Kind: "allocs", Tolerance: 0.05})
+
 	// Figure summaries: deterministic given the seed, so drift means
 	// the simulation's behavior changed, not the host.
 	opts := experiments.RunOpts{Warmup: 20, Measure: 120, Seed: 1}
@@ -434,6 +457,108 @@ func measure() ([]Metric, error) {
 	}
 	addFigure(&out, fair)
 	return out, nil
+}
+
+// modelLayerAllocs measures allocations per operation of the DBMS
+// model's layers in steady state: Begin, Acquire of a fresh (cold) key
+// and Release; one CPU burst submitted and completed with three others
+// resident; one disk I/O submitted and served behind a busy device.
+func modelLayerAllocs() (lock, cpu, dsk float64) {
+	r := testing.Benchmark(func(b *testing.B) {
+		mgr := lockmgr.New(sim.NewEngine(), lockmgr.Config{OnAbort: func(lockmgr.TxnID, lockmgr.AbortReason) {}})
+		txn := func(i int) {
+			id := lockmgr.TxnID(i + 1)
+			mgr.Begin(id, lockmgr.Low)
+			mgr.Acquire(id, 1<<32+uint64(i), lockmgr.X, nil)
+			mgr.Release(id)
+		}
+		for i := 0; i < 64; i++ {
+			txn(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			txn(64 + i)
+		}
+	})
+	lock = float64(r.AllocsPerOp())
+
+	r = testing.Benchmark(func(b *testing.B) {
+		eng := sim.NewEngine()
+		c := cpusched.New(eng, 2)
+		n := 0
+		var done func()
+		done = func() {
+			n++
+			c.Submit(0.001*float64(1+n%4), 1, done)
+		}
+		for i := 0; i < 4; i++ {
+			done()
+		}
+		for i := 0; i < 64; i++ {
+			eng.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+	})
+	cpu = float64(r.AllocsPerOp())
+
+	r = testing.Benchmark(func(b *testing.B) {
+		eng := sim.NewEngine()
+		d := disk.NewDisk(eng, "d0")
+		var done func()
+		done = func() { d.Submit(0.01, done) }
+		for i := 0; i < 4; i++ {
+			done()
+		}
+		for i := 0; i < 64; i++ {
+			eng.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			eng.Step()
+		}
+	})
+	dsk = float64(r.AllocsPerOp())
+	return lock, cpu, dsk
+}
+
+// closedRunAllocs measures heap allocations per commit of the paper's
+// closed system (setup 1, MPL 10 FIFO, 100 clients, no think time)
+// after 20 simulated seconds of warm-up, over the next 200: the cost
+// of one simulated transaction with construction excluded.
+func closedRunAllocs() (float64, error) {
+	setup, err := workload.SetupByID(1)
+	if err != nil {
+		return 0, err
+	}
+	eng := sim.NewEngine()
+	db, err := dbms.New(eng, setup.BuildConfig(workload.DBOptions{Seed: 1}))
+	if err != nil {
+		return 0, err
+	}
+	workload.Prewarm(db, setup.Workload, 1)
+	gen, err := workload.NewGenerator(setup.Workload, 1)
+	if err != nil {
+		return 0, err
+	}
+	fe := dbfe.New(eng, db, 10, core.NewFIFO())
+	workload.NewClosedDriver(eng, fe, gen, 100, nil).Start()
+	eng.Run(20)
+	var m0, m1 runtime.MemStats
+	c0 := db.Stats().Committed
+	runtime.ReadMemStats(&m0)
+	eng.Run(220)
+	runtime.ReadMemStats(&m1)
+	commits := db.Stats().Committed - c0
+	if commits == 0 {
+		return 0, fmt.Errorf("closed setup-1 run committed nothing")
+	}
+	return float64(m1.Mallocs-m0.Mallocs) / float64(commits), nil
 }
 
 // nullWindowSource is the no-op cross-engine boundary for the parallel

@@ -14,6 +14,7 @@
 //	benchrunner -exp dispatch -slow 0.25  # sharded dispatch policies
 //	benchrunner -exp fig2 -workers 1      # sequential reference run
 //	benchrunner -exp all -json bench.json # everything + JSON summary
+//	benchrunner -exp fig2 -cpuprofile cpu.out -memprofile mem.out
 package main
 
 import (
@@ -32,6 +33,7 @@ import (
 	"time"
 
 	"extsched/internal/experiments"
+	"extsched/internal/profile"
 )
 
 func main() {
@@ -50,11 +52,29 @@ func main() {
 		chart    = flag.Bool("chart", false, "render an ASCII chart instead of a table")
 		outdir   = flag.String("outdir", "", "also write each figure as CSV into this directory")
 		jsonPath = flag.String("json", "", "write a BENCH_*.json-style machine-readable summary to this file (\"-\" for stdout)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
 	if *exp == "" {
 		flag.Usage()
 		os.Exit(2)
+	}
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
+		os.Exit(1)
+	}
+	// exit ends the profiles before leaving: os.Exit skips deferred
+	// calls.
+	exit := func(code int) {
+		if err := stopProfile(); err != nil {
+			fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
+			if code == 0 {
+				code = 1
+			}
+		}
+		os.Exit(code)
 	}
 	experiments.DefaultWorkers = *workers
 	// First SIGINT/SIGTERM cancels the sweep context: running points
@@ -94,7 +114,7 @@ func main() {
 				}
 			}
 		}
-		os.Exit(code)
+		exit(code)
 	}
 	exitCode := 0
 	for _, id := range ids {
@@ -130,12 +150,12 @@ func main() {
 		if *outdir != "" {
 			if err := os.MkdirAll(*outdir, 0o755); err != nil {
 				fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			path := filepath.Join(*outdir, sanitize(fig.ID)+".csv")
 			if err := os.WriteFile(path, []byte(fig.CSV()), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "benchrunner: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			fmt.Fprintf(os.Stderr, "wrote %s\n", path)
 		}

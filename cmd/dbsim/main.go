@@ -18,6 +18,8 @@
 //	      -fail-shard 100:3 -recover-shard 200:3  # crash + recover
 //	dbsim -setup 1 -mpl 24 -shards 8 -dispatch jsq-d:3 -lambda 200 \
 //	      -autoscale 2:8                          # autoscaled fleet
+//	dbsim -setup 1 -mpl 10 -cpuprofile cpu.out \
+//	      -memprofile mem.out                     # pprof profiles of the run
 //
 // A scenario file is the JSON encoding of extsched.Scenario: a warmup,
 // a sample interval, an optional tenants block, fairness controller and
@@ -36,6 +38,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -44,6 +47,7 @@ import (
 	"strings"
 
 	"extsched"
+	"extsched/internal/profile"
 )
 
 func main() {
@@ -55,7 +59,7 @@ func main() {
 
 // run parses args, executes one simulation, and writes the report to
 // out; split from main so tests can drive the tool in-process.
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("dbsim", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -87,6 +91,8 @@ func run(args []string, out io.Writer) error {
 		deadH    = fs.Float64("deadline-high", 0, "high-class admission deadline in seconds (0 = none)")
 		deadL    = fs.Float64("deadline-low", 0, "low-class admission deadline in seconds (0 = none)")
 		limits   = fs.String("class-limits", "", "static MPL partition as high,low (e.g. 4,12)")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	var fails, recovers shardTimes
 	fs.Var(&fails, "fail-shard", "crash a shard at t:idx sim-seconds into the run (repeatable, e.g. -fail-shard 100:3)")
@@ -102,6 +108,11 @@ func run(args []string, out io.Writer) error {
 		fmt.Fprint(out, extsched.ExampleScenarioJSON)
 		return nil
 	}
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 
 	speedList, err := parseSpeeds(*speeds)
 	if err != nil {

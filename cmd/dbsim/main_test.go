@@ -163,3 +163,25 @@ func TestRunScenarioErrors(t *testing.T) {
 		t.Error("invalid scenario accepted")
 	}
 }
+
+// TestRunWritesProfiles checks -cpuprofile and -memprofile each leave a
+// non-empty pprof file behind.
+func TestRunWritesProfiles(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.out"), filepath.Join(dir, "mem.out")
+	var out strings.Builder
+	err := run([]string{"-setup", "1", "-mpl", "5", "-clients", "20", "-warmup", "2", "-measure", "10",
+		"-cpuprofile", cpu, "-memprofile", mem}, &out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Errorf("%s is empty", filepath.Base(path))
+		}
+	}
+}

@@ -1,9 +1,6 @@
 package core
 
-import (
-	"container/heap"
-	"math"
-)
+import "math"
 
 // WFQPolicy implements start-time fair queueing over priority classes:
 // each class receives external-queue dispatch capacity in proportion
@@ -32,23 +29,60 @@ type wfqItem struct {
 	seq   uint64
 }
 
+// before reports whether a dispatches before b: smaller start tag
+// first, ties by arrival. (start, seq) is a total order, so the pop
+// order does not depend on the heap's shape.
+func (a wfqItem) before(b wfqItem) bool {
+	if a.start != b.start {
+		return a.start < b.start
+	}
+	return a.seq < b.seq
+}
+
+// wfqHeap is a binary min-heap of tagged items, kept as concrete
+// values: no interface boxing on push or pop.
 type wfqHeap []wfqItem
 
-func (h wfqHeap) Len() int { return len(h) }
-func (h wfqHeap) Less(i, j int) bool {
-	if h[i].start != h[j].start {
-		return h[i].start < h[j].start
+func (h *wfqHeap) push(it wfqItem) {
+	*h = append(*h, it)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !q[i].before(q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
 	}
-	return h[i].seq < h[j].seq
 }
-func (h wfqHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *wfqHeap) Push(x any)   { *h = append(*h, x.(wfqItem)) }
-func (h *wfqHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	*h = old[:n-1]
-	return it
+
+func (h *wfqHeap) pop() wfqItem {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = wfqItem{}
+	*h = q[:n]
+	h.down(0)
+	return top
+}
+
+// down sifts the item at i toward the leaves.
+func (h wfqHeap) down(i int) {
+	for {
+		least := i
+		if l := 2*i + 1; l < len(h) && h[l].before(h[least]) {
+			least = l
+		}
+		if r := 2*i + 2; r < len(h) && h[r].before(h[least]) {
+			least = r
+		}
+		if least == i {
+			return
+		}
+		h[i], h[least] = h[least], h[i]
+		i = least
+	}
 }
 
 // NewWFQ builds the policy with per-class weights (> 0). Classes
@@ -104,7 +138,7 @@ func (p *WFQPolicy) Push(it *Item) {
 	c := it.Class
 	start := math.Max(p.vtime, p.classF[c])
 	p.classF[c] = start + p.charge(it)
-	heap.Push(&p.q, wfqItem{item: it, start: start, seq: it.seq})
+	p.q.push(wfqItem{item: it, start: start, seq: it.seq})
 }
 
 // discarded refunds a canceled item's enqueue-time charge, clamped to
@@ -131,20 +165,22 @@ func (p *WFQPolicy) compact(keep func(*Item) bool) {
 		p.q[i] = wfqItem{}
 	}
 	p.q = kept
-	heap.Init(&p.q)
+	for i := len(kept)/2 - 1; i >= 0; i-- {
+		kept.down(i)
+	}
 }
 
 // Pop dispatches the item with the smallest start tag and advances the
 // virtual clock.
 func (p *WFQPolicy) Pop() *Item {
-	if p.q.Len() == 0 {
+	if len(p.q) == 0 {
 		return nil
 	}
-	it := heap.Pop(&p.q).(wfqItem)
+	it := p.q.pop()
 	if it.start > p.vtime {
 		p.vtime = it.start
 	}
 	return it.item
 }
 
-func (p *WFQPolicy) Len() int { return p.q.Len() }
+func (p *WFQPolicy) Len() int { return len(p.q) }

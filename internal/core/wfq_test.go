@@ -181,3 +181,44 @@ func TestSetWFQWeightsReplacesMap(t *testing.T) {
 		t.Errorf("weights after the second call = %v/%v, want 1 (class 0 dropped from the map) and 3", w0, w1)
 	}
 }
+
+// TestWFQPushPopZeroAlloc pins the WFQ queue at zero allocations once
+// its heap has grown: items are kept as concrete values, never boxed.
+func TestWFQPushPopZeroAlloc(t *testing.T) {
+	p := NewWFQ(map[Class]float64{ClassHigh: 3, ClassLow: 1})
+	items := make([]*Item, 64)
+	for i := range items {
+		items[i] = wfqItem2(Class(i%2), float64(1+i%5), uint64(i))
+	}
+	cycle := func() {
+		for _, it := range items {
+			p.Push(it)
+		}
+		for p.Len() > 0 {
+			p.Pop()
+		}
+	}
+	cycle() // grow the heap and the per-class tags
+	if n := testing.AllocsPerRun(100, cycle); n != 0 {
+		t.Errorf("WFQ push+pop of %d items allocates %v per run, want 0", len(items), n)
+	}
+}
+
+// TestWFQPopOrderIsTotal checks the heap pops in (start, seq) order
+// whatever the push order: the order is total, so it is the same order
+// any correct heap produces.
+func TestWFQPopOrderIsTotal(t *testing.T) {
+	rng := sim.NewRNG(3, 0)
+	p := NewWFQ(nil)
+	for i := 0; i < 500; i++ {
+		p.q.push(wfqItem{item: &Item{}, start: float64(rng.IntN(40)), seq: uint64(rng.IntN(1 << 20))})
+	}
+	prev := p.q.pop()
+	for p.Len() > 0 {
+		cur := p.q.pop()
+		if cur.before(prev) {
+			t.Fatalf("popped (%v, %d) after (%v, %d)", cur.start, cur.seq, prev.start, prev.seq)
+		}
+		prev = cur
+	}
+}

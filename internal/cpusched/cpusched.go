@@ -20,28 +20,61 @@ import (
 	"extsched/internal/sim"
 )
 
-// Job is a resident CPU job handle.
-type Job struct {
+// job is the recycled per-burst record behind a Job handle.
+type job struct {
 	remaining float64 // seconds of CPU work left at rate 1
 	weight    float64
 	rate      float64 // current service rate (cores)
 	onDone    func()
-	done      bool
-	canceled  bool
-	idx       int // position in the CPU's job slice; -1 when absent
+	gen       uint64 // bumped on recycling; invalidates stale handles
+	canceled  bool   // zero-work job canceled before its event fired
+	idx       int    // position in the CPU's job slice; -1 when absent
+	// fire completes a zero-work job from its zero-delay event; bound
+	// once per record.
+	fire func()
 }
 
-// Remaining returns the job's outstanding CPU work in seconds.
-func (j *Job) Remaining() float64 { return j.remaining }
+// Job is a value handle to a submitted CPU burst. Copy it freely. It
+// goes stale once the burst completes or is canceled and its record
+// is recycled. Remaining and Rate read 0 through a stale handle or the
+// zero Job, and Cancel and SetWeight ignore one, so a handle kept past
+// its burst can never touch the burst that later reuses the record.
+type Job struct {
+	j   *job
+	gen uint64
+}
 
-// Rate returns the job's current service rate in cores.
-func (j *Job) Rate() float64 { return j.rate }
+// live returns the record if the handle is current.
+func (h Job) live() *job {
+	if h.j != nil && h.j.gen == h.gen {
+		return h.j
+	}
+	return nil
+}
+
+// Remaining returns the job's outstanding CPU work in seconds (0 once
+// it finished or was canceled).
+func (h Job) Remaining() float64 {
+	if j := h.live(); j != nil {
+		return j.remaining
+	}
+	return 0
+}
+
+// Rate returns the job's current service rate in cores (0 once it
+// finished or was canceled).
+func (h Job) Rate() float64 {
+	if j := h.live(); j != nil {
+		return j.rate
+	}
+	return 0
+}
 
 // CPU is the shared multi-core resource.
 type CPU struct {
 	eng        *sim.Engine
 	cores      int
-	jobs       []*Job
+	jobs       []*job
 	lastUpdate float64
 	// busyTime integrates total busy core-seconds for utilization
 	// reporting.
@@ -49,12 +82,15 @@ type CPU struct {
 	// nextEv fires when nextJob — the earliest finisher at current
 	// rates — completes. Keeping a single armed event (instead of one
 	// per job) makes membership changes O(n) arithmetic without event-
-	// heap churn.
-	nextEv  sim.Handle
-	nextJob *Job
+	// heap churn. completeNext, bound once, is its callback.
+	nextEv       sim.Handle
+	nextJob      *job
+	completeNext func()
 	// scratch is reused by the water-filling pass to avoid a per-event
 	// allocation.
-	scratch []*Job
+	scratch []*job
+	// free recycles job records.
+	free []*job
 }
 
 // New returns a CPU pool with the given core count (>= 1).
@@ -62,7 +98,9 @@ func New(eng *sim.Engine, cores int) *CPU {
 	if cores < 1 {
 		panic(fmt.Sprintf("cpusched: cores %d must be >= 1", cores))
 	}
-	return &CPU{eng: eng, cores: cores, lastUpdate: eng.Now()}
+	c := &CPU{eng: eng, cores: cores, lastUpdate: eng.Now()}
+	c.completeNext = func() { c.complete(c.nextJob) }
+	return c
 }
 
 // Cores returns the core count.
@@ -80,7 +118,7 @@ func (c *CPU) BusyCoreSeconds() float64 {
 
 // Submit adds a job requiring work seconds of CPU at rate 1, with the
 // given scheduling weight (> 0). onDone fires when the work completes.
-func (c *CPU) Submit(work, weight float64, onDone func()) *Job {
+func (c *CPU) Submit(work, weight float64, onDone func()) Job {
 	if work < 0 || math.IsNaN(work) || math.IsInf(work, 0) {
 		panic(fmt.Sprintf("cpusched: invalid work %v", work))
 	}
@@ -88,41 +126,68 @@ func (c *CPU) Submit(work, weight float64, onDone func()) *Job {
 		panic(fmt.Sprintf("cpusched: weight %v must be positive", weight))
 	}
 	c.advance()
-	j := &Job{remaining: work, weight: weight, onDone: onDone}
+	var j *job
+	if n := len(c.free); n > 0 {
+		j = c.free[n-1]
+		c.free = c.free[:n-1]
+	} else {
+		j = &job{idx: -1}
+		j.fire = func() { c.fireZero(j) }
+	}
+	j.remaining, j.weight, j.rate, j.onDone = work, weight, 0, onDone
+	h := Job{j: j, gen: j.gen}
 	if work == 0 {
 		// Complete immediately but asynchronously, preserving the
 		// invariant that callbacks never run inside Submit.
-		j.done = true
-		c.eng.After(0, func() {
-			if !j.canceled {
-				onDone()
-			}
-		})
-		return j
+		c.eng.After(0, j.fire)
+		return h
 	}
 	j.idx = len(c.jobs)
 	c.jobs = append(c.jobs, j)
 	c.reschedule()
-	return j
+	return h
+}
+
+// fireZero completes a zero-work job unless it was canceled.
+func (c *CPU) fireZero(j *job) {
+	onDone, canceled := j.onDone, j.canceled
+	c.recycle(j)
+	if !canceled {
+		onDone()
+	}
+}
+
+// recycle invalidates outstanding handles to j and returns it to the
+// free list.
+func (c *CPU) recycle(j *job) {
+	j.gen++
+	j.onDone = nil
+	j.canceled = false
+	j.remaining, j.rate = 0, 0
+	j.idx = -1
+	c.free = append(c.free, j)
 }
 
 // Cancel removes a job before completion (transaction abort). Safe to
-// call on completed jobs (no-op).
-func (c *CPU) Cancel(j *Job) {
-	if j == nil || j.done || j.canceled {
-		if j != nil {
-			j.canceled = true
-		}
+// call on completed jobs and stale handles (no-op).
+func (c *CPU) Cancel(h Job) {
+	j := h.live()
+	if j == nil || j.canceled {
+		return
+	}
+	if j.idx < 0 {
+		// A zero-work job: its pending event recycles the record.
+		j.canceled = true
 		return
 	}
 	c.advance()
-	j.canceled = true
 	c.remove(j)
+	c.recycle(j)
 	c.reschedule()
 }
 
 // remove drops j from the job slice in O(1) by swapping with the tail.
-func (c *CPU) remove(j *Job) {
+func (c *CPU) remove(j *job) {
 	i := j.idx
 	if i < 0 || i >= len(c.jobs) || c.jobs[i] != j {
 		return
@@ -136,12 +201,13 @@ func (c *CPU) remove(j *Job) {
 }
 
 // SetWeight changes a resident job's weight (e.g. a priority change
-// mid-flight). No-op for finished jobs.
-func (c *CPU) SetWeight(j *Job, weight float64) {
+// mid-flight). No-op for finished jobs and stale handles.
+func (c *CPU) SetWeight(h Job, weight float64) {
 	if weight <= 0 {
 		panic(fmt.Sprintf("cpusched: weight %v must be positive", weight))
 	}
-	if j.done || j.canceled {
+	j := h.live()
+	if j == nil || j.idx < 0 {
 		return
 	}
 	c.advance()
@@ -247,7 +313,7 @@ func (c *CPU) reschedule() {
 
 // arm schedules one event for the earliest finisher at current rates.
 func (c *CPU) arm() {
-	var soonest *Job
+	var soonest *job
 	best := math.Inf(1)
 	for _, j := range c.jobs {
 		if j.rate <= 0 {
@@ -261,15 +327,15 @@ func (c *CPU) arm() {
 		return
 	}
 	c.nextJob = soonest
-	c.nextEv = c.eng.At(c.eng.Now()+best, func() { c.complete(soonest) })
+	c.nextEv = c.eng.At(c.eng.Now()+best, c.completeNext)
 }
 
 // complete finishes a job whose remaining work reached zero.
-func (c *CPU) complete(j *Job) {
+func (c *CPU) complete(j *job) {
 	c.advance()
-	j.done = true
-	j.remaining = 0
+	onDone := j.onDone
 	c.remove(j)
+	c.recycle(j)
 	c.reschedule()
-	j.onDone()
+	onDone()
 }

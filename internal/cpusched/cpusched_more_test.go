@@ -18,7 +18,7 @@ func TestWeightChurnConservation(t *testing.T) {
 	cpu := New(eng, 2)
 	g := sim.NewRNG(21, 0)
 	type tracked struct {
-		job  *Job
+		job  Job
 		work float64
 	}
 	var live []tracked
@@ -78,7 +78,7 @@ func TestRatesRespectCapacityProperty(t *testing.T) {
 		n := 1 + int(nRaw%20)
 		eng := sim.NewEngine()
 		cpu := New(eng, cores)
-		jobs := make([]*Job, n)
+		jobs := make([]Job, n)
 		for i := range jobs {
 			w := 1.0
 			if len(weightsRaw) > 0 {
@@ -104,7 +104,7 @@ func TestRatesRespectCapacityProperty(t *testing.T) {
 func TestEqualWeightsEqualRates(t *testing.T) {
 	eng := sim.NewEngine()
 	cpu := New(eng, 3)
-	var jobs []*Job
+	var jobs []Job
 	for i := 0; i < 7; i++ {
 		jobs = append(jobs, cpu.Submit(10, 1, func() {}))
 	}

@@ -162,9 +162,14 @@ type DB struct {
 	// committed write — the version check for SI first-committer-wins.
 	lastWrite  map[uint64]float64
 	flushArmed bool
+	free       []*attempt
 }
 
-// attempt is one execution attempt of a transaction.
+// attempt is one execution attempt of a transaction. Records are
+// recycled through the DB's free list once the commit's onDone has
+// returned; an aborted attempt restarts in place under a fresh TxnID.
+// Each record binds its continuations once, so driving a transaction
+// through its lock, CPU, disk and log phases allocates nothing.
 type attempt struct {
 	id       lockmgr.TxnID
 	profile  TxnProfile
@@ -175,10 +180,17 @@ type attempt struct {
 	opIdx    int
 	pageIdx  int
 	dead     bool
-	cpuJob   *cpusched.Job
-	diskReq  *disk.Request
+	cpuJob   cpusched.Job
+	diskReq  disk.Request
 	diskDev  *disk.Disk
 	writes   []uint64 // row keys written (SI version check)
+
+	granted func() // lock granted after a wait: run the CPU burst
+	cpuDone func() // CPU burst finished: probe the op's pages
+	ioDone  func() // page I/O finished: probe the next page
+	logged  func() // commit record durable: finish the transaction
+	backoff func() // rollback finished: wait out the restart backoff
+	restart func() // backoff over: start the next attempt
 }
 
 // New builds a DB. The zero-value defaults documented on Config apply.
@@ -303,12 +315,35 @@ func (db *DB) Exec(profile TxnProfile, onDone func(Result)) {
 	}
 	db.inside++
 	db.armFlusher()
-	a := &attempt{
-		profile: profile,
-		onDone:  onDone,
-		start:   db.eng.Now(),
-	}
+	a := db.newAttempt()
+	a.profile, a.onDone, a.start = profile, onDone, db.eng.Now()
 	db.startAttempt(a)
+}
+
+// newAttempt takes a record off the free list, or allocates one and
+// binds its continuations.
+func (db *DB) newAttempt() *attempt {
+	if n := len(db.free); n > 0 {
+		a := db.free[n-1]
+		db.free[n-1] = nil
+		db.free = db.free[:n-1]
+		return a
+	}
+	a := &attempt{}
+	a.granted = func() { db.cpuPhase(a) }
+	a.cpuDone = func() {
+		a.cpuJob = cpusched.Job{}
+		a.pageIdx = 0
+		db.pagePhase(a)
+	}
+	a.ioDone = func() {
+		a.diskReq, a.diskDev = disk.Request{}, nil
+		db.pagePhase(a)
+	}
+	a.logged = func() { db.finish(a) }
+	a.backoff = func() { db.eng.After(db.cfg.RestartBackoff.Sample(db.rng), a.restart) }
+	a.restart = func() { db.startAttempt(a) }
+	return a
 }
 
 // startAttempt begins (or re-begins) execution of a.
@@ -318,8 +353,8 @@ func (db *DB) startAttempt(a *attempt) {
 	a.opIdx = 0
 	a.pageIdx = 0
 	a.dead = false
-	a.cpuJob = nil
-	a.diskReq = nil
+	a.cpuJob = cpusched.Job{}
+	a.diskReq, a.diskDev = disk.Request{}, nil
 	a.began = db.eng.Now()
 	a.writes = a.writes[:0]
 	db.active[a.id] = a
@@ -379,9 +414,7 @@ func (db *DB) runOp(a *attempt) {
 		if op.Write {
 			mode = lockmgr.X
 		}
-		granted := db.locks.Acquire(a.id, op.Key, mode, func() {
-			db.cpuPhase(a)
-		})
+		granted := db.locks.Acquire(a.id, op.Key, mode, a.granted)
 		if !granted {
 			return // cpuPhase fires on grant (or the txn aborts)
 		}
@@ -396,11 +429,7 @@ func (db *DB) cpuPhase(a *attempt) {
 	}
 	op := a.profile.Ops[a.opIdx]
 	work := op.CPUWork / db.cfg.CPUSpeed
-	a.cpuJob = db.cpu.Submit(work, db.cpuWeight(a.profile.Class), func() {
-		a.cpuJob = nil
-		a.pageIdx = 0
-		db.pagePhase(a)
-	})
+	a.cpuJob = db.cpu.Submit(work, db.cpuWeight(a.profile.Class), a.cpuDone)
 }
 
 // pagePhase probes the buffer pool for the op's pages; misses issue
@@ -410,7 +439,7 @@ func (db *DB) pagePhase(a *attempt) {
 	if a.dead {
 		return
 	}
-	op := a.profile.Ops[a.opIdx]
+	op := &a.profile.Ops[a.opIdx]
 	for a.pageIdx < len(op.Pages) {
 		page := op.Pages[a.pageIdx]
 		a.pageIdx++
@@ -423,13 +452,7 @@ func (db *DB) pagePhase(a *attempt) {
 		if op.Write && db.cfg.FlushInterval > 0 {
 			db.pool.MarkDirty(page)
 		}
-		req, dev := db.array.SubmitIO(func() {
-			a.diskReq = nil
-			a.diskDev = nil
-			db.pagePhase(a)
-		})
-		a.diskReq = req
-		a.diskDev = dev
+		a.diskReq, a.diskDev = db.array.SubmitIO(a.ioDone)
 		return
 	}
 	a.opIdx++
@@ -451,26 +474,32 @@ func (db *DB) commit(a *attempt) {
 			}
 		}
 	}
-	db.logdev.Append(func() {
-		if a.dead {
-			return
+	db.logdev.Append(a.logged)
+}
+
+// finish commits a once its log record is durable, reports the result
+// and recycles the record after onDone returns.
+func (db *DB) finish(a *attempt) {
+	if a.dead {
+		return
+	}
+	if db.cfg.Isolation == SI {
+		now := db.eng.Now()
+		for _, key := range a.writes {
+			db.lastWrite[key] = now
 		}
-		if db.cfg.Isolation == SI {
-			now := db.eng.Now()
-			for _, key := range a.writes {
-				db.lastWrite[key] = now
-			}
-		}
-		db.locks.Release(a.id)
-		delete(db.active, a.id)
-		db.inside--
-		db.stats.Committed++
-		a.onDone(Result{
-			Restarts:   a.restarts,
-			InsideTime: db.eng.Now() - a.start,
-			Class:      a.profile.Class,
-		})
+	}
+	db.locks.Release(a.id)
+	delete(db.active, a.id)
+	db.inside--
+	db.stats.Committed++
+	a.onDone(Result{
+		Restarts:   a.restarts,
+		InsideTime: db.eng.Now() - a.start,
+		Class:      a.profile.Class,
 	})
+	a.profile, a.onDone, a.restarts = TxnProfile{}, nil, 0
+	db.free = append(db.free, a)
 }
 
 // abort is the lock manager's victim callback: roll back, pay the
@@ -486,13 +515,11 @@ func (db *DB) abort(id lockmgr.TxnID, _ lockmgr.AbortReason) {
 	a.restarts++
 	// Cancel in-flight resource usage (defensive: victims are normally
 	// blocked on a lock, not running).
-	if a.cpuJob != nil {
-		db.cpu.Cancel(a.cpuJob)
-		a.cpuJob = nil
-	}
-	if a.diskReq != nil && a.diskDev != nil {
+	db.cpu.Cancel(a.cpuJob)
+	a.cpuJob = cpusched.Job{}
+	if a.diskDev != nil {
 		a.diskDev.Cancel(a.diskReq)
-		a.diskReq, a.diskDev = nil, nil
+		a.diskReq, a.diskDev = disk.Request{}, nil
 	}
 	db.locks.Release(id)
 	// Rollback cost: repeat a fraction of the work done so far on the
@@ -502,14 +529,9 @@ func (db *DB) abort(id lockmgr.TxnID, _ lockmgr.AbortReason) {
 		doneWork += a.profile.Ops[i].CPUWork
 	}
 	rollback := doneWork * db.cfg.RollbackCPU / db.cfg.CPUSpeed
-	restart := func() {
-		db.eng.After(db.cfg.RestartBackoff.Sample(db.rng), func() {
-			db.startAttempt(a)
-		})
-	}
 	if rollback > 0 {
-		db.cpu.Submit(rollback, db.cpuWeight(a.profile.Class), restart)
+		db.cpu.Submit(rollback, db.cpuWeight(a.profile.Class), a.backoff)
 	} else {
-		restart()
+		a.backoff()
 	}
 }

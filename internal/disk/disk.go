@@ -12,29 +12,45 @@ import (
 	"extsched/internal/sim"
 )
 
-// Request is a queued I/O handle.
-type Request struct {
+// request is the recycled per-I/O record behind a Request handle.
+type request struct {
 	service  float64
 	onDone   func()
-	canceled bool
-	started  bool
+	gen      uint64 // bumped on recycling; invalidates stale handles
+	canceled bool   // in service: the completion callback is suppressed
+}
+
+// Request is a value handle to a submitted I/O. Copy it freely. It
+// goes stale once the I/O completes or is canceled and its record is
+// recycled; Cancel on a stale handle or the zero Request is a no-op,
+// so a handle kept past its I/O can never cancel the I/O that later
+// reuses the record.
+type Request struct {
+	r   *request
+	gen uint64
 }
 
 // Disk is a single FCFS device.
 type Disk struct {
-	eng   *sim.Engine
-	name  string
-	queue []*Request
-	busy  bool
+	eng  *sim.Engine
+	name string
+	// queue is a ring of waiting requests: n of them, oldest at head.
+	queue   []*request
+	head, n int
+	cur     *request // in service; nil when idle
 	// busyTime integrates seconds the device spent serving requests.
 	busyTime  float64
 	busySince float64
 	served    uint64
+	finish    func() // completion callback of the request in service, bound once
+	free      []*request
 }
 
 // NewDisk returns an idle FCFS disk.
 func NewDisk(eng *sim.Engine, name string) *Disk {
-	return &Disk{eng: eng, name: name}
+	d := &Disk{eng: eng, name: name}
+	d.finish = d.complete
+	return d
 }
 
 // Name returns the device name.
@@ -42,14 +58,14 @@ func (d *Disk) Name() string { return d.name }
 
 // QueueLen returns the number of waiting requests (excluding the one in
 // service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
+func (d *Disk) QueueLen() int { return d.n }
 
 // Served returns the number of completed requests.
 func (d *Disk) Served() uint64 { return d.served }
 
 // BusySeconds returns accumulated service time.
 func (d *Disk) BusySeconds() float64 {
-	if d.busy {
+	if d.cur != nil {
 		return d.busyTime + (d.eng.Now() - d.busySince)
 	}
 	return d.busyTime
@@ -57,62 +73,108 @@ func (d *Disk) BusySeconds() float64 {
 
 // Submit enqueues a request with the given service time. onDone fires
 // at completion.
-func (d *Disk) Submit(service float64, onDone func()) *Request {
+func (d *Disk) Submit(service float64, onDone func()) Request {
 	if service < 0 || math.IsNaN(service) || math.IsInf(service, 0) {
 		panic(fmt.Sprintf("disk: invalid service time %v", service))
 	}
-	r := &Request{service: service, onDone: onDone}
-	d.queue = append(d.queue, r)
-	if !d.busy {
+	var r *request
+	if k := len(d.free); k > 0 {
+		r = d.free[k-1]
+		d.free = d.free[:k-1]
+	} else {
+		r = &request{}
+	}
+	r.service, r.onDone = service, onDone
+	h := Request{r: r, gen: r.gen}
+	if d.n == len(d.queue) {
+		d.grow()
+	}
+	d.queue[(d.head+d.n)%len(d.queue)] = r
+	d.n++
+	if d.cur == nil {
 		d.startNext()
 	}
-	return r
+	return h
+}
+
+// grow doubles the ring, unrolling it so the oldest request sits at
+// index 0.
+func (d *Disk) grow() {
+	q := make([]*request, max(4, 2*len(d.queue)))
+	for i := 0; i < d.n; i++ {
+		q[i] = d.queue[(d.head+i)%len(d.queue)]
+	}
+	d.queue, d.head = q, 0
 }
 
 // Cancel drops a request that has not started service (transaction
 // abort). A request already in service completes normally but its
-// callback is suppressed.
-func (d *Disk) Cancel(r *Request) {
-	if r == nil {
+// callback is suppressed. Canceling a finished request, a stale handle
+// or the zero Request is a no-op.
+func (d *Disk) Cancel(h Request) {
+	r := h.r
+	if r == nil || r.gen != h.gen {
 		return
 	}
-	r.canceled = true
-	if !r.started {
-		for i, q := range d.queue {
-			if q == r {
-				d.queue = append(d.queue[:i], d.queue[i+1:]...)
-				break
-			}
+	if r == d.cur {
+		r.canceled = true
+		return
+	}
+	for i := 0; i < d.n; i++ {
+		if d.queue[(d.head+i)%len(d.queue)] != r {
+			continue
 		}
+		// Close the gap, keeping FCFS order.
+		for ; i < d.n-1; i++ {
+			d.queue[(d.head+i)%len(d.queue)] = d.queue[(d.head+i+1)%len(d.queue)]
+		}
+		d.n--
+		d.queue[(d.head+d.n)%len(d.queue)] = nil
+		d.recycle(r)
+		return
 	}
 }
 
+// recycle invalidates outstanding handles to r and returns it to the
+// free list.
+func (d *Disk) recycle(r *request) {
+	r.gen++
+	r.onDone = nil
+	r.canceled = false
+	d.free = append(d.free, r)
+}
+
+// startNext puts the oldest waiting request into service, or leaves
+// the device idle.
 func (d *Disk) startNext() {
-	for len(d.queue) > 0 {
-		r := d.queue[0]
-		d.queue = d.queue[1:]
-		if r.canceled {
-			continue
-		}
-		r.started = true
-		d.busy = true
-		d.busySince = d.eng.Now()
-		d.eng.After(r.service, func() {
-			d.busy = false
-			d.busyTime += r.service
-			d.served++
-			// Start the next queued request BEFORE the completion
-			// callback: onDone may synchronously submit a follow-up I/O
-			// to this very disk, and it must queue behind the next
-			// request rather than start a second concurrent service.
-			d.startNext()
-			if !r.canceled {
-				r.onDone()
-			}
-		})
+	if d.n == 0 {
+		d.cur = nil
 		return
 	}
-	d.busy = false
+	r := d.queue[d.head]
+	d.queue[d.head] = nil
+	d.head = (d.head + 1) % len(d.queue)
+	d.n--
+	d.cur = r
+	d.busySince = d.eng.Now()
+	d.eng.After(r.service, d.finish)
+}
+
+// complete ends the service in progress.
+func (d *Disk) complete() {
+	r := d.cur
+	d.busyTime += r.service
+	d.served++
+	// Start the next queued request BEFORE the completion callback:
+	// onDone may synchronously submit a follow-up I/O to this very
+	// disk, and it must queue behind the next request rather than
+	// start a second concurrent service.
+	d.startNext()
+	onDone, canceled := r.onDone, r.canceled
+	d.recycle(r)
+	if !canceled {
+		onDone()
+	}
 }
 
 // Array is a striped set of data disks: each I/O goes to a uniformly
@@ -146,7 +208,7 @@ func (a *Array) Size() int { return len(a.disks) }
 // SubmitIO issues one I/O to a uniformly chosen stripe with a service
 // time drawn from the array's distribution. It returns the request
 // handle together with the disk it landed on (for cancellation).
-func (a *Array) SubmitIO(onDone func()) (*Request, *Disk) {
+func (a *Array) SubmitIO(onDone func()) (Request, *Disk) {
 	d := a.disks[a.rng.IntN(len(a.disks))]
 	return d.Submit(a.service.Sample(a.rng), onDone), d
 }
@@ -163,15 +225,21 @@ type Log struct {
 	rng         *sim.RNG
 	groupCommit bool
 	flushing    bool
-	waiters     []func()
-	flushes     uint64
-	appends     uint64
-	maxGroup    int
+	// waiters collect the next group while group is being flushed; the
+	// two buffers swap at each flush.
+	waiters  []func()
+	group    []func()
+	flushed  func() // completion callback of a group flush, bound once
+	flushes  uint64
+	appends  uint64
+	maxGroup int
 }
 
 // NewLog returns the log device (no group commit).
 func NewLog(eng *sim.Engine, service dist.Distribution, rng *sim.RNG) *Log {
-	return &Log{disk: NewDisk(eng, "log"), service: service, rng: rng}
+	l := &Log{disk: NewDisk(eng, "log"), service: service, rng: rng}
+	l.flushed = l.groupDurable
+	return l
 }
 
 // SetGroupCommit toggles commit-record batching.
@@ -208,22 +276,25 @@ func (l *Log) Append(onDone func()) {
 
 // flush writes the current group in a single device operation.
 func (l *Log) flush() {
-	group := l.waiters
-	l.waiters = nil
-	if len(group) == 0 {
+	clear(l.group)
+	l.group, l.waiters = l.waiters, l.group[:0]
+	if len(l.group) == 0 {
 		l.flushing = false
 		return
 	}
-	if len(group) > l.maxGroup {
-		l.maxGroup = len(group)
+	if len(l.group) > l.maxGroup {
+		l.maxGroup = len(l.group)
 	}
 	l.flushing = true
 	l.flushes++
-	l.disk.Submit(l.service.Sample(l.rng), func() {
-		for _, cb := range group {
-			cb()
-		}
-		// Records that arrived during this flush form the next group.
-		l.flush()
-	})
+	l.disk.Submit(l.service.Sample(l.rng), l.flushed)
+}
+
+// groupDurable completes every record of the flushed group. Records
+// that arrived during this flush form the next group.
+func (l *Log) groupDurable() {
+	for _, cb := range l.group {
+		cb()
+	}
+	l.flush()
 }

@@ -11,8 +11,9 @@
 package lockmgr
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"extsched/internal/sim"
 )
@@ -92,14 +93,28 @@ type request struct {
 	key     uint64
 	mode    Mode
 	class   Class
-	seq     uint64 // arrival order for stable FIFO
-	onGrant func()
-	upgrade bool // S→X upgrade request
+	seq     uint64 // arrival order for stable FIFO; unique per request
+	onGrant func() // nil: granted synchronously inside Acquire
+	upgrade bool   // S→X upgrade request
 }
 
-// lock is one lock-table entry.
+// holder is one granted lock: the holding transaction and its mode.
+type holder struct {
+	txn  TxnID
+	mode Mode
+}
+
+// grant is one key a transaction holds, and its mode.
+type grant struct {
+	key  uint64
+	mode Mode
+}
+
+// lock is one lock-table entry. Holders are kept in the order they
+// were granted, so every walk over them (POW preemption, Release) is
+// deterministic by construction.
 type lock struct {
-	holders map[TxnID]Mode
+	holders []holder
 	queue   []*request
 }
 
@@ -107,8 +122,15 @@ type lock struct {
 type txnState struct {
 	id      TxnID
 	class   Class
-	held    map[uint64]Mode
+	held    []grant  // in acquisition order
 	waiting *request // non-nil while blocked
+	mark    uint64   // deadlock-search visit stamp
+}
+
+// notice is a pending abort notification.
+type notice struct {
+	txn    TxnID
+	reason AbortReason
 }
 
 // Stats aggregates lock-manager activity.
@@ -135,6 +157,23 @@ type Manager struct {
 	// the manager needs a transaction aborted: deadlock victim or POW
 	// preemption. The owner must eventually call Release for the txn.
 	onAbort func(TxnID, AbortReason)
+	// notices queues abort notifications in the order they were
+	// raised; each one's zero-delay event runs notify (bound once),
+	// which delivers the oldest. Zero-delay events fire in scheduling
+	// order, so the queue head is always the notice whose event is
+	// firing.
+	notices []notice
+	notify  func()
+	// Free lists recycle lock-table entries, transaction records and
+	// requests, so a steady stream of transactions allocates nothing.
+	freeLocks []*lock
+	freeTxns  []*txnState
+	freeReqs  []*request
+	// Deadlock-search scratch: the visit epoch, the DFS stack and one
+	// transaction's waits-for edges.
+	epoch uint64
+	stack []*txnState
+	edges []TxnID
 }
 
 // Config configures a Manager.
@@ -156,7 +195,7 @@ func New(eng *sim.Engine, cfg Config) *Manager {
 	if cfg.OnAbort == nil {
 		panic("lockmgr: Config.OnAbort is required")
 	}
-	return &Manager{
+	m := &Manager{
 		eng:         eng,
 		policy:      cfg.Policy,
 		preempt:     cfg.Preempt,
@@ -165,6 +204,8 @@ func New(eng *sim.Engine, cfg Config) *Manager {
 		txns:        make(map[TxnID]*txnState),
 		onAbort:     cfg.OnAbort,
 	}
+	m.notify = m.deliverNotice
+	return m
 }
 
 // Stats returns a snapshot of activity counters.
@@ -175,7 +216,15 @@ func (m *Manager) Begin(txn TxnID, class Class) {
 	if _, ok := m.txns[txn]; ok {
 		panic(fmt.Sprintf("lockmgr: duplicate Begin for txn %d", txn))
 	}
-	m.txns[txn] = &txnState{id: txn, class: class, held: make(map[uint64]Mode)}
+	var st *txnState
+	if n := len(m.freeTxns); n > 0 {
+		st = m.freeTxns[n-1]
+		m.freeTxns = m.freeTxns[:n-1]
+	} else {
+		st = &txnState{}
+	}
+	st.id, st.class = txn, class
+	m.txns[txn] = st
 }
 
 // Holding returns the number of locks held by txn.
@@ -211,36 +260,41 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	}
 	l := m.locks[key]
 	if l == nil {
-		l = &lock{holders: make(map[TxnID]Mode)}
+		if n := len(m.freeLocks); n > 0 {
+			l = m.freeLocks[n-1]
+			m.freeLocks = m.freeLocks[:n-1]
+		} else {
+			l = &lock{}
+		}
 		m.locks[key] = l
 	}
-	if held, ok := st.held[key]; ok {
-		if held == X || held == mode {
+	if g := st.grant(key); g != nil {
+		if g.mode == X || g.mode == mode {
 			// Already covered (lock strengthening is a no-op).
 			m.stats.Grants++
 			return true
 		}
 		// S→X upgrade.
 		m.stats.Upgrades++
-		if len(l.holders) == 1 {
-			l.holders[txn] = X
-			st.held[key] = X
+		if len(l.holders) == 1 { // txn is the sole holder
+			l.holders[0].mode = X
+			g.mode = X
 			m.stats.Grants++
 			return true
 		}
-		req := &request{txn: txn, key: key, mode: X, class: st.class, seq: m.seq, onGrant: onGrant, upgrade: true}
-		m.seq++
+		req := m.newRequest(st, key, X, onGrant)
+		req.upgrade = true
 		// Upgraders wait at the head: they already hold S and must not
 		// queue behind new S requests (which would deadlock trivially).
-		l.queue = append([]*request{req}, l.queue...)
+		l.queue = slices.Insert(l.queue, 0, req)
 		st.waiting = req
 		m.stats.Waits++
 		m.afterBlock(st, l)
 		return false
 	}
-	if len(l.queue) == 0 && m.grantable(l, mode) {
-		l.holders[txn] = mode
-		st.held[key] = mode
+	if len(l.queue) == 0 && grantable(l, mode) {
+		l.holders = append(l.holders, holder{txn, mode})
+		st.held = append(st.held, grant{key, mode})
 		m.stats.Grants++
 		return true
 	}
@@ -249,16 +303,15 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	// creates waits-for edges invisible to at-block-time deadlock
 	// detection. Enqueue, apply the policy ordering, then try a head
 	// grant (under PriorityFIFO a high-class request may legitimately
-	// reach the head and be granted immediately).
-	req := &request{txn: txn, key: key, mode: mode, class: st.class, seq: m.seq, onGrant: onGrant}
-	m.seq++
-	syncGranted := false
-	req.onGrant = func() { syncGranted = true }
+	// reach the head and be granted immediately). The request carries
+	// no callback until it is known to block, so a head grant here
+	// just clears st.waiting.
+	req := m.newRequest(st, key, mode, nil)
 	l.queue = append(l.queue, req)
 	m.orderQueue(l)
 	st.waiting = req
 	m.grantWaiters(key, l)
-	if syncGranted {
+	if st.waiting != req {
 		return true
 	}
 	req.onGrant = onGrant
@@ -267,15 +320,64 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	return false
 }
 
+// grant returns st's grant on key, or nil.
+func (st *txnState) grant(key uint64) *grant {
+	for i := range st.held {
+		if st.held[i].key == key {
+			return &st.held[i]
+		}
+	}
+	return nil
+}
+
+// newRequest takes a request record off the free list (or allocates
+// one) and stamps it with the next arrival sequence number.
+func (m *Manager) newRequest(st *txnState, key uint64, mode Mode, onGrant func()) *request {
+	var r *request
+	if n := len(m.freeReqs); n > 0 {
+		r = m.freeReqs[n-1]
+		m.freeReqs = m.freeReqs[:n-1]
+	} else {
+		r = &request{}
+	}
+	*r = request{txn: st.id, key: key, mode: mode, class: st.class, seq: m.seq, onGrant: onGrant}
+	m.seq++
+	return r
+}
+
+// recycleRequest returns a request that left its queue to the free
+// list.
+func (m *Manager) recycleRequest(r *request) {
+	*r = request{}
+	m.freeReqs = append(m.freeReqs, r)
+}
+
 // grantable reports whether a new request in mode can be granted given
 // the current holders (queue considered separately by callers).
-func (m *Manager) grantable(l *lock, mode Mode) bool {
+func grantable(l *lock, mode Mode) bool {
 	for _, h := range l.holders {
-		if !compatible(h, mode) {
+		if !compatible(h.mode, mode) {
 			return false
 		}
 	}
 	return true
+}
+
+// holderIndex returns the position of txn among l's holders, or -1.
+func (l *lock) holderIndex(txn TxnID) int {
+	for i, h := range l.holders {
+		if h.txn == txn {
+			return i
+		}
+	}
+	return -1
+}
+
+// popHead removes the queue head, keeping the queue's storage.
+func (l *lock) popHead() {
+	n := copy(l.queue, l.queue[1:])
+	l.queue[n] = nil
+	l.queue = l.queue[:n]
 }
 
 // orderQueue applies the policy: PriorityFIFO sorts high class first,
@@ -284,15 +386,17 @@ func (m *Manager) orderQueue(l *lock) {
 	if m.policy != PriorityFIFO {
 		return
 	}
-	sort.SliceStable(l.queue, func(i, j int) bool {
-		a, b := l.queue[i], l.queue[j]
+	slices.SortStableFunc(l.queue, func(a, b *request) int {
 		if a.upgrade != b.upgrade {
-			return a.upgrade
+			if a.upgrade {
+				return -1
+			}
+			return 1
 		}
 		if a.class != b.class {
-			return a.class > b.class // High (1) before Low (0)
+			return int(b.class) - int(a.class) // High (1) before Low (0)
 		}
-		return a.seq < b.seq
+		return cmp.Compare(a.seq, b.seq)
 	})
 }
 
@@ -300,60 +404,73 @@ func (m *Manager) orderQueue(l *lock) {
 // timeout after st blocked on lock l.
 func (m *Manager) afterBlock(st *txnState, l *lock) {
 	if m.waitTimeout > 0 {
-		req := st.waiting
+		seq := st.waiting.seq
 		id := st.id
 		m.eng.After(m.waitTimeout, func() {
 			cur, ok := m.txns[id]
-			if !ok || cur.waiting == nil || cur.waiting != req {
+			if !ok || cur.waiting == nil || cur.waiting.seq != seq {
 				return // granted, released or restarted meanwhile
 			}
 			m.stats.Timeouts++
 			m.onAbort(id, Timeout)
 		})
 	}
-	if victim, found := m.findDeadlockVictim(st); found {
+	if m.deadlocked(st) {
 		m.stats.Deadlocks++
-		v := victim
-		m.eng.After(0, func() { m.onAbort(v, Deadlock) })
+		m.abortLater(st.id, Deadlock)
 		return
 	}
 	if m.preempt && st.class == High {
 		// POW: preempt any low-priority holder of this lock that is
 		// itself blocked at another lock queue (it cannot make
 		// progress anyway, and it stands in the way of a high).
-		for holder := range l.holders {
-			hs, ok := m.txns[holder]
+		// Holders are walked in grant order.
+		for _, h := range l.holders {
+			hs, ok := m.txns[h.txn]
 			if !ok || hs.class == High || hs.waiting == nil {
 				continue
 			}
 			m.stats.Preemptions++
-			victim := holder
-			m.eng.After(0, func() { m.onAbort(victim, Preempted) })
+			m.abortLater(h.txn, Preempted)
 		}
 	}
 }
 
-// waitsFor enumerates the transactions t is directly waiting on:
+// abortLater queues an abort notice for delivery by a zero-delay
+// event.
+func (m *Manager) abortLater(txn TxnID, reason AbortReason) {
+	m.notices = append(m.notices, notice{txn, reason})
+	m.eng.After(0, m.notify)
+}
+
+// deliverNotice hands the oldest queued notice to onAbort.
+func (m *Manager) deliverNotice() {
+	n := m.notices[0]
+	k := copy(m.notices, m.notices[1:])
+	m.notices = m.notices[:k]
+	m.onAbort(n.txn, n.reason)
+}
+
+// waitsFor appends to out the transactions t is directly waiting on:
 // incompatible current holders of the requested lock, plus every
 // request queued ahead of t's request. The queue-predecessor edges are
 // real waits under the no-bypass discipline — a request is never
 // granted before those ahead of it, even if it is compatible with the
 // current holders.
-func (m *Manager) waitsFor(t *txnState) []TxnID {
+func (m *Manager) waitsFor(t *txnState, out []TxnID) []TxnID {
 	if t.waiting == nil {
-		return nil
+		return out
 	}
 	l := m.locks[t.waiting.key]
 	if l == nil {
-		return nil
+		return out
 	}
-	var out []TxnID
-	for holder, hm := range l.holders {
-		if holder == t.id {
+	for _, h := range l.holders {
+		if h.txn == t.id {
 			continue // upgrade: own S lock doesn't block itself
 		}
-		if !compatible(hm, t.waiting.mode) {
-			out = append(out, holder)
+		if !compatible(h.mode, t.waiting.mode) {
+			out = append(out, h.txn)
 		}
 	}
 	for _, r := range l.queue {
@@ -367,42 +484,42 @@ func (m *Manager) waitsFor(t *txnState) []TxnID {
 	return out
 }
 
-// findDeadlockVictim searches for a waits-for cycle through the newly
-// blocked transaction and returns it as the victim (abort-requester
-// policy: deterministic, and any new cycle necessarily runs through
-// the transaction whose block created it).
-func (m *Manager) findDeadlockVictim(start *txnState) (TxnID, bool) {
-	visited := make(map[TxnID]bool)
-	var dfs func(t *txnState) bool
-	dfs = func(t *txnState) bool {
-		if visited[t.id] {
-			return false
-		}
-		visited[t.id] = true
-		for _, next := range m.waitsFor(t) {
+// deadlocked reports whether the newly blocked transaction start lies
+// on a waits-for cycle, i.e. whether start is reachable from itself.
+// The victim is start (abort-requester policy: deterministic, and any
+// new cycle necessarily runs through the transaction whose block
+// created it), so only reachability matters, not the search order.
+func (m *Manager) deadlocked(start *txnState) bool {
+	m.epoch++
+	start.mark = m.epoch
+	stack := append(m.stack[:0], start)
+	found := false
+	for len(stack) > 0 && !found {
+		t := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		m.edges = m.waitsFor(t, m.edges[:0])
+		for _, next := range m.edges {
 			if next == start.id {
-				return true
+				found = true
+				break
 			}
 			ns, ok := m.txns[next]
-			if !ok {
+			if !ok || ns.mark == m.epoch {
 				continue
 			}
-			if dfs(ns) {
-				return true
-			}
+			ns.mark = m.epoch
+			stack = append(stack, ns)
 		}
-		return false
 	}
-	if dfs(start) {
-		return start.id, true
-	}
-	return 0, false
+	m.stack = stack[:0]
+	return found
 }
 
 // Release drops every lock held by txn (commit or abort under strict
 // 2PL), cancels any pending request, and grants newly compatible
-// waiters. Unknown transactions are a no-op so that abort paths can
-// release defensively.
+// waiters. Keys are released in acquisition order. Unknown
+// transactions are a no-op so that abort paths can release
+// defensively.
 func (m *Manager) Release(txn TxnID) {
 	st, ok := m.txns[txn]
 	if !ok {
@@ -410,27 +527,37 @@ func (m *Manager) Release(txn TxnID) {
 	}
 	delete(m.txns, txn)
 	// Cancel a pending request.
-	if st.waiting != nil {
-		if l := m.locks[st.waiting.key]; l != nil {
-			for i, r := range l.queue {
-				if r == st.waiting {
-					l.queue = append(l.queue[:i], l.queue[i+1:]...)
-					break
-				}
-			}
-		}
+	if req := st.waiting; req != nil {
 		st.waiting = nil
+		if l := m.locks[req.key]; l != nil {
+			if i := slices.Index(l.queue, req); i >= 0 {
+				l.queue = slices.Delete(l.queue, i, i+1)
+			}
+			m.dropIfIdle(req.key, l)
+		}
+		m.recycleRequest(req)
 	}
-	for key := range st.held {
-		l := m.locks[key]
+	for _, g := range st.held {
+		l := m.locks[g.key]
 		if l == nil {
 			continue
 		}
-		delete(l.holders, txn)
-		m.grantWaiters(key, l)
-		if len(l.holders) == 0 && len(l.queue) == 0 {
-			delete(m.locks, key)
+		if i := l.holderIndex(txn); i >= 0 {
+			l.holders = slices.Delete(l.holders, i, i+1)
 		}
+		m.grantWaiters(g.key, l)
+		m.dropIfIdle(g.key, l)
+	}
+	st.held = st.held[:0]
+	m.freeTxns = append(m.freeTxns, st)
+}
+
+// dropIfIdle removes an entry with no holders and no waiters from the
+// lock table and recycles it.
+func (m *Manager) dropIfIdle(key uint64, l *lock) {
+	if len(l.holders) == 0 && len(l.queue) == 0 && m.locks[key] == l {
+		delete(m.locks, key)
+		m.freeLocks = append(m.freeLocks, l)
 	}
 }
 
@@ -441,33 +568,31 @@ func (m *Manager) grantWaiters(key uint64, l *lock) {
 		hs, ok := m.txns[head.txn]
 		if !ok {
 			// Stale request from a released txn.
-			l.queue = l.queue[1:]
+			l.popHead()
 			continue
 		}
 		if head.upgrade {
 			// Grantable only when head.txn is the sole remaining holder.
-			if len(l.holders) == 1 {
-				if _, isHolder := l.holders[head.txn]; isHolder {
-					l.queue = l.queue[1:]
-					l.holders[head.txn] = X
-					hs.held[key] = X
-					hs.waiting = nil
-					m.stats.Grants++
-					head.onGrant()
-					continue
-				}
+			if len(l.holders) != 1 || l.holders[0].txn != head.txn {
+				return
 			}
-			return
+			l.holders[0].mode = X
+			hs.grant(key).mode = X
+		} else {
+			if !grantable(l, head.mode) {
+				return
+			}
+			l.holders = append(l.holders, holder{head.txn, head.mode})
+			hs.held = append(hs.held, grant{key, head.mode})
 		}
-		if !m.grantable(l, head.mode) {
-			return
-		}
-		l.queue = l.queue[1:]
-		l.holders[head.txn] = head.mode
-		hs.held[key] = head.mode
+		l.popHead()
 		hs.waiting = nil
 		m.stats.Grants++
-		head.onGrant()
+		onGrant := head.onGrant
+		m.recycleRequest(head)
+		if onGrant != nil {
+			onGrant()
+		}
 	}
 }
 

@@ -16,7 +16,6 @@ package workload
 
 import (
 	"fmt"
-	"slices"
 
 	"extsched/internal/bufferpool"
 	"extsched/internal/dbfe"
@@ -205,39 +204,46 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 		}
 	}
 	tt := g.Spec.Types[ti]
+	// A profile is two allocations: its operations and one slab of
+	// page numbers, which each operation views through a 3-index
+	// subslice. Profiles are immutable once returned (churn resubmits
+	// a profile to another shard while the aborted copy may still read
+	// it), so neither is ever reused.
 	ops := make([]dbms.Op, tt.Ops)
-	keys := make([]uint64, tt.Ops)
+	slab := make([]uint64, tt.Ops*tt.PagesPerOp)
 	demand := 0.0
 	for i := range ops {
 		if g.rng.Float64() < tt.HotKeyProb && g.Spec.HotLockKeys > 0 {
-			keys[i] = g.rng.Uint64() % g.Spec.HotLockKeys
+			ops[i].Key = g.rng.Uint64() % g.Spec.HotLockKeys
 		} else {
 			// Cold keys are effectively unique: allocate from a
 			// monotonically increasing space far above the hot keys.
 			g.coldSeq++
-			keys[i] = 1<<32 + g.coldSeq
+			ops[i].Key = 1<<32 + g.coldSeq
 		}
-		pages := make([]uint64, tt.PagesPerOp)
+		lo := i * tt.PagesPerOp
+		pages := slab[lo : lo+tt.PagesPerOp : lo+tt.PagesPerOp]
 		for p := range pages {
 			pages[p] = g.pattern.Sample(g.rng)
 		}
 		cpu := tt.CPUPerOp.Sample(g.rng)
 		demand += cpu + float64(len(pages))*g.missEst*g.Spec.DiskService.Mean()
-		ops[i] = dbms.Op{
-			Write:   g.rng.Float64() < tt.WriteFrac,
-			CPUWork: cpu,
-			Pages:   pages,
-		}
+		ops[i].Write = g.rng.Float64() < tt.WriteFrac
+		ops[i].CPUWork = cpu
+		ops[i].Pages = pages
 	}
 	// Under CanonicalKeyOrder, assign lock keys in ascending order
 	// across the transaction's operations: contention (queueing on hot
 	// locks) is preserved; only the acquisition ORDER is canonicalized,
 	// which is what keeps TPC-C's deadlock rate low despite hot spots.
+	// An insertion sort of the Key fields alone: every other field
+	// stays with its operation.
 	if g.Spec.CanonicalKeyOrder {
-		slices.Sort(keys)
-	}
-	for i := range ops {
-		ops[i].Key = keys[i]
+		for i := 1; i < len(ops); i++ {
+			for j := i; j > 0 && ops[j].Key < ops[j-1].Key; j-- {
+				ops[j].Key, ops[j-1].Key = ops[j-1].Key, ops[j].Key
+			}
+		}
 	}
 	return dbms.TxnProfile{Ops: ops, Class: class, EstimatedDemand: demand}
 }

@@ -348,3 +348,25 @@ func TestDriverValidation(t *testing.T) {
 		NewOpenDriver(eng, fe, g, 0, 0)
 	}()
 }
+
+// TestCanonicalKeyOrderSorted checks that a spec with CanonicalKeyOrder
+// yields lock keys in ascending order across each profile's operations.
+func TestCanonicalKeyOrderSorted(t *testing.T) {
+	for _, spec := range Table1() {
+		if !spec.CanonicalKeyOrder {
+			continue
+		}
+		g, err := NewGenerator(spec, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2000; i++ {
+			p := g.Next()
+			for k := 1; k < len(p.Ops); k++ {
+				if p.Ops[k].Key < p.Ops[k-1].Key {
+					t.Fatalf("%s: keys out of order at op %d: %d after %d", spec.Name, k, p.Ops[k].Key, p.Ops[k-1].Key)
+				}
+			}
+		}
+	}
+}
