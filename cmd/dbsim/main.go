@@ -86,7 +86,7 @@ func run(args []string, out io.Writer) (err error) {
 		recovery = fs.String("recovery", "", "shard-failure recovery with -shards: resubmit or shed")
 		budget   = fs.Int("retry-budget", 0, "resubmission attempts per txn with -recovery=resubmit (0 = default 3)")
 		sloT     = fs.Float64("slo", 0, "run under the latency-SLO controller: hold this p95 target in seconds for -slo-class (needs -mpl >= 2)")
-		sloClass = fs.String("slo-class", "high", "protected class for -slo: high or low")
+		sloClass = fs.String("slo-class", "high", "protected class for -slo: high, low, or a tenant name of the -scenario file")
 		sloPct   = fs.Float64("slo-percentile", 0, "controlled percentile for -slo (0 = 95)")
 		deadH    = fs.Float64("deadline-high", 0, "high-class admission deadline in seconds (0 = none)")
 		deadL    = fs.Float64("deadline-low", 0, "low-class admission deadline in seconds (0 = none)")
@@ -203,7 +203,7 @@ func run(args []string, out io.Writer) (err error) {
 	fmt.Fprintf(out, "mpl:              %d\n", sys.MPL())
 	printReport(out, res.Total)
 	printSLO(out, res.SLO)
-	printTenants(out, res)
+	printClasses(out, res)
 	printAutoscale(out, res.Autoscale)
 	printShards(out, res.Shards, fleetUp(res))
 	return nil
@@ -346,15 +346,22 @@ func parseSpeeds(s string) ([]float64, error) {
 	return out, nil
 }
 
-// printTenants renders the per-tenant breakdown and the fairness
-// loop's outcome (nothing for runs without registered tenants).
-func printTenants(out io.Writer, res extsched.Result) {
+// printClasses renders the per-class breakdown of the whole run and
+// the fairness loop's outcome. Classes without a tenant name are the
+// two-class workloads' high (1) and low (0) classes.
+func printClasses(out io.Writer, res extsched.Result) {
 	if len(res.Total.Classes) > 0 {
 		fmt.Fprintf(out, "\n%-12s %6s %10s %8s %12s %12s\n",
-			"tenant", "class", "txns", "shed", "meanRT (s)", "p95 (s)")
+			"name", "class", "txns", "shed", "meanRT (s)", "p95 (s)")
 		for _, c := range res.Total.Classes {
 			name := c.Name
-			if name == "" {
+			switch {
+			case name != "":
+			case c.Class == 1:
+				name = "high"
+			case c.Class == 0:
+				name = "low"
+			default:
 				name = "-"
 			}
 			fmt.Fprintf(out, "%-12s %6d %10d %8d %12.4f %12.4f\n",
@@ -403,18 +410,12 @@ func printReport(out io.Writer, rep extsched.Report) {
 	fmt.Fprintf(out, "throughput:       %.2f txn/s\n", rep.Throughput)
 	fmt.Fprintf(out, "mean RT:          %.4f s (inside %.4f s, external wait %.4f s)\n",
 		rep.MeanRT, rep.MeanInside, rep.ExternalW)
-	fmt.Fprintf(out, "high-prio RT:     %.4f s\n", rep.HighRT)
-	fmt.Fprintf(out, "low-prio RT:      %.4f s\n", rep.LowRT)
 	fmt.Fprintf(out, "cpu util:         %.3f\n", rep.CPUUtil)
 	fmt.Fprintf(out, "disk util:        %.3f\n", rep.DiskUtil)
 	fmt.Fprintf(out, "lock waits:       %d (deadlocks %d, preemptions %d, restarts %d)\n",
 		rep.LockWaits, rep.Deadlocks, rep.Preemptions, rep.Restarts)
 	if rep.Shed > 0 || rep.Dropped > 0 {
-		fmt.Fprintf(out, "rejected:         %d shed past deadline (high %d, low %d), %d dropped\n",
-			rep.Shed, rep.ShedHigh, rep.ShedLow, rep.Dropped)
-	}
-	if rep.HighP95 > 0 || rep.LowP95 > 0 {
-		fmt.Fprintf(out, "p95 by class:     high %.4f s, low %.4f s\n", rep.HighP95, rep.LowP95)
+		fmt.Fprintf(out, "rejected:         %d shed past deadline, %d dropped\n", rep.Shed, rep.Dropped)
 	}
 	if rep.Failed > 0 || rep.Resubmitted > 0 || rep.Retries > 0 {
 		fmt.Fprintf(out, "shard faults:     %d txns lost, %d resubmitted (%d retries)\n",
@@ -457,11 +458,10 @@ func runScenarioFile(sys *extsched.System, path string, autoscale *extsched.Auto
 			res.Tune.StartMPL, res.Tune.FinalMPL, res.Tune.Iterations, res.Tune.Converged)
 	}
 	printSLO(out, res.SLO)
-	printTenants(out, res)
+	printClasses(out, res)
 	printAutoscale(out, res.Autoscale)
 	if res.Total.Shed > 0 {
-		fmt.Fprintf(out, "shed:             %d txns past their admission deadline (high %d, low %d)\n",
-			res.Total.Shed, res.Total.ShedHigh, res.Total.ShedLow)
+		fmt.Fprintf(out, "shed:             %d txns past their admission deadline\n", res.Total.Shed)
 	}
 	printShards(out, res.Shards, fleetUp(res))
 	fmt.Fprintf(out, "final mpl:        %d\n", res.FinalMPL)

@@ -95,7 +95,7 @@ type Config struct {
 	// comparison; pure external scheduling never drops).
 	QueueLimit int
 	// PercentileSamples, when > 0, reservoir-samples response times so
-	// Report carries P50/P95/P99 and the per-class HighP95/LowP95.
+	// Report carries P50/P95/P99 and a P95 per entry of Report.Classes.
 	// Setting SLO or AdmitDeadline defaults it to 2048 — those features
 	// are judged by per-class tails, so the report must carry them.
 	PercentileSamples int
@@ -416,8 +416,8 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		Seed:              cfg.Seed,
 	}
 	// An SLO or shedding config is judged by per-class tails: without
-	// sampling, Report.HighP95/LowP95 would read 0 while the controller
-	// steers on real percentiles. Default the sampling on.
+	// sampling, the per-class P95s in Report.Classes would read 0 while
+	// the controller steers on real percentiles. Default the sampling on.
 	if st.PercentileSamples == 0 && (cfg.SLO != nil || cfg.AdmitDeadline != nil) {
 		st.PercentileSamples = 2048
 	}

@@ -136,12 +136,13 @@ func TestPriorityPolicyDifferentiates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rep.HighRT <= 0 || rep.LowRT <= 0 {
+	high, low := rep.Class(1).MeanRT, rep.Class(0).MeanRT
+	if high <= 0 || low <= 0 {
 		t.Fatal("per-class RTs missing")
 	}
-	if rep.LowRT < 2*rep.HighRT {
+	if low < 2*high {
 		t.Errorf("differentiation = %.1fx, want >= 2x at MPL 2 (high %.3f low %.3f)",
-			rep.LowRT/rep.HighRT, rep.HighRT, rep.LowRT)
+			low/high, high, low)
 	}
 }
 
@@ -245,19 +246,21 @@ func TestWFQPolicyBalancesClasses(t *testing.T) {
 	wfqMild := run(PolicyWFQ, 1.5)
 	strict := run(PolicyPriority, 0)
 	// Both differentiate.
-	if wfqMild.HighRT >= wfqMild.LowRT {
-		t.Errorf("WFQ high RT %v should beat low %v", wfqMild.HighRT, wfqMild.LowRT)
+	wfqHigh, wfqLow := wfqMild.Class(1).MeanRT, wfqMild.Class(0).MeanRT
+	strictHigh, strictLow := strict.Class(1).MeanRT, strict.Class(0).MeanRT
+	if wfqHigh >= wfqLow {
+		t.Errorf("WFQ high RT %v should beat low %v", wfqHigh, wfqLow)
 	}
 	// A mild weight ratio differentiates LESS than strict priority —
 	// the knob the paper's class-based QoS companion work needs.
-	wfqRatio := wfqMild.LowRT / wfqMild.HighRT
-	strictRatio := strict.LowRT / strict.HighRT
+	wfqRatio := wfqLow / wfqHigh
+	strictRatio := strictLow / strictHigh
 	if wfqRatio >= strictRatio {
 		t.Errorf("WFQ(1.5) ratio %.1fx should be below strict priority %.1fx", wfqRatio, strictRatio)
 	}
 	// Low class under WFQ must do no worse than under strict priority.
-	if wfqMild.LowRT > strict.LowRT*1.1 {
-		t.Errorf("WFQ low RT %v worse than strict priority %v", wfqMild.LowRT, strict.LowRT)
+	if wfqLow > strictLow*1.1 {
+		t.Errorf("WFQ low RT %v worse than strict priority %v", wfqLow, strictLow)
 	}
 }
 

@@ -178,6 +178,44 @@ func TestSLOTunePrerequisites(t *testing.T) {
 	}
 }
 
+// TestSLOTuneWaitsForItsOwnClass: with three tenants registered, an
+// SLO on class 2 must not react before class 2 itself has completed
+// its minimum share of the window, however much another class
+// completes — the loop would otherwise steer on an unmeasured tail.
+func TestSLOTuneWaitsForItsOwnClass(t *testing.T) {
+	g, err := New(Config{Limit: 4, PercentileSamples: 100})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"batch", "web", "api"} {
+		if _, err := g.RegisterClass(name, 1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := g.EnableSLOTune(SLOTuneConfig{Class: 2, Target: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	complete := func(c Class, n int) {
+		for i := 0; i < n; i++ {
+			tk, err := g.AcquireRequest(context.Background(), Request{Class: c})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tk.Release(Result{})
+		}
+	}
+	complete(0, 60)
+	if it := g.SLOTuneStatus().Iterations; it != 0 {
+		t.Fatalf("SLO loop reacted %d times with no class-2 completions", it)
+	}
+	// Five class-2 completions (a tenth of the default 50-completion
+	// window) close it.
+	complete(2, 5)
+	if it := g.SLOTuneStatus().Iterations; it != 1 {
+		t.Errorf("SLO loop reacted %d times once class 2 was measured, want 1", it)
+	}
+}
+
 // waitFor polls briefly for an asynchronous condition.
 func waitFor(t *testing.T, cond func() bool) {
 	t.Helper()

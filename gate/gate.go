@@ -36,7 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -171,10 +171,6 @@ type ticketSlot struct {
 	// shed is set (before the admitted token is sent) when the ticket
 	// was deadline-shed instead of admitted.
 	shed bool
-	// noPool marks a slot that armed a deadline timer: the timer
-	// callback may still run arbitrarily late with a reference to the
-	// slot's item, so the slot must not be recycled.
-	noPool bool
 }
 
 // Ticket is one admitted unit of work. Callers must Release it exactly
@@ -301,21 +297,13 @@ func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) 
 	// Submit stamped the class's admission deadline (if any); arm a
 	// timer so a waiter is woken with ErrDeadline the moment it passes,
 	// not whenever its dead ticket surfaces at the head of the queue.
-	var timer sim.Timer
+	stopTimer := func() {}
 	if it.Deadline > 0 {
-		// The timer callback holds the item past this acquisition's
-		// lifetime (Cancel cannot un-run a callback already in flight),
-		// so this slot retires instead of returning to the pool.
-		s.noPool = true
-		timer = g.clock.After(it.Deadline-g.clock.Now(), func() {
-			g.fe.ShedQueued(it)
-		})
+		stopTimer = g.armDeadline(it)
 	}
 	select {
 	case <-s.admitted:
-		if timer != nil {
-			timer.Cancel()
-		}
+		stopTimer()
 		if s.shed {
 			// The shed item may still sit in the queue awaiting lazy
 			// discard, so the slot is not reusable; drop it.
@@ -323,9 +311,7 @@ func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) 
 		}
 		return Ticket{s: s, gen: s.gen.Load()}, nil
 	case <-ctx.Done():
-		if timer != nil {
-			timer.Cancel()
-		}
+		stopTimer()
 		if g.fe.CancelQueued(it) {
 			// Withdrawn while still queued: no slot was consumed. The
 			// canceled item stays referenced by the queue until its lazy
@@ -347,12 +333,32 @@ func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) 
 	}
 }
 
+// armDeadline arms a timer that sheds it if it is still queued when
+// its deadline passes. The returned stop cancels the timer or, when the
+// callback has already claimed the item, waits for it to finish, so
+// the callback never touches the item after stop returns: the ticket's
+// lock-free Release may then write it, and its slot may be recycled.
+func (g *Gate) armDeadline(it *core.Item) (stop func()) {
+	const armed, stopped, firing = 0, 1, 2
+	var state atomic.Int32
+	done := make(chan struct{})
+	t := g.clock.After(it.Deadline-g.clock.Now(), func() {
+		if state.CompareAndSwap(armed, firing) {
+			g.fe.ShedQueued(it)
+			close(done)
+		}
+	})
+	return func() {
+		t.Cancel()
+		if !state.CompareAndSwap(armed, stopped) {
+			<-done
+		}
+	}
+}
+
 // putSlot resets a settled slot — no queue references, admitted token
 // consumed — and returns it to the pool.
 func (g *Gate) putSlot(s *ticketSlot) {
-	if s.noPool {
-		return
-	}
 	s.item = core.Item{}
 	s.shed = false
 	g.slots.Put(s)
@@ -576,21 +582,19 @@ func (g *Gate) Stats() Stats {
 // class that completed work this window or ever shed any, ascending.
 func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
 	shed := g.fe.ShedClasses()
-	ids := make(map[core.Class]struct{}, len(m.Classes)+len(shed))
+	classes := make([]core.Class, 0, len(m.Classes)+len(shed))
 	for _, cm := range m.Classes {
-		ids[cm.Class] = struct{}{}
+		classes = append(classes, cm.Class)
 	}
 	for c := range shed {
-		ids[c] = struct{}{}
+		if m.ClassMetric(c).Completed() == 0 {
+			classes = append(classes, c)
+		}
 	}
-	if len(ids) == 0 {
+	if len(classes) == 0 {
 		return nil
 	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	out := make([]metrics.ClassStat, len(classes))
 	for i, c := range classes {
 		cm := m.ClassMetric(c)

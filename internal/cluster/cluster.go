@@ -611,38 +611,18 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// ShedByClass returns class c's share of the fleet's shed count.
-func (d *Dispatcher) ShedByClass(c core.Class) uint64 {
-	var n uint64
-	for i := range d.shards {
-		n += d.shards[i].FE.ShedByClass(c)
-	}
-	return n
-}
-
 // Metrics aggregates the shards' metrics windows into one cluster-wide
 // view (parallel Welford merges; the window length is shard 0's, since
 // all shards share one clock and reset together).
 func (d *Dispatcher) Metrics() core.Metrics {
 	var out core.Metrics
-	windows := make([][]core.ClassMetric, 0, len(d.shards))
 	for i := range d.shards {
 		m := d.shards[i].FE.Metrics()
-		out.Completed += m.Completed
-		out.Restarts += m.Restarts
-		out.All.Merge(&m.All)
-		out.High.Merge(&m.High)
-		out.Low.Merge(&m.Low)
-		out.Inside.Merge(&m.Inside)
-		out.ExtWait.Merge(&m.ExtWait)
-		if len(m.Classes) > 0 {
-			windows = append(windows, m.Classes)
-		}
+		out.Merge(&m)
 		if i == 0 {
 			out = out.WithWindow(m.Window())
 		}
 	}
-	out.Classes = core.MergeClassMetrics(windows...)
 	return out
 }
 

@@ -56,10 +56,9 @@ type SLOTarget struct {
 type SLOConfig struct {
 	Target SLOTarget
 	// OtherClass is the class the SLO class borrows slots from; left
-	// zero (or equal to the target class) it defaults to the
-	// complement — low for a high target, high for a low one. The
-	// partition always covers exactly these two classes (the
-	// repository's workloads are two-class).
+	// zero (or equal to the target class) it defaults to low, or to
+	// high for a low target. The partition always covers exactly
+	// these two classes; any other class stays uncapped.
 	OtherClass core.Class
 	// MinObservations gates window close: the window needs this many
 	// completions overall AND a tenth of it (at least 5) from the SLO
@@ -227,10 +226,7 @@ func (c *SLOController) Observe() {
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}
-	sloSeen := m.High.Count()
-	if c.cfg.Target.Class != core.ClassHigh {
-		sloSeen = m.Low.Count()
-	}
+	sloSeen := m.ClassMetric(c.cfg.Target.Class).Completed()
 	minSLO := c.cfg.MinObservations / 10
 	if minSLO < 5 {
 		minSLO = 5

@@ -38,12 +38,13 @@ func (g *fakeClassGate) ClassResponseTimePercentile(c core.Class, p float64) flo
 // completions (60 total, 12 high) at the given measured percentile.
 func (g *fakeClassGate) window(p float64) {
 	g.percentile = p
-	g.m = core.Metrics{Completed: 60}
-	for i := 0; i < 12; i++ {
-		g.m.High.Add(p)
-	}
-	for i := 0; i < 48; i++ {
-		g.m.Low.Add(p)
+	g.m = core.Metrics{}
+	for i := 0; i < 60; i++ {
+		class := core.ClassLow
+		if i < 12 {
+			class = core.ClassHigh
+		}
+		g.m.Record(&core.Item{Class: class, Complete: p})
 	}
 }
 

@@ -53,10 +53,10 @@ import (
 	"extsched/internal/stats"
 )
 
-// Class is a small-integer priority class. ClassHigh receives strict
-// preference under PriorityPolicy and separate metrics accounting;
-// every other value is treated as "low". WFQ accepts arbitrary Class
-// values, one virtual queue per distinct class.
+// Class is a small-integer priority class. PriorityPolicy gives
+// ClassHigh strict preference and treats every other value as "low";
+// WFQ keeps one virtual queue per distinct class. Metrics break
+// completions down per class, for any class value.
 type Class int
 
 const (
@@ -401,22 +401,20 @@ func sjfLess(a, b *Item) bool {
 	return a.seq < b.seq
 }
 
-// Metrics aggregates frontend measurements. Response times include
-// external queueing (the paper's definition).
+// Metrics is one windowed tally of completions: counts, response-time
+// accumulators overall and per class, and the inside / external-wait
+// split. Response times include external queueing (the paper's
+// definition). The frontend keeps one, and the scenario runner keeps
+// one per report scope; both fill it through Record.
 type Metrics struct {
 	Completed uint64
 	All       stats.Accumulator // response time, all classes
-	High      stats.Accumulator // response time, high class
-	Low       stats.Accumulator // response time, low class
 	Inside    stats.Accumulator // time inside the backend
 	ExtWait   stats.Accumulator // external queue wait
 	Restarts  uint64
-	// Classes carries one response-time accumulator per class that
-	// completed anything in the window, in ascending class-ID order —
-	// the N-tenant generalization of the High/Low pair above (which is
-	// kept so the historical two-class figures stay bit-identical).
-	// Exotic classes (outside the fast-path tracked range) appear here
-	// too; historically they were lumped into Low.
+	// Classes splits All by class: one response-time accumulator per
+	// class that completed anything in the window, in ascending
+	// class-ID order.
 	Classes    []ClassMetric
 	resetTime  float64
 	windowTime float64
@@ -446,35 +444,57 @@ func (m Metrics) ClassMetric(c Class) ClassMetric {
 	return ClassMetric{Class: c}
 }
 
-// MergeClassMetrics merges per-class accumulators from several Metrics
-// windows (e.g. the shards of a cluster) into one ascending-class-ID
-// slice — the per-class analogue of merging the All accumulators.
-func MergeClassMetrics(windows ...[]ClassMetric) []ClassMetric {
-	var out []ClassMetric
-	for _, w := range windows {
-		for _, cm := range w {
-			idx := -1
-			for i := range out {
-				if out[i].Class == cm.Class {
-					idx = i
-					break
-				}
-			}
-			if idx < 0 {
-				// Insert sorted by class ID.
-				i := 0
-				for i < len(out) && out[i].Class < cm.Class {
-					i++
-				}
-				out = append(out, ClassMetric{})
-				copy(out[i+1:], out[i:])
-				out[i] = cm
-				continue
-			}
-			out[idx].RT.Merge(&cm.RT)
-		}
+// Record adds one completed item to the window: its response time
+// (overall and under its class), its time inside the backend, its
+// external wait and its restarts.
+func (m *Metrics) Record(it *Item) {
+	rt := it.ResponseTime()
+	m.Completed++
+	m.All.Add(rt)
+	m.class(it.Class).Add(rt)
+	m.Inside.Add(it.Outcome.InsideTime)
+	m.ExtWait.Add(it.ExternalWait())
+	m.Restarts += uint64(it.Outcome.Restarts)
+}
+
+// Merge adds window o into m (parallel Welford merges, class by
+// class), e.g. to combine the shards of a cluster.
+func (m *Metrics) Merge(o *Metrics) {
+	m.Completed += o.Completed
+	m.Restarts += o.Restarts
+	m.All.Merge(&o.All)
+	m.Inside.Merge(&o.Inside)
+	m.ExtWait.Merge(&o.ExtWait)
+	for i := range o.Classes {
+		m.class(o.Classes[i].Class).Merge(&o.Classes[i].RT)
 	}
-	return out
+}
+
+// Reset empties the window. Classes keeps its storage, so a window
+// that sees no new class allocates nothing; a copy of m taken before
+// Reset shares that storage and must not be read after the next Record.
+func (m *Metrics) Reset() {
+	*m = Metrics{Classes: m.Classes[:0]}
+}
+
+// class returns class c's accumulator, inserting it in class-ID order
+// on first use.
+func (m *Metrics) class(c Class) *stats.Accumulator {
+	// Registered tenants are numbered densely from 0, so class c
+	// usually sits at index c.
+	if c >= 0 && int(c) < len(m.Classes) && m.Classes[c].Class == c {
+		return &m.Classes[c].RT
+	}
+	i := 0
+	for i < len(m.Classes) && m.Classes[i].Class < c {
+		i++
+	}
+	if i == len(m.Classes) || m.Classes[i].Class != c {
+		m.Classes = append(m.Classes, ClassMetric{})
+		copy(m.Classes[i+1:], m.Classes[i:])
+		m.Classes[i] = ClassMetric{Class: c}
+	}
+	return &m.Classes[i].RT
 }
 
 // WithWindow returns a copy of m whose Throughput is computed over the
@@ -615,12 +635,6 @@ type Frontend struct {
 	rtClass  map[Class]*stats.Reservoir
 	rtCap    int
 	rtSeed   uint64
-	// classAcc accumulates response times per class (any class ID, not
-	// just the tracked range — this is where exotic classes get correct
-	// accounting instead of being lumped into Low). Guarded by
-	// metricsMu; entries are inserted once per class, so the completion
-	// fast path stays allocation-free in steady state.
-	classAcc map[Class]*stats.Accumulator
 	// tenantMu guards the tenant registry, which is append-only:
 	// RegisterClass hands out sequential class IDs.
 	tenantMu sync.Mutex
@@ -851,27 +865,8 @@ func (f *Frontend) Shed() uint64 {
 	return f.shed
 }
 
-// ShedByClass returns class c's share of the shed count.
-func (f *Frontend) ShedByClass(c Class) uint64 {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shedClass[c]
-}
-
-// ShedCounts returns the total and high-class shed counts as one
-// consistent snapshot. Concurrent reporters must use this instead of
-// separate Shed/ShedByClass calls: a shed landing between two
-// separately-locked reads would make the derived low-class share
-// underflow.
-func (f *Frontend) ShedCounts() (total, high uint64) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.shed, f.shedClass[ClassHigh]
-}
-
 // ShedClasses returns a copy of the per-class shed counts as one
-// consistent snapshot (nil when nothing was shed) — the N-tenant
-// generalization of ShedCounts.
+// consistent snapshot (nil when nothing was shed).
 func (f *Frontend) ShedClasses() map[Class]uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -990,19 +985,9 @@ func (f *Frontend) Metrics() Metrics {
 	defer f.metricsMu.Unlock()
 	m := f.metrics
 	m.windowTime = f.clock.Now() - f.metrics.resetTime
-	if len(f.classAcc) > 0 {
-		m.Classes = make([]ClassMetric, 0, len(f.classAcc))
-		for c, acc := range f.classAcc {
-			cm := ClassMetric{Class: c, RT: *acc}
-			i := 0
-			for i < len(m.Classes) && m.Classes[i].Class < c {
-				i++
-			}
-			m.Classes = append(m.Classes, ClassMetric{})
-			copy(m.Classes[i+1:], m.Classes[i:])
-			m.Classes[i] = cm
-		}
-	}
+	// The window reuses its Classes storage after a reset, so the
+	// snapshot gets its own copy.
+	m.Classes = append([]ClassMetric(nil), m.Classes...)
 	return m
 }
 
@@ -1011,15 +996,13 @@ func (f *Frontend) Metrics() Metrics {
 func (f *Frontend) ResetMetrics() {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	f.metrics = Metrics{resetTime: f.clock.Now()}
+	f.metrics.Reset()
+	f.metrics.resetTime = f.clock.Now()
 	if f.rtSample != nil {
 		f.rtSample.Reset()
 	}
 	for _, r := range f.rtClass {
 		r.Reset()
-	}
-	for _, acc := range f.classAcc {
-		acc.Reset()
 	}
 }
 
@@ -1601,7 +1584,7 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 				it.Complete = f.clock.Now()
 				it.Outcome = o
 				f.classInside[c].Add(-1)
-				f.finishCompletion(it, o)
+				f.finishCompletion(it)
 				return
 			}
 		}
@@ -1617,7 +1600,7 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 	f.releaseSlot()
 	f.decClassLocked(it.Class)
 	f.mu.Unlock()
-	f.finishCompletion(it, o)
+	f.finishCompletion(it)
 	f.dispatch()
 }
 
@@ -1625,30 +1608,11 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 // delivers its callbacks. Shared by the fast and slow completion
 // paths; called WITHOUT f.mu held (metricsMu is taken here, and the
 // hooks may re-enter the frontend).
-func (f *Frontend) finishCompletion(it *Item, o Outcome) {
-	rt := it.ResponseTime()
+func (f *Frontend) finishCompletion(it *Item) {
 	f.metricsMu.Lock()
-	m := &f.metrics
-	m.Completed++
-	m.All.Add(rt)
-	if it.Class == ClassHigh {
-		m.High.Add(rt)
-	} else {
-		m.Low.Add(rt)
-	}
-	acc := f.classAcc[it.Class]
-	if acc == nil {
-		if f.classAcc == nil {
-			f.classAcc = make(map[Class]*stats.Accumulator)
-		}
-		acc = &stats.Accumulator{}
-		f.classAcc[it.Class] = acc
-	}
-	acc.Add(rt)
-	m.Inside.Add(o.InsideTime)
-	m.ExtWait.Add(it.ExternalWait())
-	m.Restarts += uint64(o.Restarts)
+	f.metrics.Record(it)
 	if f.rtSample != nil {
+		rt := it.ResponseTime()
 		f.rtSample.Add(rt)
 		f.classReservoirLocked(it.Class).Add(rt)
 	}

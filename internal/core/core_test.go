@@ -281,8 +281,8 @@ func TestPerClassMetrics(t *testing.T) {
 	submit(fe, 1.0, ClassLow)
 	eng.RunAll()
 	m := fe.Metrics()
-	if m.High.Count() != 1 || m.Low.Count() != 1 {
-		t.Errorf("class counts = %d/%d, want 1/1", m.High.Count(), m.Low.Count())
+	if high, low := m.ClassMetric(ClassHigh).Completed(), m.ClassMetric(ClassLow).Completed(); high != 1 || low != 1 {
+		t.Errorf("class counts = %d/%d, want 1/1", high, low)
 	}
 	if m.All.Count() != 2 {
 		t.Errorf("all count = %d, want 2", m.All.Count())

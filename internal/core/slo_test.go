@@ -52,9 +52,9 @@ func TestDeadlineExpiredNeverDispatches(t *testing.T) {
 	if len(shedHook) != 1 || shedHook[0] != victim {
 		t.Errorf("OnShed calls = %v, want exactly the victim", shedHook)
 	}
-	if fe.Shed() != 1 || fe.ShedByClass(ClassLow) != 1 || fe.ShedByClass(ClassHigh) != 0 {
+	if shed := fe.ShedClasses(); fe.Shed() != 1 || shed[ClassLow] != 1 || shed[ClassHigh] != 0 {
 		t.Errorf("shed counters = %d (low %d, high %d), want 1/1/0",
-			fe.Shed(), fe.ShedByClass(ClassLow), fe.ShedByClass(ClassHigh))
+			fe.Shed(), shed[ClassLow], shed[ClassHigh])
 	}
 	if got := fe.QueueLen(); got != 0 {
 		t.Errorf("QueueLen = %d after shed, want 0", got)

@@ -8,10 +8,8 @@ import (
 // TestExoticClassAccounting pins the bugfix for classes outside the
 // fast-path tracked range [0, trackedClasses): they always take the
 // slow path, and their completions must land in their own per-class
-// accumulator (historically they were lumped into the legacy Low
-// bucket with no per-class record at all). Conservation is checked per
-// class: everything submitted is either completed or shed, under its
-// own class ID.
+// accumulator. Conservation is checked per class: everything submitted
+// is either completed or shed, under its own class ID.
 func TestExoticClassAccounting(t *testing.T) {
 	eng, fe := rig(t, 2, nil)
 	classes := []Class{8, 200}
@@ -48,11 +46,6 @@ func TestExoticClassAccounting(t *testing.T) {
 			t.Fatalf("Classes not sorted: %v >= %v", m.Classes[i-1].Class, m.Classes[i].Class)
 		}
 	}
-	// The legacy two-class vocabulary still lumps exotics into Low —
-	// kept deliberately so old figures stay bit-identical.
-	if m.Low.Count() != 2*perClass+1 {
-		t.Errorf("legacy low count = %d, want %d", m.Low.Count(), 2*perClass+1)
-	}
 }
 
 // TestExoticClassShedConservation runs exotic classes under an
@@ -86,9 +79,8 @@ func TestExoticClassShedConservation(t *testing.T) {
 	if shedTotal == 0 {
 		t.Fatal("deadline shed nothing; the test needs a tighter setup")
 	}
-	total, _ := fe.ShedCounts()
-	if total != shedTotal {
-		t.Errorf("ShedCounts total = %d, want %d", total, shedTotal)
+	if total := fe.Shed(); total != shedTotal {
+		t.Errorf("Shed total = %d, want %d", total, shedTotal)
 	}
 	if m.Completed != completed {
 		t.Errorf("Completed = %d, want %d", m.Completed, completed)
@@ -152,23 +144,29 @@ func TestClassMetricsReset(t *testing.T) {
 }
 
 func TestMergeClassMetrics(t *testing.T) {
-	mk := func(c Class, vals ...float64) ClassMetric {
-		cm := ClassMetric{Class: c}
-		for _, v := range vals {
-			cm.RT.Add(v)
+	mk := func(rts map[Class][]float64) Metrics {
+		var m Metrics
+		for c, vals := range rts {
+			for _, v := range vals {
+				m.Record(&Item{Class: c, Complete: v})
+			}
 		}
-		return cm
+		return m
 	}
-	a := []ClassMetric{mk(0, 1, 2), mk(5, 10)}
-	b := []ClassMetric{mk(2, 3), mk(5, 20, 30)}
-	out := MergeClassMetrics(a, b)
-	if len(out) != 3 || out[0].Class != 0 || out[1].Class != 2 || out[2].Class != 5 {
-		t.Fatalf("merged classes = %+v", out)
+	out := mk(map[Class][]float64{0: {1, 2}, 5: {10}})
+	b := mk(map[Class][]float64{2: {3}, 5: {20, 30}})
+	out.Merge(&b)
+	if out.Completed != 6 || out.All.Count() != 6 {
+		t.Errorf("merged completed = %d (all %d), want 6", out.Completed, out.All.Count())
 	}
-	if out[2].Completed() != 3 {
-		t.Errorf("class 5 merged count = %d, want 3", out[2].Completed())
+	cls := out.Classes
+	if len(cls) != 3 || cls[0].Class != 0 || cls[1].Class != 2 || cls[2].Class != 5 {
+		t.Fatalf("merged classes = %+v", cls)
 	}
-	if math.Abs(out[2].RT.Mean()-20) > 1e-9 {
-		t.Errorf("class 5 merged mean = %v, want 20", out[2].RT.Mean())
+	if cls[2].Completed() != 3 {
+		t.Errorf("class 5 merged count = %d, want 3", cls[2].Completed())
+	}
+	if math.Abs(cls[2].RT.Mean()-20) > 1e-9 {
+		t.Errorf("class 5 merged mean = %v, want 20", cls[2].RT.Mean())
 	}
 }

@@ -240,15 +240,15 @@ func TestCompareInternalExternal(t *testing.T) {
 	}
 	internal := byVariant["internal"]
 	ext95 := byVariant["ext95"]
-	if internal.HighRT <= 0 || ext95.HighRT <= 0 {
+	if internal.High <= 0 || ext95.High <= 0 {
 		t.Fatal("missing results")
 	}
 	// Both must differentiate: high beats low.
-	if internal.LowRT <= internal.HighRT {
-		t.Errorf("internal: high %v not better than low %v", internal.HighRT, internal.LowRT)
+	if internal.Low <= internal.High {
+		t.Errorf("internal: high %v not better than low %v", internal.High, internal.Low)
 	}
-	if ext95.LowRT <= ext95.HighRT {
-		t.Errorf("ext95: high %v not better than low %v", ext95.HighRT, ext95.LowRT)
+	if ext95.Low <= ext95.High {
+		t.Errorf("ext95: high %v not better than low %v", ext95.High, ext95.Low)
 	}
 }
 

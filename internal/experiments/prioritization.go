@@ -68,32 +68,36 @@ func FindMPLForLoss(setup workload.Setup, baselineTput, lossFrac float64, maxMPL
 	return mpl, nil
 }
 
+// highClass and lowClass are the two-class workloads' IDs in a
+// report's per-class breakdown.
+const highClass, lowClass = int(core.ClassHigh), int(core.ClassLow)
+
 // PrioritizationResult is one setup's external-prioritization outcome.
 type PrioritizationResult struct {
 	SetupID  int
 	MPL      int
-	HighRT   float64 // mean response time, high-priority class
-	LowRT    float64
+	High     float64 // mean response time of the high-priority class (s)
+	Low      float64 // mean response time of the low-priority class (s)
 	NoPrioRT float64 // overall mean RT without any external scheduling
 	AllRT    float64 // overall mean RT with priorities at this MPL
 	Baseline float64 // no-MPL throughput
 	Tput     float64 // throughput at this MPL
 }
 
-// Differentiation returns LowRT / HighRT, the paper's headline factor.
+// Differentiation returns Low / High, the paper's headline factor.
 func (p PrioritizationResult) Differentiation() float64 {
-	if p.HighRT == 0 {
+	if p.High == 0 {
 		return 0
 	}
-	return p.LowRT / p.HighRT
+	return p.Low / p.High
 }
 
-// LowPenalty returns LowRT / NoPrioRT, the low class's suffering.
+// LowPenalty returns Low / NoPrioRT, the low class's suffering.
 func (p PrioritizationResult) LowPenalty() float64 {
 	if p.NoPrioRT == 0 {
 		return 0
 	}
-	return p.LowRT / p.NoPrioRT
+	return p.Low / p.NoPrioRT
 }
 
 // OverallPenalty returns AllRT / NoPrioRT.
@@ -126,8 +130,8 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	return PrioritizationResult{
 		SetupID:  setupID,
 		MPL:      mpl,
-		HighRT:   prio.HighRT,
-		LowRT:    prio.LowRT,
+		High:     prio.Class(highClass).MeanRT,
+		Low:      prio.Class(lowClass).MeanRT,
 		NoPrioRT: base.MeanRT,
 		AllRT:    prio.MeanRT,
 		Baseline: base.Throughput,
@@ -169,9 +173,9 @@ func Figure11(lossFrac float64, setupIDs []int, opts RunOpts) (*Figure, error) {
 		r := results[i]
 		x := float64(id)
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, r.HighRT)
+		high.Y = append(high.Y, r.High)
 		low.X = append(low.X, x)
-		low.Y = append(low.Y, r.LowRT)
+		low.Y = append(low.Y, r.Low)
 		noPrio.X = append(noPrio.X, x)
 		noPrio.Y = append(noPrio.Y, r.NoPrioRT)
 		mplS.X = append(mplS.X, x)
@@ -191,9 +195,9 @@ func Figure11(lossFrac float64, setupIDs []int, opts RunOpts) (*Figure, error) {
 
 // InternalComparison is one bar group of Figs. 12-13.
 type InternalComparison struct {
-	Variant string // "internal", "ext95", "ext80", "ext100"
-	HighRT  float64
-	LowRT   float64
+	Variant string  // "internal", "ext95", "ext80", "ext100"
+	High    float64 // mean response time of the high-priority class (s)
+	Low     float64 // mean response time of the low-priority class (s)
 	MeanRT  float64
 	MPL     int // 0 for internal (no external limit)
 }
@@ -239,8 +243,8 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 			}
 			return InternalComparison{
 				Variant: "internal",
-				HighRT:  internal.HighRT,
-				LowRT:   internal.LowRT,
+				High:    internal.Class(highClass).MeanRT,
+				Low:     internal.Class(lowClass).MeanRT,
 				MeanRT:  internal.MeanRT,
 			}, nil
 		}
@@ -255,8 +259,8 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 		}
 		return InternalComparison{
 			Variant: v.name,
-			HighRT:  r.HighRT,
-			LowRT:   r.LowRT,
+			High:    r.Class(highClass).MeanRT,
+			Low:     r.Class(lowClass).MeanRT,
 			MeanRT:  r.MeanRT,
 			MPL:     mpl,
 		}, nil
@@ -285,9 +289,9 @@ func FigureInternal(setupID int, opts RunOpts) (*Figure, error) {
 	for i, c := range comps {
 		x := float64(i)
 		high.X = append(high.X, x)
-		high.Y = append(high.Y, c.HighRT)
+		high.Y = append(high.Y, c.High)
 		low.X = append(low.X, x)
-		low.Y = append(low.Y, c.LowRT)
+		low.Y = append(low.Y, c.Low)
 		mean.X = append(mean.X, x)
 		mean.Y = append(mean.Y, c.MeanRT)
 		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s (MPL %d)", i, c.Variant, c.MPL))

@@ -216,13 +216,14 @@ func TestPriorityClassesConservation(t *testing.T) {
 	arrive(n)
 	eng.RunAll()
 	m := fe.Metrics()
-	pHigh := float64(m.High.Count()) / float64(m.All.Count())
-	weighted := pHigh*m.High.Mean() + (1-pHigh)*m.Low.Mean()
+	high, low := m.ClassMetric(core.ClassHigh).RT, m.ClassMetric(core.ClassLow).RT
+	pHigh := float64(high.Count()) / float64(m.All.Count())
+	weighted := pHigh*high.Mean() + (1-pHigh)*low.Mean()
 	if math.Abs(weighted-m.All.Mean())/m.All.Mean() > 1e-9 {
 		t.Errorf("class-weighted RT %v != overall %v", weighted, m.All.Mean())
 	}
-	if m.High.Mean() >= m.Low.Mean() {
-		t.Errorf("high class RT %v should beat low %v under priority", m.High.Mean(), m.Low.Mean())
+	if high.Mean() >= low.Mean() {
+		t.Errorf("high class RT %v should beat low %v under priority", high.Mean(), low.Mean())
 	}
 }
 

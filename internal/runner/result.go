@@ -14,8 +14,6 @@ type Report struct {
 	Completed     uint64
 	Throughput    float64 // transactions/second
 	MeanRT        float64 // overall mean response time (s)
-	HighRT        float64 // high-priority class mean RT (s)
-	LowRT         float64 // mean RT of every class but high (s)
 	MeanInside    float64 // mean time inside the DBMS (s)
 	ExternalW     float64 // mean external queue wait (s)
 	Restarts      uint64  // abort/restart cycles observed
@@ -27,8 +25,6 @@ type Report struct {
 	Preemptions   uint64
 	Dropped       uint64  // admission-control rejections (queue-limit mode)
 	Shed          uint64  // deadline-missed rejections (admission deadlines)
-	ShedHigh      uint64  // high-class share of Shed
-	ShedLow       uint64  // the rest of Shed
 	Failed        uint64  // txns terminally lost to shard failures
 	Resubmitted   uint64  // logical txns re-routed to a survivor at least once
 	Retries       uint64  // resubmission events (one txn can retry several times)
@@ -37,7 +33,20 @@ type Report struct {
 	LowP95        float64 // p95 of every class but high (percentile sampling mode)
 	// Classes is the per-tenant breakdown of the window, in ascending
 	// class-ID order: one entry per class that completed or shed work.
+	// Class looks one up by ID.
 	Classes []ClassResult
+}
+
+// Class finds the entry for a class ID (zero value when the class
+// neither completed nor shed work in the window). The two-class
+// workloads' high class is ID 1, their low class ID 0.
+func (r Report) Class(id int) ClassResult {
+	for _, c := range r.Classes {
+		if c.Class == id {
+			return c
+		}
+	}
+	return ClassResult{}
 }
 
 // ClassResult is one tenant class's slice of a Report window.
@@ -101,7 +110,7 @@ type TuneResult struct {
 // SLOResult reports a latency-SLO-controlled run (Stack.SLO, or any
 // scenario with a SetSLO event).
 type SLOResult struct {
-	// Class is the protected class ("high" or "low").
+	// Class names the protected class as the SLO spec resolved it.
 	Class string
 	// SLOLimit / OtherLimit are the final slot partition; they sum to
 	// the final MPL.

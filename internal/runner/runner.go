@@ -25,6 +25,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"extsched/internal/autoscale"
@@ -188,50 +189,6 @@ func utilDelta(aBusy, bBusy, at, bt float64) float64 {
 	return (bBusy - aBusy) / (bt - at)
 }
 
-// acc accumulates completions for one window scope.
-type acc struct {
-	completed                       uint64
-	all, high, low, inside, extwait stats.Accumulator
-	restarts                        uint64
-	// classes accumulates response times per tenant class (lazily: nil
-	// until the first completion, one entry per distinct class seen).
-	classes map[core.Class]*stats.Accumulator
-}
-
-func (a *acc) observe(t *dbfe.Txn) {
-	a.completed++
-	rt := t.Item.ResponseTime()
-	a.all.Add(rt)
-	if t.Item.Class == core.ClassHigh {
-		a.high.Add(rt)
-	} else {
-		a.low.Add(rt)
-	}
-	ca := a.classes[t.Item.Class]
-	if ca == nil {
-		if a.classes == nil {
-			a.classes = make(map[core.Class]*stats.Accumulator)
-		}
-		ca = &stats.Accumulator{}
-		a.classes[t.Item.Class] = ca
-	}
-	ca.Add(rt)
-	a.inside.Add(t.Item.Outcome.InsideTime)
-	a.extwait.Add(t.Item.ExternalWait())
-	a.restarts += uint64(t.Item.Outcome.Restarts)
-}
-
-func (a *acc) reset() {
-	classes := a.classes
-	*a = acc{}
-	// Keep the map (reset in place) so steady-state windows allocate
-	// nothing per interval.
-	for _, ca := range classes {
-		ca.Reset()
-	}
-	a.classes = classes
-}
-
 // className resolves a class's display name: the scenario's tenants
 // block first, then the stack's registered names, then the unsharded
 // frontend's tenant registry.
@@ -249,38 +206,31 @@ func (r *run) className(c core.Class) string {
 }
 
 // activeClasses lists, ascending, every class that completed work in
-// a or shed work between the marks.
-func activeClasses(a *acc, from, to mark) []core.Class {
-	ids := make(map[core.Class]struct{}, len(a.classes))
-	for c, ca := range a.classes {
-		if ca.Count() > 0 {
-			ids[c] = struct{}{}
-		}
+// m or shed work between the marks.
+func activeClasses(m *core.Metrics, from, to mark) []core.Class {
+	classes := make([]core.Class, 0, len(m.Classes))
+	for _, cm := range m.Classes {
+		classes = append(classes, cm.Class)
 	}
 	for c, n := range to.shedClass {
-		if n > from.shedClass[c] {
-			ids[c] = struct{}{}
+		if n > from.shedClass[c] && m.ClassMetric(c).Completed() == 0 {
+			classes = append(classes, c)
 		}
 	}
-	classes := make([]core.Class, 0, len(ids))
-	for c := range ids {
-		classes = append(classes, c)
-	}
-	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	slices.Sort(classes)
 	return classes
 }
 
 // classStat is class c's slice of one window; withP95 adds the
 // run-so-far per-class percentile when percentile sampling is on.
-func (r *run) classStat(a *acc, from, to mark, c core.Class, withP95 bool) metrics.ClassStat {
+func (r *run) classStat(m *core.Metrics, from, to mark, c core.Class, withP95 bool) metrics.ClassStat {
+	cm := m.ClassMetric(c)
 	cs := metrics.ClassStat{
-		Class: int(c),
-		Name:  r.className(c),
-		Shed:  to.shedClass[c] - from.shedClass[c],
-	}
-	if ca := a.classes[c]; ca != nil {
-		cs.Completed = uint64(ca.Count())
-		cs.Mean = ca.Mean()
+		Class:     int(c),
+		Name:      r.className(c),
+		Completed: cm.Completed(),
+		Shed:      to.shedClass[c] - from.shedClass[c],
+		Mean:      cm.RT.Mean(),
 	}
 	if rv := r.resClass[c]; rv != nil && withP95 {
 		cs.P95 = rv.Percentile(95)
@@ -288,33 +238,29 @@ func (r *run) classStat(a *acc, from, to mark, c core.Class, withP95 bool) metri
 	return cs
 }
 
-// fill sets the Report fields an accumulator scope determines.
-func (a *acc) fill(rep *Report, window float64) {
+// fill sets the Report fields a completion tally determines.
+func fill(rep *Report, m *core.Metrics, window float64) {
 	rep.SimSeconds = window
-	rep.Completed = a.completed
+	rep.Completed = m.Completed
 	if window > 0 {
-		rep.Throughput = float64(a.completed) / window
+		rep.Throughput = float64(m.Completed) / window
 	}
-	rep.MeanRT = a.all.Mean()
-	rep.HighRT = a.high.Mean()
-	rep.LowRT = a.low.Mean()
-	rep.MeanInside = a.inside.Mean()
-	rep.ExternalW = a.extwait.Mean()
-	rep.DemandC2 = a.inside.C2()
-	rep.Restarts = a.restarts
+	rep.MeanRT = m.All.Mean()
+	rep.MeanInside = m.Inside.Mean()
+	rep.ExternalW = m.ExtWait.Mean()
+	rep.DemandC2 = m.Inside.C2()
+	rep.Restarts = m.Restarts
 }
 
-// report assembles a Report from an accumulator scope and its opening
+// report assembles a Report from a completion tally and its opening
 // mark. A whole-run report carries the run-so-far percentiles; a
 // phase slice has no reservoirs of its own.
-func (r *run) report(a *acc, from mark, whole bool) Report {
+func (r *run) report(m *core.Metrics, from mark, whole bool) Report {
 	to := takeMark(r.st)
 	var rep Report
-	a.fill(&rep, to.t-from.t)
+	fill(&rep, m, to.t-from.t)
 	rep.Dropped = to.dropped - from.dropped
 	rep.Shed = to.shed - from.shed
-	rep.ShedHigh = to.shedClass[core.ClassHigh] - from.shedClass[core.ClassHigh]
-	rep.ShedLow = rep.Shed - rep.ShedHigh
 	rep.LockWaits = to.waits - from.waits
 	rep.Deadlocks = to.dl - from.dl
 	rep.Preemptions = to.preempt - from.preempt
@@ -330,8 +276,8 @@ func (r *run) report(a *acc, from mark, whole bool) Report {
 		rep.HighP95 = r.resHigh.Percentile(95)
 		rep.LowP95 = r.resLow.Percentile(95)
 	}
-	for _, c := range activeClasses(a, from, to) {
-		cs := r.classStat(a, from, to, c, whole)
+	for _, c := range activeClasses(m, from, to) {
+		cs := r.classStat(m, from, to, c, whole)
 		rep.Classes = append(rep.Classes, ClassResult{
 			Class: cs.Class, Name: cs.Name, Completed: cs.Completed, Shed: cs.Shed, MeanRT: cs.Mean, P95: cs.P95,
 		})
@@ -405,12 +351,15 @@ type run struct {
 	out Result
 
 	measuring bool
-	total     acc
-	phase     acc
-	window    acc
-	res       *stats.Reservoir
-	// resHigh / resLow sample response times per class (run-so-far,
-	// like res) for the HighP95/LowP95 report and snapshot fields.
+	// total, phase and window tally the completions of the whole
+	// measurement window, the current phase and the current snapshot
+	// interval.
+	total, phase, window core.Metrics
+
+	res *stats.Reservoir
+	// resHigh / resLow sample response times of class 1 and of every
+	// other class (run-so-far, like res) for Report.HighP95/LowP95, on
+	// RNG streams 37/41 that the gated p95 figures depend on.
 	resHigh, resLow *stats.Reservoir
 	// resClass samples response times per tenant class (run-so-far) for
 	// the per-class P95 report and snapshot fields. Lazily built, one
@@ -421,7 +370,7 @@ type run struct {
 	// shardTotal / winShard split the window per shard (sharded stacks
 	// only): whole-window accumulators for Result.Shards, and
 	// per-interval completion counts for Snapshot.Shards.
-	shardTotal []acc
+	shardTotal []core.Metrics
 	winShard   []uint64
 	// shardP95 tracks each shard's own response-time p95 with a P²
 	// estimator — five markers per shard instead of a full reservoir,
@@ -455,17 +404,17 @@ type run struct {
 // shard is 0 for single-backend stacks.
 func (r *run) onComplete(shard int, t *dbfe.Txn) {
 	if r.measuring {
-		r.total.observe(t)
-		r.phase.observe(t)
-		r.window.observe(t)
+		r.total.Record(&t.Item)
+		r.phase.Record(&t.Item)
+		r.window.Record(&t.Item)
 		if r.shardTotal != nil {
 			// A shard_add event can grow the fleet past the slices sized
 			// at run start.
 			for shard >= len(r.shardTotal) {
-				r.shardTotal = append(r.shardTotal, acc{})
+				r.shardTotal = append(r.shardTotal, core.Metrics{})
 				r.winShard = append(r.winShard, 0)
 			}
-			r.shardTotal[shard].observe(t)
+			r.shardTotal[shard].Record(&t.Item)
 			r.winShard[shard]++
 			if r.shardP95 != nil {
 				for shard >= len(r.shardP95) {
@@ -575,7 +524,7 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 		if err := c.SetRecovery(st.Eng, rp); err != nil {
 			return Result{}, err
 		}
-		r.shardTotal = make([]acc, c.NumShards())
+		r.shardTotal = make([]core.Metrics, c.NumShards())
 		r.winShard = make([]uint64, c.NumShards())
 		if st.PercentileSamples > 0 {
 			r.shardP95 = make([]*stats.P2, c.NumShards())
@@ -643,7 +592,7 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 			Kind:   ph.Kind,
 			Report: r.report(&r.phase, r.phaseMark, false),
 		})
-		r.phase.reset()
+		r.phase.Reset()
 		r.phaseMark = takeMark(st)
 		if stopped {
 			break
@@ -865,7 +814,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 	if r.st.Cluster != nil {
 		return fmt.Errorf("runner: SLO control on a sharded system is not supported")
 	}
-	class, err := spec.class()
+	class, name, err := r.sc.sloClass(r.st.ClassNames, spec)
 	if err != nil {
 		return err
 	}
@@ -891,10 +840,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 	if err != nil {
 		return err
 	}
-	r.out.SLO = &SLOResult{Class: "high"}
-	if class == core.ClassLow {
-		r.out.SLO.Class = "low"
-	}
+	r.out.SLO = &SLOResult{Class: name}
 	return nil
 }
 
@@ -1257,11 +1203,11 @@ func (r *run) shardReports() []ShardResult {
 	out := make([]ShardResult, c.NumShards())
 	for i, sh := range c.Shards() {
 		sr := ShardResult{Shard: i, Speed: sh.Speed, State: c.State(i).String()}
-		a := &acc{}
+		var m core.Metrics
 		if i < len(r.shardTotal) {
-			a = &r.shardTotal[i]
+			m = r.shardTotal[i]
 		}
-		a.fill(&sr.Report, to.t-from.t)
+		fill(&sr.Report, &m, to.t-from.t)
 		if i < len(r.shardP95) && r.shardP95[i].Count() > 0 {
 			sr.P95 = r.shardP95[i].Quantile()
 		}
@@ -1375,7 +1321,7 @@ func (r *run) emitSnapshot(ph *Phase) {
 	st := r.st
 	gate := st.Gate()
 	to := takeMark(st)
-	w := r.window
+	w := &r.window
 	s := metrics.Snapshot{
 		Time:         to.t,
 		Window:       to.t - r.winMark.t,
@@ -1383,11 +1329,11 @@ func (r *run) emitSnapshot(ph *Phase) {
 		Limit:        gate.MPL(),
 		Inflight:     gate.Inside(),
 		Queued:       gate.QueueLen(),
-		Completed:    w.completed,
-		MeanResponse: w.all.Mean(),
-		MeanWait:     w.extwait.Mean(),
-		MeanInside:   w.inside.Mean(),
-		Restarts:     w.restarts,
+		Completed:    w.Completed,
+		MeanResponse: w.All.Mean(),
+		MeanWait:     w.ExtWait.Mean(),
+		MeanInside:   w.Inside.Mean(),
+		Restarts:     w.Restarts,
 		Dropped:      to.dropped - r.winMark.dropped,
 		Canceled:     to.canceled - r.winMark.canceled,
 		Shed:         to.shed - r.winMark.shed,
@@ -1421,6 +1367,6 @@ func (r *run) emitSnapshot(ph *Phase) {
 		o.OnInterval(s)
 	}
 	r.out.Snapshots = append(r.out.Snapshots, s)
-	r.window.reset()
+	r.window.Reset()
 	r.winMark = to
 }

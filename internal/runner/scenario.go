@@ -144,15 +144,18 @@ type ShardSpeedEvent struct {
 }
 
 // SLOSpec configures the per-class latency-SLO controller: it
-// partitions the MPL across the two priority classes (work-conserving
-// — unused slots are lent across the partition) and steers the split
-// so the protected class's response-time percentile stays at or below
-// Target, leaving every remaining slot to the other class's
-// throughput. Pair it with admission deadlines to shed un-startable
-// work under overload; the partition shapes contention, the deadline
-// bounds the backlog.
+// partitions the MPL between the protected class and one other class
+// (work-conserving — unused slots are lent across the partition) and
+// steers the split so the protected class's response-time percentile
+// stays at or below Target, leaving every remaining slot to the other
+// class's throughput. The other class is "low" (class 0), or "high"
+// (class 1) when class 0 is the protected one. Pair it with admission
+// deadlines to shed un-startable work under overload; the partition
+// shapes contention, the deadline bounds the backlog.
 type SLOSpec struct {
-	// Class is the protected class: "high" (default) or "low".
+	// Class names the protected class like every tenant-keyed field:
+	// a tenants-block name, a registered name, or "high" (the default)
+	// or "low".
 	Class string `json:"class,omitempty"`
 	// Percentile is the controlled response-time percentile (0 = 95).
 	Percentile float64 `json:"percentile,omitempty"`
@@ -171,24 +174,8 @@ type SLOSpec struct {
 // tenants block: the paper's high- and low-priority classes.
 var builtinClasses = map[string]core.Class{"high": core.ClassHigh, "low": core.ClassLow}
 
-// class resolves the protected class ("" means high).
-func (s SLOSpec) class() (core.Class, error) {
-	name := s.Class
-	if name == "" {
-		name = "high"
-	}
-	c, ok := builtinClasses[name]
-	if !ok {
-		return 0, fmt.Errorf("runner: unknown SLO class %q (want high or low)", s.Class)
-	}
-	return c, nil
-}
-
 // Validate checks an SLOSpec's standalone fields.
 func (s SLOSpec) Validate() error {
-	if _, err := s.class(); err != nil {
-		return err
-	}
 	if !finite(s.Target, s.Percentile, s.Margin) {
 		return fmt.Errorf("runner: SLO parameters must be finite")
 	}
@@ -527,6 +514,17 @@ func (sc *Scenario) classOf(registered map[core.Class]string, name string) (core
 	return 0, fmt.Errorf("runner: unknown tenant %q (not in the tenants block, not registered, not high or low)", name)
 }
 
+// sloClass resolves an SLO's protected class through classOf ("" means
+// "high") and returns it with the name it resolved.
+func (sc *Scenario) sloClass(registered map[core.Class]string, s SLOSpec) (core.Class, string, error) {
+	name := s.Class
+	if name == "" {
+		name = "high"
+	}
+	c, err := sc.classOf(registered, name)
+	return c, name, err
+}
+
 // fairnessWeights resolves a fairness spec to per-class weights: every
 // tenant of the block at its declared weight, then the spec's Weights
 // by name on top.
@@ -628,6 +626,11 @@ func (sc *Scenario) validate(st *Stack) error {
 	}
 	if err := sc.validateTenants(); err != nil {
 		return err
+	}
+	if st != nil && st.SLO != nil {
+		if _, _, err := sc.sloClass(registered, *st.SLO); err != nil {
+			return fmt.Errorf("runner: slo class: %w", err)
+		}
 	}
 	// The feedback and fairness controllers actuate from inside the
 	// per-completion observation path; replayed at parallel window
@@ -852,6 +855,9 @@ func (sc *Scenario) validateEvent(registered map[core.Class]string, ev *Event) e
 	if ev.SetSLO != nil {
 		if err := ev.SetSLO.Validate(); err != nil {
 			return err
+		}
+		if _, _, err := sc.sloClass(registered, *ev.SetSLO); err != nil {
+			return fmt.Errorf("set_slo class: %w", err)
 		}
 	}
 	for _, sh := range shardTargets(ev) {

@@ -3,6 +3,7 @@ package extsched
 import (
 	"context"
 	"encoding/json"
+	"fmt"
 	"math"
 	"reflect"
 	"strings"
@@ -172,8 +173,8 @@ func TestScenarioWFQWeightEvent(t *testing.T) {
 		t.Fatal(err)
 	}
 	even, skewed := res.Phases[0], res.Phases[1]
-	rEven := even.LowRT / even.HighRT
-	rSkewed := skewed.LowRT / skewed.HighRT
+	rEven := even.Class(0).MeanRT / even.Class(1).MeanRT
+	rSkewed := skewed.Class(0).MeanRT / skewed.Class(1).MeanRT
 	if rSkewed <= rEven {
 		t.Errorf("raising the high-class weight should widen differentiation: %v -> %v", rEven, rSkewed)
 	}
@@ -473,13 +474,10 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 		t.Errorf("observer received %d snapshots, want >= 10", len(obs1.Snapshots))
 	}
 	// The burst overload must actually shed low-class work, and the
-	// shed counters must be consistent in both the totals and the
-	// snapshot deltas.
-	if r1.Total.Shed == 0 || r1.Total.ShedLow == 0 {
+	// shed totals must match the snapshot deltas (the per-class split
+	// is TestClassBreakdownConservation's).
+	if r1.Total.Shed == 0 || r1.Total.Class(0).Shed == 0 {
 		t.Errorf("burst shed nothing: %+v", r1.Total)
-	}
-	if r1.Total.Shed != r1.Total.ShedHigh+r1.Total.ShedLow {
-		t.Errorf("shed split %d+%d != total %d", r1.Total.ShedHigh, r1.Total.ShedLow, r1.Total.Shed)
 	}
 	var snapShed uint64
 	for _, s := range obs1.Snapshots {
@@ -664,5 +662,79 @@ func TestChurnScenarioRerunBitIdentical(t *testing.T) {
 	}
 	if !sawDown {
 		t.Error("no snapshot caught the victim in the down state")
+	}
+}
+
+// TestClassBreakdownConservation: the per-class breakdown partitions
+// its window. For the whole-run report, every phase report and every
+// snapshot of the fingerprint scenarios, the classes' completions and
+// sheds sum to the window's, and their completion-weighted mean
+// response time is the window's mean.
+func TestClassBreakdownConservation(t *testing.T) {
+	type class struct {
+		completed, shed uint64
+		mean            float64
+	}
+	check := func(t *testing.T, what string, completed, shed uint64, mean float64, classes []class) {
+		t.Helper()
+		var n, s uint64
+		var sum float64
+		for _, c := range classes {
+			n += c.completed
+			s += c.shed
+			sum += float64(c.completed) * c.mean
+		}
+		if n != completed {
+			t.Errorf("%s: class completions sum to %d, want %d", what, n, completed)
+		}
+		if s != shed {
+			t.Errorf("%s: class sheds sum to %d, want %d", what, s, shed)
+		}
+		if completed > 0 {
+			if got := sum / float64(completed); math.Abs(got-mean) > 1e-9*mean {
+				t.Errorf("%s: completion-weighted class mean %v, want %v", what, got, mean)
+			}
+		}
+	}
+	checkReport := func(t *testing.T, what string, r Report) {
+		t.Helper()
+		classes := make([]class, len(r.Classes))
+		for i, c := range r.Classes {
+			classes[i] = class{c.Completed, c.Shed, c.MeanRT}
+		}
+		check(t, what, r.Completed, r.Shed, r.MeanRT, classes)
+	}
+
+	cases := parallelFingerprints()
+	cases = append(cases, parallelFingerprint{
+		name: "tenants",
+		cfg:  Config{SetupID: 1, MPL: 8, PercentileSamples: 2000, Seed: 13},
+		sc:   tenantScenario(),
+	})
+	for _, fp := range cases {
+		t.Run(fp.name, func(t *testing.T) {
+			sys, err := NewSystem(fp.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sys.Run(context.Background(), fp.sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Total.Completed == 0 || len(res.Snapshots) == 0 {
+				t.Fatalf("empty run: %d completions, %d snapshots", res.Total.Completed, len(res.Snapshots))
+			}
+			checkReport(t, "total", res.Total)
+			for _, ph := range res.Phases {
+				checkReport(t, "phase "+ph.Name, ph.Report)
+			}
+			for _, s := range res.Snapshots {
+				classes := make([]class, len(s.Classes))
+				for i, c := range s.Classes {
+					classes[i] = class{c.Completed, c.Shed, c.Mean}
+				}
+				check(t, fmt.Sprintf("snapshot at %v", s.Time), s.Completed, s.Shed, s.MeanResponse, classes)
+			}
+		})
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"extsched/metrics"
 )
 
 // tenantScenario is the N-tenant acceptance scenario: four weighted
@@ -217,5 +219,76 @@ func TestRemovedTwoClassEventsRejected(t *testing.T) {
 		if _, err := ParseScenario(wrap(replacement)); err != nil {
 			t.Errorf("replacement %s rejected: %v", replacement, err)
 		}
+	}
+}
+
+// TestSLOOnNamedTenant: an SLO's class resolves like every other
+// tenant-keyed field. A set_slo event and a Config.SLO naming a tenant
+// of the tenants block both run and report that tenant; an unknown
+// name is refused before the run starts.
+func TestSLOOnNamedTenant(t *testing.T) {
+	scenario := func(slo *SLOSpec) Scenario {
+		ph := Phase{Kind: PhaseOpen, Lambda: 60, Duration: 40}
+		if slo != nil {
+			ph.Events = []Event{{SetSLO: slo}}
+		}
+		return Scenario{
+			Warmup:         5,
+			SampleInterval: 10,
+			Tenants: []TenantSpec{
+				{Name: "batch", Share: 0.6},
+				{Name: "web", Share: 0.3},
+				{Name: "api", Share: 0.1},
+			},
+			Phases: []Phase{ph},
+		}
+	}
+	const mpl = 8
+	checkSLO := func(t *testing.T, res Result) {
+		t.Helper()
+		s := res.SLO
+		if s == nil {
+			t.Fatal("Result.SLO nil with an SLO armed")
+		}
+		if s.Class != "api" || s.Iterations == 0 || s.SLOLimit+s.OtherLimit != mpl {
+			t.Errorf("SLO on tenant api: %+v", *s)
+		}
+	}
+
+	sys, err := NewSystem(Config{SetupID: 1, MPL: mpl, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(context.Background(), scenario(&SLOSpec{Class: "api", Target: 0.3}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkSLO(t, res)
+
+	cfgSys, err := NewSystem(Config{SetupID: 1, MPL: mpl, Seed: 7, SLO: &SLOSpec{Class: "api", Target: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = cfgSys.Run(context.Background(), scenario(nil)); err != nil {
+		t.Fatal(err)
+	}
+	checkSLO(t, res)
+
+	// Unknown names: the event is rejected by validation alone, and a
+	// Config.SLO by Run before any snapshot is taken.
+	bad := scenario(&SLOSpec{Class: "gold", Target: 0.3})
+	if err := bad.Validate(); err == nil || !strings.Contains(err.Error(), `"gold"`) {
+		t.Errorf("set_slo on an unknown tenant: Validate error %v", err)
+	}
+	badSys, err := NewSystem(Config{SetupID: 1, MPL: mpl, Seed: 7, SLO: &SLOSpec{Class: "gold", Target: 0.3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var obs metrics.Collector
+	if _, err := badSys.Run(context.Background(), scenario(nil), &obs); err == nil || !strings.Contains(err.Error(), `"gold"`) {
+		t.Errorf("Config.SLO on an unknown tenant: Run error %v", err)
+	}
+	if len(obs.Snapshots) != 0 {
+		t.Errorf("run started before rejecting the SLO class: %d snapshots", len(obs.Snapshots))
 	}
 }
