@@ -411,8 +411,9 @@ func measure() ([]Metric, error) {
 
 	// DBMS model layers: once their free lists are warm, a lock
 	// request on a cold key, a CPU burst and a disk I/O allocate
-	// nothing, and a whole simulated transaction allocates only its
-	// profile and the frontend's per-transaction record.
+	// nothing, and so does a whole simulated transaction once the
+	// frontend's records and the generator's profiles recycle (what
+	// remains is mostly the lock table's map upkeep on cold keys).
 	lockAllocs, cpuAllocs, diskAllocs := modelLayerAllocs()
 	add("lockmgr/acquire_release_cold/allocs_op", "allocs", lockAllocs)
 	add("cpusched/submit_complete/allocs_op", "allocs", cpuAllocs)

@@ -54,6 +54,7 @@ func New(capacity int) *Pool {
 		capacity: capacity,
 		head:     -1,
 		tail:     -1,
+		nodes:    make([]lruNode, 0, capacity),
 		pages:    make(map[uint64]int32, capacity),
 		dirty:    make(map[uint64]struct{}),
 	}

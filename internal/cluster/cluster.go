@@ -181,6 +181,8 @@ type Dispatcher struct {
 	scratch []Load
 	// routed counts arrivals routed to each shard (drops excluded).
 	routed []uint64
+	// shardWin is MetricsInto's scratch copy of one shard's window.
+	shardWin core.Metrics
 	// OnComplete, if set, observes every completion with the index of
 	// the shard that executed it. Set before traffic flows.
 	OnComplete func(shard int, t *dbfe.Txn)
@@ -611,19 +613,19 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// Metrics aggregates the shards' metrics windows into one cluster-wide
-// view (parallel Welford merges; the window length is shard 0's, since
-// all shards share one clock and reset together).
-func (d *Dispatcher) Metrics() core.Metrics {
-	var out core.Metrics
+// MetricsInto aggregates the shards' metrics windows into one
+// cluster-wide view in m, reusing its Classes storage (parallel Welford
+// merges; the window length is shard 0's, since all shards share one
+// clock and reset together).
+func (d *Dispatcher) MetricsInto(m *core.Metrics) {
+	m.Reset()
 	for i := range d.shards {
-		m := d.shards[i].FE.Metrics()
-		out.Merge(&m)
+		d.shards[i].FE.MetricsInto(&d.shardWin)
+		m.Merge(&d.shardWin)
 		if i == 0 {
-			out = out.WithWindow(m.Window())
+			*m = m.WithWindow(d.shardWin.Window())
 		}
 	}
-	return out
 }
 
 // ShedClasses aggregates the shards' per-class shed counts (nil when

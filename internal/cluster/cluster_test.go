@@ -279,7 +279,8 @@ func runDispatcherProperty(t *testing.T, seed int64) {
 	if total != key {
 		t.Fatalf("seed %d: %d submitted, %d completed after drain", seed, key, total)
 	}
-	m := d.Metrics()
+	var m core.Metrics
+	d.MetricsInto(&m)
 	if m.Completed != total {
 		t.Fatalf("seed %d: aggregate metrics report %d completions, want %d", seed, m.Completed, total)
 	}

@@ -153,9 +153,16 @@ func (d *Dispatcher) shardIdle(i int) bool {
 // the hooks buffer into shard i's mailbox at the member clock's
 // current time; outside windows they fall through to the sequential
 // inline behavior (all clocks equal, coordinator goroutine only).
+//
+// Member-side hooks never retire a txn, since the buffered message
+// still refers to it: the frontend defers retirement, and the
+// coordinator retires a committed or shed txn after its last hook body
+// ran, inline or in replay. Free lists are thus touched only on the
+// coordinator, where txns are also built.
 func (d *Dispatcher) installParHooks(i int) {
 	fe := d.shards[i].FE
 	meng := d.shards[i].Eng
+	fe.DeferRetire()
 	d.doneFn[i] = func(t *dbfe.Txn) {
 		if !d.par.inWindow {
 			d.settle(i, t.Item.SizeHint)
@@ -172,6 +179,7 @@ func (d *Dispatcher) installParHooks(i int) {
 				d.OnComplete(i, t)
 			}
 			d.maybeFinishDrain(i)
+			fe.Retire(t)
 			return
 		}
 		d.par.boxes[i] = append(d.par.boxes[i], parMsg{at: meng.Now(), kind: parComplete, t: t, empty: d.shardIdle(i)})
@@ -190,6 +198,7 @@ func (d *Dispatcher) installParHooks(i int) {
 	fe.OnShed = func(t *dbfe.Txn) {
 		if !d.par.inWindow {
 			d.maybeFinishDrain(i)
+			fe.Retire(t)
 			return
 		}
 		d.par.boxes[i] = append(d.par.boxes[i], parMsg{at: meng.Now(), kind: parShed, t: t, empty: d.shardIdle(i)})
@@ -282,6 +291,7 @@ func (d *Dispatcher) replay(i int, m parMsg) {
 			d.OnComplete(i, m.t)
 		}
 		d.maybeFinishDrainIdle(i, m.empty)
+		d.shards[i].FE.Retire(m.t)
 	case parDrop:
 		d.settle(i, m.t.Item.SizeHint)
 		d.routed[i]--
@@ -290,6 +300,7 @@ func (d *Dispatcher) replay(i int, m parMsg) {
 		}
 	case parShed:
 		d.maybeFinishDrainIdle(i, m.empty)
+		d.shards[i].FE.Retire(m.t)
 	}
 }
 

@@ -53,8 +53,9 @@ type Gate interface {
 	MPL() int
 	// SetMPL changes the limit (the reaction phase's actuator).
 	SetMPL(int)
-	// Metrics snapshots the current observation window.
-	Metrics() core.Metrics
+	// MetricsInto copies the current observation window into m,
+	// reusing m's storage.
+	MetricsInto(m *core.Metrics)
 	// ResetMetrics starts a fresh observation window.
 	ResetMetrics()
 	// QueueLen and Inside report instantaneous load (for the
@@ -214,6 +215,8 @@ type Controller struct {
 	// CI gates the throughput estimate.
 	interCompletion stats.Accumulator
 	lastCompletion  float64
+	// win is Observe's copy of the gate's window, reused across calls.
+	win core.Metrics
 }
 
 // New builds a controller over g and opens its first observation
@@ -269,7 +272,8 @@ func (c *Controller) Observe() {
 		c.interCompletion.Add(now - c.lastCompletion)
 	}
 	c.lastCompletion = now
-	m := c.gate.Metrics()
+	c.gate.MetricsInto(&c.win)
+	m := &c.win
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}
@@ -289,7 +293,7 @@ func (c *Controller) Observe() {
 		c.resetWindow()
 		return
 	}
-	c.react(m)
+	c.react(*m)
 	c.resetWindow()
 }
 

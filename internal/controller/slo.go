@@ -128,6 +128,8 @@ type SLOController struct {
 	// percentile over the last closed window.
 	iterations   int
 	lastMeasured float64
+	// win is Observe's copy of the gate's window, reused across calls.
+	win core.Metrics
 }
 
 // NewSLO builds an SLO controller over g and installs the initial
@@ -222,7 +224,8 @@ func (c *SLOController) Limits() (slo, other int) {
 func (c *SLOController) Observe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.gate.Metrics()
+	c.gate.MetricsInto(&c.win)
+	m := &c.win
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}

@@ -22,8 +22,8 @@ func (g *fakeClassGate) MPL() int      { return g.mpl }
 func (g *fakeClassGate) SetMPL(n int)  { g.mpl = n }
 func (g *fakeClassGate) QueueLen() int { return 1 }
 func (g *fakeClassGate) Inside() int   { return g.mpl }
-func (g *fakeClassGate) Metrics() core.Metrics {
-	return g.m
+func (g *fakeClassGate) MetricsInto(m *core.Metrics) {
+	*m = g.m
 }
 func (g *fakeClassGate) ResetMetrics() { g.resets++ }
 func (g *fakeClassGate) SetClassLimits(l map[core.Class]int) {

@@ -981,14 +981,21 @@ func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
 
 // Metrics returns a snapshot of the metrics window.
 func (f *Frontend) Metrics() Metrics {
+	var m Metrics
+	f.MetricsInto(&m)
+	return m
+}
+
+// MetricsInto copies the metrics window into m, reusing m's Classes
+// storage, so a control loop that reads the window on every completion
+// allocates nothing once its Classes has grown to the class count.
+func (f *Frontend) MetricsInto(m *Metrics) {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	m := f.metrics
+	classes := append(m.Classes[:0], f.metrics.Classes...)
+	*m = f.metrics
+	m.Classes = classes
 	m.windowTime = f.clock.Now() - f.metrics.resetTime
-	// The window reuses its Classes storage after a reset, so the
-	// snapshot gets its own copy.
-	m.Classes = append([]ClassMetric(nil), m.Classes...)
-	return m
 }
 
 // ResetMetrics starts a fresh measurement window (e.g. after warmup,

@@ -9,10 +9,15 @@
 // live-traffic binding): both are thin Backends over the same core
 // frontend, which is what makes sim-vs-live parity claims meaningful.
 //
-// The binding adds no allocations on the per-transaction fast path
-// beyond the seed implementation: one Txn per submission (the
-// core.Item is embedded in it) and one completion closure per
-// dispatch, exactly as before the core refactor.
+// In steady state a transaction allocates nothing here. Each frontend
+// keeps a free list of Txn records (the core.Item is embedded in each,
+// and each binds its DBMS completion once). A record is retired — put
+// back on the list, its profile handed back to the generator that drew
+// it — exactly once, after the last completion or shed hook for it
+// returns. A txn that was failed, doomed or resubmitted is never
+// retired, so a dead shard's late DBMS events can still read its
+// profile; a dropped txn is never retired either. Callers must not
+// keep a committed or shed *Txn past its hooks.
 package dbfe
 
 import (
@@ -41,13 +46,20 @@ type Txn struct {
 	// wrapper, not the submitter's). dbfe itself never calls it.
 	UserCB func(*Txn)
 	done   func(*Txn)
-	// executing is set when the gate admits the txn into the DBMS;
-	// settled when it leaves the frontend for good (commit, shed, or
-	// fault). doomed suppresses the late DBMS completion of a txn that
-	// was in flight when its shard died (the simulated DBMS has no
-	// cancel API, so the execution events still fire — the completion
-	// callback just ignores them).
-	executing, settled, doomed bool
+	// fe owns the record's free list; onResult is the DBMS completion
+	// (dbmsDone), bound once when the record is first allocated.
+	fe       *Frontend
+	onResult func(dbms.Result)
+	// prev/next link the txn into fe's live list while it is
+	// outstanding (queued or executing); linked marks membership.
+	prev, next *Txn
+	linked     bool
+	// executing is set when the gate admits the txn into the DBMS.
+	// doomed suppresses the late DBMS completion of a txn that was in
+	// flight when its shard died (the simulated DBMS has no cancel API,
+	// so the execution events still fire — the completion callback just
+	// ignores them). retired marks a record on the free list.
+	executing, doomed, retired bool
 	// presetArrival/arrivalAt carry an arrival-timestamp override for
 	// deferred deliveries: a recovery resubmit keeps its original
 	// arrival so the reported latency spans the outage, but when the
@@ -84,14 +96,16 @@ func (t *Txn) ExternalWait() float64 { return t.Item.ExternalWait() }
 // Metrics, SetQueueLimit, EnablePercentiles, …) are available directly.
 type Frontend struct {
 	*core.Frontend
-	db *dbms.DB
-	// live is the insertion-ordered registry of outstanding (queued or
-	// executing) transactions — what Fail walks to withdraw every piece
-	// of work a dying shard holds. Settled entries are removed lazily.
-	// Maintained only on the simulation goroutine (like the hooks).
-	live      []*Txn
-	deadLive  int
-	failedNow []*Txn // scratch for Fail
+	// head/tail is the submission-ordered intrusive list of outstanding
+	// (queued or executing) transactions — what Fail walks to withdraw
+	// every piece of work a dying shard holds. A txn leaves it in O(1)
+	// when it settles. Maintained only on the simulation goroutine
+	// (like the hooks).
+	head, tail *Txn
+	// free holds retired records for reuse. It is touched only where
+	// txns are built and retired (see DeferRetire).
+	free        []*Txn
+	deferRetire bool
 	// OnComplete, if set, observes every committed transaction (used by
 	// drivers for closed-loop clients and by controller wiring).
 	OnComplete func(*Txn)
@@ -107,36 +121,39 @@ type Frontend struct {
 // backend executes admitted items on the simulated DBMS.
 type backend struct {
 	db *dbms.DB
-	fe *core.Frontend
 }
 
 func (b *backend) Exec(it *core.Item) {
 	t := it.Payload.(*Txn)
 	t.executing = true
-	b.db.Exec(t.Profile, func(r dbms.Result) {
-		if t.doomed {
-			// The shard died while this txn was in flight; the loss was
-			// already accounted by FailDispatched, so the simulated
-			// DBMS's late completion must not reach the gate.
-			return
-		}
-		t.Result = r
-		b.fe.Complete(it, core.Outcome{InsideTime: r.InsideTime, Restarts: r.Restarts})
-	})
+	b.db.Exec(t.Profile, t.onResult)
+}
+
+// dbmsDone is the DBMS completion of t's execution.
+func (t *Txn) dbmsDone(r dbms.Result) {
+	if t.doomed {
+		// The shard died while this txn was in flight; the loss was
+		// already accounted by FailDispatched, so the simulated DBMS's
+		// late completion must not reach the gate.
+		return
+	}
+	t.Result = r
+	t.fe.Frontend.Complete(&t.Item, core.Outcome{InsideTime: r.InsideTime, Restarts: r.Restarts})
 }
 
 // New builds a frontend over db with the given MPL (0 = unlimited) and
 // policy (nil = FIFO), on the engine's virtual clock.
 func New(eng *sim.Engine, db *dbms.DB, mpl int, policy core.Policy) *Frontend {
-	f := &Frontend{db: db}
-	be := &backend{db: db}
-	f.Frontend = core.New(eng.Clock(), be, mpl, policy)
-	be.fe = f.Frontend
+	f := &Frontend{}
+	f.Frontend = core.New(eng.Clock(), &backend{db: db}, mpl, policy)
 	f.Frontend.OnComplete = func(it *core.Item) {
 		t := it.Payload.(*Txn)
 		f.settle(t)
 		if f.OnComplete != nil {
 			f.OnComplete(t)
+		}
+		if !f.deferRetire {
+			f.Retire(t)
 		}
 	}
 	f.Frontend.OnDrop = func(it *core.Item) {
@@ -150,32 +167,66 @@ func New(eng *sim.Engine, db *dbms.DB, mpl int, policy core.Policy) *Frontend {
 		if f.OnShed != nil {
 			f.OnShed(t)
 		}
+		if !f.deferRetire {
+			f.Retire(t)
+		}
 	}
 	return f
 }
 
-// settle marks t as gone from the outstanding registry; entries are
-// purged lazily once enough accumulate.
-func (f *Frontend) settle(t *Txn) {
-	if t.settled {
+// DeferRetire hands retirement to the caller: the frontend's hooks no
+// longer retire committed and shed txns, and the caller calls Retire
+// once the last hook for each has run. The parallel cluster dispatcher
+// needs it, because its member-side hooks only buffer the txn for a
+// later replay on the coordinator.
+func (f *Frontend) DeferRetire() { f.deferRetire = true }
+
+// Retire puts t back on the free list and hands its profile back to
+// the generator that drew it. Call it once t has committed or been
+// shed and the last hook for it has returned (failed and doomed txns
+// fire no hooks, so they never get here). A resubmitted txn shares its
+// profile with a failed one a dead shard may still execute, so it is
+// left to the garbage collector, as are records of other frontends.
+func (f *Frontend) Retire(t *Txn) {
+	if t.fe != f || t.retired || t.Attempts > 0 {
 		return
 	}
-	t.settled = true
-	f.deadLive++
-	if f.deadLive >= 64 && f.deadLive*2 >= len(f.live) {
-		kept := 0
-		for _, lt := range f.live {
-			if !lt.settled {
-				f.live[kept] = lt
-				kept++
-			}
-		}
-		for i := kept; i < len(f.live); i++ {
-			f.live[i] = nil
-		}
-		f.live = f.live[:kept]
-		f.deadLive = 0
+	if p := t.Profile; p.Owner != nil {
+		p.Owner.Recycle(p)
 	}
+	t.retired = true
+	t.Profile, t.UserCB, t.done = dbms.TxnProfile{}, nil, nil
+	f.free = append(f.free, t)
+}
+
+// link appends t to the live list.
+func (f *Frontend) link(t *Txn) {
+	t.prev, t.next, t.linked = f.tail, nil, true
+	if f.tail != nil {
+		f.tail.next = t
+	} else {
+		f.head = t
+	}
+	f.tail = t
+}
+
+// settle takes t off the live list: it has left the frontend for good
+// (commit, shed, or fault).
+func (f *Frontend) settle(t *Txn) {
+	if !t.linked {
+		return
+	}
+	if t.prev != nil {
+		t.prev.next = t.next
+	} else {
+		f.head = t.next
+	}
+	if t.next != nil {
+		t.next.prev = t.prev
+	} else {
+		f.tail = t.prev
+	}
+	t.prev, t.next, t.linked = nil, nil, false
 }
 
 // Fail simulates the shard behind this frontend crashing: every
@@ -190,29 +241,20 @@ func (f *Frontend) settle(t *Txn) {
 func (f *Frontend) Fail() []*Txn {
 	// Withdraw queued work first: failing an in-flight txn frees a slot
 	// and refills from the queue, which must find nothing live to admit
-	// into the dead DBMS.
-	for _, t := range f.live {
-		if t.settled {
-			continue
-		}
+	// into the dead DBMS. No hook fires here, so the list holds still.
+	for t := f.head; t != nil; t = t.next {
 		f.Frontend.FailQueued(&t.Item)
 	}
-	for _, t := range f.live {
-		if t.settled || !t.executing || t.Item.WasFailed() {
-			continue
+	var out []*Txn
+	for t := f.head; t != nil; t = t.next {
+		if t.executing && !t.Item.WasFailed() {
+			t.doomed = true
+			f.Frontend.FailDispatched(&t.Item)
 		}
-		t.doomed = true
-		f.Frontend.FailDispatched(&t.Item)
-	}
-	f.failedNow = f.failedNow[:0]
-	for _, t := range f.live {
-		if !t.settled && t.Item.WasFailed() {
-			f.failedNow = append(f.failedNow, t)
+		if t.Item.WasFailed() {
+			out = append(out, t)
 		}
 	}
-	out := make([]*Txn, len(f.failedNow))
-	copy(out, f.failedNow)
-	// Settle after collecting: settle may compact f.live in place.
 	for _, t := range out {
 		f.settle(t)
 	}
@@ -235,7 +277,8 @@ func (f *Frontend) Submit(profile dbms.TxnProfile) *Txn {
 // by closed-loop drivers to cycle their client). cb runs before the
 // frontend-wide OnComplete hook. Under a queue limit (admission-
 // control mode) the transaction may be rejected: it is returned with
-// no callbacks scheduled and counted in Dropped.
+// no callbacks scheduled and counted in Dropped. A committed or shed
+// txn is reused once its hooks return, so do not keep the pointer.
 func (f *Frontend) SubmitCB(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
 	t := f.NewTxn(profile, cb)
 	f.Deliver(t)
@@ -243,13 +286,24 @@ func (f *Frontend) SubmitCB(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
 }
 
 // NewTxn builds the transaction record for profile — class, size hint,
-// payload back-pointer, completion callback — WITHOUT submitting it.
+// payload back-pointer, completion callback — WITHOUT submitting it,
+// reusing a retired record when the free list has one.
 // It is the construction half of SubmitCB, split out for deferred
 // delivery: a parallel run's dispatcher must hand the caller a Txn
 // synchronously at routing time while the actual Submit happens later
 // as an event on the shard's own engine.
 func (f *Frontend) NewTxn(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
-	t := &Txn{Profile: profile, done: cb}
+	var t *Txn
+	if n := len(f.free); n > 0 {
+		t = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+		*t = Txn{fe: f, onResult: t.onResult}
+	} else {
+		t = &Txn{fe: f}
+		t.onResult = t.dbmsDone
+	}
+	t.Profile, t.done = profile, cb
 	it := &t.Item
 	it.Class = core.Class(profile.Class)
 	it.SizeHint = profile.EstimatedDemand
@@ -270,6 +324,6 @@ func (f *Frontend) Deliver(t *Txn) {
 		t.Item.Arrival = t.arrivalAt
 	}
 	if admitted {
-		f.live = append(f.live, t)
+		f.link(t)
 	}
 }

@@ -73,6 +73,17 @@ type TxnProfile struct {
 	// estimate (seconds); used by size-based external policies (SJF)
 	// and by C² accounting. Zero when unknown.
 	EstimatedDemand float64
+	// Owner, when non-nil, drew the profile and takes its memory back
+	// once the transaction that ran it is retired (see package dbfe).
+	// Replayed and hand-built profiles leave it nil and are never
+	// reused. A drawn profile must be submitted at most once.
+	Owner Recycler
+}
+
+// Recycler takes back the memory of a profile it drew, for reuse by a
+// later draw.
+type Recycler interface {
+	Recycle(TxnProfile)
 }
 
 // Result reports a committed transaction.

@@ -38,9 +38,9 @@ type Gate interface {
 	// SetStrictPartition switches the partition between
 	// work-conserving and hard-cap (see core.Frontend).
 	SetStrictPartition(bool)
-	// Metrics returns the current observation window's per-class
-	// completion counts.
-	Metrics() core.Metrics
+	// MetricsInto copies the current observation window (its per-class
+	// completion counts) into m, reusing m's storage.
+	MetricsInto(m *core.Metrics)
 	// ResetMetrics opens a fresh observation window.
 	ResetMetrics()
 }
@@ -142,6 +142,8 @@ type Controller struct {
 	limits  map[core.Class]int
 	// iterations counts reactions; moves those that moved a slot.
 	iterations, moves int
+	// win is Observe's copy of the gate's window, reused across calls.
+	win core.Metrics
 }
 
 // New builds a fairness controller over g and installs the initial
@@ -229,7 +231,8 @@ func (c *Controller) Moves() int {
 func (c *Controller) Observe() {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	m := c.gate.Metrics()
+	c.gate.MetricsInto(&c.win)
+	m := &c.win
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
 	}

@@ -21,7 +21,7 @@ type fakeGate struct {
 
 func (g *fakeGate) MPL() int                            { return g.mpl }
 func (g *fakeGate) SetClassLimits(l map[core.Class]int) { g.limits = l }
-func (g *fakeGate) Metrics() core.Metrics               { return g.m }
+func (g *fakeGate) MetricsInto(m *core.Metrics)         { *m = g.m }
 func (g *fakeGate) ResetMetrics()                       { g.m = core.Metrics{} }
 func (g *fakeGate) SetStrictPartition(strict bool)      { g.strict = strict }
 

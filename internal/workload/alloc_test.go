@@ -50,3 +50,64 @@ func TestProfilesStayImmutable(t *testing.T) {
 		}
 	}
 }
+
+// TestRecycledNextAllocsNothing checks the recycling contract: once a
+// drawn profile is handed back, a later draw of its shape reuses its
+// memory, so a draw-retire cycle allocates nothing — for every Table 1
+// workload and for a tenant mix with size scaling — and a recycled
+// draw equals what a never-recycling generator of the same seed draws.
+func TestRecycledNextAllocsNothing(t *testing.T) {
+	type gens struct {
+		name       string
+		rec, fresh *Generator
+	}
+	var all []gens
+	for _, spec := range Table1() {
+		a, err := NewGenerator(spec, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := NewGenerator(spec, 5)
+		all = append(all, gens{spec.Name, a, b})
+	}
+	mix := []TenantMix{
+		{Class: 0, Share: 0.5},
+		{Class: 1, Share: 0.3, SizeMean: 2, SizeC2: 4},
+		{Class: 2, Share: 0.2, SizeMean: 0.5},
+	}
+	a, _ := NewGenerator(WCPUInventory(), 5)
+	b, _ := NewGenerator(WCPUInventory(), 5)
+	if err := a.SetMix(mix); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.SetMix(mix); err != nil {
+		t.Fatal(err)
+	}
+	all = append(all, gens{"tenant mix", a, b})
+
+	for _, g := range all {
+		// Warm every shape's free list, checking each recycled draw
+		// against the fresh generator's.
+		p := g.rec.Next()
+		for i := 0; i < 5000; i++ {
+			q := g.fresh.Next()
+			if p.Class != q.Class || p.EstimatedDemand != q.EstimatedDemand || len(p.Ops) != len(q.Ops) {
+				t.Fatalf("%s draw %d: recycled profile differs from a fresh one", g.name, i)
+			}
+			for k := range p.Ops {
+				x, y := p.Ops[k], q.Ops[k]
+				if x.Key != y.Key || x.Write != y.Write || x.CPUWork != y.CPUWork || !slices.Equal(x.Pages, y.Pages) {
+					t.Fatalf("%s draw %d op %d: recycled %+v, fresh %+v", g.name, i, k, x, y)
+				}
+			}
+			p.Owner.Recycle(p)
+			p = g.rec.Next()
+		}
+		if n := testing.AllocsPerRun(500, func() {
+			p.Owner.Recycle(p)
+			p = g.rec.Next()
+		}); n != 0 {
+			t.Errorf("%s: a draw after retirement allocates %v, want 0", g.name, n)
+		}
+	}
+}

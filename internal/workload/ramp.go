@@ -29,6 +29,7 @@ type RampDriver struct {
 	paused   bool
 	pending  sim.Handle
 	arrived  uint64
+	fire     func() // arrive, bound once
 }
 
 // NewRampDriver builds a driver ramping from `from` to `to` arrivals
@@ -41,12 +42,14 @@ func NewRampDriver(eng *sim.Engine, fe Sink, gen *Generator, from, to, duration 
 	if duration <= 0 {
 		panic(fmt.Sprintf("workload: ramp duration %v must be positive", duration))
 	}
-	return &RampDriver{
+	d := &RampDriver{
 		eng: eng, fe: fe, gen: gen,
 		from: from, to: to, duration: duration,
 		peak: math.Max(from, to),
 		rng:  sim.NewRNG(gen.rng.Uint64(), 17),
 	}
+	d.fire = d.arrive
+	return d
 }
 
 // Rate returns the target arrival rate at absolute engine time t.
@@ -100,17 +103,20 @@ func (d *RampDriver) next() {
 	if d.stopped || d.paused {
 		return
 	}
-	d.pending = d.eng.After(d.rng.ExpFloat64()/d.peak, func() {
-		if d.stopped || d.paused {
-			return
-		}
-		// Thinning: accept the candidate with probability rate/peak.
-		if d.rng.Float64()*d.peak <= d.Rate(d.eng.Now()) {
-			d.arrived++
-			d.fe.Submit(d.gen.Next())
-		}
-		d.next()
-	})
+	d.pending = d.eng.After(d.rng.ExpFloat64()/d.peak, d.fire)
+}
+
+// arrive is the candidate-arrival event.
+func (d *RampDriver) arrive() {
+	if d.stopped || d.paused {
+		return
+	}
+	// Thinning: accept the candidate with probability rate/peak.
+	if d.rng.Float64()*d.peak <= d.Rate(d.eng.Now()) {
+		d.arrived++
+		d.fe.Submit(d.gen.Next())
+	}
+	d.next()
 }
 
 // BurstDriver submits transactions as a two-state Markov-modulated
@@ -137,6 +143,7 @@ type BurstDriver struct {
 	paused  bool
 	pending sim.Handle
 	arrived uint64
+	fire    func() // arrive, bound once
 }
 
 // NewBurstDriver builds an MMPP-2 driver around mean rate lambda with
@@ -154,12 +161,14 @@ func NewBurstDriver(eng *sim.Engine, fe Sink, gen *Generator, lambda, factor, pe
 	seed := gen.rng.Uint64()
 	// Normalize so (hi+lo)/2 == lambda with hi/lo == factor².
 	f2 := factor * factor
-	return &BurstDriver{
+	d := &BurstDriver{
 		eng: eng, fe: fe, gen: gen,
 		hi: 2 * lambda * f2 / (f2 + 1), lo: 2 * lambda / (f2 + 1), period: period,
 		rng:    sim.NewRNG(seed, 19),
 		modRng: sim.NewRNG(seed, 29),
 	}
+	d.fire = d.arrive
+	return d
 }
 
 // Start enters the "on" state at the engine's current time and
@@ -214,14 +223,17 @@ func (d *BurstDriver) next() {
 	if d.stopped || d.paused {
 		return
 	}
-	d.pending = d.eng.After(d.rng.ExpFloat64()/d.hi, func() {
-		if d.stopped || d.paused {
-			return
-		}
-		if d.rng.Float64()*d.hi <= d.rate(d.eng.Now()) {
-			d.arrived++
-			d.fe.Submit(d.gen.Next())
-		}
-		d.next()
-	})
+	d.pending = d.eng.After(d.rng.ExpFloat64()/d.hi, d.fire)
+}
+
+// arrive is the candidate-arrival event.
+func (d *BurstDriver) arrive() {
+	if d.stopped || d.paused {
+		return
+	}
+	if d.rng.Float64()*d.hi <= d.rate(d.eng.Now()) {
+		d.arrived++
+		d.fe.Submit(d.gen.Next())
+	}
+	d.next()
 }

@@ -37,6 +37,7 @@ type TraceDriver struct {
 	// twice as fast, stressing the system at twice the traced load).
 	// Set it before Start.
 	Speedup float64
+	fire    func() // arrive, bound once
 }
 
 // NewTraceDriver validates the trace and returns a replayer.
@@ -47,7 +48,9 @@ func NewTraceDriver(eng *sim.Engine, fe Sink, tr *trace.Trace) (*TraceDriver, er
 	if err := tr.Validate(); err != nil {
 		return nil, err
 	}
-	return &TraceDriver{eng: eng, fe: fe, tr: tr, Speedup: 1}, nil
+	d := &TraceDriver{eng: eng, fe: fe, tr: tr, Speedup: 1}
+	d.fire = d.arrive
+	return d, nil
 }
 
 // Start schedules the first record's arrival. The trace's first arrival
@@ -110,7 +113,8 @@ func (d *TraceDriver) schedule() {
 	d.pending = d.eng.At(at, d.fire)
 }
 
-func (d *TraceDriver) fire() {
+// arrive is the record-arrival event.
+func (d *TraceDriver) arrive() {
 	if d.stopped || d.paused {
 		return
 	}

@@ -32,6 +32,7 @@ type ShapedDriver struct {
 	paused                         bool
 	pending                        sim.Handle
 	arrived                        uint64
+	fire                           func() // arrive, bound once
 }
 
 // ShapedConfig parameterizes a ShapedDriver.
@@ -73,13 +74,15 @@ func NewShapedDriver(eng *sim.Engine, fe Sink, gen *Generator, cfg ShapedConfig)
 		ff = 1
 	}
 	peak := cfg.Base * (1 + cfg.Amp) * ff
-	return &ShapedDriver{
+	d := &ShapedDriver{
 		eng: eng, fe: fe, gen: gen,
 		base: cfg.Base, amp: cfg.Amp, period: cfg.Period,
 		flashFactor: ff, flashAt: cfg.FlashAt, flashDur: cfg.FlashDuration,
 		peak: peak,
 		rng:  sim.NewRNG(gen.rng.Uint64(), 23),
 	}
+	d.fire = d.arrive
+	return d
 }
 
 // Rate returns the target arrival rate at absolute engine time t.
@@ -132,14 +135,17 @@ func (d *ShapedDriver) next() {
 	if d.stopped || d.paused {
 		return
 	}
-	d.pending = d.eng.After(d.rng.ExpFloat64()/d.peak, func() {
-		if d.stopped || d.paused {
-			return
-		}
-		if d.rng.Float64()*d.peak <= d.Rate(d.eng.Now()) {
-			d.arrived++
-			d.fe.Submit(d.gen.Next())
-		}
-		d.next()
-	})
+	d.pending = d.eng.After(d.rng.ExpFloat64()/d.peak, d.fire)
+}
+
+// arrive is the candidate-arrival event.
+func (d *ShapedDriver) arrive() {
+	if d.stopped || d.paused {
+		return
+	}
+	if d.rng.Float64()*d.peak <= d.Rate(d.eng.Now()) {
+		d.arrived++
+		d.fe.Submit(d.gen.Next())
+	}
+	d.next()
 }

@@ -155,6 +155,11 @@ type Generator struct {
 	mix     []TenantMix
 	mixCum  []float64
 	mixSize []dist.Distribution
+	// shape maps a type index to the free list its profiles share:
+	// the index of the first type with the same (Ops, PagesPerOp).
+	// free holds the operations of retired profiles by that index.
+	shape []int
+	free  [][][]dbms.Op
 }
 
 // NewGenerator validates the spec and returns a deterministic
@@ -171,12 +176,38 @@ func NewGenerator(spec Spec, seed uint64) (*Generator, error) {
 		missEst:  spec.MissRatio(),
 	}
 	total := 0.0
-	for _, t := range spec.Types {
+	g.shape = make([]int, len(spec.Types))
+	g.free = make([][][]dbms.Op, len(spec.Types))
+	for i, t := range spec.Types {
 		total += t.Prob
 		g.cum = append(g.cum, total)
+		g.shape[i] = g.shapeOf(t.Ops, t.PagesPerOp)
 	}
 	g.cum[len(g.cum)-1] = 1
 	return g, nil
+}
+
+// shapeOf returns the index of the first type whose profiles have ops
+// operations of pages pages each, or -1.
+func (g *Generator) shapeOf(ops, pages int) int {
+	for i, t := range g.Spec.Types {
+		if t.Ops == ops && t.PagesPerOp == pages {
+			return i
+		}
+	}
+	return -1
+}
+
+// Recycle takes back a profile this generator drew, once the
+// transaction that ran it is retired: a later draw of the same shape
+// rewrites its operations and pages in place.
+func (g *Generator) Recycle(p dbms.TxnProfile) {
+	if p.Owner != g {
+		return
+	}
+	if s := g.shapeOf(len(p.Ops), len(p.Ops[0].Pages)); s >= 0 {
+		g.free[s] = append(g.free[s], p.Ops)
+	}
 }
 
 // Next draws a profile, tagging it High with probability HighFrac —
@@ -193,7 +224,11 @@ func (g *Generator) Next() dbms.TxnProfile {
 	return g.NextWithClass(class)
 }
 
-// NextWithClass draws a profile with a fixed class.
+// NextWithClass draws a profile with a fixed class. The profile's
+// memory stays the generator's: it is never touched again until dbfe
+// retires the transaction that ran it and hands it back (Recycle), and
+// only then may a later draw reuse it. A profile that is never handed
+// back stays immutable.
 func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 	u := g.rng.Float64()
 	ti := len(g.Spec.Types) - 1
@@ -204,13 +239,23 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 		}
 	}
 	tt := g.Spec.Types[ti]
-	// A profile is two allocations: its operations and one slab of
-	// page numbers, which each operation views through a 3-index
-	// subslice. Profiles are immutable once returned (churn resubmits
-	// a profile to another shard while the aborted copy may still read
-	// it), so neither is ever reused.
-	ops := make([]dbms.Op, tt.Ops)
-	slab := make([]uint64, tt.Ops*tt.PagesPerOp)
+	// A fresh profile is two allocations: its operations and one slab
+	// of page numbers, which each operation views through a 3-index
+	// subslice. A recycled one of the same shape is rewritten in place
+	// through those same capped views.
+	var ops []dbms.Op
+	if fl := g.free[g.shape[ti]]; len(fl) > 0 {
+		ops = fl[len(fl)-1]
+		fl[len(fl)-1] = nil
+		g.free[g.shape[ti]] = fl[:len(fl)-1]
+	} else {
+		ops = make([]dbms.Op, tt.Ops)
+		slab := make([]uint64, tt.Ops*tt.PagesPerOp)
+		for i := range ops {
+			lo := i * tt.PagesPerOp
+			ops[i].Pages = slab[lo : lo+tt.PagesPerOp : lo+tt.PagesPerOp]
+		}
+	}
 	demand := 0.0
 	for i := range ops {
 		if g.rng.Float64() < tt.HotKeyProb && g.Spec.HotLockKeys > 0 {
@@ -221,8 +266,7 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 			g.coldSeq++
 			ops[i].Key = 1<<32 + g.coldSeq
 		}
-		lo := i * tt.PagesPerOp
-		pages := slab[lo : lo+tt.PagesPerOp : lo+tt.PagesPerOp]
+		pages := ops[i].Pages
 		for p := range pages {
 			pages[p] = g.pattern.Sample(g.rng)
 		}
@@ -230,7 +274,6 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 		demand += cpu + float64(len(pages))*g.missEst*g.Spec.DiskService.Mean()
 		ops[i].Write = g.rng.Float64() < tt.WriteFrac
 		ops[i].CPUWork = cpu
-		ops[i].Pages = pages
 	}
 	// Under CanonicalKeyOrder, assign lock keys in ascending order
 	// across the transaction's operations: contention (queueing on hot
@@ -245,13 +288,15 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 			}
 		}
 	}
-	return dbms.TxnProfile{Ops: ops, Class: class, EstimatedDemand: demand}
+	return dbms.TxnProfile{Ops: ops, Class: class, EstimatedDemand: demand, Owner: g}
 }
 
 // Sink accepts generated transactions: the single-backend frontend
 // (dbfe.Frontend) and the sharded cluster dispatcher
 // (cluster.Dispatcher) both satisfy it, which is what lets one driver
 // implementation feed either a lone DBMS or a whole fleet of shards.
+// A committed or shed txn is reused once its hooks return (see dbfe),
+// so a submitter must not keep the returned pointer past them.
 type Sink interface {
 	// Submit delivers a transaction for execution.
 	Submit(dbms.TxnProfile) *dbfe.Txn
@@ -297,6 +342,10 @@ type ClosedDriver struct {
 	// parked counts clients that completed a transaction while paused;
 	// Resume restarts exactly these.
 	parked int
+	// onDone and cycleFn are the client callbacks, bound once so a
+	// cycle allocates no closure.
+	onDone  func(*dbfe.Txn)
+	cycleFn func()
 }
 
 // NewClosedDriver builds a driver with the given client count and
@@ -308,7 +357,9 @@ func NewClosedDriver(eng *sim.Engine, fe Sink, gen *Generator, clients int, thin
 	if think == nil {
 		think = dist.NewDeterministic(0)
 	}
-	return &ClosedDriver{eng: eng, fe: fe, gen: gen, clients: clients, think: think, rng: sim.NewRNG(gen.rng.Uint64(), 9)}
+	d := &ClosedDriver{eng: eng, fe: fe, gen: gen, clients: clients, think: think, rng: sim.NewRNG(gen.rng.Uint64(), 9)}
+	d.onDone, d.cycleFn = d.done, d.cycle
+	return d
 }
 
 // Start launches all clients at time zero.
@@ -350,21 +401,24 @@ func (d *ClosedDriver) cycle() {
 		d.parked++
 		return
 	}
-	d.fe.SubmitCB(d.gen.Next(), func(*dbfe.Txn) {
-		if d.stopped {
-			return
-		}
-		if d.paused {
-			d.parked++
-			return
-		}
-		z := d.think.Sample(d.rng)
-		if z <= 0 {
-			d.cycle()
-			return
-		}
-		d.eng.After(z, func() { d.cycle() })
-	})
+	d.fe.SubmitCB(d.gen.Next(), d.onDone)
+}
+
+// done is a client's completion callback: think, then cycle again.
+func (d *ClosedDriver) done(*dbfe.Txn) {
+	if d.stopped {
+		return
+	}
+	if d.paused {
+		d.parked++
+		return
+	}
+	z := d.think.Sample(d.rng)
+	if z <= 0 {
+		d.cycle()
+		return
+	}
+	d.eng.After(z, d.cycleFn)
 }
 
 // OpenDriver submits transactions as a Poisson process — the paper's
@@ -380,6 +434,7 @@ type OpenDriver struct {
 	pending sim.Handle
 	arrived uint64
 	limit   uint64 // 0 = unlimited
+	fire    func() // arrive, bound once
 }
 
 // NewOpenDriver builds a Poisson driver with rate lambda (> 0)
@@ -388,7 +443,9 @@ func NewOpenDriver(eng *sim.Engine, fe Sink, gen *Generator, lambda float64, lim
 	if lambda <= 0 {
 		panic(fmt.Sprintf("workload: lambda %v must be positive", lambda))
 	}
-	return &OpenDriver{eng: eng, fe: fe, gen: gen, lambda: lambda, rng: sim.NewRNG(gen.rng.Uint64(), 13), limit: limit}
+	d := &OpenDriver{eng: eng, fe: fe, gen: gen, lambda: lambda, rng: sim.NewRNG(gen.rng.Uint64(), 13), limit: limit}
+	d.fire = d.arrive
+	return d
 }
 
 // Start schedules the first arrival.
@@ -423,12 +480,16 @@ func (d *OpenDriver) next() {
 	if d.stopped || d.paused || (d.limit > 0 && d.arrived >= d.limit) {
 		return
 	}
-	d.pending = d.eng.After(d.rng.ExpFloat64()/d.lambda, func() {
-		if d.stopped || d.paused || (d.limit > 0 && d.arrived >= d.limit) {
-			return
-		}
-		d.arrived++
-		d.fe.Submit(d.gen.Next())
-		d.next()
-	})
+	d.pending = d.eng.After(d.rng.ExpFloat64()/d.lambda, d.fire)
+}
+
+// arrive is the arrival event: submit one transaction, schedule the
+// next.
+func (d *OpenDriver) arrive() {
+	if d.stopped || d.paused || (d.limit > 0 && d.arrived >= d.limit) {
+		return
+	}
+	d.arrived++
+	d.fe.Submit(d.gen.Next())
+	d.next()
 }
