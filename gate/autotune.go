@@ -48,18 +48,16 @@ type TuneStatus struct {
 }
 
 // EnableAutoTune attaches the feedback controller to the gate's
-// completion stream: from now on every Release feeds an observation
-// window, and each closed window nudges the limit — up when the
-// throughput (or response-time) target is violated, down when both
-// are met with margin — converging on the lowest feasible limit. The
-// gate's limit must be >= 1 (the controller needs a finite starting
-// point; use JumpStart-style estimates or a modest guess — the
-// adaptive step recovers from misjudged starts). Enabling twice
-// replaces the previous controller and restarts the metrics window.
-// The gate holds one control loop at a time — auto-tune, SLO tuning
-// and fairness all close observation windows by resetting the gate's
-// one metrics window — so enabling auto-tune while another loop is
-// attached fails until that loop is disabled.
+// completion stream: from now on every Release feeds the controller's
+// own observation window, and each closed window nudges the limit — up
+// when the throughput (or response-time) target is violated, down when
+// both are met with margin — converging on the lowest feasible limit.
+// The gate's limit must be >= 1 (the controller needs a finite
+// starting point; use JumpStart-style estimates or a modest guess —
+// the adaptive step recovers from misjudged starts). Enabling twice
+// replaces the previous controller, which opens a fresh window.
+// Auto-tune may run alongside SLO tuning or fairness, which split
+// whatever limit it sets.
 func (g *Gate) EnableAutoTune(tc TuneConfig) error {
 	if g.fe.MPL() < 1 {
 		return fmt.Errorf("gate: auto-tune needs a finite starting limit (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
@@ -122,26 +120,23 @@ type SLOTuneStatus struct {
 }
 
 // EnableSLOTune attaches the latency-SLO controller to the gate's
-// completion stream: every Release feeds an observation window, and
-// each closed window nudges the class partition — a slot toward the
-// protected class while its percentile target is violated, a slot
-// back once it is met with margin. The gate needs a finite limit of at
-// least 2 (a partition has two sides) and percentile sampling enabled
-// (Config.PercentileSamples — the loop steers on the class
-// percentile). Enabling twice replaces the previous loop and restarts
-// the metrics window. Like every control loop it needs the gate's one
-// loop slot, so disable auto-tune or fairness first; move the limit
-// with SetLimit instead (the SLO loop re-spreads it at its next
-// reaction).
+// completion stream: every Release feeds the loop's own observation
+// window, which samples the protected class's response times (seeded
+// by Config.Seed), and each closed window nudges the class partition —
+// a slot toward the protected class while its percentile target is
+// violated, a slot back once it is met with margin. The gate needs a
+// finite limit of at least 2 (a partition has two sides). Enabling
+// twice replaces the previous loop, which opens a fresh window. SLO
+// tuning and fairness both write the class partition, so enabling one
+// while the other is enabled fails. Auto-tune may run alongside: the
+// SLO loop re-spreads any limit change, from auto-tune or SetLimit, at
+// its next reaction.
 func (g *Gate) EnableSLOTune(tc SLOTuneConfig) error {
 	if g.fe.MPL() < 2 {
 		return fmt.Errorf("gate: SLO tuning needs a limit >= 2 to partition (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
 	}
-	if !g.fe.PercentilesEnabled() {
-		return fmt.Errorf("gate: SLO tuning steers on class percentiles; set Config.PercentileSamples")
-	}
 	return g.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
-		return controller.NewSLO(g.clock, g.fe, controller.SLOConfig{
+		return controller.NewSLO(g.fe, g.seed, controller.SLOConfig{
 			Target: controller.SLOTarget{
 				Class:      core.Class(tc.Class),
 				Percentile: tc.Percentile,
@@ -161,7 +156,7 @@ func (g *Gate) DisableSLOTune() { g.loops.Detach(controller.KindSLO) }
 // SLOTuneStatus reports the SLO loop's state (zero value when SLO
 // tuning is not enabled).
 func (g *Gate) SLOTuneStatus() SLOTuneStatus {
-	s, ok := g.loops.Loop().(*controller.SLOController)
+	s, ok := g.loops.Loop(controller.KindSLO).(*controller.SLOController)
 	if !ok {
 		return SLOTuneStatus{}
 	}
@@ -178,7 +173,7 @@ func (g *Gate) SLOTuneStatus() SLOTuneStatus {
 // TuneStatus reports the controller's progress (only the limit when
 // auto-tuning is not enabled).
 func (g *Gate) TuneStatus() TuneStatus {
-	ctl, ok := g.loops.Loop().(*controller.Controller)
+	ctl, ok := g.loops.Loop(controller.KindMPL).(*controller.Controller)
 	if !ok {
 		return TuneStatus{Limit: g.fe.MPL()}
 	}

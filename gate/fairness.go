@@ -45,16 +45,18 @@ type FairnessStatus struct {
 }
 
 // EnableFairness attaches the weighted max-min fairness controller to
-// the gate's completion stream: every Release feeds an observation
-// window, and each closed window moves at most one slot from the most-
-// overserved tenant (idle tenants donate first) to the most-underserved
-// one. Two invariants hold after every reaction: the per-tenant limits
+// the gate's completion stream: every Release feeds the loop's own
+// observation window, and each closed window moves at most one slot
+// from the most-overserved tenant (idle tenants donate first) to the
+// most-underserved one. Two invariants hold after every reaction: the per-tenant limits
 // sum to the gate's limit, and every governed tenant keeps at least one
 // slot — an aggressor can never capture the whole gate. The gate needs
 // a finite limit of at least one slot per governed tenant. Enabling
-// twice replaces the previous loop and restarts the metrics window.
-// Like every control loop it needs the gate's one loop slot, so disable
-// auto-tune or SLO tuning first.
+// twice replaces the previous loop, which opens a fresh window.
+// Fairness and SLO tuning both write the class partition, so enabling
+// one while the other is enabled fails. Auto-tune may run alongside:
+// fairness re-spreads the weights over each new limit at its next
+// reaction, and holds while the limit is below one slot per tenant.
 func (g *Gate) EnableFairness(fc FairnessConfig) error {
 	weights := make(map[core.Class]float64, len(fc.Weights))
 	if fc.Weights == nil {
@@ -92,7 +94,7 @@ func (g *Gate) DisableFairness() {
 // FairnessStatus reports the fairness loop's state (zero value when
 // fairness is not enabled).
 func (g *Gate) FairnessStatus() FairnessStatus {
-	f, ok := g.loops.Loop().(*fairness.Controller)
+	f, ok := g.loops.Loop(controller.KindFairness).(*fairness.Controller)
 	if !ok {
 		return FairnessStatus{}
 	}

@@ -117,7 +117,8 @@ type Config struct {
 	// PercentileSamples, when > 0, reservoir-samples response times so
 	// Stats carries P50/P95/P99. Sampling is deterministic given Seed.
 	PercentileSamples int
-	// Seed drives the sampling reservoir; default 1.
+	// Seed drives the sampling reservoirs (the Stats percentiles and
+	// the SLO loop's tail sample); default 1.
 	Seed uint64
 
 	// clock overrides the time source (tests); nil = monotonic wall
@@ -149,9 +150,10 @@ type Gate struct {
 	// slots recycles ticketSlots so the uncontended Acquire/Release
 	// round trip allocates nothing.
 	slots sync.Pool
-	// loops is the gate's one control-loop slot (auto-tune, SLO tuning
-	// or fairness); every Release feeds it.
+	// loops holds the gate's control loops (auto-tune, and SLO tuning
+	// or fairness); every Release feeds them. seed is Config.Seed.
 	loops controller.Slot
+	seed  uint64
 	errs  atomic.Uint64
 }
 
@@ -221,7 +223,7 @@ func New(cfg Config) (*Gate, error) {
 			return nil, fmt.Errorf("gate: class %d limit %d must be >= 1", c, l)
 		}
 	}
-	g := &Gate{clock: clock}
+	g := &Gate{clock: clock, seed: cfg.Seed}
 	g.slots.New = func() any {
 		return &ticketSlot{g: g, admitted: make(chan struct{}, 1)}
 	}
@@ -258,7 +260,7 @@ func New(cfg Config) (*Gate, error) {
 	// The completion hook is installed once, before any traffic; the
 	// loop slot makes attaching and detaching loops race-free
 	// afterwards.
-	g.fe.OnComplete = func(*core.Item) { g.loops.Observe() }
+	g.fe.OnComplete = g.loops.Observe
 	return g, nil
 }
 
@@ -540,12 +542,12 @@ func (g *Gate) SetWFQWeights(weights map[Class]float64) (ok bool, err error) {
 // metrics.Snapshot vocabulary: the same fields a simulated Scenario run
 // streams to its observers, so live and simulated measurements compare
 // field for field. In a Stats value the completion counters cover the
-// whole current metrics window and Dropped/Canceled/Errors are
-// lifetime totals; Classes splits the window per tenant class (look
-// one up with Class(id)); MeanInside is the admitted
-// (dispatch-to-release) portion of the response time. Only the fields
-// a live gate genuinely cannot know —
-// Phase, CPUUtil, DiskUtil, Restarts — stay zero here.
+// whole current metrics window — the time since New or the last
+// ResetStats — and Dropped/Canceled/Errors are lifetime totals;
+// Classes splits the window per tenant class (look one up with
+// Class(id)); MeanInside is the admitted (dispatch-to-release) portion
+// of the response time. Only the fields a live gate genuinely cannot
+// know — Phase, CPUUtil, DiskUtil, Restarts — stay zero here.
 type Stats = metrics.Snapshot
 
 // Stats snapshots the gate. The per-class slice is the only per-call
@@ -611,13 +613,15 @@ func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
 }
 
 // ResetStats starts a fresh metrics window (Throughput, MeanResponse
-// and the percentiles reset; the lifetime counters do not).
+// and the percentiles reset; the lifetime counters do not). The control
+// loops keep their own windows: ResetStats leaves them running, and
+// they never reset this one.
 func (g *Gate) ResetStats() { g.fe.ResetMetrics() }
 
 // Watch streams the gate's Stats to o every interval seconds until the
 // returned stop function is called. Snapshots are cumulative (the same
-// values Stats returns at that instant), so Watch composes with
-// EnableAutoTune, whose controller owns the metrics-window resets.
+// values Stats returns at that instant, over the window since New or
+// the last ResetStats); the control loops never reset that window.
 // OnInterval runs on a timer goroutine; o must be safe for that. stop
 // is idempotent and safe to call from any goroutine (including from
 // the observer itself); a tick that began emitting just before stop

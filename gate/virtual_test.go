@@ -1,0 +1,222 @@
+package gate
+
+import (
+	"context"
+	"math"
+	"runtime"
+	"sort"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"extsched/internal/sim"
+)
+
+// vclock is a clock the test advances by hand; any goroutine may read
+// it.
+type vclock struct{ bits atomic.Uint64 }
+
+func (c *vclock) Now() float64  { return math.Float64frombits(c.bits.Load()) }
+func (c *vclock) set(t float64) { c.bits.Store(math.Float64bits(t)) }
+func (c *vclock) After(float64, func()) sim.Timer {
+	panic("gate: the virtual clock arms no timers")
+}
+
+// vload drives a gate on a virtual clock with a deterministic
+// closed-loop load: every client re-acquires the moment its work
+// finishes, and an admitted ticket waits FIFO for one of capacity units
+// of a guarded resource, holds it for hold seconds, and is released.
+// Each Acquire runs on its own goroutine (a queued one blocks), but
+// only the test goroutine advances the clock and releases tickets, and
+// it waits after every step until the gate has settled — each issued
+// request either queued or admitted and handed over — so a run is a
+// pure function of its inputs, just like a simulated one.
+type vload struct {
+	t        *testing.T
+	g        *Gate
+	ck       *vclock
+	capacity int
+	hold     float64
+	ctx      context.Context
+	// got carries admitted tickets to the test goroutine; it holds one
+	// per client, so no acquire goroutine ever blocks on it.
+	got chan Ticket
+	// issued counts Acquire calls, received the tickets handed over.
+	issued, received int
+	// waiting holds admitted tickets queued for the resource; running
+	// those holding it, in finish order (every hold is equal).
+	waiting []Ticket
+	running []vjob
+}
+
+type vjob struct {
+	tk     Ticket
+	finish float64
+}
+
+// newVLoad builds a gate from cfg on a fresh virtual clock and starts
+// clients closed-loop clients on it, client i in class i%classes.
+func newVLoad(t *testing.T, cfg Config, clients, classes, capacity int, hold float64) *vload {
+	ck := &vclock{}
+	cfg.clock = ck
+	g, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	v := &vload{t: t, g: g, ck: ck, capacity: capacity, hold: hold, ctx: ctx, got: make(chan Ticket, clients)}
+	t.Cleanup(func() {
+		cancel() // queued acquires return; their goroutines exit
+		for _, tk := range v.waiting {
+			tk.Release(Result{})
+		}
+		for _, j := range v.running {
+			j.tk.Release(Result{})
+		}
+	})
+	for i := 0; i < clients; i++ {
+		v.acquire(Class(i % classes))
+	}
+	return v
+}
+
+// acquire issues one request and waits for the gate to settle.
+func (v *vload) acquire(c Class) {
+	v.issued++
+	go func() {
+		if tk, err := v.g.AcquireRequest(v.ctx, Request{Class: c}); err == nil {
+			v.got <- tk
+		}
+	}()
+	v.settle()
+}
+
+// settle waits until every issued request is either in the gate's queue
+// or handed over, queues the newly admitted tickets for the resource —
+// in arrival order, so goroutine scheduling cannot reorder them — and
+// starts what the resource has room for.
+func (v *vload) settle() {
+	var batch []Ticket
+	deadline := time.Now().Add(10 * time.Second)
+	for v.issued-v.received != v.g.fe.QueueLen() {
+		select {
+		case tk := <-v.got:
+			batch = append(batch, tk)
+			v.received++
+		default:
+			if time.Now().After(deadline) {
+				v.t.Fatal("gate did not settle")
+			}
+			runtime.Gosched()
+		}
+	}
+	sort.Slice(batch, func(i, j int) bool {
+		a, b := &batch[i].s.item, &batch[j].s.item
+		if a.Arrival != b.Arrival {
+			return a.Arrival < b.Arrival
+		}
+		return a.Class < b.Class
+	})
+	v.waiting = append(v.waiting, batch...)
+	for len(v.running) < v.capacity && len(v.waiting) > 0 {
+		v.running = append(v.running, vjob{tk: v.waiting[0], finish: v.ck.Now() + v.hold})
+		v.waiting = v.waiting[1:]
+	}
+}
+
+// run advances the virtual clock to until, releasing every ticket whose
+// hold ends by then; each released client re-acquires at once.
+func (v *vload) run(until float64) {
+	for len(v.running) > 0 && v.running[0].finish <= until {
+		j := v.running[0]
+		v.running = v.running[1:]
+		v.ck.set(j.finish)
+		c := Class(j.tk.s.item.Class)
+		j.tk.Release(Result{})
+		v.acquire(c)
+	}
+	v.ck.set(until)
+}
+
+// converge runs until the auto-tuner converges, failing the test past
+// the virtual deadline.
+func (v *vload) converge(deadline float64) {
+	for !v.g.TuneStatus().Converged {
+		if v.ck.Now() >= deadline {
+			v.t.Fatalf("controller did not converge in %v virtual seconds: %+v stats %+v", deadline, v.g.TuneStatus(), v.g.Stats())
+		}
+		v.run(v.ck.Now() + 0.05)
+	}
+}
+
+// TestAutoTuneConvergesToCapacityVirtual is the deterministic twin of
+// TestAutoTuneConvergesToCapacity: the same gate, load, resource and
+// tuning targets, on a virtual clock, so the convergence claim is
+// checked without wall-clock noise or a multi-second run.
+func TestAutoTuneConvergesToCapacityVirtual(t *testing.T) {
+	const capacity = 4
+	v := newVLoad(t, Config{}, 32, 1, capacity, 0.001)
+	v.run(0.2) // warm up
+	v.g.ResetStats()
+	v.run(1.2)
+	reference := v.g.Stats().Throughput
+	if reference <= 0 {
+		t.Fatal("no reference throughput measured")
+	}
+	v.g.SetLimit(16)
+	if err := v.g.EnableAutoTune(TuneConfig{
+		MaxThroughputLoss:   0.15,
+		ReferenceThroughput: reference,
+		MinObservations:     50,
+		MaxWindow:           500,
+		MaxLimit:            64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v.converge(30)
+	st := v.g.TuneStatus()
+	if st.Limit < capacity || st.Limit > 2*capacity {
+		t.Errorf("converged limit = %d, want in [%d,%d] (status %+v)", st.Limit, capacity, 2*capacity, st)
+	}
+}
+
+// TestAutoTuneWithFairnessVirtual stacks the two loops on one live
+// gate: auto-tune finds the limit while fairness partitions it across
+// three tenants, holding while the tuner probes below one slot per
+// tenant. Once the tuner has converged and fairness has closed a window
+// since, the partition covers exactly the tuned limit.
+func TestAutoTuneWithFairnessVirtual(t *testing.T) {
+	const capacity = 4
+	v := newVLoad(t, Config{Limit: 16}, 32, 3, capacity, 0.001)
+	if err := v.g.EnableAutoTune(TuneConfig{
+		MaxThroughputLoss:   0.15,
+		ReferenceThroughput: capacity / 0.001,
+		MinObservations:     50,
+		MaxWindow:           500,
+		MaxLimit:            64,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := v.g.EnableFairness(FairnessConfig{
+		Weights:         map[Class]float64{0: 1, 1: 2, 2: 3},
+		MinObservations: 50,
+	}); err != nil {
+		t.Fatal(err)
+	}
+	v.converge(30)
+	v.run(v.ck.Now() + 0.5) // 2000 more releases: fairness re-spreads
+	tune, fair := v.g.TuneStatus(), v.g.FairnessStatus()
+	sum := 0
+	for c, l := range fair.Limits {
+		if l < 1 {
+			t.Errorf("tenant %d holds %d slots, want >= 1", c, l)
+		}
+		sum += l
+	}
+	if len(fair.Limits) != 3 || sum != tune.Limit {
+		t.Errorf("fairness limits %v sum to %d, want the tuned limit %d", fair.Limits, sum, tune.Limit)
+	}
+	if tune.Limit < capacity || tune.Limit > 2*capacity {
+		t.Errorf("converged limit = %d, want in [%d,%d]", tune.Limit, capacity, 2*capacity)
+	}
+}

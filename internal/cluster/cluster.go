@@ -181,8 +181,6 @@ type Dispatcher struct {
 	scratch []Load
 	// routed counts arrivals routed to each shard (drops excluded).
 	routed []uint64
-	// shardWin is MetricsInto's scratch copy of one shard's window.
-	shardWin core.Metrics
 	// OnComplete, if set, observes every completion with the index of
 	// the shard that executed it. Set before traffic flows.
 	OnComplete func(shard int, t *dbfe.Txn)
@@ -613,21 +611,6 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// MetricsInto aggregates the shards' metrics windows into one
-// cluster-wide view in m, reusing its Classes storage (parallel Welford
-// merges; the window length is shard 0's, since all shards share one
-// clock and reset together).
-func (d *Dispatcher) MetricsInto(m *core.Metrics) {
-	m.Reset()
-	for i := range d.shards {
-		d.shards[i].FE.MetricsInto(&d.shardWin)
-		m.Merge(&d.shardWin)
-		if i == 0 {
-			*m = m.WithWindow(d.shardWin.Window())
-		}
-	}
-}
-
 // ShedClasses aggregates the shards' per-class shed counts (nil when
 // nothing was shed anywhere).
 func (d *Dispatcher) ShedClasses() map[core.Class]uint64 {
@@ -641,13 +624,6 @@ func (d *Dispatcher) ShedClasses() map[core.Class]uint64 {
 		}
 	}
 	return out
-}
-
-// ResetMetrics opens a fresh metrics window on every shard.
-func (d *Dispatcher) ResetMetrics() {
-	for i := range d.shards {
-		d.shards[i].FE.ResetMetrics()
-	}
 }
 
 // SetWFQWeights reconfigures every shard's WFQ policy weights; false

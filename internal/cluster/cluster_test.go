@@ -279,10 +279,12 @@ func runDispatcherProperty(t *testing.T, seed int64) {
 	if total != key {
 		t.Fatalf("seed %d: %d submitted, %d completed after drain", seed, key, total)
 	}
-	var m core.Metrics
-	d.MetricsInto(&m)
-	if m.Completed != total {
-		t.Fatalf("seed %d: aggregate metrics report %d completions, want %d", seed, m.Completed, total)
+	var windows uint64
+	for _, sh := range d.Shards() {
+		windows += sh.FE.Metrics().Completed
+	}
+	if windows != total {
+		t.Fatalf("seed %d: shard metrics windows report %d completions, want %d", seed, windows, total)
 	}
 }
 

@@ -17,19 +17,23 @@
 // steps converge in under ten iterations.
 //
 // The loop is deliberately ignorant of what it tunes: it consumes a
-// completion stream (Observe, called once per completed item) and
-// drives anything that satisfies the Gate interface — the simulated
-// DBMS frontend and the wall-clock live gate both do. Time comes from
-// a sim.Clock, so one controller implementation serves deterministic
-// virtual-time experiments and real traffic alike. All methods are
+// completion stream (Observe, called once per completed item, which it
+// tallies into its own observation window) and drives anything that
+// satisfies the Gate interface — the simulated DBMS frontend, the
+// sharded dispatcher and the wall-clock live gate all do. Time comes
+// from a sim.Clock, so one controller implementation serves
+// deterministic virtual-time experiments and real traffic alike. All methods are
 // safe for concurrent callers (live gates complete items from many
 // goroutines at once).
 //
 // This MPL loop, the SLO loop (SLOController) and the fairness loop
 // (package fairness) share one shape, Loop, and attach to a gate
-// through its one Slot. Each keeps constant-size state — counters and
-// its last reaction, never a growing log — so a loop can stay attached
-// to a live gate indefinitely.
+// through its Slot: one MPL loop and one partition loop can run
+// together, the paper's recipe of picking the lowest feasible MPL and
+// then prioritizing under it. Each loop owns its observation window
+// and keeps constant-size state — counters, its window and its last
+// reaction, never a growing log — so a loop can stay attached to a
+// live gate indefinitely.
 package controller
 
 import (
@@ -45,19 +49,14 @@ import (
 )
 
 // Gate is the MPL-limited system under control: a settable limit plus
-// windowed completion metrics and the saturation signals the
-// representative-load gate needs. *core.Frontend implements it for
-// both the simulated DBMS and live traffic.
+// the saturation signals the representative-load gate needs.
+// *core.Frontend implements it for both the simulated DBMS and live
+// traffic, and *cluster.Dispatcher for a sharded fleet.
 type Gate interface {
 	// MPL returns the current limit.
 	MPL() int
 	// SetMPL changes the limit (the reaction phase's actuator).
 	SetMPL(int)
-	// MetricsInto copies the current observation window into m,
-	// reusing m's storage.
-	MetricsInto(m *core.Metrics)
-	// ResetMetrics starts a fresh observation window.
-	ResetMetrics()
 	// QueueLen and Inside report instantaneous load (for the
 	// representative-load gate).
 	QueueLen() int
@@ -211,18 +210,19 @@ type Controller struct {
 	floor int
 	// step is the adaptive step size.
 	step int
-	// interCompletion tracks this window's inter-completion times; its
-	// CI gates the throughput estimate.
+	// win tallies the completions of the current observation window,
+	// which opened at winStart; interCompletion tracks the window's
+	// inter-completion times, whose CI gates the throughput estimate.
+	win             core.Metrics
+	winStart        float64
 	interCompletion stats.Accumulator
 	lastCompletion  float64
-	// win is Observe's copy of the gate's window, reused across calls.
-	win core.Metrics
 }
 
 // New builds a controller over g and opens its first observation
-// window (g.ResetMetrics). The gate's MPL should already be set to the
-// jump-start value (see JumpStart). The caller owns the wiring: attach
-// it to the gate's Slot, or invoke Observe once per completion.
+// window. The gate's MPL should already be set to the jump-start value
+// (see JumpStart). The caller owns the wiring: attach it to the gate's
+// Slot, or invoke Observe once per completion.
 func New(clock sim.Clock, g Gate, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
 	if cfg.MaxThroughputLoss < 0 || cfg.MaxThroughputLoss >= 1 {
@@ -232,7 +232,7 @@ func New(clock sim.Clock, g Gate, cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("controller: Reference.MaxThroughput required")
 	}
 	c := &Controller{clock: clock, gate: g, cfg: cfg, floor: cfg.MinMPL - 1, step: cfg.Step}
-	g.ResetMetrics()
+	c.resetWindow()
 	return c, nil
 }
 
@@ -258,10 +258,10 @@ func (c *Controller) Last() Decision {
 	return c.last
 }
 
-// Observe consumes one completion event: it closes the observation
-// window and reacts when the gates are satisfied. Call it once per
-// completed item, from any goroutine.
-func (c *Controller) Observe() {
+// Observe tallies one completed item into the observation window, and
+// closes the window and reacts when the gates are satisfied. Call it
+// once per completed item, from any goroutine.
+func (c *Controller) Observe(it *core.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.converged {
@@ -272,7 +272,7 @@ func (c *Controller) Observe() {
 		c.interCompletion.Add(now - c.lastCompletion)
 	}
 	c.lastCompletion = now
-	c.gate.MetricsInto(&c.win)
+	c.win.Record(it)
 	m := &c.win
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
@@ -293,13 +293,14 @@ func (c *Controller) Observe() {
 		c.resetWindow()
 		return
 	}
-	c.react(*m)
+	c.react(m.WithWindow(now - c.winStart))
 	c.resetWindow()
 }
 
 // resetWindow starts a fresh observation window.
 func (c *Controller) resetWindow() {
-	c.gate.ResetMetrics()
+	c.win.Reset()
+	c.winStart = c.clock.Now()
 	c.interCompletion.Reset()
 	c.lastCompletion = 0
 }

@@ -24,7 +24,7 @@ func attach(t *testing.T, eng *sim.Engine, fe *dbfe.Frontend, cfg Config) *Contr
 		if prev != nil {
 			prev(tx)
 		}
-		ctl.Observe()
+		ctl.Observe(&tx.Item)
 	}
 	return ctl
 }

@@ -24,21 +24,16 @@ import (
 
 	"extsched/internal/core"
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 )
 
-// ClassGate is the control surface the SLO loop drives: a Gate that
-// can additionally partition its MPL across classes and report
-// per-class response-time percentiles. *core.Frontend implements it
-// (percentile sampling must be enabled).
+// ClassGate is the control surface the SLO loop drives: a limit to
+// read and partition across classes. *core.Frontend implements it.
 type ClassGate interface {
-	Gate
+	// MPL returns the current limit.
+	MPL() int
 	// SetClassLimits partitions the MPL (see core.Frontend).
 	SetClassLimits(map[core.Class]int)
-	// ClassLimits returns the current partition (nil = none).
-	ClassLimits() map[core.Class]int
-	// ClassResponseTimePercentile reports the class's p-th response-time
-	// percentile over the current metrics window.
-	ClassResponseTimePercentile(core.Class, float64) float64
 }
 
 // SLOTarget is one class's latency objective: the Percentile-th
@@ -114,10 +109,9 @@ func (c SLOConfig) withDefaults() SLOConfig {
 // goroutine. It never "converges" — an SLO is held continuously, not
 // found once — so it keeps reacting for as long as it is attached.
 type SLOController struct {
-	mu    sync.Mutex
-	clock sim.Clock
-	gate  ClassGate
-	cfg   SLOConfig
+	mu   sync.Mutex
+	gate ClassGate
+	cfg  SLOConfig
 	// sloShare is the SLO class's current slot share; the other class
 	// holds the remainder of the gate's MPL.
 	sloShare int
@@ -128,19 +122,26 @@ type SLOController struct {
 	// percentile over the last closed window.
 	iterations   int
 	lastMeasured float64
-	// win is Observe's copy of the gate's window, reused across calls.
-	win core.Metrics
+	// seen counts the current window's completions; tail samples the
+	// SLO class's response times in it.
+	seen int
+	tail *stats.Reservoir
 }
+
+// sloSamples is the capacity of the SLO class's tail reservoir: large
+// enough for a stable percentile over a 50-completion window, small
+// enough to be free.
+const sloSamples = 2048
 
 // NewSLO builds an SLO controller over g and installs the initial
 // partition: an even split of the gate's current MPL (SLO class
 // rounded up), each class floored at MinClassLimit. The gate must have
 // a finite MPL of at least 2× MinClassLimit — a partition needs at
-// least one slot per class — and percentile sampling enabled (the loop
-// steers on ClassResponseTimePercentile). Changing the gate's MPL
-// while the loop runs is fine: the partition re-spreads over the new
-// total at the next reaction.
-func NewSLO(clock sim.Clock, g ClassGate, cfg SLOConfig) (*SLOController, error) {
+// least one slot per class. The loop samples the SLO class's response
+// times itself, on stream 37+2×class of seed (0 = 1). Changing the
+// gate's MPL while the loop runs is fine: the partition re-spreads
+// over the new total at the next reaction.
+func NewSLO(g ClassGate, seed uint64, cfg SLOConfig) (*SLOController, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Target.Target <= 0 {
 		return nil, fmt.Errorf("controller: SLO target %v must be positive seconds", cfg.Target.Target)
@@ -155,10 +156,13 @@ func NewSLO(clock sim.Clock, g ClassGate, cfg SLOConfig) (*SLOController, error)
 	if total < 2*cfg.MinClassLimit {
 		return nil, fmt.Errorf("controller: SLO partition needs MPL >= %d, gate has %d", 2*cfg.MinClassLimit, total)
 	}
-	c := &SLOController{clock: clock, gate: g, cfg: cfg, sloShare: (total + 1) / 2}
+	if seed == 0 {
+		seed = 1
+	}
+	c := &SLOController{gate: g, cfg: cfg, sloShare: (total + 1) / 2,
+		tail: stats.NewReservoir(sloSamples, sim.NewRNG(seed, 37+2*uint64(int64(cfg.Target.Class)&0xffff)))}
 	c.clampShare(total)
 	c.apply(total)
-	g.ResetMetrics()
 	return c, nil
 }
 
@@ -216,28 +220,29 @@ func (c *SLOController) Limits() (slo, other int) {
 	return slo, total - slo
 }
 
-// Observe consumes one completion event: when the observation window
-// has seen enough traffic — overall and from the SLO class — it reads
-// the class percentile, moves one slot toward whichever side the
-// measurement demands, and opens a fresh window. Call it once per
-// completed item, from any goroutine.
-func (c *SLOController) Observe() {
+// Observe tallies one completed item into the observation window: when
+// the window has seen enough traffic — overall and from the SLO class
+// — it reads the class percentile, moves one slot toward whichever
+// side the measurement demands, and opens a fresh window. Call it once
+// per completed item, from any goroutine.
+func (c *SLOController) Observe(it *core.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gate.MetricsInto(&c.win)
-	m := &c.win
-	if int(m.Completed) < c.cfg.MinObservations {
+	c.seen++
+	if it.Class == c.cfg.Target.Class {
+		c.tail.Add(it.ResponseTime())
+	}
+	if c.seen < c.cfg.MinObservations {
 		return
 	}
-	sloSeen := m.ClassMetric(c.cfg.Target.Class).Completed()
 	minSLO := c.cfg.MinObservations / 10
 	if minSLO < 5 {
 		minSLO = 5
 	}
-	if int(sloSeen) < minSLO {
+	if int(c.tail.Seen()) < minSLO {
 		return
 	}
-	measured := c.gate.ClassResponseTimePercentile(c.cfg.Target.Class, c.cfg.Target.Percentile)
+	measured := c.tail.Percentile(c.cfg.Target.Percentile)
 	total := c.gate.MPL()
 	if total >= 2*c.cfg.MinClassLimit {
 		switch {
@@ -260,5 +265,6 @@ func (c *SLOController) Observe() {
 	}
 	c.iterations++
 	c.lastMeasured = measured
-	c.gate.ResetMetrics()
+	c.seen = 0
+	c.tail.Reset()
 }

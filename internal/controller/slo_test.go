@@ -4,47 +4,28 @@ import (
 	"testing"
 
 	"extsched/internal/core"
-	"extsched/internal/sim"
 )
 
-// fakeClassGate is a scriptable ClassGate: the test sets the measured
-// percentile and completion counts per window and watches the
-// partition the loop applies.
+// fakeClassGate is a scriptable ClassGate: the test sets the MPL and
+// watches the partition the loop applies.
 type fakeClassGate struct {
-	mpl        int
-	limits     map[core.Class]int
-	percentile float64
-	m          core.Metrics
-	resets     int
+	mpl    int
+	limits map[core.Class]int
 }
 
-func (g *fakeClassGate) MPL() int      { return g.mpl }
-func (g *fakeClassGate) SetMPL(n int)  { g.mpl = n }
-func (g *fakeClassGate) QueueLen() int { return 1 }
-func (g *fakeClassGate) Inside() int   { return g.mpl }
-func (g *fakeClassGate) MetricsInto(m *core.Metrics) {
-	*m = g.m
-}
-func (g *fakeClassGate) ResetMetrics() { g.resets++ }
-func (g *fakeClassGate) SetClassLimits(l map[core.Class]int) {
-	g.limits = l
-}
-func (g *fakeClassGate) ClassLimits() map[core.Class]int { return g.limits }
-func (g *fakeClassGate) ClassResponseTimePercentile(c core.Class, p float64) float64 {
-	return g.percentile
-}
+func (g *fakeClassGate) MPL() int                            { return g.mpl }
+func (g *fakeClassGate) SetClassLimits(l map[core.Class]int) { g.limits = l }
 
-// window primes the fake gate with a closed-window's worth of
-// completions (60 total, 12 high) at the given measured percentile.
-func (g *fakeClassGate) window(p float64) {
-	g.percentile = p
-	g.m = core.Metrics{}
-	for i := 0; i < 60; i++ {
+// window feeds c one closed window at the given measured percentile:
+// 50 completions (the default MinObservations), the first 10 from the
+// high class, every one with response time p.
+func window(c *SLOController, p float64) {
+	for i := 0; i < 50; i++ {
 		class := core.ClassLow
-		if i < 12 {
+		if i < 10 {
 			class = core.ClassHigh
 		}
-		g.m.Record(&core.Item{Class: class, Complete: p})
+		c.Observe(&core.Item{Class: class, Complete: p})
 	}
 }
 
@@ -63,7 +44,7 @@ func checkPartition(t *testing.T, g *fakeClassGate) {
 
 func TestSLOControllerSteersPartition(t *testing.T) {
 	g := &fakeClassGate{mpl: 10}
-	c, err := NewSLO(sim.NewWallClock(), g, SLOConfig{
+	c, err := NewSLO(g, 1, SLOConfig{
 		Target:       SLOTarget{Class: core.ClassHigh, Target: 1.0},
 		GiveBackHold: 2,
 	})
@@ -77,8 +58,7 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 
 	// Violated windows pull slots toward the SLO class, one per window.
 	for i := 1; i <= 3; i++ {
-		g.window(2.0)
-		c.Observe()
+		window(c, 2.0)
 		checkPartition(t, g)
 		if got := g.limits[core.ClassHigh]; got != 5+i {
 			t.Fatalf("after %d violated windows: high share %d, want %d", i, got, 5+i)
@@ -86,8 +66,7 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 	}
 	// The share cannot push the other class below its floor.
 	for i := 0; i < 20; i++ {
-		g.window(2.0)
-		c.Observe()
+		window(c, 2.0)
 		checkPartition(t, g)
 	}
 	if g.limits[core.ClassLow] != 1 {
@@ -97,14 +76,12 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 	// Give-back is paced: it takes GiveBackHold consecutive calm
 	// windows per returned slot.
 	high := g.limits[core.ClassHigh]
-	g.window(0.1)
-	c.Observe()
+	window(c, 0.1)
 	checkPartition(t, g)
 	if g.limits[core.ClassHigh] != high {
 		t.Fatal("gave back after a single calm window")
 	}
-	g.window(0.1)
-	c.Observe()
+	window(c, 0.1)
 	checkPartition(t, g)
 	if g.limits[core.ClassHigh] != high-1 {
 		t.Fatalf("high share %d after %d calm windows, want %d", g.limits[core.ClassHigh], 2, high-1)
@@ -112,19 +89,16 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 
 	// In-band windows (between margin and target) hold AND reset the
 	// give-back count.
-	g.window(0.8)
-	c.Observe()
-	g.window(0.1)
-	c.Observe()
+	window(c, 0.8)
+	window(c, 0.1)
 	checkPartition(t, g)
 	if g.limits[core.ClassHigh] != high-1 {
 		t.Fatal("give-back pacing not reset by an in-band window")
 	}
 
 	// An MPL change re-spreads at the next reaction, invariant intact.
-	g.SetMPL(6)
-	g.window(0.8)
-	c.Observe()
+	g.mpl = 6
+	window(c, 0.8)
 	checkPartition(t, g)
 
 	if c.Iterations() == 0 || c.LastMeasured() != 0.8 {
@@ -136,24 +110,35 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 // overall or from the SLO class — must not trigger a reaction.
 func TestSLOControllerWindowGates(t *testing.T) {
 	g := &fakeClassGate{mpl: 8}
-	c, err := NewSLO(sim.NewWallClock(), g, SLOConfig{
-		Target: SLOTarget{Class: core.ClassHigh, Target: 1.0},
-	})
+	cfg := SLOConfig{Target: SLOTarget{Class: core.ClassHigh, Target: 1.0}}
+	c, err := NewSLO(g, 1, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Too few completions overall.
-	g.percentile = 5
-	g.m = core.Metrics{Completed: 10}
-	c.Observe()
+	for i := 0; i < 10; i++ {
+		c.Observe(&core.Item{Class: core.ClassHigh, Complete: 5})
+	}
 	if c.Iterations() != 0 {
 		t.Fatal("reacted on an under-observed window")
 	}
 	// Enough overall, none from the SLO class.
-	g.m = core.Metrics{Completed: 100}
-	c.Observe()
+	c, err = NewSLO(g, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		c.Observe(&core.Item{Class: core.ClassLow, Complete: 5})
+	}
 	if c.Iterations() != 0 {
 		t.Fatal("reacted with zero SLO-class completions")
+	}
+	// The fifth SLO-class completion closes the window.
+	for i := 0; i < 5; i++ {
+		c.Observe(&core.Item{Class: core.ClassHigh, Complete: 5})
+	}
+	if c.Iterations() != 1 || c.LastMeasured() != 5 {
+		t.Fatalf("after 5 SLO-class completions: %d iterations, last measured %v", c.Iterations(), c.LastMeasured())
 	}
 }
 
@@ -165,19 +150,19 @@ func TestSLOControllerValidation(t *testing.T) {
 		{Target: SLOTarget{Class: core.ClassHigh, Target: 1}, Margin: 1.5},     // bad margin
 	}
 	for i, cfg := range cases {
-		if _, err := NewSLO(sim.NewWallClock(), g, cfg); err == nil {
+		if _, err := NewSLO(g, 1, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
 	// An unset (or equal) OtherClass defaults to the complement: a
 	// low-class SLO partitions against high.
-	if _, err := NewSLO(sim.NewWallClock(), &fakeClassGate{mpl: 8}, SLOConfig{
+	if _, err := NewSLO(&fakeClassGate{mpl: 8}, 1, SLOConfig{
 		Target: SLOTarget{Class: core.ClassLow, Target: 1},
 	}); err != nil {
 		t.Errorf("complement defaulting broken: %v", err)
 	}
 	// MPL too small to partition.
-	if _, err := NewSLO(sim.NewWallClock(), &fakeClassGate{mpl: 1}, SLOConfig{
+	if _, err := NewSLO(&fakeClassGate{mpl: 1}, 1, SLOConfig{
 		Target: SLOTarget{Class: core.ClassHigh, Target: 1},
 	}); err == nil {
 		t.Error("MPL 1 accepted for a two-sided partition")

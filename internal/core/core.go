@@ -628,9 +628,8 @@ type Frontend struct {
 	// done callback, outside the frontend lock).
 	OnShed func(*Item)
 	// rtSample, when enabled, reservoir-samples response times for
-	// percentile reporting; rtClass splits the sampling per class (the
-	// SLO controller steers on these). Guarded by metricsMu, like the
-	// accumulators they ride along with.
+	// percentile reporting; rtClass splits the sampling per class.
+	// Guarded by metricsMu, like the accumulators they ride along with.
 	rtSample *stats.Reservoir
 	rtClass  map[Class]*stats.Reservoir
 	rtCap    int
@@ -932,13 +931,6 @@ func (f *Frontend) EnablePercentiles(capacity int, seed uint64) {
 	f.rtCap, f.rtSeed = capacity, seed
 }
 
-// PercentilesEnabled reports whether response-time sampling is on.
-func (f *Frontend) PercentilesEnabled() bool {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	return f.rtSample != nil
-}
-
 // classReservoirLocked lazily builds class c's sampling reservoir. The
 // RNG stream is derived from the class alone, so creation order cannot
 // perturb determinism. Called with metricsMu held.
@@ -964,8 +956,7 @@ func (f *Frontend) ResponseTimePercentile(p float64) float64 {
 
 // ClassResponseTimePercentile estimates the p-th percentile of class
 // c's response times in the current window (0 when sampling is disabled
-// or the class saw no completions) — the SLO controller's feedback
-// signal.
+// or the class saw no completions).
 func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
@@ -981,25 +972,15 @@ func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
 
 // Metrics returns a snapshot of the metrics window.
 func (f *Frontend) Metrics() Metrics {
-	var m Metrics
-	f.MetricsInto(&m)
+	f.metricsMu.Lock()
+	defer f.metricsMu.Unlock()
+	m := f.metrics
+	m.Classes = append([]ClassMetric(nil), f.metrics.Classes...)
+	m.windowTime = f.clock.Now() - f.metrics.resetTime
 	return m
 }
 
-// MetricsInto copies the metrics window into m, reusing m's Classes
-// storage, so a control loop that reads the window on every completion
-// allocates nothing once its Classes has grown to the class count.
-func (f *Frontend) MetricsInto(m *Metrics) {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	classes := append(m.Classes[:0], f.metrics.Classes...)
-	*m = f.metrics
-	m.Classes = classes
-	m.windowTime = f.clock.Now() - f.metrics.resetTime
-}
-
-// ResetMetrics starts a fresh measurement window (e.g. after warmup,
-// or per controller observation period).
+// ResetMetrics starts a fresh measurement window (e.g. after warmup).
 func (f *Frontend) ResetMetrics() {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()

@@ -38,11 +38,6 @@ type Gate interface {
 	// SetStrictPartition switches the partition between
 	// work-conserving and hard-cap (see core.Frontend).
 	SetStrictPartition(bool)
-	// MetricsInto copies the current observation window (its per-class
-	// completion counts) into m, reusing m's storage.
-	MetricsInto(m *core.Metrics)
-	// ResetMetrics opens a fresh observation window.
-	ResetMetrics()
 }
 
 // Config tunes the fairness controller.
@@ -131,9 +126,9 @@ func Allocate(mpl int, weights map[core.Class]float64) map[core.Class]int {
 }
 
 // Controller is the weighted max-min fairness loop. Like the other
-// controllers in this repository it is a controller.Loop: attach it
-// to the gate's slot, or call Observe once per completed item, from
-// any goroutine.
+// controllers in this repository it is a controller.Loop that owns its
+// observation window: attach it to the gate's slot, or call Observe
+// once per completed item, from any goroutine.
 type Controller struct {
 	mu      sync.Mutex
 	gate    Gate
@@ -142,7 +137,7 @@ type Controller struct {
 	limits  map[core.Class]int
 	// iterations counts reactions; moves those that moved a slot.
 	iterations, moves int
-	// win is Observe's copy of the gate's window, reused across calls.
+	// win tallies the current observation window's completions.
 	win core.Metrics
 }
 
@@ -179,7 +174,6 @@ func New(g Gate, cfg Config) (*Controller, error) {
 	ctl.limits = Allocate(total, cfg.Weights)
 	ctl.apply()
 	g.SetStrictPartition(cfg.Strict)
-	g.ResetMetrics()
 	return ctl, nil
 }
 
@@ -219,8 +213,8 @@ func (c *Controller) Moves() int {
 	return c.moves
 }
 
-// Observe consumes one completion event: when the observation window
-// has seen enough traffic it scores every governed tenant —
+// Observe tallies one completed item into the observation window: when
+// the window has seen enough traffic it scores every governed tenant —
 // weight-normalized attained completions — and moves one slot from the
 // most-overserved donor to the most-underserved receiver, then opens a
 // fresh window. Idle tenants (zero completions with more than the
@@ -228,10 +222,10 @@ func (c *Controller) Moves() int {
 // only past the hysteresis ratio, so a balanced system holds steady.
 // One slot per window keeps reactions smooth; persistent imbalance
 // compounds across windows until max-min fairness is reached.
-func (c *Controller) Observe() {
+func (c *Controller) Observe(it *core.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.gate.MetricsInto(&c.win)
+	c.win.Record(it)
 	m := &c.win
 	if int(m.Completed) < c.cfg.MinObservations {
 		return
@@ -251,7 +245,7 @@ func (c *Controller) Observe() {
 		c.limits = Allocate(total, c.cfg.Weights)
 		c.apply()
 		c.iterations++
-		c.gate.ResetMetrics()
+		c.win.Reset()
 		return
 	}
 
@@ -295,5 +289,5 @@ func (c *Controller) Observe() {
 		c.apply()
 		c.moves++
 	}
-	c.gate.ResetMetrics()
+	c.win.Reset()
 }

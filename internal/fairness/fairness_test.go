@@ -2,48 +2,57 @@ package fairness
 
 import (
 	"math/rand"
+	"sort"
 	"testing"
 
 	"extsched/internal/core"
 )
 
-// fakeGate is a synthetic Gate whose windows the tests author
-// directly: completions per class are proportional to the class's slot
-// share (a backlogged tenant's throughput scales with its slots, which
-// is exactly the regime the controller steers in), capped by the
-// tenant's demand.
+// fakeGate is a synthetic Gate: the tests drive its completion stream
+// with window and watch the partition the controller applies.
 type fakeGate struct {
 	mpl    int
 	limits map[core.Class]int
 	strict bool
-	m      core.Metrics
 }
 
 func (g *fakeGate) MPL() int                            { return g.mpl }
 func (g *fakeGate) SetClassLimits(l map[core.Class]int) { g.limits = l }
-func (g *fakeGate) MetricsInto(m *core.Metrics)         { *m = g.m }
-func (g *fakeGate) ResetMetrics()                       { g.m = core.Metrics{} }
 func (g *fakeGate) SetStrictPartition(strict bool)      { g.strict = strict }
 
-// window synthesizes one observation window: perSlot completions per
-// held slot, capped at demand[c] (absent = unlimited backlog, zero =
-// idle).
-func (g *fakeGate) window(perSlot int, demand map[core.Class]int) {
-	g.m = core.Metrics{}
+// window feeds ctl completions until its next reaction (at most 10000
+// of them). Class c completes at rate min(slots×perSlot, demand[c]) —
+// a backlogged tenant's throughput scales with its slots, which is
+// exactly the regime the controller steers in, capped by the tenant's
+// demand (absent = unlimited backlog, zero = idle). The classes
+// interleave in completion-time order, ties to the lower class, so
+// every window splits its completions in proportion to the rates.
+func (g *fakeGate) window(ctl *Controller, perSlot int, demand map[core.Class]int) {
+	classes := make([]core.Class, 0, len(g.limits))
+	rate := make(map[core.Class]float64, len(g.limits))
+	next := make(map[core.Class]float64, len(g.limits))
 	for c, l := range g.limits {
-		n := l * perSlot
-		if cap, ok := demand[c]; ok && n > cap {
-			n = cap
+		r := l * perSlot
+		if cap, ok := demand[c]; ok && r > cap {
+			r = cap
 		}
-		if n == 0 {
-			continue
+		if r > 0 {
+			classes = append(classes, c)
+			rate[c] = float64(r)
+			next[c] = 1 / float64(r)
 		}
-		cm := core.ClassMetric{Class: c}
-		for i := 0; i < n; i++ {
-			cm.RT.Add(1)
+	}
+	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
+	start := ctl.Iterations()
+	for n := 0; n < 10000 && len(classes) > 0 && ctl.Iterations() == start; n++ {
+		c := classes[0]
+		for _, o := range classes[1:] {
+			if next[o] < next[c] {
+				c = o
+			}
 		}
-		g.m.Classes = append(g.m.Classes, cm)
-		g.m.Completed += uint64(n)
+		ctl.Observe(&core.Item{Class: c, Complete: 1})
+		next[c] += 1 / rate[c]
 	}
 }
 
@@ -121,7 +130,7 @@ func TestInvariantsProperty(t *testing.T) {
 			weights[core.Class(i)] = 1 + rng.Float64()*9
 		}
 		g := &fakeGate{mpl: n + rng.Intn(40)}
-		ctl, err := New(g, Config{Weights: weights, MinObservations: 10})
+		ctl, err := New(g, Config{Weights: weights, MinObservations: 200})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -137,8 +146,7 @@ func TestInvariantsProperty(t *testing.T) {
 					demand[core.Class(i)] = rng.Intn(30)
 				}
 			}
-			g.window(20, demand)
-			ctl.Observe()
+			g.window(ctl, 20, demand)
 			checkInvariants(t, g, weights)
 		}
 	}
@@ -152,7 +160,7 @@ func TestInvariantsProperty(t *testing.T) {
 func TestConvergesToWeightedShares(t *testing.T) {
 	weights := map[core.Class]float64{0: 1, 1: 1, 2: 2, 3: 4}
 	g := &fakeGate{mpl: 24}
-	ctl, err := New(g, Config{Weights: weights, MinObservations: 10})
+	ctl, err := New(g, Config{Weights: weights, MinObservations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,8 +171,7 @@ func TestConvergesToWeightedShares(t *testing.T) {
 		ctl.limits[k] = v
 	}
 	for w := 0; w < 60; w++ {
-		g.window(20, nil)
-		ctl.Observe()
+		g.window(ctl, 20, nil)
 		checkInvariants(t, g, weights)
 	}
 	fair := Allocate(24, weights) // {0:3, 1:3, 2:6, 3:12}
@@ -185,14 +192,13 @@ func TestConvergesToWeightedShares(t *testing.T) {
 func TestIdleDonation(t *testing.T) {
 	weights := map[core.Class]float64{0: 1, 1: 1}
 	g := &fakeGate{mpl: 10}
-	ctl, err := New(g, Config{Weights: weights, MinObservations: 10})
+	ctl, err := New(g, Config{Weights: weights, MinObservations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	idle := map[core.Class]int{1: 0}
 	for w := 0; w < 10; w++ {
-		g.window(20, idle)
-		ctl.Observe()
+		g.window(ctl, 20, idle)
 		checkInvariants(t, g, weights)
 	}
 	if g.limits[1] != 1 {
@@ -201,8 +207,7 @@ func TestIdleDonation(t *testing.T) {
 	// Tenant 1 wakes up backlogged: slots flow back toward the even
 	// split.
 	for w := 0; w < 20; w++ {
-		g.window(20, nil)
-		ctl.Observe()
+		g.window(ctl, 20, nil)
 		checkInvariants(t, g, weights)
 	}
 	if g.limits[1] < 4 {
@@ -215,13 +220,12 @@ func TestIdleDonation(t *testing.T) {
 func TestHysteresisHoldsBalance(t *testing.T) {
 	weights := map[core.Class]float64{0: 1, 1: 1}
 	g := &fakeGate{mpl: 8}
-	ctl, err := New(g, Config{Weights: weights, MinObservations: 10})
+	ctl, err := New(g, Config{Weights: weights, MinObservations: 200})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for w := 0; w < 10; w++ {
-		g.window(20, nil)
-		ctl.Observe()
+		g.window(ctl, 20, nil)
 	}
 	if ctl.Moves() != 0 {
 		t.Errorf("balanced system moved %d slots", ctl.Moves())

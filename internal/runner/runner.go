@@ -381,9 +381,10 @@ type run struct {
 	totalMark, phaseMark, winMark mark
 	nextSnap                      float64
 
-	// loops is the run's one control-loop slot: the MPL, SLO or
-	// fairness controller, fed by onComplete. stopOnConverge ends the
-	// run once an attached MPL controller converges.
+	// loops holds the run's control loops — the MPL controller and one
+	// partition loop (SLO or fairness) — fed by onComplete.
+	// stopOnConverge ends the run once an attached MPL controller
+	// converges.
 	loops          controller.Slot
 	stopOnConverge bool
 
@@ -433,7 +434,7 @@ func (r *run) onComplete(shard int, t *dbfe.Txn) {
 			r.classRes(t.Item.Class).Add(t.Item.ResponseTime())
 		}
 	}
-	r.loops.Observe()
+	r.loops.Observe(&t.Item)
 	// StopOnConverge must not wait for the next breakpoint (a scenario
 	// without snapshot ticks may have none before the phase's end):
 	// halt the engine as soon as the loop settles. The run loop sees
@@ -449,7 +450,7 @@ func (r *run) converged() bool {
 	if !r.stopOnConverge {
 		return false
 	}
-	ctl, ok := r.loops.Loop().(*controller.Controller)
+	ctl, ok := r.loops.Loop(controller.KindMPL).(*controller.Controller)
 	return ok && ctl.Converged()
 }
 
@@ -602,8 +603,10 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 	out.Total = r.report(&r.total, r.totalMark, true)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
-	// A disable event already recorded any loop that left the slot.
-	r.record(r.loops.Loop())
+	// A disable event already recorded any loop that was detached.
+	for _, k := range []controller.Kind{controller.KindMPL, controller.KindSLO, controller.KindFairness} {
+		r.record(r.loops.Loop(k))
+	}
 	if r.asc != nil {
 		out.Autoscale = r.autoscaleReport()
 	}
@@ -778,7 +781,9 @@ func (r *run) autoscaleReport() *AutoscaleResult {
 }
 
 // attachController builds the feedback controller for an
-// enable_controller event and installs it in the run's loop slot.
+// enable_controller event and attaches it as the run's MPL loop. On a
+// sharded stack it observes the cluster-wide completion stream and
+// steers the dispatcher's fleet MPL.
 func (r *run) attachController(cs ControllerSpec) error {
 	gate := r.st.Gate()
 	err := r.loops.Attach(controller.KindMPL, func() (controller.Loop, error) {
@@ -805,11 +810,9 @@ func (r *run) attachController(cs ControllerSpec) error {
 	return nil
 }
 
-// attachSLO builds the latency-SLO controller and installs it in the
-// run's loop slot. The stack must be unsharded (the partition and the
-// per-class percentile signal live on the lone frontend), and the
-// frontend gets percentile sampling enabled on the spot if the
-// configuration did not already.
+// attachSLO builds the latency-SLO controller and attaches it as the
+// run's partition loop. The stack must be unsharded (the partition
+// lives on the lone frontend).
 func (r *run) attachSLO(spec SLOSpec) error {
 	if r.st.Cluster != nil {
 		return fmt.Errorf("runner: SLO control on a sharded system is not supported")
@@ -819,15 +822,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 		return err
 	}
 	err = r.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
-		fe := r.st.FE.Frontend
-		if !fe.PercentilesEnabled() {
-			seed := r.st.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			fe.EnablePercentiles(sloSampleCapacity, seed)
-		}
-		return controller.NewSLO(r.st.Eng.Clock(), fe, controller.SLOConfig{
+		return controller.NewSLO(r.st.FE.Frontend, r.st.Seed, controller.SLOConfig{
 			Target: controller.SLOTarget{
 				Class:      class,
 				Percentile: spec.Percentile,
@@ -844,14 +839,9 @@ func (r *run) attachSLO(spec SLOSpec) error {
 	return nil
 }
 
-// sloSampleCapacity is the reservoir size attachSLO enables when the
-// stack has no percentile sampling of its own: large enough for a
-// stable p95 over a 50-completion window, small enough to be free.
-const sloSampleCapacity = 2048
-
 // attachFairness builds the N-tenant max-min fairness controller and
-// installs it in the run's loop slot. The stack must be unsharded (the
-// class partition lives on the lone frontend).
+// attaches it as the run's partition loop. The stack must be unsharded
+// (the class partition lives on the lone frontend).
 func (r *run) attachFairness(spec FairnessSpec) error {
 	if r.st.Cluster != nil {
 		return fmt.Errorf("runner: fairness control on a sharded system is not supported")
@@ -871,8 +861,8 @@ func (r *run) attachFairness(spec FairnessSpec) error {
 }
 
 // record writes loop l's outcome into the Result: called when a
-// disable event takes l out of the slot, and at the run's end for the
-// loop still attached (a nil l records nothing).
+// disable event detaches l, and at the run's end for each loop still
+// attached (a nil l records nothing).
 func (r *run) record(l controller.Loop) {
 	switch l := l.(type) {
 	case *controller.Controller:
@@ -900,11 +890,13 @@ func (r *run) record(l controller.Loop) {
 }
 
 // beginMeasurement opens the measurement window at the engine's
-// current time.
+// current time. No control loop is attached yet — Stack.SLO, the
+// fairness block and events all attach later — so each loop opens its
+// own observation window inside the measurement window.
 func (r *run) beginMeasurement() {
 	if c := r.st.Cluster; c != nil {
-		c.ResetMetrics()
 		for _, sh := range c.Shards() {
+			sh.FE.ResetMetrics()
 			if sh.DB != nil {
 				sh.DB.Pool().ResetStats()
 			}
@@ -1153,10 +1145,10 @@ func (r *run) applyEvent(ev *Event) error {
 			return err
 		}
 	}
-	// Disables run before enables, so one event can hand the loop slot
-	// from one loop to another ({disable_controller, set_slo} and
-	// {disable_slo, enable_controller} both work). A detached loop's
-	// outcome is recorded so its report survives the disable.
+	// Disables run before enables, so one event can hand the partition
+	// from one loop to another ({disable_slo, enable_fairness} works).
+	// A detached loop's outcome is recorded so its report survives the
+	// disable.
 	if ev.DisableSLO {
 		r.record(r.loops.Detach(controller.KindSLO))
 	}

@@ -18,7 +18,13 @@ import (
 // TPC-C-like workload on 1 CPU / 1 disk).
 func testStack(t *testing.T, mpl int, seed uint64) Stack {
 	t.Helper()
-	setup, err := workload.SetupByID(1)
+	return setupStack(t, 1, mpl, seed)
+}
+
+// setupStack assembles a fresh stack for the given Table 2 setup.
+func setupStack(t *testing.T, setupID, mpl int, seed uint64) Stack {
+	t.Helper()
+	setup, err := workload.SetupByID(setupID)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,22 +338,37 @@ func TestDisableControllerFreezesTuneReport(t *testing.T) {
 	}
 }
 
-// TestLoopSlotHandoff: the MPL, SLO and fairness loops share the run's
-// one loop slot. Attaching a second kind fails; one event can hand the
-// slot to the next loop, and every loop that held it reports.
+// TestLoopSlotHandoff: a run holds one MPL loop and one partition
+// loop. The controller stacks with the SLO loop; the SLO and fairness
+// loops both write the class partition, so the second of them is
+// refused; one event can hand the partition from one loop to the next,
+// and every loop that ran reports.
 func TestLoopSlotHandoff(t *testing.T) {
 	enable := &ControllerSpec{MaxThroughputLoss: 0.05, ReferenceThroughput: 50}
-	_, err := Run(context.Background(), testStack(t, 8, 3), Scenario{
-		Phases: []Phase{{Kind: PhaseClosed, Duration: 60, Events: []Event{
+	out, err := Run(context.Background(), testStack(t, 8, 3), Scenario{
+		Phases: []Phase{{Kind: PhaseClosed, Duration: 100, Events: []Event{
 			{EnableController: enable},
 			{At: 20, SetSLO: &SLOSpec{Target: 1}},
 		}}},
 	})
-	if err == nil || !strings.Contains(err.Error(), "share the metrics window") {
-		t.Fatalf("SLO loop attached over the controller: err = %v", err)
+	if err != nil {
+		t.Fatalf("SLO loop refused next to the controller: %v", err)
+	}
+	if out.Tune == nil || out.Tune.Iterations == 0 || out.SLO == nil || out.SLO.Iterations == 0 {
+		t.Errorf("stacked reports: tune %+v, SLO %+v", out.Tune, out.SLO)
 	}
 
-	out, err := Run(context.Background(), testStack(t, 8, 3), Scenario{
+	_, err = Run(context.Background(), testStack(t, 8, 3), Scenario{
+		Phases: []Phase{{Kind: PhaseClosed, Duration: 60, Events: []Event{
+			{SetSLO: &SLOSpec{Target: 1}},
+			{At: 20, EnableFairness: &FairnessSpec{Weights: map[string]float64{"high": 1, "low": 1}}},
+		}}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "class partition") {
+		t.Fatalf("fairness attached over the SLO loop: err = %v", err)
+	}
+
+	out, err = Run(context.Background(), testStack(t, 8, 3), Scenario{
 		Phases: []Phase{{Kind: PhaseClosed, Duration: 300, Events: []Event{
 			{EnableController: enable},
 			{At: 100, DisableController: true, SetSLO: &SLOSpec{Target: 1}},
@@ -365,6 +386,95 @@ func TestLoopSlotHandoff(t *testing.T) {
 	}
 	if f := out.Fairness; f == nil || f.Iterations == 0 || f.Limits[0]+f.Limits[1] != out.FinalMPL {
 		t.Errorf("fairness report: %+v (final MPL %d)", f, out.FinalMPL)
+	}
+}
+
+// stackedScenario runs the paper's recipe on three weighted tenants:
+// the MPL controller and the fairness loop both attach at t=0, the
+// controller searching for the lowest MPL within the throughput bound
+// while fairness partitions whatever MPL it sets.
+func stackedScenario(reference float64) Scenario {
+	return Scenario{
+		Tenants: []TenantSpec{
+			{Name: "small", Weight: 1, Share: 0.25},
+			{Name: "mid", Weight: 1, Share: 0.25},
+			{Name: "big", Weight: 2, Share: 0.5},
+		},
+		Phases: []Phase{{Kind: PhaseClosed, Clients: 60, Duration: 600, Events: []Event{{
+			EnableController: &ControllerSpec{MaxThroughputLoss: 0.05, ReferenceThroughput: reference},
+			EnableFairness:   &FairnessSpec{},
+		}}}},
+	}
+}
+
+// TestLoopStackingControllerFairness: with both loops attached the
+// controller converges, and fairness ends with a partition of exactly
+// the converged MPL that leaves every tenant a slot. The run is a pure
+// function of its seed.
+func TestLoopStackingControllerFairness(t *testing.T) {
+	ref, err := Run(context.Background(), setupStack(t, 12, 0, 5), Scenario{
+		Warmup: 20,
+		Phases: []Phase{{Kind: PhaseClosed, Clients: 60, Duration: 100}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	run := func() Result {
+		out, err := Run(context.Background(), setupStack(t, 12, 12, 5), stackedScenario(ref.Total.Throughput))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	out := run()
+	if out.Tune == nil || !out.Tune.Converged {
+		t.Fatalf("controller did not converge: %+v", out.Tune)
+	}
+	f := out.Fairness
+	if f == nil || f.Iterations == 0 || len(f.Limits) != 3 {
+		t.Fatalf("fairness report: %+v", f)
+	}
+	sum := 0
+	for c, l := range f.Limits {
+		if l < 1 {
+			t.Errorf("tenant %d holds %d slots, want >= 1", c, l)
+		}
+		sum += l
+	}
+	if sum != out.FinalMPL || out.Tune.FinalMPL != out.FinalMPL {
+		t.Errorf("fairness limits %v sum to %d, want the converged MPL %d (tune %+v)", f.Limits, sum, out.FinalMPL, out.Tune)
+	}
+	if again := run(); !reflect.DeepEqual(out, again) {
+		t.Errorf("rerun differs:\n%+v\nvs\n%+v", out, again)
+	}
+}
+
+// TestLoopStackingBelowTenantCount: when the controller settles below
+// one slot per tenant, the fairness loop holds its last partition — it
+// cannot floor every tenant at one slot — instead of failing the run.
+func TestLoopStackingBelowTenantCount(t *testing.T) {
+	// A reference far below what MPL 1 delivers: every window meets
+	// the target with margin, so the controller walks down to MPL 1.
+	out, err := Run(context.Background(), testStack(t, 12, 5), stackedScenario(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Tune == nil || !out.Tune.Converged || out.FinalMPL >= 3 {
+		t.Fatalf("controller did not settle below the tenant count: %+v (final MPL %d)", out.Tune, out.FinalMPL)
+	}
+	f := out.Fairness
+	if f == nil || len(f.Limits) != 3 {
+		t.Fatalf("fairness report: %+v", f)
+	}
+	sum := 0
+	for c, l := range f.Limits {
+		if l < 1 {
+			t.Errorf("tenant %d holds %d slots, want >= 1", c, l)
+		}
+		sum += l
+	}
+	if sum < 3 {
+		t.Errorf("held partition %v no longer floors every tenant", f.Limits)
 	}
 }
 

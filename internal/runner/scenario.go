@@ -87,9 +87,9 @@ func (t TenantSpec) weight() float64 {
 // weight-normalized attained service equalizes. Two invariants hold
 // after every reaction: the per-tenant limits sum to the MPL, and every
 // tenant keeps at least one slot — an aggressor can never capture the
-// whole gate. Unsharded systems only; mutually exclusive with the
-// feedback controller and the SLO controller (all three share the one
-// metrics window).
+// whole gate. Unsharded systems only. It runs alongside the feedback
+// controller (which sets the MPL it partitions) but not with the SLO
+// controller: both write the class partition.
 type FairnessSpec struct {
 	// Weights overrides the tenants' declared weights, keyed by tenant
 	// name (every listed name must resolve; weights > 0). Nil means

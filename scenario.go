@@ -114,10 +114,10 @@ func ParseScenario(data []byte) (Scenario, error) {
 // dbsim prints it with -scenario-example, and the fuzz corpus seeds
 // from it): three weighted tenants under the strict max-min fairness
 // controller through a steady closed phase, an open ramp surge that
-// swaps the fairness loop for the throughput feedback controller
-// (the two share the metrics window, so only one runs at a time) and
-// rebalances the tenant weights mid-flight, and a synthesized bursty
-// trace replay.
+// swaps the fairness loop for the throughput feedback controller (a
+// choice: the two could also run together, the controller picking the
+// MPL that fairness partitions) and rebalances the tenant weights
+// mid-flight, and a synthesized bursty trace replay.
 const ExampleScenarioJSON = `{
   "name": "surge-demo",
   "warmup": 30,
