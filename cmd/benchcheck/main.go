@@ -3,7 +3,8 @@
 // (ns/op and allocs/op, including the conservative parallel engine's
 // per-window overhead, whose hot path must stay allocation-free),
 // live-gate overhead (serial plus RunParallel
-// contention sweeps at GOMAXPROCS 2/4/8, and the Pool fast path),
+// contention sweeps at GOMAXPROCS 2/4/8, the Pool fast path, and the
+// allocations of one request through the HTTP middleware),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
 // "jsq-d" path must stay allocation-free and flat in N), the DBMS
 // model's allocations (a cold-key lock request, a CPU burst and a
@@ -37,6 +38,8 @@ import (
 	"flag"
 	"fmt"
 	"math"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"runtime"
 	"sort"
@@ -55,6 +58,13 @@ import (
 	"extsched/internal/sim"
 	"extsched/internal/workload"
 )
+
+// discardWriter is a reusable http.ResponseWriter that keeps nothing.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
 
 // Metric is one tracked measurement.
 type Metric struct {
@@ -359,6 +369,27 @@ func measure() ([]Metric, error) {
 	runtime.GOMAXPROCS(prev)
 	add("gate/pool_acquire_release_parallel_cpu4/ns_op", "time", float64(r.NsPerOp()))
 	add("gate/pool_acquire_release_parallel_cpu4/allocs_op", "allocs", float64(r.AllocsPerOp()))
+
+	// Live middleware: one fast-path request through gate.Middleware at
+	// limit 64 over a reused writer stub (gate BenchmarkGateMiddleware).
+	// The status writer rides in the pooled ticket slot, so a request
+	// costs the middleware no allocation.
+	gm, err := gate.New(gate.Config{Limit: 64})
+	if err != nil {
+		return nil, err
+	}
+	mh := gate.Middleware(gm, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.WriteHeader(http.StatusOK)
+	}))
+	mw := &discardWriter{h: http.Header{}}
+	mr := httptest.NewRequest(http.MethodGet, "/", nil)
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			mh.ServeHTTP(mw, mr)
+		}
+	})
+	add("gate/middleware/allocs_op", "allocs", float64(r.AllocsPerOp()))
 
 	// Dispatch pick cost: the per-transaction routing decision at fleet
 	// sizes 8 and 1000 for full-scan jsq versus sampled jsq-d. The

@@ -2,6 +2,8 @@ package gate
 
 import (
 	"context"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 )
 
@@ -23,6 +25,24 @@ func BenchmarkGateAcquireRelease(b *testing.B) {
 			b.Fatal(err)
 		}
 		tk.Release(Result{})
+	}
+}
+
+// BenchmarkGateMiddleware measures one fast-path request through
+// Middleware at limit 64 over a reused writer stub, so the number is
+// the middleware's own overhead — target 0 allocs/op (the status
+// writer lives in the pooled ticket slot).
+func BenchmarkGateMiddleware(b *testing.B) {
+	g, err := New(Config{Limit: 64})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := Middleware(g, okHandler)
+	w := &discardWriter{h: http.Header{}}
+	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		h.ServeHTTP(w, r)
 	}
 }
 

@@ -173,6 +173,9 @@ type ticketSlot struct {
 	// shed is set (before the admitted token is sent) when the ticket
 	// was deadline-shed instead of admitted.
 	shed bool
+	// sw is Middleware's status writer for the request holding the
+	// ticket; putSlot clears it so a pooled slot keeps no writer alive.
+	sw statusWriter
 }
 
 // Ticket is one admitted unit of work. Callers must Release it exactly
@@ -277,9 +280,12 @@ func (g *Gate) Acquire(ctx context.Context) (Ticket, error) {
 //
 // When a slot is free and nothing is waiting, admission is a lock-free
 // CAS on the frontend's gate word plus a pooled ticket slot: no mutex,
-// no channel operation, no allocation. The queueing path below is
-// taken only when the request must actually wait (or a policy feature
-// — class partitions, admit deadlines — needs the ordered slow path).
+// no channel operation, no allocation, and one clock read that stamps
+// both arrival and dispatch. The queueing path below is taken only
+// when the request must actually wait (or a policy feature — class
+// partitions, admit deadlines — needs the ordered slow path); it reads
+// the clock once on arrival (twice when an admit deadline arms a
+// timer) and once more when a release dispatches it.
 func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) {
 	if err := ctx.Err(); err != nil {
 		return Ticket{}, err
@@ -363,13 +369,16 @@ func (g *Gate) armDeadline(it *core.Item) (stop func()) {
 func (g *Gate) putSlot(s *ticketSlot) {
 	s.item = core.Item{}
 	s.shed = false
+	s.sw = statusWriter{}
 	g.slots.Put(s)
 }
 
 // Release frees the ticket's slot, recording res. The next waiting
 // request (per the queue policy) is admitted on the caller's
 // goroutine before Release returns. On the uncontended path this is a
-// lock-free CAS plus the metrics update — no mutex, no allocation.
+// lock-free CAS plus the metrics update — no mutex, no allocation —
+// and one clock read: the completion stamp, from which the time the
+// work held its slot is also taken.
 func (t Ticket) Release(res Result) { t.release(res) }
 
 // release performs the first-Release work and reports whether this
@@ -384,8 +393,7 @@ func (t Ticket) release(res Result) bool {
 	if res.Err != nil {
 		g.errs.Add(1)
 	}
-	inside := g.clock.Now() - s.item.Dispatch
-	g.fe.Complete(&s.item, core.Outcome{InsideTime: inside})
+	g.fe.CompleteMeasured(&s.item)
 	g.putSlot(s)
 	return true
 }

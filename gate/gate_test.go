@@ -2,6 +2,7 @@ package gate
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -719,5 +720,43 @@ func TestHotAccessorsZeroAlloc(t *testing.T) {
 		_, _ = g.ClassLimit(0)
 	}); n != 0 {
 		t.Errorf("hot accessors allocate %v/op, want 0", n)
+	}
+}
+
+// TestWaitPlusInsideIsResponse: on the wall clock, a request's inside
+// time is taken from the same stamp that ends its response time, so
+// the window's mean wait and mean inside time add up to its mean
+// response time exactly (up to float rounding), queued requests
+// included.
+func TestWaitPlusInsideIsResponse(t *testing.T) {
+	g, err := New(Config{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				tk, err := g.Acquire(ctx)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				time.Sleep(10 * time.Microsecond)
+				tk.Release(Result{})
+			}
+		}()
+	}
+	wg.Wait()
+	s := g.Stats()
+	if s.Completed != 200 || s.MeanWait <= 0 {
+		t.Fatalf("completed %d mean wait %v: want 200 completions, some of them queued", s.Completed, s.MeanWait)
+	}
+	if diff := math.Abs(s.MeanWait + s.MeanInside - s.MeanResponse); diff > 1e-9*s.MeanResponse {
+		t.Errorf("MeanWait %v + MeanInside %v = %v, MeanResponse %v (relative error %v > 1e-9)",
+			s.MeanWait, s.MeanInside, s.MeanWait+s.MeanInside, s.MeanResponse, diff/s.MeanResponse)
 	}
 }

@@ -9,11 +9,20 @@ import (
 
 // Middleware wraps next so every request passes through the gate: at
 // most Limit requests run concurrently, the rest queue per the gate's
-// policy. Requests rejected by admission control (ErrQueueFull) get
-// 503 Service Unavailable with a Retry-After header; requests whose
+// policy. Requests the gate rejects — admission control (ErrQueueFull)
+// or an expired class admission deadline (ErrDeadline) — get 503
+// Service Unavailable with a Retry-After header; requests whose
 // context dies while queued are abandoned without a response (the
 // client is gone). Responses with 5xx status are counted in
 // Stats.Errors.
+//
+// An admitted request costs no allocation: the writer handed to next,
+// which records the response status, lives in the request's pooled
+// ticket slot and is cleared when the request releases it. This rests
+// on net/http's contract that a ResponseWriter may not be used after
+// ServeHTTP returns (net/http recycles the buffers under its own
+// writers on the same terms): a handler that keeps its writer past
+// that point may reach a later request's writer through it, or panic.
 func Middleware(g *Gate, next http.Handler) http.Handler {
 	return MiddlewareClassify(g, nil, next)
 }
@@ -30,7 +39,7 @@ func MiddlewareClassify(g *Gate, classify func(*http.Request) Request, next http
 		}
 		tk, err := g.AcquireRequest(r.Context(), req)
 		if err != nil {
-			if err == ErrQueueFull {
+			if err == ErrQueueFull || err == ErrDeadline {
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "server overloaded", http.StatusServiceUnavailable)
 			}
@@ -38,7 +47,8 @@ func MiddlewareClassify(g *Gate, classify func(*http.Request) Request, next http
 			// queued; any response would go nowhere.
 			return
 		}
-		sw := &statusWriter{ResponseWriter: w}
+		sw := &tk.s.sw
+		sw.ResponseWriter = w
 		defer func() {
 			if p := recover(); p != nil {
 				tk.Release(Result{Err: fmt.Errorf("gate: handler panicked: %v", p)})

@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"context"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -220,5 +221,111 @@ func TestMiddlewareForwardsFlusher(t *testing.T) {
 	resp.Body.Close()
 	if !flushed.Load() {
 		t.Error("streaming handler could not flush")
+	}
+}
+
+// TestMiddlewareShedsDeadlineWith503: a request the gate sheds at its
+// class's admission deadline is answered 503 with Retry-After, not an
+// empty 200, and counts in Stats.Shed.
+func TestMiddlewareShedsDeadlineWith503(t *testing.T) {
+	g, err := New(Config{Limit: 1, AdmitDeadline: map[Class]float64{ClassLow: 0.01}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	holder, err := g.Acquire(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer holder.Release(Result{})
+	srv := httptest.NewServer(Middleware(g, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, "ok")
+	})))
+	defer srv.Close()
+	resp, err := http.Get(srv.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Errorf("deadline-shed status = %d, want 503", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
+		t.Error("503 missing Retry-After header")
+	}
+	if got := g.Stats().Shed; got != 1 {
+		t.Errorf("shed = %d, want 1", got)
+	}
+}
+
+// discardWriter is a reusable ResponseWriter that keeps nothing, so a
+// middleware round trip through it measures the middleware alone.
+type discardWriter struct{ h http.Header }
+
+func (w *discardWriter) Header() http.Header         { return w.h }
+func (w *discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w *discardWriter) WriteHeader(int)             {}
+
+var okHandler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	w.WriteHeader(http.StatusOK)
+})
+
+// TestMiddlewareZeroAlloc: an admitted request costs the middleware no
+// allocation — the status writer rides in the pooled ticket slot.
+func TestMiddlewareZeroAlloc(t *testing.T) {
+	g, err := New(Config{Limit: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := Middleware(g, okHandler)
+	w := &discardWriter{h: http.Header{}}
+	r := httptest.NewRequest(http.MethodGet, "/", nil)
+	if n := testing.AllocsPerRun(100, func() { h.ServeHTTP(w, r) }); n != 0 {
+		t.Errorf("Middleware round trip allocates %v/op, want 0", n)
+	}
+	if s := g.Stats(); s.Completed == 0 || s.Errors != 0 || s.Inflight != 0 {
+		t.Errorf("completed %d errors %d inflight %d, want >0, 0, 0", s.Completed, s.Errors, s.Inflight)
+	}
+}
+
+// TestMiddlewareStaleWriterMissesLaterRequest: a handler that keeps its
+// writer past ServeHTTP breaks net/http's contract, but once the next
+// request on the same pooled slot has completed, a write through the
+// kept writer cannot reach that request's response.
+func TestMiddlewareStaleWriterMissesLaterRequest(t *testing.T) {
+	g, err := New(Config{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept, last http.ResponseWriter
+	h := Middleware(g, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if kept == nil {
+			kept = w
+		}
+		last = w
+		io.WriteString(w, r.URL.Path)
+	}))
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodGet, "/first", nil))
+	// The race detector makes sync.Pool drop slots at random; retry
+	// until a later request lands on the kept writer's slot.
+	var second *httptest.ResponseRecorder
+	last = nil
+	for i := 0; i < 20 && last != kept; i++ {
+		second = httptest.NewRecorder()
+		h.ServeHTTP(second, httptest.NewRequest(http.MethodGet, "/second", nil))
+	}
+	if last != kept {
+		t.Skip("the pool never handed the kept slot back; nothing to check")
+	}
+	func() {
+		defer func() { recover() }()
+		kept.Header().Set("X-Stale", "1")
+		kept.WriteHeader(http.StatusTeapot)
+		io.WriteString(kept, "stale")
+	}()
+	if got := second.Body.String(); got != "/second" {
+		t.Errorf("second response body = %q, want %q", got, "/second")
+	}
+	if second.Code != http.StatusOK || second.Header().Get("X-Stale") != "" {
+		t.Errorf("second response status %d, X-Stale %q: touched by a stale writer", second.Code, second.Header().Get("X-Stale"))
 	}
 }

@@ -320,16 +320,6 @@ func (p *Pool) unroute(i int, size float64) {
 	p.mu.Unlock()
 }
 
-// finish settles a completed request's work charge.
-func (p *Pool) finish(i int, size float64) {
-	p.mu.Lock()
-	p.work[i] -= size
-	if p.work[i] < 0 {
-		p.work[i] = 0
-	}
-	p.mu.Unlock()
-}
-
 // Acquire waits for admission somewhere in the pool with default
 // request attributes.
 func (p *Pool) Acquire(ctx context.Context) (PoolTicket, error) {
@@ -362,7 +352,7 @@ func (p *Pool) AcquireRequest(ctx context.Context, req Request) (PoolTicket, err
 		}
 		return PoolTicket{}, err
 	}
-	return PoolTicket{t: tk, p: p, member: i, size: req.SizeHint, probe: probe}, nil
+	return PoolTicket{t: tk, p: p, member: i, size: req.SizeHint}, nil
 }
 
 // PoolTicket is one admitted unit of work plus the routing it arrived
@@ -374,7 +364,6 @@ type PoolTicket struct {
 	p      *Pool
 	member int
 	size   float64
-	probe  bool
 }
 
 // Member returns the index of the member gate that admitted the work.
@@ -388,15 +377,19 @@ func (t PoolTicket) Release(res Result) {
 	if t.p == nil || !t.t.release(res) {
 		return
 	}
-	t.p.finish(t.member, t.size)
-	t.p.recordResult(t.member, t.probe, res.Err != nil)
+	t.p.finish(t.member, t.size, res.Err != nil)
 }
 
-// recordResult applies one released request's outcome to member i's
-// breaker state.
-func (p *Pool) recordResult(i int, probe, failed bool) {
+// finish settles a released request in one critical section: it
+// refunds the request's work charge on member i and, with the breaker
+// armed, applies its outcome to the member's health.
+func (p *Pool) finish(i int, size float64, failed bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	p.work[i] -= size
+	if p.work[i] < 0 {
+		p.work[i] = 0
+	}
 	if p.breaker == nil {
 		return
 	}

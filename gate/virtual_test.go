@@ -220,3 +220,76 @@ func TestAutoTuneWithFairnessVirtual(t *testing.T) {
 		t.Errorf("converged limit = %d, want in [%d,%d]", tune.Limit, capacity, 2*capacity)
 	}
 }
+
+// countClock is a virtual clock that counts its reads.
+type countClock struct {
+	vclock
+	reads atomic.Int64
+}
+
+func (c *countClock) Now() float64 {
+	c.reads.Add(1)
+	return c.vclock.Now()
+}
+
+// TestClockReadsPerRequest pins the gate's clock cost: a request reads
+// the clock once per event that needs a time stamp — arrival, dispatch
+// and completion, with arrival and dispatch sharing one read on the
+// fast path — and no layer reads it again for its own bookkeeping.
+func TestClockReadsPerRequest(t *testing.T) {
+	ck := &countClock{}
+	g, err := New(Config{Limit: 1, clock: ck})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	step := func(what string, want int64, f func()) {
+		t.Helper()
+		ck.reads.Store(0)
+		f()
+		if got := ck.reads.Load(); got != want {
+			t.Errorf("%s read the clock %d times, want %d", what, got, want)
+		}
+	}
+
+	// Fast path: arrival = dispatch, then completion.
+	step("fast-path Acquire+Release", 2, func() {
+		tk, err := g.Acquire(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Release(Result{})
+	})
+
+	// Queued path, behind a held slot: arrival, then dispatch (read
+	// once by the holder's Release, which also stamps the holder's own
+	// completion), then completion.
+	var holder Ticket
+	step("holder's Acquire", 1, func() {
+		if holder, err = g.Acquire(ctx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	got := make(chan Ticket, 1)
+	step("queued arrival", 1, func() {
+		go func() {
+			tk, err := g.Acquire(ctx)
+			if err != nil {
+				t.Error(err)
+			}
+			got <- tk
+		}()
+		for g.Queued() != 1 {
+			runtime.Gosched()
+		}
+	})
+	var queued Ticket
+	step("holder's completion + queued dispatch", 2, func() {
+		holder.Release(Result{})
+		queued = <-got
+	})
+	step("queued completion", 1, func() { queued.Release(Result{}) })
+	if s := g.Stats(); s.Completed != 3 || s.Inflight != 0 || s.Queued != 0 {
+		t.Errorf("completed %d inflight %d queued %d, want 3, 0, 0", s.Completed, s.Inflight, s.Queued)
+	}
+}

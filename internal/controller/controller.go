@@ -260,14 +260,20 @@ func (c *Controller) Last() Decision {
 
 // Observe tallies one completed item into the observation window, and
 // closes the window and reacts when the gates are satisfied. Call it
-// once per completed item, from any goroutine.
+// once per completed item, from any goroutine; the item's Complete
+// stamp (never earlier than the previous observation's) is the
+// observation time.
 func (c *Controller) Observe(it *core.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.converged {
 		return
 	}
-	now := c.clock.Now()
+	// The completion was stamped as it finished, so reading the clock
+	// again would only cost time. Concurrent live completions can
+	// arrive here out of stamp order; the clamp keeps observation
+	// times monotone, so no inter-completion time is negative.
+	now := max(it.Complete, c.lastCompletion)
 	if c.lastCompletion > 0 {
 		c.interCompletion.Add(now - c.lastCompletion)
 	}

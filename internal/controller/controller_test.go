@@ -3,6 +3,7 @@ package controller
 import (
 	"testing"
 
+	"extsched/internal/core"
 	"extsched/internal/dbfe"
 	"extsched/internal/dbms"
 	"extsched/internal/dist"
@@ -240,5 +241,36 @@ func TestHistoryRecordsMetrics(t *testing.T) {
 	}
 	if d := ctl.Last(); d.Iteration != ctl.Iterations() || d.Throughput <= 0 || d.MeanRT <= 0 || d.MPL < 1 {
 		t.Errorf("bad decision record: %+v", d)
+	}
+}
+
+// fixedGate is a Gate that never changes and always looks loaded.
+type fixedGate struct{}
+
+func (fixedGate) MPL() int      { return 4 }
+func (fixedGate) SetMPL(int)    {}
+func (fixedGate) QueueLen() int { return 1 }
+func (fixedGate) Inside() int   { return 4 }
+
+// TestObserveClampsOutOfOrderStamps: live completions can reach
+// Observe out of stamp order (each goroutine stamps before it takes
+// the controller's lock). The observation time must not run backwards,
+// so no inter-completion time is negative.
+func TestObserveClampsOutOfOrderStamps(t *testing.T) {
+	ctl, err := New(sim.NewEngine().Clock(), fixedGate{}, Config{
+		Reference:       Reference{MaxThroughput: 100},
+		MinObservations: 1000,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, stamp := range []float64{1, 3, 2, 4} {
+		ctl.Observe(&core.Item{Complete: stamp})
+	}
+	if got := ctl.interCompletion.Min(); got < 0 {
+		t.Errorf("smallest inter-completion time %v, want >= 0", got)
+	}
+	if got := ctl.lastCompletion; got != 4 {
+		t.Errorf("last observation time %v, want 4", got)
 	}
 }

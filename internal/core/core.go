@@ -1312,10 +1312,10 @@ func (f *Frontend) Dropped() uint64 {
 func (f *Frontend) dispatch() {
 	for {
 		f.mu.Lock()
-		it, shedList := f.nextDispatchLocked()
+		it, shedList, now := f.nextDispatchLocked()
 		if it != nil {
 			it.state = itemDispatched
-			it.Dispatch = f.clock.Now()
+			it.Dispatch = now
 			f.claimSlotLocked()
 			f.incClassLocked(it.Class)
 		}
@@ -1467,18 +1467,22 @@ func (f *Frontend) popDeferredLocked(c Class, now float64, shedList *[]*Item) *I
 // they never throttle the whole gate below its MPL. A strict
 // partition (SetStrictPartition) skips step 3: limits become hard
 // caps and capacity may idle while only at-limit classes hold work.
-func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item) {
+//
+// now is the clock reading the deadline checks used (0 when the gate
+// was full and the clock went unread); the caller stamps a returned
+// item's Dispatch with it instead of reading the clock again.
+func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item, now float64) {
 	if inside, limit := unpack(f.word.Load()); limit != 0 && inside >= limit {
-		return nil, nil
+		return nil, nil, 0
 	}
-	now := f.clock.Now()
+	now = f.clock.Now()
 	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
 		c := f.deferredOrder[i]
 		if !f.classEligibleLocked(c) {
 			continue
 		}
 		if cand := f.popDeferredLocked(c, now, &shedList); cand != nil {
-			return cand, shedList
+			return cand, shedList, now
 		}
 	}
 	for {
@@ -1506,17 +1510,17 @@ func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item) {
 			f.deferLocked(cand)
 			continue
 		}
-		return cand, shedList
+		return cand, shedList, now
 	}
 	if f.strictLimit {
-		return nil, shedList
+		return nil, shedList, now
 	}
 	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
 		if cand := f.popDeferredLocked(f.deferredOrder[i], now, &shedList); cand != nil {
-			return cand, shedList
+			return cand, shedList, now
 		}
 	}
-	return nil, shedList
+	return nil, shedList, now
 }
 
 // Discard completes an admitted item WITHOUT recording it in the
@@ -1554,7 +1558,16 @@ func (f *Frontend) Discard(it *Item) {
 // dispatch wakes the queue. Either way the conservation invariant
 // (accepted == completed + inside + queued + canceled + shed + failed)
 // holds at every linearization point of the gate word.
-func (f *Frontend) Complete(it *Item, o Outcome) {
+func (f *Frontend) Complete(it *Item, o Outcome) { f.complete(it, o, false) }
+
+// CompleteMeasured is Complete for a caller that did not time the work
+// itself (the live gate): the item's Outcome.InsideTime is its
+// completion stamp minus its dispatch stamp, so the completion reads
+// the clock once.
+func (f *Frontend) CompleteMeasured(it *Item) { f.complete(it, Outcome{}, true) }
+
+// complete is the one body behind Complete and CompleteMeasured.
+func (f *Frontend) complete(it *Item, o Outcome, measured bool) {
 	if it.state != itemDispatched {
 		panic(fmt.Sprintf("core: Complete on an item in state %d (double completion?)", it.state))
 	}
@@ -1568,9 +1581,7 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 				panic("core: inside count underflow")
 			}
 			if f.word.CompareAndSwap(s, s-1) {
-				it.state = itemDone
-				it.Complete = f.clock.Now()
-				it.Outcome = o
+				f.stampDone(it, o, measured)
 				f.classInside[c].Add(-1)
 				f.finishCompletion(it)
 				return
@@ -1582,14 +1593,24 @@ func (f *Frontend) Complete(it *Item, o Outcome) {
 		f.mu.Unlock()
 		panic(fmt.Sprintf("core: Complete on an item in state %d (double completion?)", it.state))
 	}
-	it.state = itemDone
-	it.Complete = f.clock.Now()
-	it.Outcome = o
+	f.stampDone(it, o, measured)
 	f.releaseSlot()
 	f.decClassLocked(it.Class)
 	f.mu.Unlock()
 	f.finishCompletion(it)
 	f.dispatch()
+}
+
+// stampDone marks a completing item done at the current time and
+// attaches its outcome, measuring InsideTime from the stamps when the
+// caller did not.
+func (f *Frontend) stampDone(it *Item, o Outcome, measured bool) {
+	it.state = itemDone
+	it.Complete = f.clock.Now()
+	if measured {
+		o.InsideTime = it.Complete - it.Dispatch
+	}
+	it.Outcome = o
 }
 
 // finishCompletion records a completed item in the metrics window and
