@@ -6,11 +6,21 @@
 // paper turns the same benchmark into CPU-bound (everything cached,
 // e.g. W_CPU-inventory: 1 GB data / 1 GB pool) or I/O-bound workloads
 // (W_IO-inventory: 6 GB data / 100 MB pool).
+//
+// Every simulated page access probes the pool, and every run builds and
+// prewarms a fresh one per shard, so the page index is the hottest data
+// structure in the simulator. It is an open-addressed table over the
+// pool's node arena rather than a Go map: one int32 per cell, a fixed
+// multiplicative hash, linear probing and backward-shift deletion
+// (Knuth, TAOCP vol. 3, §6.4, Algorithm R). A probe compares the key
+// through the arena node a hit touches anyway, an eviction leaves no
+// tombstone behind, and nothing is allocated after New.
 package bufferpool
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"extsched/internal/sim"
 )
@@ -22,6 +32,10 @@ type lruNode struct {
 	prev, next int32
 }
 
+// fibMul is 2^64 / φ, the multiplier of Fibonacci hashing: the top bits
+// of page·fibMul spread consecutive page ids evenly over the index.
+const fibMul = 0x9E3779B97F4A7C15
+
 // Pool is an LRU page cache with dirty-page tracking for the
 // background flusher (checkpointer).
 //
@@ -31,14 +45,32 @@ type lruNode struct {
 // accesses (and pool warm-up) allocate nothing. At fleet scale — a
 // thousand simulated backends each warming a pool — per-insert
 // element allocation was the dominant build cost.
+//
+// The page index maps a page id to its arena slot. Its cells hold
+// slot+1 (0 is empty); its length is the smallest power of two above
+// 1.5 × capacity, so under two thirds of the cells are ever full and
+// every probe ends at an empty cell, even at capacity 1. A page's home
+// cell is the top bits of its Fibonacci hash, which is fixed, so runs
+// stay deterministic; collisions probe forward. Page ids stay
+// arbitrary uint64s, and the index costs 6–12 bytes per page of
+// capacity whatever the database size, where a table indexed by page
+// id would grow with the database. A Go map did the same job at about
+// twice the cost per access and several times the cost per warm-up
+// insert.
+//
+// Dirty flags are a bitset over arena slots, so the checkpointer's
+// batch is a walk of the recency list from its LRU end: reproducible,
+// and the pages closest to eviction are written first.
 type Pool struct {
 	capacity   int
 	nodes      []lruNode // arena; grows to capacity, then slots recycle
 	head, tail int32     // head = most recent, -1 = empty
-	pages      map[uint64]int32
+	index      []int32   // open-addressed page index: arena slot + 1, 0 = empty
+	shift      uint      // 64 − log2(len(index)): home cell = hash >> shift
 	hits       uint64
 	misses     uint64
-	dirty      map[uint64]struct{}
+	dirty      []uint64 // bit i set: arena slot i holds a dirty page
+	nDirty     int
 	// evictedDirty counts dirty pages pushed out by eviction; a real
 	// engine must write those back synchronously, so a high count
 	// signals an undersized pool or a lazy flusher.
@@ -50,13 +82,15 @@ func New(capacity int) *Pool {
 	if capacity < 1 {
 		panic(fmt.Sprintf("bufferpool: capacity %d must be >= 1", capacity))
 	}
+	logLen := bits.Len(uint(capacity + capacity/2))
 	return &Pool{
 		capacity: capacity,
 		head:     -1,
 		tail:     -1,
 		nodes:    make([]lruNode, 0, capacity),
-		pages:    make(map[uint64]int32, capacity),
-		dirty:    make(map[uint64]struct{}),
+		index:    make([]int32, 1<<logLen),
+		shift:    uint(64 - logLen),
+		dirty:    make([]uint64, (capacity+63)/64),
 	}
 }
 
@@ -64,7 +98,59 @@ func New(capacity int) *Pool {
 func (p *Pool) Capacity() int { return p.capacity }
 
 // Resident returns the number of cached pages.
-func (p *Pool) Resident() int { return len(p.pages) }
+func (p *Pool) Resident() int { return len(p.nodes) }
+
+// home returns page's home cell in the index.
+func (p *Pool) home(page uint64) int {
+	return int((page * fibMul) >> p.shift)
+}
+
+// lookup returns page's arena slot, or -1 if it is not resident.
+func (p *Pool) lookup(page uint64) int32 {
+	mask := len(p.index) - 1
+	for c := p.home(page); ; c = (c + 1) & mask {
+		s := p.index[c]
+		if s == 0 {
+			return -1
+		}
+		if p.nodes[s-1].page == page {
+			return s - 1
+		}
+	}
+}
+
+// insert indexes arena slot i under its page, which is not resident.
+func (p *Pool) insert(i int32) {
+	mask := len(p.index) - 1
+	c := p.home(p.nodes[i].page)
+	for p.index[c] != 0 {
+		c = (c + 1) & mask
+	}
+	p.index[c] = i + 1
+}
+
+// remove drops arena slot i from the index. Backward-shift deletion
+// refills the hole with the next entry of its cluster that may legally
+// sit there (its home cell is not strictly between the hole and it),
+// until the cluster ends, so no tombstone is left.
+func (p *Pool) remove(i int32) {
+	mask := len(p.index) - 1
+	hole := p.home(p.nodes[i].page)
+	for p.index[hole] != i+1 {
+		hole = (hole + 1) & mask
+	}
+	for c := (hole + 1) & mask; ; c = (c + 1) & mask {
+		s := p.index[c]
+		if s == 0 {
+			break
+		}
+		if h := p.home(p.nodes[s-1].page); (c-h)&mask >= (c-hole)&mask {
+			p.index[hole] = s
+			hole = c
+		}
+	}
+	p.index[hole] = 0
+}
 
 // unlink detaches arena node i from the recency list.
 func (p *Pool) unlink(i int32) {
@@ -112,7 +198,7 @@ func (p *Pool) HitRatio() float64 {
 // loaded (caller is responsible for charging the disk I/O), possibly
 // evicting the least recently used page.
 func (p *Pool) Access(page uint64) bool {
-	if i, ok := p.pages[page]; ok {
+	if i := p.lookup(page); i >= 0 {
 		p.hits++
 		if p.head != i {
 			p.unlink(i)
@@ -128,50 +214,63 @@ func (p *Pool) Access(page uint64) bool {
 	} else {
 		// Full: recycle the least recently used slot in place.
 		i = p.tail
-		victim := p.nodes[i].page
-		delete(p.pages, victim)
-		if _, wasDirty := p.dirty[victim]; wasDirty {
-			delete(p.dirty, victim)
+		p.remove(i)
+		if p.clearDirty(i) {
 			p.evictedDirty++
 		}
 		p.unlink(i)
 		p.nodes[i].page = page
 	}
-	p.pages[page] = i
+	p.insert(i)
 	p.pushFront(i)
 	return false
+}
+
+// clearDirty clears arena slot i's dirty flag and reports whether it
+// was set.
+func (p *Pool) clearDirty(i int32) bool {
+	w, b := i>>6, uint64(1)<<(i&63)
+	if p.dirty[w]&b == 0 {
+		return false
+	}
+	p.dirty[w] &^= b
+	p.nDirty--
+	return true
 }
 
 // MarkDirty flags a resident page as modified. Non-resident pages are
 // ignored (the write already went through on its miss path).
 func (p *Pool) MarkDirty(page uint64) {
-	if _, ok := p.pages[page]; ok {
-		p.dirty[page] = struct{}{}
+	i := p.lookup(page)
+	if i < 0 {
+		return
+	}
+	w, b := i>>6, uint64(1)<<(i&63)
+	if p.dirty[w]&b == 0 {
+		p.dirty[w] |= b
+		p.nDirty++
 	}
 }
 
 // DirtyCount returns the number of dirty resident pages.
-func (p *Pool) DirtyCount() int { return len(p.dirty) }
+func (p *Pool) DirtyCount() int { return p.nDirty }
 
 // EvictedDirty returns how many dirty pages were lost to eviction
 // before the flusher got to them.
 func (p *Pool) EvictedDirty() uint64 { return p.evictedDirty }
 
-// CollectDirty removes and returns up to max dirty page ids — the
-// flusher's work list. Order is unspecified.
-func (p *Pool) CollectDirty(max int) []uint64 {
-	if max <= 0 || len(p.dirty) == 0 {
-		return nil
-	}
-	out := make([]uint64, 0, min(max, len(p.dirty)))
-	for page := range p.dirty {
-		out = append(out, page)
-		delete(p.dirty, page)
-		if len(out) >= max {
-			break
+// CollectDirty clears the dirty flags of up to max pages — the
+// flusher's batch — and returns how many it cleared. It takes them
+// from the least recently used end forward, so the pages closest to
+// eviction are written first and the batch is the same on every run.
+func (p *Pool) CollectDirty(max int) int {
+	n := 0
+	for i := p.tail; i >= 0 && n < max && p.nDirty > 0; i = p.nodes[i].prev {
+		if p.clearDirty(i) {
+			n++
 		}
 	}
-	return out
+	return n
 }
 
 // ResetStats clears hit/miss counters (contents stay, so a warmed pool

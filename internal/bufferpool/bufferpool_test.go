@@ -221,15 +221,14 @@ func TestDirtyTracking(t *testing.T) {
 	if p.DirtyCount() != 2 {
 		t.Errorf("dirty = %d, want 2", p.DirtyCount())
 	}
-	got := p.CollectDirty(10)
-	if len(got) != 2 {
-		t.Errorf("collected %d, want 2", len(got))
+	if got := p.CollectDirty(10); got != 2 {
+		t.Errorf("collected %d, want 2", got)
 	}
 	if p.DirtyCount() != 0 {
 		t.Error("CollectDirty did not clear flags")
 	}
-	if p.CollectDirty(10) != nil {
-		t.Error("second collect should be empty")
+	if got := p.CollectDirty(10); got != 0 {
+		t.Errorf("second collect = %d, want 0", got)
 	}
 }
 
@@ -239,12 +238,19 @@ func TestCollectDirtyBatchLimit(t *testing.T) {
 		p.Access(i)
 		p.MarkDirty(i)
 	}
-	first := p.CollectDirty(3)
-	if len(first) != 3 {
-		t.Errorf("batch = %d, want 3", len(first))
+	if got := p.CollectDirty(3); got != 3 {
+		t.Errorf("batch = %d, want 3", got)
 	}
 	if p.DirtyCount() != 5 {
 		t.Errorf("remaining dirty = %d, want 5", p.DirtyCount())
+	}
+	// The batch came from the LRU end: pages 0–2 are clean, so
+	// evicting them now loses no dirty page.
+	for i := uint64(100); i < 105; i++ {
+		p.Access(i) // the last three evict pages 0, 1 and 2
+	}
+	if p.EvictedDirty() != 0 {
+		t.Errorf("evicted dirty = %d, want 0: the batch was not the LRU end", p.EvictedDirty())
 	}
 }
 

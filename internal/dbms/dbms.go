@@ -383,12 +383,13 @@ func (db *DB) armFlusher() {
 	db.flushArmed = true
 	db.eng.After(db.cfg.FlushInterval, func() {
 		db.flushArmed = false
-		for range db.pool.CollectDirty(db.cfg.FlushBatch) {
+		n := db.pool.CollectDirty(db.cfg.FlushBatch)
+		for range n {
 			// Write-back I/O competes with transaction reads on the
 			// striped array; completion needs no continuation.
 			db.array.SubmitIO(func() {})
-			db.stats.PagesFlushed++
 		}
+		db.stats.PagesFlushed += uint64(n)
 		if db.inside > 0 || db.pool.DirtyCount() > 0 {
 			db.armFlusher()
 		}

@@ -255,3 +255,57 @@ func TestCheckpointerConsumesDiskBandwidth(t *testing.T) {
 		t.Errorf("write-back should raise disk utilization: %v vs %v", utilOn, utilOff)
 	}
 }
+
+func TestCheckpointerRerunBitIdentical(t *testing.T) {
+	// More pages go dirty per round than FlushBatch writes back, so the
+	// checkpointer chooses which dirty pages to write each round. That
+	// choice must come from the simulation state alone: two runs on one
+	// seed must write the same pages and so lose the same pages to
+	// eviction.
+	type outcome struct {
+		stats        Stats
+		evictedDirty uint64
+		rtSum        float64
+		insideSum    float64
+	}
+	run := func() outcome {
+		eng := sim.NewEngine()
+		db := mustDB(t, eng, Config{
+			CPUs: 2, Disks: 2,
+			BufferPoolPages: 200,
+			DiskService:     dist.NewDeterministic(0.002),
+			LogService:      dist.NewDeterministic(0),
+			FlushInterval:   0.05,
+			FlushBatch:      8,
+			Seed:            41,
+		})
+		g := sim.NewRNG(42, 0)
+		var o outcome
+		for i := 0; i < 3000; i++ {
+			prof := TxnProfile{Ops: []Op{{
+				Key: uint64(i), Write: true, CPUWork: 0.0005,
+				Pages: []uint64{uint64(g.IntN(400)), uint64(g.IntN(400))},
+			}}}
+			at := float64(i) * 0.002
+			eng.After(at, func() {
+				db.Exec(prof, func(r Result) {
+					o.rtSum += eng.Now() - at
+					o.insideSum += r.InsideTime
+				})
+			})
+		}
+		eng.RunAll()
+		o.stats, o.evictedDirty = db.Stats(), db.Pool().EvictedDirty()
+		return o
+	}
+	first := run()
+	if first.stats.PagesFlushed == 0 || first.evictedDirty == 0 {
+		t.Fatalf("checkpointer not under pressure: flushed %d, evicted dirty %d",
+			first.stats.PagesFlushed, first.evictedDirty)
+	}
+	for rerun := 0; rerun < 3; rerun++ {
+		if again := run(); again != first {
+			t.Fatalf("rerun %d diverged:\n got %+v\nwant %+v", rerun, again, first)
+		}
+	}
+}

@@ -46,7 +46,6 @@ func (e *P2) Quantile() float64 {
 	if e.count < 5 {
 		buf := make([]float64, e.count)
 		copy(buf, e.q[:e.count])
-		sort.Float64s(buf)
 		return PercentileInPlace(buf, e.p*100)
 	}
 	return e.q[2]

@@ -8,6 +8,7 @@ package stats
 
 import (
 	"math"
+	"math/bits"
 	"sort"
 )
 
@@ -182,27 +183,98 @@ func Percentile(values []float64, p float64) float64 {
 	return PercentileInPlace(v, p)
 }
 
-// PercentileInPlace is Percentile without the defensive copy: it sorts
-// values in place and allocates nothing.
+// PercentileInPlace is Percentile without the defensive copy: it
+// reorders values in place and allocates nothing. Instead of sorting it
+// selects the lo-th order statistic (Hoare's FIND, CACM 1961), which
+// leaves every larger element after it, and takes the hi-th as the
+// minimum of those. For NaN-free input the result is bit-identical to
+// sorting, at expected linear cost.
 func PercentileInPlace(values []float64, p float64) float64 {
 	if len(values) == 0 {
 		return 0
 	}
-	sort.Float64s(values)
 	if p <= 0 {
-		return values[0]
+		return minOf(values)
 	}
 	if p >= 100 {
-		return values[len(values)-1]
+		return maxOf(values)
 	}
 	rank := p / 100 * float64(len(values)-1)
 	lo := int(math.Floor(rank))
 	hi := int(math.Ceil(rank))
+	selectNth(values, lo, 2*bits.Len(uint(len(values))))
 	if lo == hi {
 		return values[lo]
 	}
 	frac := rank - float64(lo)
-	return values[lo]*(1-frac) + values[hi]*frac
+	return values[lo]*(1-frac) + minOf(values[lo+1:])*frac
+}
+
+// selectNth reorders v so that v[k] holds the value sorting would put
+// there, with nothing larger before it and nothing smaller after it.
+// It partitions around a median-of-three pivot (Hoare's scheme, which
+// splits runs of equal values evenly), narrowing to the side that holds
+// k. After rounds partitions it sorts what is left, so adversarial
+// input costs O(n log n) at worst.
+func selectNth(v []float64, k, rounds int) {
+	lo, hi := 0, len(v)-1
+	for ; hi > lo; rounds-- {
+		if rounds == 0 {
+			sort.Float64s(v[lo : hi+1])
+			return
+		}
+		a, b, c := v[lo], v[lo+(hi-lo)/2], v[hi]
+		if a > b {
+			a, b = b, a
+		}
+		pivot := max(a, min(b, c))
+		i, j := lo, hi
+		for i <= j {
+			for v[i] < pivot {
+				i++
+			}
+			for v[j] > pivot {
+				j--
+			}
+			if i <= j {
+				v[i], v[j] = v[j], v[i]
+				i++
+				j--
+			}
+		}
+		// v[lo:j+1] <= pivot, v[i:hi+1] >= pivot, and anything
+		// between equals pivot.
+		switch {
+		case k <= j:
+			hi = j
+		case k >= i:
+			lo = i
+		default:
+			return
+		}
+	}
+}
+
+// minOf returns the smallest of the non-empty values.
+func minOf(values []float64) float64 {
+	m := values[0]
+	for _, x := range values[1:] {
+		if x < m {
+			m = x
+		}
+	}
+	return m
+}
+
+// maxOf returns the largest of the non-empty values.
+func maxOf(values []float64) float64 {
+	m := values[0]
+	for _, x := range values[1:] {
+		if x > m {
+			m = x
+		}
+	}
+	return m
 }
 
 // MeanOf returns the mean of values (0 if empty).
