@@ -108,7 +108,42 @@ func TestRecycledAttemptsCommitOnce(t *testing.T) {
 	if uint64(restarts) != st.Aborted {
 		t.Errorf("results report %d restarts, engine counted %d aborts", restarts, st.Aborted)
 	}
-	if db.Inside() != 0 || len(db.active) != 0 {
-		t.Errorf("inside %d, active %d after drain", db.Inside(), len(db.active))
+	if db.Inside() != 0 || len(db.free) != len(db.records) {
+		t.Errorf("inside %d, %d of %d records free after drain, want all", db.Inside(), len(db.free), len(db.records))
+	}
+}
+
+// TestLateAbortNoticeIgnored delivers an abort notice for a committed
+// attempt twice: while its record sits on the free list, and after the
+// record runs a new transaction under a fresh id. Neither notice may
+// abort anything.
+func TestLateAbortNoticeIgnored(t *testing.T) {
+	eng := sim.NewEngine()
+	db := mustDB(t, eng, Config{CPUs: 1, Disks: 1, LogService: dist.NewDeterministic(0.001)})
+	db.Exec(TxnProfile{Ops: []Op{{Key: 1, Write: true, CPUWork: 0.01}}}, func(Result) {})
+	eng.RunAll()
+	if len(db.records) != 1 || len(db.free) != 1 {
+		t.Fatalf("%d records, %d free after one commit, want 1 and 1", len(db.records), len(db.free))
+	}
+	old := db.records[0].id
+	db.abort(old, lockmgr.Deadlock)
+	eng.RunAll()
+	if st := db.Stats(); st.Aborted != 0 || db.Inside() != 0 || len(db.free) != 1 {
+		t.Fatalf("late notice on a free record: aborted %d, inside %d, %d free", st.Aborted, db.Inside(), len(db.free))
+	}
+
+	var res Result
+	done := 0
+	db.Exec(TxnProfile{Ops: []Op{{Key: 1, Write: true, CPUWork: 0.1}}}, func(r Result) { res = r; done++ })
+	if db.records[0].id == old {
+		t.Fatalf("recycled record kept id %d", old)
+	}
+	eng.After(0.05, func() { db.abort(old, lockmgr.Deadlock) })
+	eng.RunAll()
+	if done != 1 || res.Restarts != 0 {
+		t.Errorf("new transaction committed %d times with %d restarts, want once with 0", done, res.Restarts)
+	}
+	if st := db.Stats(); st.Aborted != 0 {
+		t.Errorf("aborted %d, want 0", st.Aborted)
 	}
 }

@@ -19,6 +19,7 @@ package dbms
 
 import (
 	"fmt"
+	"math"
 
 	"extsched/internal/bufferpool"
 	"extsched/internal/cpusched"
@@ -157,23 +158,28 @@ type Stats struct {
 
 // DB is a simulated database engine bound to a sim.Engine.
 type DB struct {
-	eng     *sim.Engine
-	cfg     Config
-	cpu     *cpusched.CPU
-	array   *disk.Array
-	logdev  *disk.Log
-	pool    *bufferpool.Pool
-	locks   *lockmgr.Manager
-	rng     *sim.RNG
-	nextTxn lockmgr.TxnID
-	active  map[lockmgr.TxnID]*attempt
-	inside  int
-	stats   Stats
+	eng    *sim.Engine
+	cfg    Config
+	cpu    *cpusched.CPU
+	array  *disk.Array
+	logdev *disk.Log
+	pool   *bufferpool.Pool
+	locks  *lockmgr.Manager
+	rng    *sim.RNG
+	inside int
+	stats  Stats
 	// lastWrite records, per row key, the commit time of the newest
 	// committed write — the version check for SI first-committer-wins.
+	// An entry no older than every live attempt's snapshot can never
+	// fail a check again, so it is swept out once the map has doubled
+	// since the last sweep (pruneAt).
 	lastWrite  map[uint64]float64
+	pruneAt    int
 	flushArmed bool
-	free       []*attempt
+	// records holds every attempt record ever allocated, at its slot;
+	// free holds the ones not running a transaction.
+	records []*attempt
+	free    []*attempt
 }
 
 // attempt is one execution attempt of a transaction. Records are
@@ -181,8 +187,14 @@ type DB struct {
 // returned; an aborted attempt restarts in place under a fresh TxnID.
 // Each record binds its continuations once, so driving a transaction
 // through its lock, CPU, disk and log phases allocates nothing.
+//
+// An attempt's TxnID is gen<<32 | slot: its low half names the record's
+// slot in DB.records, so the lock manager's abort notices find their
+// record by index, and gen, bumped per attempt, keeps ids unique.
 type attempt struct {
 	id       lockmgr.TxnID
+	slot     uint32
+	gen      uint32
 	profile  TxnProfile
 	onDone   func(Result)
 	start    float64 // dispatch time of the FIRST attempt
@@ -190,7 +202,7 @@ type attempt struct {
 	restarts int
 	opIdx    int
 	pageIdx  int
-	dead     bool
+	dead     bool // aborted, or committed and retired
 	cpuJob   cpusched.Job
 	diskReq  disk.Request
 	diskDev  *disk.Disk
@@ -248,7 +260,6 @@ func New(eng *sim.Engine, cfg Config) (*DB, error) {
 		logdev:    disk.NewLog(eng, cfg.LogService, rng.Fork()),
 		pool:      bufferpool.New(cfg.BufferPoolPages),
 		rng:       rng,
-		active:    make(map[lockmgr.TxnID]*attempt),
 		lastWrite: make(map[uint64]float64),
 	}
 	db.logdev.SetGroupCommit(cfg.GroupCommit)
@@ -331,8 +342,8 @@ func (db *DB) Exec(profile TxnProfile, onDone func(Result)) {
 	db.startAttempt(a)
 }
 
-// newAttempt takes a record off the free list, or allocates one and
-// binds its continuations.
+// newAttempt takes a record off the free list, or allocates one at the
+// next slot and binds its continuations.
 func (db *DB) newAttempt() *attempt {
 	if n := len(db.free); n > 0 {
 		a := db.free[n-1]
@@ -340,7 +351,8 @@ func (db *DB) newAttempt() *attempt {
 		db.free = db.free[:n-1]
 		return a
 	}
-	a := &attempt{}
+	a := &attempt{slot: uint32(len(db.records))}
+	db.records = append(db.records, a)
 	a.granted = func() { db.cpuPhase(a) }
 	a.cpuDone = func() {
 		a.cpuJob = cpusched.Job{}
@@ -359,8 +371,8 @@ func (db *DB) newAttempt() *attempt {
 
 // startAttempt begins (or re-begins) execution of a.
 func (db *DB) startAttempt(a *attempt) {
-	db.nextTxn++
-	a.id = db.nextTxn
+	a.id = lockmgr.TxnID(uint64(a.gen)<<32 | uint64(a.slot))
+	a.gen++
 	a.opIdx = 0
 	a.pageIdx = 0
 	a.dead = false
@@ -368,7 +380,6 @@ func (db *DB) startAttempt(a *attempt) {
 	a.diskReq, a.diskDev = disk.Request{}, nil
 	a.began = db.eng.Now()
 	a.writes = a.writes[:0]
-	db.active[a.id] = a
 	db.locks.Begin(a.id, a.profile.Class)
 	db.runOp(a)
 }
@@ -495,14 +506,19 @@ func (db *DB) finish(a *attempt) {
 	if a.dead {
 		return
 	}
+	// Retire the attempt before its record is reused: a late abort
+	// notice for a.id must find nothing.
+	a.dead = true
 	if db.cfg.Isolation == SI {
 		now := db.eng.Now()
 		for _, key := range a.writes {
 			db.lastWrite[key] = now
 		}
+		if len(db.lastWrite) >= db.pruneAt {
+			db.pruneWrites()
+		}
 	}
 	db.locks.Release(a.id)
-	delete(db.active, a.id)
 	db.inside--
 	db.stats.Committed++
 	a.onDone(Result{
@@ -514,15 +530,41 @@ func (db *DB) finish(a *attempt) {
 	db.free = append(db.free, a)
 }
 
+// pruneWrites sweeps out of lastWrite every entry no newer than the
+// oldest snapshot of a live attempt. Such an entry can never fail a
+// first-committer-wins check again: every live attempt began at or
+// after it, and an aborted one re-begins at a later restart. With no
+// live attempt the map empties. The next sweep waits until the map has
+// doubled (and grown by at least the record count), so sweeps cost O(1)
+// per committed write.
+func (db *DB) pruneWrites() {
+	oldest := math.Inf(1)
+	for _, r := range db.records {
+		if !r.dead {
+			oldest = min(oldest, r.began)
+		}
+	}
+	if math.IsInf(oldest, 1) {
+		clear(db.lastWrite)
+	} else {
+		for key, t := range db.lastWrite {
+			if t <= oldest {
+				delete(db.lastWrite, key)
+			}
+		}
+	}
+	db.pruneAt = 2 * max(len(db.lastWrite), len(db.records), 32)
+}
+
 // abort is the lock manager's victim callback: roll back, pay the
-// rollback cost, restart after a backoff.
+// rollback cost, restart after a backoff. Notices for an attempt that
+// has since committed or aborted are ignored.
 func (db *DB) abort(id lockmgr.TxnID, _ lockmgr.AbortReason) {
-	a, ok := db.active[id]
-	if !ok || a.dead {
+	a := db.records[uint32(id)]
+	if a.id != id || a.dead {
 		return
 	}
 	a.dead = true
-	delete(db.active, id)
 	db.stats.Aborted++
 	a.restarts++
 	// Cancel in-flight resource usage (defensive: victims are normally

@@ -309,3 +309,96 @@ func TestCheckpointerRerunBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// siLoad drives a closed loop of clients over SI, each transaction
+// writing cold keys (never written before) and, with hotKeys > 0, one
+// of a few hot keys, and returns each commit's time and restart count.
+func siLoad(db *DB, eng *sim.Engine, clients, txns, hotKeys int) []Result {
+	g := sim.NewRNG(21, 0)
+	cold := uint64(1 << 32)
+	var results []Result
+	started := 0
+	var next func()
+	next = func() {
+		if started == txns {
+			return
+		}
+		started++
+		ops := []Op{
+			{Key: cold, Write: true, CPUWork: 0.0005 + 0.001*g.Float64()},
+			{Key: cold + 1, Write: true, CPUWork: 0.0005},
+		}
+		cold += 2
+		if hotKeys > 0 {
+			ops = append(ops, Op{Key: uint64(g.IntN(hotKeys)), Write: g.IntN(2) == 0, CPUWork: 0.001})
+		}
+		db.Exec(TxnProfile{Ops: ops}, func(r Result) {
+			r.InsideTime = eng.Now() // the commit time, compared exactly
+			results = append(results, r)
+			next()
+		})
+	}
+	for i := 0; i < clients; i++ {
+		next()
+	}
+	eng.RunAll()
+	return results
+}
+
+// TestSIVersionMapStaysBounded commits 20,000 SI transactions that each
+// write two fresh keys. The version map must not keep an entry per key
+// ever written: an entry no newer than every live snapshot can never
+// fail a first-committer-wins check, so it is swept out.
+func TestSIVersionMapStaysBounded(t *testing.T) {
+	eng := sim.NewEngine()
+	db := mustDB(t, eng, Config{
+		CPUs: 2, Disks: 1, Isolation: SI,
+		LogService: dist.NewDeterministic(0.0002),
+		Seed:       22,
+	})
+	const txns = 20000
+	if got := len(siLoad(db, eng, 4, txns, 0)); got != txns {
+		t.Fatalf("committed %d, want %d", got, txns)
+	}
+	if st := db.Stats(); st.FCWAborts != 0 {
+		t.Errorf("FCW aborts = %d, want 0 for disjoint writes", st.FCWAborts)
+	}
+	if n := len(db.lastWrite); n > 64 {
+		t.Errorf("version map holds %d entries after %d commits, want at most 64", n, txns)
+	}
+}
+
+// TestSIPruningChangesNoOutcome runs a contended SI load twice, once
+// with the version map's sweep disabled: every commit must happen at
+// the same time with the same restarts, and the counters must match.
+func TestSIPruningChangesNoOutcome(t *testing.T) {
+	run := func(prune bool) ([]Result, Stats) {
+		eng := sim.NewEngine()
+		db := mustDB(t, eng, Config{
+			CPUs: 2, Disks: 1, Isolation: SI,
+			LogService:     dist.NewDeterministic(0.001),
+			RestartBackoff: dist.NewExponential(0.002),
+			Seed:           23,
+		})
+		if !prune {
+			db.pruneAt = math.MaxInt
+		}
+		return siLoad(db, eng, 8, 3000, 6), db.Stats()
+	}
+	pruned, ps := run(true)
+	kept, ks := run(false)
+	if ps.FCWAborts == 0 {
+		t.Fatalf("stats %+v: the load should abort on first-committer-wins", ps)
+	}
+	if ps != ks {
+		t.Errorf("stats with sweeps %+v, without %+v", ps, ks)
+	}
+	if len(pruned) != len(kept) {
+		t.Fatalf("%d commits with sweeps, %d without", len(pruned), len(kept))
+	}
+	for i := range pruned {
+		if pruned[i] != kept[i] {
+			t.Fatalf("commit %d: %+v with sweeps, %+v without", i, pruned[i], kept[i])
+		}
+	}
+}

@@ -30,13 +30,13 @@ func TestColdKeyZeroAlloc(t *testing.T) {
 		mgr.Release(id)
 	}
 	for i := 0; i < 100; i++ {
-		txn() // warm the free lists and the lock-table maps
+		txn() // warm the free lists and grow the tables
 	}
 	if n := testing.AllocsPerRun(1000, txn); n != 0 {
 		t.Errorf("cold-key Begin/Acquire/Release allocates %v per txn, want 0", n)
 	}
-	if mgr.Live() != 0 || len(mgr.locks) != 0 {
-		t.Errorf("after release: %d live txns, %d lock entries, want 0", mgr.Live(), len(mgr.locks))
+	if mgr.Live() != 0 || mgr.locks.n != 0 {
+		t.Errorf("after release: %d live txns, %d lock entries, want 0", mgr.Live(), mgr.locks.n)
 	}
 }
 

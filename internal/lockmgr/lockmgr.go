@@ -8,6 +8,16 @@
 // experiments do: Repeatable Read (RR) takes S locks on reads and X
 // locks on writes, all held to commit; Uncommitted Read (UR) skips read
 // locks entirely, leaving only write-write conflicts.
+//
+// Every simulated transaction takes several lock requests, each of
+// which looks up a lock-table entry and its transaction's record, and
+// every cold key creates an entry that its release drops again. Both
+// lookups go through table, a small open-addressed hash table with the
+// key stored inline (Fibonacci hashing, linear probing, backward-shift
+// deletion), rather than a Go map: it does the same job at a fraction
+// of the cost per probe, leaves no tombstones under cold-key churn and
+// allocates nothing once grown. Each grant also carries its entry, so
+// releasing a transaction's locks probes nothing.
 package lockmgr
 
 import (
@@ -90,7 +100,7 @@ type TxnID uint64
 // request is a queued lock request.
 type request struct {
 	txn     TxnID
-	key     uint64
+	l       *lock // the entry it queues at
 	mode    Mode
 	class   Class
 	seq     uint64 // arrival order for stable FIFO; unique per request
@@ -104,9 +114,11 @@ type holder struct {
 	mode Mode
 }
 
-// grant is one key a transaction holds, and its mode.
+// grant is one lock a transaction holds, and its mode. An entry with a
+// holder is never dropped, so the grant's entry stays valid until the
+// transaction releases it.
 type grant struct {
-	key  uint64
+	l    *lock
 	mode Mode
 }
 
@@ -114,6 +126,7 @@ type grant struct {
 // were granted, so every walk over them (POW preemption, Release) is
 // deterministic by construction.
 type lock struct {
+	key     uint64
 	holders []holder
 	queue   []*request
 }
@@ -143,14 +156,17 @@ type Stats struct {
 	Upgrades    uint64
 }
 
-// Manager is the lock manager.
+// Manager is the lock manager. Its lock table and transaction table
+// are open-addressed tables (see table) over recycled entries, not Go
+// maps: they sit on every lock request's path, and a steady stream of
+// transactions over cold keys inserts and deletes an entry per key.
 type Manager struct {
 	eng         *sim.Engine
 	policy      Policy
 	preempt     bool // POW preemption of blocked low-priority holders
 	waitTimeout float64
-	locks       map[uint64]*lock
-	txns        map[TxnID]*txnState
+	locks       table[*lock]     // by key
+	txns        table[*txnState] // by TxnID
 	seq         uint64
 	stats       Stats
 	// onAbort is invoked (asynchronously, via a zero-delay event) when
@@ -200,8 +216,8 @@ func New(eng *sim.Engine, cfg Config) *Manager {
 		policy:      cfg.Policy,
 		preempt:     cfg.Preempt,
 		waitTimeout: cfg.WaitTimeout,
-		locks:       make(map[uint64]*lock),
-		txns:        make(map[TxnID]*txnState),
+		locks:       newTable[*lock](),
+		txns:        newTable[*txnState](),
 		onAbort:     cfg.OnAbort,
 	}
 	m.notify = m.deliverNotice
@@ -213,7 +229,7 @@ func (m *Manager) Stats() Stats { return m.stats }
 
 // Begin registers a transaction attempt with its priority class.
 func (m *Manager) Begin(txn TxnID, class Class) {
-	if _, ok := m.txns[txn]; ok {
+	if m.txns.get(uint64(txn)) != nil {
 		panic(fmt.Sprintf("lockmgr: duplicate Begin for txn %d", txn))
 	}
 	var st *txnState
@@ -224,41 +240,43 @@ func (m *Manager) Begin(txn TxnID, class Class) {
 		st = &txnState{}
 	}
 	st.id, st.class = txn, class
-	m.txns[txn] = st
+	m.txns.put(uint64(txn), st)
 }
 
 // Holding returns the number of locks held by txn.
 func (m *Manager) Holding(txn TxnID) int {
-	st, ok := m.txns[txn]
-	if !ok {
-		return 0
+	if st := m.txns.get(uint64(txn)); st != nil {
+		return len(st.held)
 	}
-	return len(st.held)
+	return 0
 }
 
 // Waiting reports whether txn is blocked on a lock queue.
 func (m *Manager) Waiting(txn TxnID) bool {
-	st, ok := m.txns[txn]
-	return ok && st.waiting != nil
+	st := m.txns.get(uint64(txn))
+	return st != nil && st.waiting != nil
 }
 
 // Acquire requests key in the given mode. If the lock is granted
 // immediately it returns true and onGrant is NOT called (the caller
 // just continues). Otherwise it returns false and onGrant fires when
 // the lock is eventually granted. A transaction may hold at most one
-// pending request (strict 2PL executors are sequential).
+// pending request (strict 2PL executors are sequential). onGrant runs
+// inside the Manager call that grants the lock, so it must not call
+// back into the Manager; the DBMS model only submits a CPU burst, whose
+// completion is an event of its own.
 //
 // Deadlocks created by this wait are detected immediately on the
 // waits-for graph; the victim is aborted via the OnAbort callback.
 func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool {
-	st, ok := m.txns[txn]
-	if !ok {
+	st := m.txns.get(uint64(txn))
+	if st == nil {
 		panic(fmt.Sprintf("lockmgr: Acquire by unknown txn %d", txn))
 	}
 	if st.waiting != nil {
 		panic(fmt.Sprintf("lockmgr: txn %d already has a pending request", txn))
 	}
-	l := m.locks[key]
+	l := m.locks.get(key)
 	if l == nil {
 		if n := len(m.freeLocks); n > 0 {
 			l = m.freeLocks[n-1]
@@ -266,9 +284,10 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 		} else {
 			l = &lock{}
 		}
-		m.locks[key] = l
+		l.key = key
+		m.locks.put(key, l)
 	}
-	if g := st.grant(key); g != nil {
+	if g := st.grant(l); g != nil {
 		if g.mode == X || g.mode == mode {
 			// Already covered (lock strengthening is a no-op).
 			m.stats.Grants++
@@ -282,7 +301,7 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 			m.stats.Grants++
 			return true
 		}
-		req := m.newRequest(st, key, X, onGrant)
+		req := m.newRequest(st, l, X, onGrant)
 		req.upgrade = true
 		// Upgraders wait at the head: they already hold S and must not
 		// queue behind new S requests (which would deadlock trivially).
@@ -294,7 +313,7 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	}
 	if len(l.queue) == 0 && grantable(l, mode) {
 		l.holders = append(l.holders, holder{txn, mode})
-		st.held = append(st.held, grant{key, mode})
+		st.held = append(st.held, grant{l, mode})
 		m.stats.Grants++
 		return true
 	}
@@ -306,11 +325,11 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	// reach the head and be granted immediately). The request carries
 	// no callback until it is known to block, so a head grant here
 	// just clears st.waiting.
-	req := m.newRequest(st, key, mode, nil)
+	req := m.newRequest(st, l, mode, nil)
 	l.queue = append(l.queue, req)
 	m.orderQueue(l)
 	st.waiting = req
-	m.grantWaiters(key, l)
+	m.grantWaiters(l)
 	if st.waiting != req {
 		return true
 	}
@@ -320,10 +339,10 @@ func (m *Manager) Acquire(txn TxnID, key uint64, mode Mode, onGrant func()) bool
 	return false
 }
 
-// grant returns st's grant on key, or nil.
-func (st *txnState) grant(key uint64) *grant {
+// grant returns st's grant on l, or nil.
+func (st *txnState) grant(l *lock) *grant {
 	for i := range st.held {
-		if st.held[i].key == key {
+		if st.held[i].l == l {
 			return &st.held[i]
 		}
 	}
@@ -332,7 +351,7 @@ func (st *txnState) grant(key uint64) *grant {
 
 // newRequest takes a request record off the free list (or allocates
 // one) and stamps it with the next arrival sequence number.
-func (m *Manager) newRequest(st *txnState, key uint64, mode Mode, onGrant func()) *request {
+func (m *Manager) newRequest(st *txnState, l *lock, mode Mode, onGrant func()) *request {
 	var r *request
 	if n := len(m.freeReqs); n > 0 {
 		r = m.freeReqs[n-1]
@@ -340,7 +359,7 @@ func (m *Manager) newRequest(st *txnState, key uint64, mode Mode, onGrant func()
 	} else {
 		r = &request{}
 	}
-	*r = request{txn: st.id, key: key, mode: mode, class: st.class, seq: m.seq, onGrant: onGrant}
+	*r = request{txn: st.id, l: l, mode: mode, class: st.class, seq: m.seq, onGrant: onGrant}
 	m.seq++
 	return r
 }
@@ -407,8 +426,8 @@ func (m *Manager) afterBlock(st *txnState, l *lock) {
 		seq := st.waiting.seq
 		id := st.id
 		m.eng.After(m.waitTimeout, func() {
-			cur, ok := m.txns[id]
-			if !ok || cur.waiting == nil || cur.waiting.seq != seq {
+			cur := m.txns.get(uint64(id))
+			if cur == nil || cur.waiting == nil || cur.waiting.seq != seq {
 				return // granted, released or restarted meanwhile
 			}
 			m.stats.Timeouts++
@@ -426,8 +445,8 @@ func (m *Manager) afterBlock(st *txnState, l *lock) {
 		// progress anyway, and it stands in the way of a high).
 		// Holders are walked in grant order.
 		for _, h := range l.holders {
-			hs, ok := m.txns[h.txn]
-			if !ok || hs.class == High || hs.waiting == nil {
+			hs := m.txns.get(uint64(h.txn))
+			if hs == nil || hs.class == High || hs.waiting == nil {
 				continue
 			}
 			m.stats.Preemptions++
@@ -461,10 +480,7 @@ func (m *Manager) waitsFor(t *txnState, out []TxnID) []TxnID {
 	if t.waiting == nil {
 		return out
 	}
-	l := m.locks[t.waiting.key]
-	if l == nil {
-		return out
-	}
+	l := t.waiting.l
 	for _, h := range l.holders {
 		if h.txn == t.id {
 			continue // upgrade: own S lock doesn't block itself
@@ -503,8 +519,8 @@ func (m *Manager) deadlocked(start *txnState) bool {
 				found = true
 				break
 			}
-			ns, ok := m.txns[next]
-			if !ok || ns.mark == m.epoch {
+			ns := m.txns.get(uint64(next))
+			if ns == nil || ns.mark == m.epoch {
 				continue
 			}
 			ns.mark = m.epoch
@@ -521,32 +537,27 @@ func (m *Manager) deadlocked(start *txnState) bool {
 // transactions are a no-op so that abort paths can release
 // defensively.
 func (m *Manager) Release(txn TxnID) {
-	st, ok := m.txns[txn]
-	if !ok {
+	st := m.txns.del(uint64(txn))
+	if st == nil {
 		return
 	}
-	delete(m.txns, txn)
 	// Cancel a pending request.
 	if req := st.waiting; req != nil {
 		st.waiting = nil
-		if l := m.locks[req.key]; l != nil {
-			if i := slices.Index(l.queue, req); i >= 0 {
-				l.queue = slices.Delete(l.queue, i, i+1)
-			}
-			m.dropIfIdle(req.key, l)
+		l := req.l
+		if i := slices.Index(l.queue, req); i >= 0 {
+			l.queue = slices.Delete(l.queue, i, i+1)
 		}
+		m.dropIfIdle(l)
 		m.recycleRequest(req)
 	}
 	for _, g := range st.held {
-		l := m.locks[g.key]
-		if l == nil {
-			continue
-		}
+		l := g.l
 		if i := l.holderIndex(txn); i >= 0 {
 			l.holders = slices.Delete(l.holders, i, i+1)
 		}
-		m.grantWaiters(g.key, l)
-		m.dropIfIdle(g.key, l)
+		m.grantWaiters(l)
+		m.dropIfIdle(l)
 	}
 	st.held = st.held[:0]
 	m.freeTxns = append(m.freeTxns, st)
@@ -554,19 +565,19 @@ func (m *Manager) Release(txn TxnID) {
 
 // dropIfIdle removes an entry with no holders and no waiters from the
 // lock table and recycles it.
-func (m *Manager) dropIfIdle(key uint64, l *lock) {
-	if len(l.holders) == 0 && len(l.queue) == 0 && m.locks[key] == l {
-		delete(m.locks, key)
+func (m *Manager) dropIfIdle(l *lock) {
+	if len(l.holders) == 0 && len(l.queue) == 0 {
+		m.locks.del(l.key)
 		m.freeLocks = append(m.freeLocks, l)
 	}
 }
 
 // grantWaiters grants from the queue head while compatible.
-func (m *Manager) grantWaiters(key uint64, l *lock) {
+func (m *Manager) grantWaiters(l *lock) {
 	for len(l.queue) > 0 {
 		head := l.queue[0]
-		hs, ok := m.txns[head.txn]
-		if !ok {
+		hs := m.txns.get(uint64(head.txn))
+		if hs == nil {
 			// Stale request from a released txn.
 			l.popHead()
 			continue
@@ -577,13 +588,13 @@ func (m *Manager) grantWaiters(key uint64, l *lock) {
 				return
 			}
 			l.holders[0].mode = X
-			hs.grant(key).mode = X
+			hs.grant(l).mode = X
 		} else {
 			if !grantable(l, head.mode) {
 				return
 			}
 			l.holders = append(l.holders, holder{head.txn, head.mode})
-			hs.held = append(hs.held, grant{key, head.mode})
+			hs.held = append(hs.held, grant{l, head.mode})
 		}
 		l.popHead()
 		hs.waiting = nil
@@ -598,7 +609,7 @@ func (m *Manager) grantWaiters(key uint64, l *lock) {
 
 // QueueLength returns the wait-queue length at key (0 if unknown).
 func (m *Manager) QueueLength(key uint64) int {
-	if l := m.locks[key]; l != nil {
+	if l := m.locks.get(key); l != nil {
 		return len(l.queue)
 	}
 	return 0
@@ -606,11 +617,11 @@ func (m *Manager) QueueLength(key uint64) int {
 
 // Holders returns the number of holders at key.
 func (m *Manager) Holders(key uint64) int {
-	if l := m.locks[key]; l != nil {
+	if l := m.locks.get(key); l != nil {
 		return len(l.holders)
 	}
 	return 0
 }
 
 // Live returns the number of registered transactions.
-func (m *Manager) Live() int { return len(m.txns) }
+func (m *Manager) Live() int { return m.txns.n }

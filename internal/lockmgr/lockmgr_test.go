@@ -363,7 +363,7 @@ func TestNoTwoXHoldersInvariant(t *testing.T) {
 	}
 	check := func() {
 		for k := uint64(0); k < nKeys; k++ {
-			l := h.mgr.locks[k]
+			l := h.mgr.locks.get(k)
 			if l == nil {
 				continue
 			}
