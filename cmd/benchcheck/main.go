@@ -1,8 +1,6 @@
 // Command benchcheck is the bench-regression gate: it re-measures the
 // repository's tracked performance metrics — kernel microbenchmarks
-// (ns/op and allocs/op, including the conservative parallel engine's
-// per-window overhead, whose hot path must stay allocation-free),
-// live-gate overhead (serial plus RunParallel
+// (ns/op and allocs/op), live-gate overhead (serial plus RunParallel
 // contention sweeps at GOMAXPROCS 2/4/8, the Pool fast path, and the
 // allocations of one request through the HTTP middleware),
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
@@ -250,42 +248,6 @@ func measure() ([]Metric, error) {
 	})
 	add("kernel/engine_schedule_cancel/ns_op", "time", float64(r.NsPerOp()))
 	add("kernel/engine_schedule_cancel/allocs_op", "allocs", float64(r.AllocsPerOp()))
-
-	// Parallel kernel: one conservative window per op — 4 member event
-	// chains plus a coordinator tick, workers handed off through the
-	// fixed pool (the internal/sim BenchmarkParallelWindowEvent shape).
-	// The intra-window hot path must stay allocation-free: the kernel
-	// free lists, the parked worker pool, and the reused mailboxes mean
-	// steady state allocates nothing, and allocs/op pins that at 0. The
-	// time metric keeps the wide "time" tolerance — on a 1-core runner
-	// the worker handoffs timeslice instead of overlapping, so ns/op
-	// measures sync overhead there, not speedup.
-	r = testing.Benchmark(func(b *testing.B) {
-		coord := sim.NewEngine()
-		members := make([]*sim.Engine, 4)
-		for i := range members {
-			m := sim.NewEngine()
-			members[i] = m
-			var chain func()
-			chain = func() { m.After(0.001, chain) }
-			m.After(0.001, chain)
-		}
-		var tick func()
-		tick = func() { coord.After(0.05, tick) }
-		coord.After(0.05, tick)
-		pe := sim.NewParallelEngine(coord, members, nullWindowSource{})
-		defer pe.Close()
-		pe.Run(1) // warm the free lists and the window machinery
-		bound := coord.Now()
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			bound += 0.05
-			pe.Run(bound)
-		}
-	})
-	add("kernel/parallel_window/ns_op", "time", float64(r.NsPerOp()))
-	add("kernel/parallel_window/allocs_op", "allocs", float64(r.AllocsPerOp()))
 
 	// Live gate: the uncontended Acquire/Release hot path (gate
 	// BenchmarkGateAcquireRelease, single-goroutine so the number is
@@ -592,14 +554,6 @@ func closedRunAllocs() (float64, error) {
 	}
 	return float64(m1.Mallocs-m0.Mallocs) / float64(commits), nil
 }
-
-// nullWindowSource is the no-op cross-engine boundary for the parallel
-// kernel benchmark (no messages flow; the metric is pure window cost).
-type nullWindowSource struct{}
-
-func (nullWindowSource) BeginWindows()     {}
-func (nullWindowSource) Flush(float64) int { return 0 }
-func (nullWindowSource) EndWindows()       {}
 
 // addFigure folds each series of a figure into one tracked mean.
 func addFigure(out *[]Metric, f *experiments.Figure) {

@@ -38,7 +38,7 @@ import (
 
 func main() {
 	var (
-		exp      = flag.String("exp", "", "experiment: fig2 fig3 fig4 fig5 fig7 fig10 fig11 fig12 fig13 rt-open surge dispatch slo churn autoscale fairness pds c2 controller controller-ablation all")
+		exp      = flag.String("exp", "", "experiment: fig2 fig3 fig4 fig5 fig7 fig10 fig11 fig12 fig13 rt-open surge dispatch slo churn autoscale fairness c2 controller controller-ablation all")
 		slow     = flag.Float64("slow", 0.25, "slow shard's relative speed for the dispatch experiment")
 		sloP95   = flag.Float64("slo-target", 0, "high-class p95 target in seconds for the slo experiment (0 = auto from baseline)")
 		loss     = flag.Float64("loss", 0.05, "throughput-loss threshold for fig11")
@@ -235,8 +235,6 @@ func run(id string, loss, util float64, setupID int, slow, sloTarget float64, op
 		return experiments.AutoscaleFigure(setupID, opts)
 	case "fairness":
 		return experiments.FairnessFigure(setupID, opts)
-	case "pds":
-		return experiments.PDSFigure(setupID, opts)
 	case "fig2":
 		return experiments.Figure2(opts)
 	case "fig3":

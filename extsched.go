@@ -384,12 +384,8 @@ func (s *System) Observe(obs ...metrics.Observer) {
 	s.observers = append(s.observers, obs...)
 }
 
-// buildStack assembles the pristine per-run simulation state. With
-// parallel (scenario opt-in, sharded systems only) each shard's
-// DBMS+frontend pair is built on its own member engine and the stack
-// carries a conservative parallel ensemble over them; everything else
-// — drivers, dispatcher, runner timers — stays on the coordinator.
-func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
+// buildStack assembles the pristine per-run simulation state.
+func (s *System) buildStack(mpl int) (runner.Stack, error) {
 	cfg := s.cfg
 	w := cfg.WFQHighWeight
 	if w <= 0 {
@@ -431,16 +427,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 			sdbo := dbo
 			sdbo.CPUSpeed = speed
 			sdbo.Seed = cluster.ShardSeed(cfg.Seed, i)
-			// In a parallel run the shard's whole frontend+backend pair
-			// schedules on its own member engine, started at the
-			// coordinator's current instant (mid-run shard_add events
-			// build shards at t > 0).
-			seng := eng
-			if parallel {
-				seng = sim.NewEngine()
-				seng.AdvanceTo(eng.Now())
-			}
-			db, err := dbms.New(seng, s.setup.BuildConfig(sdbo))
+			db, err := dbms.New(eng, s.setup.BuildConfig(sdbo))
 			if err != nil {
 				return cluster.Shard{}, err
 			}
@@ -448,7 +435,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 			if err != nil {
 				return cluster.Shard{}, err
 			}
-			fe := dbfe.New(seng, db, 0, policy)
+			fe := dbfe.New(eng, db, 0, policy)
 			if cfg.QueueLimit > 0 {
 				fe.SetQueueLimit(cfg.QueueLimit)
 			}
@@ -457,11 +444,7 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 				fe.SetAdmitDeadline(core.ClassLow, ad.Low)
 			}
 			workload.Prewarm(db, s.setup.Workload, sdbo.Seed)
-			sh := cluster.Shard{FE: fe, DB: db, Speed: speed}
-			if parallel {
-				sh.Eng = seng
-			}
-			return sh, nil
+			return cluster.Shard{FE: fe, DB: db, Speed: speed}, nil
 		}
 		shards := make([]cluster.Shard, n)
 		for i := range shards {
@@ -486,18 +469,6 @@ func (s *System) buildStack(mpl int, parallel bool) (runner.Stack, error) {
 		disp.SetMPL(mpl)
 		st.Cluster = disp
 		st.NewShard = func(i int) (cluster.Shard, error) { return makeShard(i, 1) }
-		if parallel {
-			engs := make([]*sim.Engine, len(shards))
-			for i := range shards {
-				engs[i] = shards[i].Eng
-			}
-			pe := sim.NewParallelEngine(eng, engs, disp)
-			if err := disp.EnableParallel(pe); err != nil {
-				pe.Close()
-				return runner.Stack{}, err
-			}
-			st.Par = pe
-		}
 		rp := cluster.RecoveryPolicy{Seed: cfg.Seed}
 		if r := cfg.Recovery; r != nil {
 			rp.Resubmit = r.Mode == RecoveryResubmit

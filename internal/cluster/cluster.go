@@ -85,15 +85,11 @@ func ShardSeed(seed uint64, i int) uint64 {
 // Shard is one dispatch target: an MPL-gated frontend over its own
 // simulated backend. Speed is the shard's relative CPU speed (1 =
 // nominal); the dispatcher keeps it in sync with the DB's CPUSpeed so
-// work-aware policies can normalize. Eng, when set, is the shard's own
-// member engine for conservative-parallel runs (the FE and DB must
-// have been built on it); nil for sequential runs, where every
-// component shares the coordinator engine.
+// work-aware policies can normalize.
 type Shard struct {
 	FE    *dbfe.Frontend
 	DB    *dbms.DB
 	Speed float64
-	Eng   *sim.Engine
 }
 
 // Dispatcher fans one admitted transaction stream out across shards.
@@ -187,9 +183,6 @@ type Dispatcher struct {
 	// OnDrop, if set, observes admission-control rejections (shard
 	// queue limits) with the shard that rejected.
 	OnDrop func(shard int, t *dbfe.Txn)
-	// par holds the conservative-parallel state; nil in sequential
-	// mode (see EnableParallel).
-	par *parState
 }
 
 // NewDispatcher builds a dispatcher over shards (at least one) with
@@ -239,14 +232,8 @@ func NewDispatcher(policy Policy, shards []Shard) (*Dispatcher, error) {
 }
 
 // installHooks takes ownership of shard i's frontend hooks and builds
-// its per-shard completion wrapper. In parallel mode the hooks buffer
-// into the shard's mailbox during member windows instead of mutating
-// coordinator state (see parallel.go).
+// its per-shard completion wrapper.
 func (d *Dispatcher) installHooks(i int) {
-	if d.par != nil {
-		d.installParHooks(i)
-		return
-	}
 	fe := d.shards[i].FE
 	d.doneFn[i] = func(t *dbfe.Txn) {
 		// The work refund must land here, BEFORE the submitter's own
@@ -378,20 +365,6 @@ func (d *Dispatcher) SubmitCB(p dbms.TxnProfile, cb func(*dbfe.Txn)) *dbfe.Txn {
 func (d *Dispatcher) submitTo(i int, p dbms.TxnProfile, cb func(*dbfe.Txn)) *dbfe.Txn {
 	d.work[i] += p.EstimatedDemand
 	d.routed[i]++
-	if d.par != nil && d.par.inWindow {
-		// Parallel window: the member engine's clock may already be
-		// ahead of this instant mid-window, so the submission cannot
-		// touch the member frontend directly. Build the txn now (the
-		// caller needs it synchronously) and inject its delivery as a
-		// member event at the coordinator's current time — legal
-		// because every coordinator event fires exactly on the window
-		// bound, where all member clocks stand.
-		t := d.shards[i].FE.NewTxn(p, d.doneFn[i])
-		t.UserCB = cb
-		d.par.inbox[i] = append(d.par.inbox[i], t)
-		d.shards[i].Eng.At(d.par.coord.Now(), d.par.deliver[i])
-		return t
-	}
 	t := d.shards[i].FE.SubmitCB(p, d.doneFn[i])
 	// Safe after SubmitCB: the txn's own callbacks cannot have fired
 	// yet (completions are asynchronous engine events, and a fresh
@@ -812,15 +785,8 @@ func (d *Dispatcher) fireResubmit(old *dbfe.Txn) {
 	t := d.submitTo(i, old.Profile, old.UserCB)
 	t.Attempts = old.Attempts + 1
 	// Preserve the original arrival so the txn's reported latency spans
-	// the outage (safe post-submit: completions are asynchronous). In a
-	// parallel window the actual frontend submission is deferred to the
-	// member engine, which would re-stamp the arrival on delivery — so
-	// the override rides on the txn instead.
-	if d.par != nil && d.par.inWindow {
-		t.PresetArrival(old.Item.Arrival)
-	} else {
-		t.Item.Arrival = old.Item.Arrival
-	}
+	// the outage (safe post-submit: completions are asynchronous).
+	t.Item.Arrival = old.Item.Arrival
 }
 
 // RecoverShard returns a down shard to service (it rejoins the
@@ -890,9 +856,6 @@ func (d *Dispatcher) AddShard(s Shard) (int, error) {
 	if s.Speed <= 0 {
 		s.Speed = 1
 	}
-	if d.par != nil && s.Eng == nil {
-		return 0, fmt.Errorf("cluster: parallel dispatcher needs the new shard built on its own engine")
-	}
 	i := len(d.shards)
 	d.shards = append(d.shards, s)
 	d.state = append(d.state, ShardUp)
@@ -903,9 +866,6 @@ func (d *Dispatcher) AddShard(s Shard) (int, error) {
 	d.upAccum = append(d.upAccum, 0)
 	d.doneFn = append(d.doneFn, nil)
 	d.upDirty = true
-	if d.par != nil {
-		d.par.grow(d, i)
-	}
 	d.installHooks(i)
 	d.resplit()
 	return i, nil

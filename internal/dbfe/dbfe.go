@@ -60,22 +60,6 @@ type Txn struct {
 	// so the execution events still fire — the completion callback just
 	// ignores them). retired marks a record on the free list.
 	executing, doomed, retired bool
-	// presetArrival/arrivalAt carry an arrival-timestamp override for
-	// deferred deliveries: a recovery resubmit keeps its original
-	// arrival so the reported latency spans the outage, but when the
-	// actual Submit happens later (parallel runs inject it as a member
-	// engine event), Submit's own stamp would clobber the override set
-	// at routing time — so Deliver re-applies it right after Submit,
-	// the same logical point where the sequential path overwrites it.
-	presetArrival bool
-	arrivalAt     float64
-}
-
-// PresetArrival arranges for the txn's Item.Arrival to be set to at
-// when the txn is eventually Delivered, overriding Submit's own stamp.
-func (t *Txn) PresetArrival(at float64) {
-	t.presetArrival = true
-	t.arrivalAt = at
 }
 
 // Failed reports whether the transaction was lost to a shard failure
@@ -102,10 +86,8 @@ type Frontend struct {
 	// when it settles. Maintained only on the simulation goroutine
 	// (like the hooks).
 	head, tail *Txn
-	// free holds retired records for reuse. It is touched only where
-	// txns are built and retired (see DeferRetire).
-	free        []*Txn
-	deferRetire bool
+	// free holds retired records for reuse.
+	free []*Txn
 	// OnComplete, if set, observes every committed transaction (used by
 	// drivers for closed-loop clients and by controller wiring).
 	OnComplete func(*Txn)
@@ -152,9 +134,7 @@ func New(eng *sim.Engine, db *dbms.DB, mpl int, policy core.Policy) *Frontend {
 		if f.OnComplete != nil {
 			f.OnComplete(t)
 		}
-		if !f.deferRetire {
-			f.Retire(t)
-		}
+		f.retire(t)
 	}
 	f.Frontend.OnDrop = func(it *core.Item) {
 		if f.OnDrop != nil {
@@ -167,28 +147,19 @@ func New(eng *sim.Engine, db *dbms.DB, mpl int, policy core.Policy) *Frontend {
 		if f.OnShed != nil {
 			f.OnShed(t)
 		}
-		if !f.deferRetire {
-			f.Retire(t)
-		}
+		f.retire(t)
 	}
 	return f
 }
 
-// DeferRetire hands retirement to the caller: the frontend's hooks no
-// longer retire committed and shed txns, and the caller calls Retire
-// once the last hook for each has run. The parallel cluster dispatcher
-// needs it, because its member-side hooks only buffer the txn for a
-// later replay on the coordinator.
-func (f *Frontend) DeferRetire() { f.deferRetire = true }
-
-// Retire puts t back on the free list and hands its profile back to
-// the generator that drew it. Call it once t has committed or been
-// shed and the last hook for it has returned (failed and doomed txns
-// fire no hooks, so they never get here). A resubmitted txn shares its
-// profile with a failed one a dead shard may still execute, so it is
-// left to the garbage collector, as are records of other frontends.
-func (f *Frontend) Retire(t *Txn) {
-	if t.fe != f || t.retired || t.Attempts > 0 {
+// retire puts t back on the free list and hands its profile back to
+// the generator that drew it, once t has committed or been shed and
+// the last hook for it has returned (failed and doomed txns fire no
+// hooks, so they never get here). A resubmitted txn shares its profile
+// with a failed one a dead shard may still execute, so it is left to
+// the garbage collector.
+func (f *Frontend) retire(t *Txn) {
+	if t.retired || t.Attempts > 0 {
 		return
 	}
 	if p := t.Profile; p.Owner != nil {
@@ -280,19 +251,6 @@ func (f *Frontend) Submit(profile dbms.TxnProfile) *Txn {
 // no callbacks scheduled and counted in Dropped. A committed or shed
 // txn is reused once its hooks return, so do not keep the pointer.
 func (f *Frontend) SubmitCB(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
-	t := f.NewTxn(profile, cb)
-	f.Deliver(t)
-	return t
-}
-
-// NewTxn builds the transaction record for profile — class, size hint,
-// payload back-pointer, completion callback — WITHOUT submitting it,
-// reusing a retired record when the free list has one.
-// It is the construction half of SubmitCB, split out for deferred
-// delivery: a parallel run's dispatcher must hand the caller a Txn
-// synchronously at routing time while the actual Submit happens later
-// as an event on the shard's own engine.
-func (f *Frontend) NewTxn(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
 	var t *Txn
 	if n := len(f.free); n > 0 {
 		t = f.free[n-1]
@@ -308,22 +266,12 @@ func (f *Frontend) NewTxn(profile dbms.TxnProfile, cb func(*Txn)) *Txn {
 	it.Class = core.Class(profile.Class)
 	it.SizeHint = profile.EstimatedDemand
 	it.Payload = t
-	return t
-}
-
-// Deliver submits a txn built by NewTxn to the external scheduler, at
-// the frontend clock's current instant. It is the submission half of
-// SubmitCB; calling it more than once per txn is a caller bug.
-func (f *Frontend) Deliver(t *Txn) {
 	var done func(*core.Item)
-	if t.done != nil {
+	if cb != nil {
 		done = txnDone
 	}
-	admitted := f.Frontend.Submit(&t.Item, done)
-	if t.presetArrival {
-		t.Item.Arrival = t.arrivalAt
-	}
-	if admitted {
+	if f.Frontend.Submit(it, done) {
 		f.link(t)
 	}
+	return t
 }

@@ -120,7 +120,7 @@ func TestFailAfterReuseReturnsLiveInOrder(t *testing.T) {
 // record is handed out again and no failed profile is rewritten.
 func TestFailedTxnNeverReused(t *testing.T) {
 	eng, fe, gen := stack(t, 4)
-	eng.AdvanceTo(1) // so that a dispatched txn has Dispatch > 0
+	eng.Run(1) // so that a dispatched txn has Dispatch > 0
 	for i := 0; i < 12; i++ {
 		fe.Submit(gen.Next())
 	}
@@ -147,10 +147,11 @@ func TestFailedTxnNeverReused(t *testing.T) {
 	// Resubmit each failed profile the way the cluster dispatcher does:
 	// the new txn shares the profile a doomed execution may still read,
 	// so neither it nor the profile may be retired when it commits.
+	// Attempts is set after submitting, as the dispatcher sets it:
+	// completions are asynchronous, so no hook has run yet.
 	for _, tx := range failed {
-		re := fe.NewTxn(tx.Profile, nil)
+		re := fe.SubmitCB(tx.Profile, nil)
 		re.Attempts = tx.Attempts + 1
-		fe.Deliver(re)
 		isFailed[re] = true
 	}
 	committed := 0

@@ -83,14 +83,6 @@ type Stack struct {
 	// registry (core.Frontend.RegisterClass) on unsharded stacks, then
 	// to the empty string.
 	ClassNames map[core.Class]string
-	// Par, when non-nil, is the conservative parallel ensemble over Eng
-	// (the coordinator) and the shards' member engines; it must be set
-	// exactly when a sharded stack runs a Scenario.ParallelShards
-	// scenario. The runner drives it instead of Eng, switching the
-	// horizon rule per phase (lockstep for closed-loop phases,
-	// coordinator-horizon otherwise). Requires a sharded stack whose
-	// shards were each built on their own engine (Shard.Eng set).
-	Par *sim.ParallelEngine
 }
 
 // Gate returns the control surface the MPL events and the feedback
@@ -483,17 +475,8 @@ func (r *run) classRes(c core.Class) *stats.Reservoir {
 // internal breakpoint — phase boundaries, events, snapshot ticks — and
 // a canceled run returns ctx.Err() with the partial Result discarded.
 func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (Result, error) {
-	if st.Par != nil {
-		defer st.Par.Close()
-	}
 	if err := sc.validate(&st); err != nil {
 		return Result{}, err
-	}
-	if st.Par != nil && st.Cluster == nil {
-		return Result{}, fmt.Errorf("runner: a parallel ensemble needs a sharded stack")
-	}
-	if st.Cluster != nil && (st.Par != nil) != sc.ParallelShards {
-		return Result{}, fmt.Errorf("runner: a sharded stack needs a parallel ensemble (Stack.Par) exactly when the scenario sets ParallelShards")
 	}
 	if len(sc.Tenants) > 0 {
 		if err := applyTenants(st, sc.Tenants); err != nil {
@@ -544,13 +527,6 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 		if err != nil {
 			return Result{}, err
 		}
-		if st.Par != nil {
-			// Closed-loop phases feed completions straight back into
-			// submissions, so the window horizon must cover member events
-			// too (lockstep); autonomous-arrival phases are bounded by the
-			// coordinator's own next event.
-			st.Par.SetLockstep(ph.Kind == PhaseClosed)
-		}
 		driver.Start()
 		if i == 0 {
 			// The autoscaler is live from the first arrival, warmup
@@ -563,7 +539,7 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 				}
 			}
 			if sc.Warmup > 0 {
-				r.advance(st.Eng.Now() + sc.Warmup)
+				st.Eng.Run(st.Eng.Now() + sc.Warmup)
 				if err := ctx.Err(); err != nil {
 					return Result{}, err
 				}
@@ -949,19 +925,6 @@ func churnEvents(ch ChurnSpec, shards int, dur float64, stackSeed uint64) []Even
 	return out
 }
 
-// advance drives the stack's engine(s) to the inclusive bound t: the
-// conservative parallel ensemble when the stack has one, the lone
-// engine otherwise. Either way, when it returns every clock stands at
-// t and all cross-engine messages up to t have been delivered, so
-// breakpoint work (events, snapshots) observes one consistent instant.
-func (r *run) advance(t float64) {
-	if r.st.Par != nil {
-		r.st.Par.Run(t)
-		return
-	}
-	r.st.Eng.Run(t)
-}
-
 // runPhase advances the engine through one phase's measured duration,
 // pausing at event and snapshot breakpoints. It reports whether the
 // run should stop early (controller convergence).
@@ -986,7 +949,7 @@ func (r *run) runPhase(ctx context.Context, ph *Phase) (stopEarly bool, err erro
 		if r.sc.SampleInterval > 0 && r.nextSnap < t {
 			t = r.nextSnap
 		}
-		r.advance(t)
+		eng.Run(t)
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}

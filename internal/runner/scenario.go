@@ -455,17 +455,14 @@ type Scenario struct {
 	// Autoscale, when non-nil, arms the fleet autoscaler for the whole
 	// run (sharded systems only).
 	Autoscale *AutoscaleSpec `json:"autoscale,omitempty"`
-	// ParallelShards, when true, runs each shard's frontend+backend
-	// pair on its own simulation engine in its own goroutine,
-	// synchronized conservatively at the dispatcher boundary
-	// (Stack.Par). The run is deterministic and produces the same
-	// Result (and Snapshots) as the sequential engine for the same
-	// seed. Unsharded systems ignore the knob. The feedback controller
-	// and the fairness controller are not supported in this mode: both
-	// actuate per completion, which has no deterministic parallel
-	// equivalent.
-	ParallelShards bool    `json:"parallel_shards,omitempty"`
-	Phases         []Phase `json:"phases"`
+	Phases    []Phase        `json:"phases"`
+	// ParallelShards is not decoded from JSON, so ParseScenario
+	// rejects a parallel_shards key as an unknown field.
+	//
+	// Deprecated: has no effect; every run uses the sequential engine.
+	// Its only remaining user is the benchmark's parallel drill
+	// (bench/drills.go), which now runs the sequential engine both ways.
+	ParallelShards bool `json:"-"`
 }
 
 // finite reports whether every value is a finite float — the
@@ -632,20 +629,9 @@ func (sc *Scenario) validate(st *Stack) error {
 			return fmt.Errorf("runner: slo class: %w", err)
 		}
 	}
-	// The feedback and fairness controllers actuate from inside the
-	// per-completion observation path; replayed at parallel window
-	// bounds their actuations would land at different instants than a
-	// sequential run's, so the combination is refused rather than
-	// silently diverging.
-	parallelErr := func(what string) error {
-		return fmt.Errorf("runner: %s is not supported with parallel_shards (the controller actuates per completion)", what)
-	}
 	if fs := sc.Fairness; fs != nil {
 		if len(sc.Tenants) == 0 && len(fs.Weights) == 0 {
 			return fmt.Errorf("runner: scenario-level fairness needs a tenants block or explicit weights")
-		}
-		if sc.ParallelShards {
-			return parallelErr("fairness")
 		}
 		if _, err := sc.fairnessWeights(registered, *fs); err != nil {
 			return err
@@ -671,12 +657,6 @@ func (sc *Scenario) validate(st *Stack) error {
 		}
 		for j := range ph.Events {
 			ev := &ph.Events[j]
-			if ev.EnableController != nil && sc.ParallelShards {
-				return fmt.Errorf("%s event %d: %w", prefix, j, parallelErr("enable_controller"))
-			}
-			if ev.EnableFairness != nil && sc.ParallelShards {
-				return fmt.Errorf("%s event %d: %w", prefix, j, parallelErr("enable_fairness"))
-			}
 			if err := sc.validateEvent(registered, ev); err != nil {
 				return fmt.Errorf("%s event %d: %w", prefix, j, err)
 			}

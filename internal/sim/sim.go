@@ -73,7 +73,7 @@ func (a slot) before(b slot) bool {
 // It is not safe for concurrent use; all model code runs inside event
 // callbacks on the engine's goroutine. Independent engines are fully
 // isolated, so many runs may execute on separate goroutines at once
-// (see experiments.Sweep and ParallelEngine).
+// (see experiments.Sweep).
 type Engine struct {
 	now     float64
 	queue   []slot // implicit 4-ary min-heap
@@ -102,40 +102,8 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // Pending returns the number of events currently scheduled that will
 // still fire. Canceled events stop counting the moment they are
 // canceled, even though their heap slots are discarded lazily — so a
-// zero return really does mean the engine has no live work, which is
-// what parallel termination detection relies on.
+// zero return really does mean the engine has no live work.
 func (e *Engine) Pending() int { return e.live }
-
-// NextEventTime returns the absolute time of the earliest live event,
-// or +Inf when none is scheduled. Canceled events surfacing at the
-// heap head are discarded on the way.
-func (e *Engine) NextEventTime() float64 {
-	next, ok := e.peek()
-	if !ok {
-		return math.Inf(1)
-	}
-	return next.time
-}
-
-// AdvanceTo moves the clock forward to t without firing anything. It
-// is the conservative-parallel primitive: a coordinator that has
-// proven (via the lookahead horizon) that no event exists before t may
-// jump straight there before delivering a cross-engine message
-// timestamped t. Moving backward is a no-op; jumping over a live event
-// panics, because that would reorder the very events the horizon was
-// supposed to protect.
-func (e *Engine) AdvanceTo(t float64) {
-	if math.IsNaN(t) || math.IsInf(t, 0) {
-		panic(fmt.Sprintf("sim: advancing clock to non-finite time %v", t))
-	}
-	if t <= e.now {
-		return
-	}
-	if next, ok := e.peek(); ok && next.time < t {
-		panic(fmt.Sprintf("sim: advancing clock to %v past pending event at %v", t, next.time))
-	}
-	e.now = t
-}
 
 // At schedules fn to run at absolute simulated time t. Non-finite t
 // panics, as does scheduling in the past (t < Now): both always
@@ -230,10 +198,7 @@ func (e *Engine) Step() bool {
 // drains early — an idle system still experiences the passage of time,
 // which is what lets a scenario phase with no traffic elapse). The
 // clock never moves backward: calling Run with until < Now fires
-// nothing and leaves the clock alone. The parallel window barrier
-// (ParallelEngine) depends on this edge being exact: every engine in a
-// window runs to the same inclusive bound, so a same-instant cascade
-// at the bound is fired by whichever pass owns it, never dropped.
+// nothing and leaves the clock alone.
 func (e *Engine) Run(until float64) uint64 {
 	var fired uint64
 	for !e.stopped {

@@ -173,8 +173,8 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 }
 
-// TestEngineRunBoundInclusive pins the Run contract the parallel
-// window barrier depends on: an event scheduled at exactly the bound
+// TestEngineRunBoundInclusive pins the Run contract the runner's
+// breakpoints depend on: an event scheduled at exactly the bound
 // fires, and the clock lands on the bound. The doc used to say
 // "(exclusive)" while the loop fired inclusively — this test keeps the
 // intended (inclusive) semantics from regressing either way.
@@ -213,8 +213,7 @@ func TestEngineRunBoundInclusive(t *testing.T) {
 // TestEnginePendingExcludesCanceled pins the live-event counter:
 // canceling the only queued event must make Pending report zero
 // immediately, even though the heap slot is discarded lazily —
-// otherwise "queue drained?" checks (parallel termination detection)
-// spuriously report pending work.
+// otherwise "queue drained?" checks spuriously report pending work.
 func TestEnginePendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
 	h := e.At(1.0, func() { t.Error("canceled event fired") })
@@ -229,9 +228,6 @@ func TestEnginePendingExcludesCanceled(t *testing.T) {
 	e.Cancel(h)
 	if e.Pending() != 0 {
 		t.Errorf("Pending() = %d after double Cancel, want 0", e.Pending())
-	}
-	if got := e.NextEventTime(); !math.IsInf(got, 1) {
-		t.Errorf("NextEventTime() = %v with only a canceled event, want +Inf", got)
 	}
 	e.RunAll()
 	if e.Pending() != 0 {
@@ -285,47 +281,6 @@ func TestEngineAtPanicMessages(t *testing.T) {
 			}()
 			e.At(tc.t, func() {})
 		})
-	}
-}
-
-// TestEngineAdvanceTo pins the conservative-sync primitive: forward
-// jumps below the next event are fine, backward jumps are no-ops, and
-// jumping over a live event panics.
-func TestEngineAdvanceTo(t *testing.T) {
-	e := NewEngine()
-	e.AdvanceTo(3.0)
-	if e.Now() != 3.0 {
-		t.Fatalf("Now() = %v after AdvanceTo(3), want 3", e.Now())
-	}
-	e.AdvanceTo(1.0) // backward: no-op
-	if e.Now() != 3.0 {
-		t.Errorf("Now() = %v after backward AdvanceTo, want 3", e.Now())
-	}
-	h := e.At(5.0, func() {})
-	e.AdvanceTo(5.0) // exactly the next event time is allowed
-	if e.Now() != 5.0 {
-		t.Errorf("Now() = %v, want 5", e.Now())
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("AdvanceTo past a live event did not panic")
-			}
-		}()
-		e.AdvanceTo(6.0)
-	}()
-	// A canceled event is not a barrier.
-	e.Cancel(h)
-	e.AdvanceTo(7.0)
-	if e.Now() != 7.0 {
-		t.Errorf("Now() = %v after AdvanceTo over a canceled event, want 7", e.Now())
-	}
-	if got := e.NextEventTime(); !math.IsInf(got, 1) {
-		t.Errorf("NextEventTime() = %v, want +Inf", got)
-	}
-	e.At(9.0, func() {})
-	if got := e.NextEventTime(); got != 9.0 {
-		t.Errorf("NextEventTime() = %v, want 9", got)
 	}
 }
 

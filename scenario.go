@@ -193,7 +193,7 @@ func (s *System) runScenario(ctx context.Context, sc Scenario, initialMPL *int, 
 	if initialMPL != nil {
 		mpl = *initialMPL
 	}
-	st, err := s.buildStack(mpl, sc.ParallelShards && s.cfg.Shards.Count > 0)
+	st, err := s.buildStack(mpl)
 	if err != nil {
 		return Result{}, err
 	}

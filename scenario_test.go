@@ -665,6 +665,201 @@ func TestChurnScenarioRerunBitIdentical(t *testing.T) {
 	}
 }
 
+// fingerprint is one of the fingerprint scenarios: a Config and a
+// Scenario lifted verbatim from the repo's determinism tests.
+type fingerprint struct {
+	name string
+	cfg  Config
+	sc   Scenario
+}
+
+// fingerprints returns the five fingerprint scenarios (the same
+// Config+Scenario pairs the determinism gates run). Building them in a
+// function keeps each subtest on pristine values.
+func fingerprints() []fingerprint {
+	slow := ShardSpeedEvent{Shard: 1, Speed: 0.25}
+	recover := ShardSpeedEvent{Shard: 1, Speed: 1}
+	victim := 3
+	return []fingerprint{
+		{
+			name: "fig7",
+			cfg:  Config{SetupID: 1, MPL: 4, PercentileSamples: 2000, Seed: 11},
+			sc: Scenario{
+				Name:           "accept",
+				Warmup:         10,
+				SampleInterval: 10,
+				Phases: []Phase{
+					{Name: "steady", Kind: PhaseClosed, Clients: 50, Duration: 40},
+					{Name: "surge", Kind: PhaseRamp, Lambda: 30, Lambda2: 90, Duration: 40},
+					{Name: "replay", Kind: PhaseTrace, Duration: 40, TraceSynth: &TraceSynth{
+						N: 4000, MeanDemand: 0.008, DemandC2: 2, Lambda: 80, Seed: 5,
+					}},
+				},
+			},
+		},
+		{
+			name: "sharded-dispatch",
+			cfg: Config{
+				SetupID: 1, MPL: 8, Seed: 21,
+				Shards: ShardSpec{Count: 2, Dispatch: "jsq"},
+			},
+			sc: Scenario{
+				Name:           "shard-slowdown",
+				Warmup:         10,
+				SampleInterval: 10,
+				Phases: []Phase{
+					{Name: "steady", Kind: PhaseClosed, Clients: 40, Duration: 60,
+						Events: []Event{{At: 20, SetShardSpeed: &slow}}},
+					{Name: "recovered", Kind: PhaseOpen, Lambda: 40, Duration: 60,
+						Events: []Event{{At: 10, SetShardSpeed: &recover, SetDispatch: "lwl"}}},
+				},
+			},
+		},
+		{
+			name: "slo-shedding",
+			cfg:  Config{SetupID: 1, MPL: 12, PercentileSamples: 2000, Seed: 31},
+			sc: Scenario{
+				Name:           "slo-shedding",
+				Warmup:         10,
+				SampleInterval: 10,
+				Phases: []Phase{
+					{Name: "steady", Kind: PhaseOpen, Lambda: 65, Duration: 60,
+						Events: []Event{{
+							SetSLO:             &SLOSpec{Class: "high", Target: 0.4},
+							SetTenantDeadlines: map[string]float64{"low": 1.5},
+						}}},
+					{Name: "burst", Kind: PhaseBurst, Lambda: 105, BurstFactor: 3, BurstPeriod: 15, Duration: 60},
+					{Name: "recover", Kind: PhaseOpen, Lambda: 55, Duration: 60},
+				},
+			},
+		},
+		{
+			name: "churn",
+			cfg: Config{
+				SetupID: 1, MPL: 12, Seed: 21,
+				Shards:   ShardSpec{Count: 4, Dispatch: "jsq"},
+				Recovery: &RecoverySpec{Mode: RecoveryResubmit, RetryBudget: 3},
+			},
+			sc: Scenario{
+				Name:           "churn",
+				Warmup:         10,
+				SampleInterval: 15,
+				Phases: []Phase{
+					{Name: "steady", Kind: PhaseOpen, Lambda: 280, Duration: 60},
+					{Name: "burst", Kind: PhaseBurst, Lambda: 330, BurstFactor: 2,
+						BurstPeriod: 10, Duration: 60,
+						Events: []Event{
+							{At: 15, ShardFail: &victim},
+							{At: 40, ShardRecover: &victim},
+						}},
+					{Name: "recovered", Kind: PhaseOpen, Lambda: 220, Duration: 60},
+				},
+			},
+		},
+		{
+			name: "autoscale",
+			cfg: Config{
+				SetupID: 1, MPL: 12, Seed: 31,
+				Shards: ShardSpec{Count: 4, Dispatch: "jsq-d:3"},
+			},
+			sc: Scenario{
+				Name:           "diurnal",
+				Warmup:         5,
+				SampleInterval: 15,
+				Autoscale: &AutoscaleSpec{
+					Min: 4, Max: 64,
+					Interval:  2,
+					HighWater: 6, LowWater: 1.5,
+					BreachWindows: 2, CalmWindows: 4,
+					Cooldown:    3,
+					MPLPerShard: 3,
+				},
+				Phases: []Phase{
+					{Name: "morning", Kind: PhaseRamp, Lambda: 80, Lambda2: 600, Duration: 60},
+					{Name: "peak", Kind: PhaseOpen, Lambda: 600, Duration: 40},
+					{Name: "evening", Kind: PhaseRamp, Lambda: 600, Lambda2: 50, Duration: 60},
+					{Name: "night", Kind: PhaseOpen, Lambda: 50, Duration: 60},
+				},
+			},
+		},
+	}
+}
+
+// TestChurnRecycling drives transaction-record and profile recycling
+// where it is most fragile: closed-loop clients cycling through
+// completions, shards crashing at random with in-flight work doomed
+// and resubmitted, and deadline sheds in both phases. A record retired
+// twice, or reused while a dead shard's DBMS still reads its profile,
+// would make a rerun differ from the first run (or trip -race, under
+// which CI runs it).
+func TestChurnRecycling(t *testing.T) {
+	cfg := Config{
+		SetupID: 1, MPL: 12, Seed: 41, PercentileSamples: 2000,
+		Shards:   ShardSpec{Count: 4, Dispatch: "jsq"},
+		Recovery: &RecoverySpec{Mode: RecoveryResubmit, RetryBudget: 2},
+	}
+	churn := &ChurnSpec{MTBF: 12, MTTR: 3}
+	deadlines := []Event{{SetTenantDeadlines: map[string]float64{"low": 0.3}}}
+	sc := Scenario{
+		Name:           "churn-recycling",
+		Warmup:         5,
+		SampleInterval: 10,
+		Phases: []Phase{
+			{Name: "closed", Kind: PhaseClosed, Clients: 80, Duration: 50, Churn: churn, Events: deadlines},
+			{Name: "burst", Kind: PhaseBurst, Lambda: 300, BurstFactor: 2, BurstPeriod: 10, Duration: 40, Churn: churn,
+				Events: deadlines},
+		},
+	}
+	run := func() Result {
+		sys, err := NewSystem(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := sys.Run(context.Background(), sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	first := run()
+	for _, ph := range first.Phases {
+		if r := ph.Report; r.Shed == 0 || r.Resubmitted == 0 || r.Completed == 0 {
+			t.Fatalf("phase %s too tame to exercise recycling: %d completed, %d shed, %d resubmitted",
+				ph.Name, r.Completed, r.Shed, r.Resubmitted)
+		}
+	}
+	if again := run(); !reflect.DeepEqual(first, again) {
+		t.Errorf("rerun differs:\nfirst: %+v\nagain: %+v", first.Total, again.Total)
+	}
+}
+
+// TestParseScenarioRejectsParallelShards: the parallel engine is gone,
+// so a scenario file still carrying parallel_shards fails to parse as
+// an unknown field rather than being silently accepted, while the
+// per-completion controllers the engine used to refuse parse without
+// the key.
+func TestParseScenarioRejectsParallelShards(t *testing.T) {
+	const tenants = `"tenants":[{"name":"a","share":0.5},{"name":"b","share":0.5}],`
+	for name, js := range map[string]string{
+		"scenario fairness": `{` + tenants + `"fairness":{"strict":true},
+			"phases":[{"kind":"open","duration":5,"lambda":10}]}`,
+		"enable_fairness event": `{` + tenants + `
+			"phases":[{"kind":"open","duration":5,"lambda":10,"events":[{"at":1,"enable_fairness":{}}]}]}`,
+		"enable_controller event": `{
+			"phases":[{"kind":"open","duration":5,"lambda":10,"events":[{"at":1,
+				"enable_controller":{"max_throughput_loss":0.05,"reference_throughput":90}}]}]}`,
+	} {
+		if _, err := ParseScenario([]byte(js)); err != nil {
+			t.Errorf("%s: rejected: %v", name, err)
+		}
+		withKey := strings.Replace(js, "{", `{"parallel_shards":true,`, 1)
+		_, err := ParseScenario([]byte(withKey))
+		if err == nil || !strings.Contains(err.Error(), `unknown field "parallel_shards"`) {
+			t.Errorf("%s with parallel_shards: err = %v, want an unknown-field rejection", name, err)
+		}
+	}
+}
+
 // TestClassBreakdownConservation: the per-class breakdown partitions
 // its window. For the whole-run report, every phase report and every
 // snapshot of the fingerprint scenarios, the classes' completions and
@@ -705,12 +900,30 @@ func TestClassBreakdownConservation(t *testing.T) {
 		check(t, what, r.Completed, r.Shed, r.MeanRT, classes)
 	}
 
-	cases := parallelFingerprints()
-	cases = append(cases, parallelFingerprint{
-		name: "tenants",
-		cfg:  Config{SetupID: 1, MPL: 8, PercentileSamples: 2000, Seed: 13},
-		sc:   tenantScenario(),
-	})
+	cases := append(fingerprints(),
+		fingerprint{
+			name: "tenants",
+			cfg:  Config{SetupID: 1, MPL: 8, PercentileSamples: 2000, Seed: 13},
+			sc:   tenantScenario(),
+		},
+		// A closed phase whose clients see crashes, resubmissions and
+		// deadline sheds together.
+		fingerprint{
+			name: "churn-deadlines",
+			cfg: Config{
+				SetupID: 1, MPL: 12, Seed: 41, PercentileSamples: 2000,
+				Shards:        ShardSpec{Count: 4, Dispatch: "jsq"},
+				Recovery:      &RecoverySpec{Mode: RecoveryResubmit, RetryBudget: 2},
+				AdmitDeadline: &AdmitDeadline{High: 2, Low: 0.3},
+			},
+			sc: Scenario{
+				Name:           "churn-deadlines",
+				Warmup:         5,
+				SampleInterval: 10,
+				Phases: []Phase{{Name: "closed", Kind: PhaseClosed, Clients: 80, Duration: 50,
+					Churn: &ChurnSpec{MTBF: 12, MTTR: 3}}},
+			},
+		})
 	for _, fp := range cases {
 		t.Run(fp.name, func(t *testing.T) {
 			sys, err := NewSystem(fp.cfg)
