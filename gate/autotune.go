@@ -1,6 +1,7 @@
 package gate
 
 import (
+	"errors"
 	"fmt"
 
 	"extsched/internal/controller"
@@ -134,6 +135,9 @@ type SLOTuneStatus struct {
 func (g *Gate) EnableSLOTune(tc SLOTuneConfig) error {
 	if g.fe.MPL() < 2 {
 		return fmt.Errorf("gate: SLO tuning needs a limit >= 2 to partition (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
+	}
+	if err := errors.Join(checkClass(tc.Class), checkClass(tc.OtherClass)); err != nil {
+		return err
 	}
 	return g.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
 		return controller.NewSLO(g.fe, g.seed, controller.SLOConfig{

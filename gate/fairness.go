@@ -68,6 +68,9 @@ func (g *Gate) EnableFairness(fc FairnessConfig) error {
 		}
 	} else {
 		for c, w := range fc.Weights {
+			if err := checkClass(c); err != nil {
+				return err
+			}
 			weights[core.Class(c)] = w
 		}
 	}

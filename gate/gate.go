@@ -36,7 +36,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -46,9 +45,10 @@ import (
 	"extsched/metrics"
 )
 
-// Class is a small-integer priority class. ClassHigh receives strict
-// preference under the "priority" policy; WFQ accepts arbitrary
-// classes, one virtual queue per distinct value.
+// Class is a small-integer priority class in [0, 65535]; every class
+// takes the lock-free fast path, and one outside the range is an error.
+// ClassHigh receives strict preference under the "priority" policy;
+// WFQ keeps one virtual queue per distinct value.
 type Class int
 
 const (
@@ -216,16 +216,6 @@ func New(cfg Config) (*Gate, error) {
 	if clock == nil {
 		clock = sim.NewWallClock()
 	}
-	for c, d := range cfg.AdmitDeadline {
-		if d < 0 {
-			return nil, fmt.Errorf("gate: class %d admit deadline %v must be >= 0", c, d)
-		}
-	}
-	for c, l := range cfg.ClassLimits {
-		if l < 1 {
-			return nil, fmt.Errorf("gate: class %d limit %d must be >= 1", c, l)
-		}
-	}
 	g := &Gate{clock: clock, seed: cfg.Seed}
 	g.slots.New = func() any {
 		return &ticketSlot{g: g, admitted: make(chan struct{}, 1)}
@@ -235,14 +225,14 @@ func New(cfg Config) (*Gate, error) {
 		g.fe.SetQueueLimit(cfg.QueueLimit)
 	}
 	for c, d := range cfg.AdmitDeadline {
-		g.fe.SetAdmitDeadline(core.Class(c), d)
+		if err := g.SetAdmitDeadline(c, d); err != nil {
+			return nil, err
+		}
 	}
 	if cfg.ClassLimits != nil {
-		limits := make(map[core.Class]int, len(cfg.ClassLimits))
-		for c, l := range cfg.ClassLimits {
-			limits[core.Class(c)] = l
+		if err := g.SetClassLimits(cfg.ClassLimits); err != nil {
+			return nil, err
 		}
-		g.fe.SetClassLimits(limits)
 	}
 	// Deadline-shed tickets are woken through the shed hook: the item
 	// never dispatches, so the admitted channel would otherwise block
@@ -267,6 +257,14 @@ func New(cfg Config) (*Gate, error) {
 	return g, nil
 }
 
+// checkClass rejects a class outside the frontend's per-class table.
+func checkClass(c Class) error {
+	if c < 0 || c > core.MaxClass {
+		return fmt.Errorf("gate: class %d outside [0, %d]", c, core.MaxClass)
+	}
+	return nil
+}
+
 // Acquire waits for admission with default request attributes.
 func (g *Gate) Acquire(ctx context.Context) (Ticket, error) {
 	return g.AcquireRequest(ctx, Request{})
@@ -288,6 +286,9 @@ func (g *Gate) Acquire(ctx context.Context) (Ticket, error) {
 // timer) and once more when a release dispatches it.
 func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) {
 	if err := ctx.Err(); err != nil {
+		return Ticket{}, err
+	}
+	if err := checkClass(req.Class); err != nil {
 		return Ticket{}, err
 	}
 	s := g.slots.Get().(*ticketSlot)
@@ -424,8 +425,11 @@ func (g *Gate) SetLimit(n int) {
 // Applies to subsequent Acquires; waiters already queued keep the
 // deadline they arrived under.
 func (g *Gate) SetAdmitDeadline(c Class, seconds float64) error {
+	if err := checkClass(c); err != nil {
+		return err
+	}
 	if seconds < 0 {
-		return fmt.Errorf("gate: admit deadline %v must be >= 0", seconds)
+		return fmt.Errorf("gate: class %d admit deadline %v must be >= 0", c, seconds)
 	}
 	g.fe.SetAdmitDeadline(core.Class(c), seconds)
 	return nil
@@ -436,17 +440,15 @@ func (g *Gate) SetAdmitDeadline(c Class, seconds float64) error {
 // Idle capacity is still lent across the partition, so the gate stays
 // work-conserving.
 func (g *Gate) SetClassLimits(limits map[Class]int) error {
+	cl := make(map[core.Class]int, len(limits))
 	for c, l := range limits {
+		if err := checkClass(c); err != nil {
+			return err
+		}
 		if l < 1 {
 			return fmt.Errorf("gate: class %d limit %d must be >= 1", c, l)
 		}
-	}
-	var cl map[core.Class]int
-	if limits != nil {
-		cl = make(map[core.Class]int, len(limits))
-		for c, l := range limits {
-			cl[core.Class(c)] = l
-		}
+		cl[core.Class(c)] = l
 	}
 	g.fe.SetClassLimits(cl)
 	return nil
@@ -590,32 +592,22 @@ func (g *Gate) Stats() Stats {
 
 // classStats assembles the per-tenant slice of a Stats snapshot: every
 // class that completed work this window or ever shed any, ascending.
+// The frontend has a record, and so a shed count, for every class in m.
 func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
-	shed := g.fe.ShedClasses()
-	classes := make([]core.Class, 0, len(m.Classes)+len(shed))
-	for _, cm := range m.Classes {
-		classes = append(classes, cm.Class)
-	}
-	for c := range shed {
-		if m.ClassMetric(c).Completed() == 0 {
-			classes = append(classes, c)
+	var out []metrics.ClassStat
+	for c, shed := range g.fe.ShedClasses() {
+		cm := m.ClassMetric(core.Class(c))
+		if cm.Completed() == 0 && shed == 0 {
+			continue
 		}
-	}
-	if len(classes) == 0 {
-		return nil
-	}
-	slices.Sort(classes)
-	out := make([]metrics.ClassStat, len(classes))
-	for i, c := range classes {
-		cm := m.ClassMetric(c)
-		out[i] = metrics.ClassStat{
-			Class:     int(c),
-			Name:      g.fe.TenantName(c),
+		out = append(out, metrics.ClassStat{
+			Class:     c,
+			Name:      g.fe.TenantName(core.Class(c)),
 			Completed: cm.Completed(),
-			Shed:      shed[c],
+			Shed:      shed,
 			Mean:      cm.RT.Mean(),
-			P95:       g.fe.ClassResponseTimePercentile(c, 95),
-		}
+			P95:       g.fe.ClassResponseTimePercentile(core.Class(c), 95),
+		})
 	}
 	return out
 }

@@ -161,6 +161,41 @@ func TestAcquireOnDeadContext(t *testing.T) {
 	}
 }
 
+// TestClassRange admits any class in [0, 65535] — class 200 on the
+// fast path like class 0 — and rejects one outside it with an error
+// instead of the frontend's panic.
+func TestClassRange(t *testing.T) {
+	g, err := New(Config{Limit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, c := range []Class{0, 8, 200, 65535} {
+		tk, err := g.AcquireRequest(ctx, Request{Class: c})
+		if err != nil {
+			t.Fatalf("class %d: %v", c, err)
+		}
+		tk.Release(Result{})
+	}
+	for _, c := range []Class{-1, 65536} {
+		if _, err := g.AcquireRequest(ctx, Request{Class: c}); err == nil {
+			t.Errorf("class %d admitted", c)
+		}
+		if err := g.SetAdmitDeadline(c, 1); err == nil {
+			t.Errorf("SetAdmitDeadline accepted class %d", c)
+		}
+		if err := g.SetClassLimits(map[Class]int{c: 1}); err == nil {
+			t.Errorf("SetClassLimits accepted class %d", c)
+		}
+		if _, err := New(Config{Limit: 4, ClassLimits: map[Class]int{c: 1}}); err == nil {
+			t.Errorf("New accepted a class limit for class %d", c)
+		}
+	}
+	if g.Inflight() != 0 || g.Queued() != 0 {
+		t.Errorf("inflight %d, queued %d after the run, want 0/0", g.Inflight(), g.Queued())
+	}
+}
+
 func TestDoubleReleaseIsNoOp(t *testing.T) {
 	g, err := New(Config{Limit: 1})
 	if err != nil {

@@ -39,9 +39,13 @@ func MiddlewareClassify(g *Gate, classify func(*http.Request) Request, next http
 		}
 		tk, err := g.AcquireRequest(r.Context(), req)
 		if err != nil {
-			if err == ErrQueueFull || err == ErrDeadline {
+			switch {
+			case err == ErrQueueFull || err == ErrDeadline:
 				w.Header().Set("Retry-After", "1")
 				http.Error(w, "server overloaded", http.StatusServiceUnavailable)
+			case r.Context().Err() == nil:
+				// classify returned a class outside the gate's range.
+				http.Error(w, "request class out of range", http.StatusInternalServerError)
 			}
 			// Context errors: the client canceled or timed out while
 			// queued; any response would go nowhere.

@@ -193,6 +193,26 @@ func TestMiddlewareClassifyRoutesClasses(t *testing.T) {
 	}
 }
 
+// TestMiddlewareRejectsOutOfRangeClass answers 500 without running
+// the handler when classify returns a class the gate rejects.
+func TestMiddlewareRejectsOutOfRangeClass(t *testing.T) {
+	g, err := New(Config{Limit: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	classify := func(*http.Request) Request { return Request{Class: 1 << 16} }
+	ran := false
+	h := MiddlewareClassify(g, classify, http.HandlerFunc(func(http.ResponseWriter, *http.Request) { ran = true }))
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/", nil))
+	if rec.Code != http.StatusInternalServerError || ran {
+		t.Errorf("status %d, handler ran %v; want 500 and no handler", rec.Code, ran)
+	}
+	if g.Inflight() != 0 {
+		t.Errorf("inflight %d after a rejected request", g.Inflight())
+	}
+}
+
 func TestMiddlewareForwardsFlusher(t *testing.T) {
 	g, err := New(Config{Limit: 1})
 	if err != nil {

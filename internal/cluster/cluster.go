@@ -584,14 +584,14 @@ func (d *Dispatcher) Shed() uint64 {
 	return n
 }
 
-// ShedClasses aggregates the shards' per-class shed counts (nil when
-// nothing was shed anywhere).
-func (d *Dispatcher) ShedClasses() map[core.Class]uint64 {
-	var out map[core.Class]uint64
+// ShedClasses sums the shards' per-class shed counts, indexed by class
+// like core.Frontend.ShedClasses.
+func (d *Dispatcher) ShedClasses() []uint64 {
+	var out []uint64
 	for i := range d.shards {
 		for c, n := range d.shards[i].FE.ShedClasses() {
-			if out == nil {
-				out = make(map[core.Class]uint64)
+			if c == len(out) {
+				out = append(out, 0)
 			}
 			out[c] += n
 		}

@@ -35,8 +35,8 @@
 // concurrent transition to slow invalidates in-flight fast CASes, and
 // the slow path always re-dispatches under the mutex after setting the
 // flag, so a released slot is never lost to a waiter. Items with a
-// pre-set Deadline or a class outside the small tracked range also
-// take the slow path.
+// pre-set Deadline also take the slow path; items of every class take
+// the fast path.
 //
 // Under the single-threaded simulator the fast path makes the same
 // state transitions in the same order as the mutex path did, so the
@@ -45,7 +45,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -53,11 +55,18 @@ import (
 	"extsched/internal/stats"
 )
 
-// Class is a small-integer priority class. PriorityPolicy gives
-// ClassHigh strict preference and treats every other value as "low";
-// WFQ keeps one virtual queue per distinct class. Metrics break
-// completions down per class, for any class value.
+// Class is a small-integer priority class in [0, MaxClass]; the
+// frontend indexes its per-class state by it, and every class takes
+// the lock-free fast path. PriorityPolicy gives ClassHigh strict
+// preference and treats every other value as "low"; WFQ keeps one
+// virtual queue per distinct class.
 type Class int
+
+// MaxClass is the largest class value the frontend accepts (the
+// per-class sampling streams are keyed by 16 bits of class). Class
+// state is indexed by class value: about 56 bytes per class up to the
+// highest class a frontend has seen.
+const MaxClass = 1<<16 - 1
 
 const (
 	// ClassLow is the default (background) class.
@@ -436,10 +445,8 @@ func (m ClassMetric) Completed() uint64 { return uint64(m.RT.Count()) }
 // ClassMetric finds class c's entry in Classes (zero value when the
 // class completed nothing in the window).
 func (m Metrics) ClassMetric(c Class) ClassMetric {
-	for _, cm := range m.Classes {
-		if cm.Class == c {
-			return cm
-		}
+	if i, ok := m.find(c); ok {
+		return m.Classes[i]
 	}
 	return ClassMetric{Class: c}
 }
@@ -477,22 +484,22 @@ func (m *Metrics) Reset() {
 	*m = Metrics{Classes: m.Classes[:0]}
 }
 
+// find returns class c's index in Classes (or where it belongs) and
+// whether it is there. Registered tenants are numbered densely from 0,
+// so class c usually sits at index c.
+func (m *Metrics) find(c Class) (int, bool) {
+	if c >= 0 && int(c) < len(m.Classes) && m.Classes[c].Class == c {
+		return int(c), true
+	}
+	return slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int { return cmp.Compare(cm.Class, c) })
+}
+
 // class returns class c's accumulator, inserting it in class-ID order
 // on first use.
 func (m *Metrics) class(c Class) *stats.Accumulator {
-	// Registered tenants are numbered densely from 0, so class c
-	// usually sits at index c.
-	if c >= 0 && int(c) < len(m.Classes) && m.Classes[c].Class == c {
-		return &m.Classes[c].RT
-	}
-	i := 0
-	for i < len(m.Classes) && m.Classes[i].Class < c {
-		i++
-	}
-	if i == len(m.Classes) || m.Classes[i].Class != c {
-		m.Classes = append(m.Classes, ClassMetric{})
-		copy(m.Classes[i+1:], m.Classes[i:])
-		m.Classes[i] = ClassMetric{Class: c}
+	i, ok := m.find(c)
+	if !ok {
+		m.Classes = slices.Insert(m.Classes, i, ClassMetric{Class: c})
 	}
 	return &m.Classes[i].RT
 }
@@ -537,14 +544,26 @@ const (
 // MaxMPL is the largest representable MPL limit.
 const MaxMPL = int(limitMask)
 
-// trackedClasses is the number of small non-negative classes whose
-// inside counts live in a fixed array of atomics (so the lock-free
-// fast path can maintain them). Items of any other class still work —
-// they just always take the mutex path, where a map tracks them.
-const trackedClasses = 8
-
 func unpack(s uint64) (inside, limit int) {
 	return int(s & insideMask), int((s >> limitShift) & limitMask)
+}
+
+// classState is one class's gate state. Records are never freed or
+// moved, so the fast path may hold one across a growth of the table.
+// inside is atomic, rt is guarded by metricsMu, the rest by mu.
+type classState struct {
+	inside        atomic.Int64     // dispatched, uncompleted items
+	limit         int              // partition cap (0 = uncapped)
+	deferred      *ring            // popped while at limit, in pop order
+	admitDeadline float64          // relative, in seconds (0 = none)
+	shed          uint64           // deadline sheds
+	rt            *stats.Reservoir // response-time sample
+}
+
+// eligible reports whether the class may dispatch under the current
+// partition. Called with the frontend's mutex held.
+func (cs *classState) eligible() bool {
+	return cs.limit == 0 || int(cs.inside.Load()) < cs.limit
 }
 
 // Frontend is the external scheduler: the MPL gate plus the reorderable
@@ -569,38 +588,37 @@ type Frontend struct {
 	// fingerprints depend on.
 	metricsMu sync.Mutex
 	metrics   Metrics
-	// classInside splits inside by priority class for classes in
-	// [0, trackedClasses) — atomics so the fast path can maintain them;
-	// classInsideX (under mu) tracks any exotic class values.
-	classInside  [trackedClasses]atomic.Int64
-	classInsideX map[Class]int
+	// classes is the per-class table, indexed by class and long enough
+	// for every class seen. A growth (under mu) publishes a longer copy
+	// pointing at the same records, so no fast-path update is lost.
+	classes atomic.Pointer[[]*classState]
+	// first holds the records of classes 0 and 1, and firstTable the
+	// table that starts from them, so a frontend that sees no other
+	// class allocates nothing for its table.
+	first      [2]classState
+	firstPtrs  [2]*classState
+	firstTable []*classState
 	// deadlineArmed counts classes with an admit deadline configured.
 	// Nonzero forces every submission through the slow path, where the
-	// deadline map can be read under mu.
+	// deadlines can be read under mu.
 	deadlineArmed atomic.Int32
-	// classLimit, when non-nil, partitions the MPL across classes: a
-	// class at its limit does not dispatch while another class has
-	// eligible work, but capacity is never left idle (work-conserving
-	// borrowing — see dispatch). Classes absent from the map are
-	// uncapped (the global MPL still applies).
-	classLimit map[Class]int
+	// partitioned is set while class limits partition the MPL: a class
+	// at its limit does not dispatch while another class has eligible
+	// work, but capacity is never left idle (work-conserving borrowing
+	// — see dispatch). Classes without a limit are uncapped (the global
+	// MPL still applies).
+	partitioned bool
 	// strictLimit makes the class partition a hard cap: a class at its
 	// limit never borrows idle capacity (dispatch skips its borrowing
 	// step). Trades utilization for latency isolation — the fairness
 	// controller's strict mode sets it.
 	strictLimit bool
-	// deferred holds items popped from the policy while their class was
-	// at its limit, per class, in policy-pop order; deferredOrder keeps
-	// the classes sorted so dispatch scans them deterministically.
-	deferred      map[Class]*ring
+	// deferredOrder lists, ascending, the classes whose ring has held an
+	// item; deferredCount is the number of items in the rings.
 	deferredOrder []Class
 	deferredCount int
-	// admitDeadline is the per-class relative admission deadline in
-	// seconds (absent = none): Submit stamps Item.Deadline from it.
-	admitDeadline map[Class]float64
-	// shed counts deadline-shed items, total and per class.
-	shed      uint64
-	shedClass map[Class]uint64
+	// shed counts deadline-shed items (per class in the records).
+	shed uint64
 	// queueLimit, when > 0, turns the frontend into the admission
 	// controller the paper contrasts itself with (Section 1): arrivals
 	// beyond the limit are DROPPED instead of queued. External
@@ -628,10 +646,9 @@ type Frontend struct {
 	// done callback, outside the frontend lock).
 	OnShed func(*Item)
 	// rtSample, when enabled, reservoir-samples response times for
-	// percentile reporting; rtClass splits the sampling per class.
-	// Guarded by metricsMu, like the accumulators they ride along with.
+	// percentile reporting (the records sample per class). Guarded by
+	// metricsMu, like the accumulators it rides along with.
 	rtSample *stats.Reservoir
-	rtClass  map[Class]*stats.Reservoir
 	rtCap    int
 	rtSeed   uint64
 	// tenantMu guards the tenant registry, which is append-only:
@@ -711,7 +728,46 @@ func New(clock sim.Clock, backend Backend, mpl int, policy Policy) *Frontend {
 	}
 	f := &Frontend{clock: clock, backend: backend, policy: policy}
 	f.word.Store(uint64(mpl) << limitShift)
+	f.firstPtrs = [2]*classState{&f.first[0], &f.first[1]}
+	f.firstTable = f.firstPtrs[:]
+	f.classes.Store(&f.firstTable)
 	return f
+}
+
+// table returns the per-class table. Lock-free.
+func (f *Frontend) table() []*classState { return *f.classes.Load() }
+
+// class returns class c's record, or nil when c lies past the table's
+// end. Lock-free.
+func (f *Frontend) class(c Class) *classState {
+	if t := f.table(); uint(c) < uint(len(t)) {
+		return t[c]
+	}
+	return nil
+}
+
+// record returns class c's record, first growing the table under f.mu
+// (to at least twice its length) when c lies past its end. It panics
+// when c is outside [0, MaxClass]. Call it without f.mu held.
+func (f *Frontend) record(c Class) *classState {
+	if cs := f.class(c); cs != nil {
+		return cs
+	}
+	if c < 0 || c > MaxClass {
+		panic(fmt.Sprintf("core: class %d must be in [0, %d]", c, MaxClass))
+	}
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if t := f.table(); int(c) >= len(t) {
+		grown := make([]*classState, min(max(int(c)+1, 2*len(t)), MaxClass+1))
+		copy(grown, t)
+		added := make([]classState, len(grown)-len(t))
+		for i := range added {
+			grown[len(t)+i] = &added[i]
+		}
+		f.classes.Store(&grown)
+	}
+	return f.table()[c]
 }
 
 // MPL returns the current limit (0 = unlimited). Lock-free.
@@ -756,16 +812,16 @@ func (f *Frontend) SetClassLimits(limits map[Class]int) {
 		if l < 1 {
 			panic(fmt.Sprintf("core: class %d limit %d must be >= 1", c, l))
 		}
+		f.record(c)
 	}
 	f.mu.Lock()
-	if len(limits) == 0 {
-		f.classLimit = nil
-	} else {
-		f.classLimit = make(map[Class]int, len(limits))
-		for c, l := range limits {
-			f.classLimit[c] = l
-		}
+	for _, cs := range f.table() {
+		cs.limit = 0
 	}
+	for c, l := range limits {
+		f.class(c).limit = l
+	}
+	f.partitioned = len(limits) > 0
 	f.updateSlowLocked()
 	f.mu.Unlock()
 	f.dispatch()
@@ -800,12 +856,14 @@ func (f *Frontend) StrictPartition() bool {
 func (f *Frontend) ClassLimits() map[Class]int {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.classLimit == nil {
+	if !f.partitioned {
 		return nil
 	}
-	out := make(map[Class]int, len(f.classLimit))
-	for c, l := range f.classLimit {
-		out[c] = l
+	out := make(map[Class]int)
+	for c, cs := range f.table() {
+		if cs.limit > 0 {
+			out[Class(c)] = cs.limit
+		}
 	}
 	return out
 }
@@ -816,8 +874,10 @@ func (f *Frontend) ClassLimits() map[Class]int {
 func (f *Frontend) ClassLimit(c Class) (limit int, ok bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	limit, ok = f.classLimit[c]
-	return limit, ok
+	if cs := f.class(c); cs != nil && cs.limit > 0 {
+		return cs.limit, true
+	}
+	return 0, false
 }
 
 // SetAdmitDeadline sets class c's admission deadline: an item of that
@@ -830,23 +890,16 @@ func (f *Frontend) SetAdmitDeadline(c Class, seconds float64) {
 	if seconds < 0 {
 		panic(fmt.Sprintf("core: admit deadline %v must be >= 0", seconds))
 	}
+	cs := f.record(c)
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	_, had := f.admitDeadline[c]
-	if seconds == 0 {
-		delete(f.admitDeadline, c)
-		if had {
-			f.deadlineArmed.Add(-1)
-		}
-		return
-	}
-	if f.admitDeadline == nil {
-		f.admitDeadline = make(map[Class]float64)
-	}
-	f.admitDeadline[c] = seconds
-	if !had {
+	switch {
+	case cs.admitDeadline == 0 && seconds > 0:
 		f.deadlineArmed.Add(1)
+	case cs.admitDeadline > 0 && seconds == 0:
+		f.deadlineArmed.Add(-1)
 	}
+	cs.admitDeadline = seconds
 }
 
 // AdmitDeadline returns class c's admission deadline in seconds (0 =
@@ -854,7 +907,10 @@ func (f *Frontend) SetAdmitDeadline(c Class, seconds float64) {
 func (f *Frontend) AdmitDeadline(c Class) float64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.admitDeadline[c]
+	if cs := f.class(c); cs != nil {
+		return cs.admitDeadline
+	}
+	return 0
 }
 
 // Shed returns the number of items rejected by deadline shedding.
@@ -864,17 +920,16 @@ func (f *Frontend) Shed() uint64 {
 	return f.shed
 }
 
-// ShedClasses returns a copy of the per-class shed counts as one
-// consistent snapshot (nil when nothing was shed).
-func (f *Frontend) ShedClasses() map[Class]uint64 {
+// ShedClasses returns the per-class shed counts as one consistent
+// snapshot, indexed by class. It covers every class the frontend has
+// seen; classes past its end shed nothing.
+func (f *Frontend) ShedClasses() []uint64 {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if len(f.shedClass) == 0 {
-		return nil
-	}
-	out := make(map[Class]uint64, len(f.shedClass))
-	for c, n := range f.shedClass {
-		out[c] = n
+	t := f.table()
+	out := make([]uint64, len(t))
+	for c, cs := range t {
+		out[c] = cs.shed
 	}
 	return out
 }
@@ -927,20 +982,10 @@ func (f *Frontend) EnablePercentiles(capacity int, seed uint64) {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
 	f.rtSample = stats.NewReservoir(capacity, sim.NewRNG(seed, 31))
-	f.rtClass = make(map[Class]*stats.Reservoir)
-	f.rtCap, f.rtSeed = capacity, seed
-}
-
-// classReservoirLocked lazily builds class c's sampling reservoir. The
-// RNG stream is derived from the class alone, so creation order cannot
-// perturb determinism. Called with metricsMu held.
-func (f *Frontend) classReservoirLocked(c Class) *stats.Reservoir {
-	r := f.rtClass[c]
-	if r == nil {
-		r = stats.NewReservoir(f.rtCap, sim.NewRNG(f.rtSeed, 37+2*uint64(int64(c)&0xffff)))
-		f.rtClass[c] = r
+	for _, cs := range f.table() {
+		cs.rt = nil
 	}
-	return r
+	f.rtCap, f.rtSeed = capacity, seed
 }
 
 // ResponseTimePercentile estimates the p-th percentile of response
@@ -958,16 +1003,16 @@ func (f *Frontend) ResponseTimePercentile(p float64) float64 {
 // c's response times in the current window (0 when sampling is disabled
 // or the class saw no completions).
 func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
+	cs := f.class(c)
+	if cs == nil {
+		return 0
+	}
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	if f.rtClass == nil {
+	if cs.rt == nil {
 		return 0
 	}
-	r := f.rtClass[c]
-	if r == nil {
-		return 0
-	}
-	return r.Percentile(p)
+	return cs.rt.Percentile(p)
 }
 
 // Metrics returns a snapshot of the metrics window.
@@ -989,27 +1034,27 @@ func (f *Frontend) ResetMetrics() {
 	if f.rtSample != nil {
 		f.rtSample.Reset()
 	}
-	for _, r := range f.rtClass {
-		r.Reset()
+	for _, cs := range f.table() {
+		if cs.rt != nil {
+			cs.rt.Reset()
+		}
 	}
 }
 
-// tryFastAdmit is the lock-free admission path: when the slow flag is
-// clear (no queued or deferred work, no class partition) and nothing
-// forces the mutex's ordering — no admit deadlines armed, no pre-set
-// item deadline, a tracked class — a single CAS on the gate word
-// claims a free slot and the item is dispatched on the spot, with
-// Arrival == Dispatch. Returns false when the caller must go through
-// the mutex path instead; it has then not touched the item.
+// tryFastAdmit is the lock-free admission path for an item of the
+// class whose record is cs: when the slow flag is clear (no queued or
+// deferred work, no class partition) and nothing forces the mutex's
+// ordering — no admit deadlines armed, no pre-set item deadline — a
+// single CAS on the gate word claims a free slot and the item is
+// dispatched on the spot, with Arrival == Dispatch. Returns false when
+// the caller must go through the mutex path instead; it has then not
+// touched the item.
 //
 // Fast admissions skip seq assignment: seq only breaks ties between
 // QUEUED items (SJF order, WFQ heap), and a fast-admitted item is
 // never queued, so the relative order among queued items is unchanged.
-func (f *Frontend) tryFastAdmit(it *Item) bool {
-	if it.Class < 0 || int(it.Class) >= trackedClasses || it.Deadline != 0 {
-		return false
-	}
-	if f.deadlineArmed.Load() != 0 {
+func (f *Frontend) tryFastAdmit(it *Item, cs *classState) bool {
+	if it.Deadline != 0 || f.deadlineArmed.Load() != 0 {
 		return false
 	}
 	for {
@@ -1025,7 +1070,7 @@ func (f *Frontend) tryFastAdmit(it *Item) bool {
 			now := f.clock.Now()
 			it.Arrival, it.Dispatch = now, now
 			it.state = itemDispatched
-			f.classInside[it.Class].Add(1)
+			cs.inside.Add(1)
 			return true
 		}
 		// The word moved under us (a racing admit, release, or a
@@ -1040,12 +1085,13 @@ func (f *Frontend) tryFastAdmit(it *Item) bool {
 // Discard) for the item exactly once. It returns false, leaving the
 // item untouched, whenever the fast path is unavailable (waiters
 // queued, class limits or admit deadlines armed, the item carries a
-// Deadline or an untracked class, or the gate is full); the caller
-// must then go through Submit. TryAcquire never queues and never
-// allocates.
+// Deadline, or the gate is full); the caller must then go through
+// Submit. TryAcquire never queues, and it allocates only when a class
+// past the end of the class table grows it. Like Submit, it panics
+// when the item's class is outside [0, MaxClass].
 func (f *Frontend) TryAcquire(it *Item) bool {
 	it.done = nil
-	return f.tryFastAdmit(it)
+	return f.tryFastAdmit(it, f.record(it.Class))
 }
 
 // Submit delivers a new item to the external scheduler. done, if not
@@ -1053,9 +1099,11 @@ func (f *Frontend) TryAcquire(it *Item) bool {
 // OnComplete hook (used by closed-loop drivers to cycle their client).
 // Under a queue limit (admission-control mode) the item may be
 // rejected: Submit returns false, no callbacks are scheduled, and the
-// drop is counted (and reported to OnDrop).
+// drop is counted (and reported to OnDrop). It panics when the item's
+// class is outside [0, MaxClass].
 func (f *Frontend) Submit(it *Item, done func(*Item)) bool {
-	if f.tryFastAdmit(it) {
+	cs := f.record(it.Class)
+	if f.tryFastAdmit(it, cs) {
 		// Admitted without the mutex: a free slot, an empty queue, and
 		// nothing slow-path-only in play. Same timestamps, same
 		// counters, same Exec as the queue-then-immediately-dispatch
@@ -1069,10 +1117,8 @@ func (f *Frontend) Submit(it *Item, done func(*Item)) bool {
 	it.seq = f.seq
 	it.done = done
 	f.seq++
-	if it.Deadline == 0 && f.admitDeadline != nil {
-		if d, ok := f.admitDeadline[it.Class]; ok {
-			it.Deadline = it.Arrival + d
-		}
+	if it.Deadline == 0 && cs.admitDeadline > 0 {
+		it.Deadline = it.Arrival + cs.admitDeadline
 	}
 	if f.queueLimit > 0 && f.queueLenLocked() >= f.queueLimit {
 		f.dropped++
@@ -1103,7 +1149,7 @@ func (f *Frontend) Submit(it *Item, done func(*Item)) bool {
 // only ever transitions under the mutex, which is what makes the
 // fast-path CAS ordering sound.
 func (f *Frontend) updateSlowLocked() {
-	want := f.policy.Len()+f.deferredCount > 0 || f.classLimit != nil
+	want := f.policy.Len()+f.deferredCount > 0 || f.partitioned
 	for {
 		s := f.word.Load()
 		ns := s &^ slowFlag
@@ -1171,10 +1217,7 @@ func (f *Frontend) ShedQueued(it *Item) bool {
 func (f *Frontend) shedLocked(it *Item) {
 	it.Complete = f.clock.Now()
 	f.shed++
-	if f.shedClass == nil {
-		f.shedClass = make(map[Class]uint64)
-	}
-	f.shedClass[it.Class]++
+	f.class(it.Class).shed++
 }
 
 // notifyShed delivers a shed item's callbacks (outside the lock): the
@@ -1217,7 +1260,7 @@ func (f *Frontend) compactLocked() {
 		})
 	}
 	for _, c := range f.deferredOrder {
-		f.deferred[c].compact(func(it *Item) bool {
+		f.class(c).deferred.compact(func(it *Item) bool {
 			if it.state != itemCanceled && it.state != itemShed && it.state != itemFailed {
 				return true
 			}
@@ -1279,8 +1322,7 @@ func (f *Frontend) FailDispatched(it *Item) {
 	}
 	it.state = itemFailed
 	it.Complete = f.clock.Now()
-	f.releaseSlot()
-	f.decClassLocked(it.Class)
+	f.releaseSlot(f.class(it.Class), false)
 	f.failed++
 	f.mu.Unlock()
 	f.dispatch()
@@ -1317,7 +1359,7 @@ func (f *Frontend) dispatch() {
 			it.state = itemDispatched
 			it.Dispatch = now
 			f.claimSlotLocked()
-			f.incClassLocked(it.Class)
+			f.class(it.Class).inside.Add(1)
 		}
 		f.updateSlowLocked()
 		hook := f.OnShed
@@ -1350,102 +1392,69 @@ func (f *Frontend) claimSlotLocked() {
 	}
 }
 
-// releaseSlot decrements the inside count (a completion, discard, or
-// dispatched-failure freeing its slot). Safe with or without f.mu: the
-// CAS retries around any racing word mutation.
-func (f *Frontend) releaseSlot() {
+// releaseSlot decrements the inside count and the count of the class
+// whose record is cs (a completion, discard, or dispatched-failure
+// freeing its slot), and reports whether it did: with fast set it
+// gives up once the slow flag is raised, leaving the release to the
+// mutex path. Safe with or without f.mu: the CAS retries around any
+// racing word mutation.
+func (f *Frontend) releaseSlot(cs *classState, fast bool) bool {
 	for {
 		s := f.word.Load()
+		if fast && s&slowFlag != 0 {
+			return false // waiters or a partition: take the mutex path
+		}
 		if s&insideMask == 0 {
 			panic("core: inside count underflow")
 		}
 		if f.word.CompareAndSwap(s, s-1) {
-			return
+			cs.inside.Add(-1)
+			return true
 		}
 	}
 }
 
-// insideOfClassLocked reads class c's inside count. Called with f.mu
-// held (tracked classes are atomics, but the exotic-class map is not).
-func (f *Frontend) insideOfClassLocked(c Class) int {
-	if c >= 0 && int(c) < trackedClasses {
-		return int(f.classInside[c].Load())
+// deferLocked parks a popped item whose class (record cs) is at its
+// limit, preserving policy-pop order within the class. Called with
+// f.mu held.
+func (f *Frontend) deferLocked(it *Item, cs *classState) {
+	if cs.deferred == nil {
+		// The class's first deferral: list it for dispatch's scans.
+		cs.deferred = &ring{}
+		i, _ := slices.BinarySearch(f.deferredOrder, it.Class)
+		f.deferredOrder = slices.Insert(f.deferredOrder, i, it.Class)
 	}
-	return f.classInsideX[c]
-}
-
-func (f *Frontend) incClassLocked(c Class) {
-	if c >= 0 && int(c) < trackedClasses {
-		f.classInside[c].Add(1)
-		return
-	}
-	if f.classInsideX == nil {
-		f.classInsideX = make(map[Class]int)
-	}
-	f.classInsideX[c]++
-}
-
-func (f *Frontend) decClassLocked(c Class) {
-	if c >= 0 && int(c) < trackedClasses {
-		f.classInside[c].Add(-1)
-		return
-	}
-	f.classInsideX[c]--
-}
-
-// classEligibleLocked reports whether class c may dispatch under the
-// current partition. Called with f.mu held.
-func (f *Frontend) classEligibleLocked(c Class) bool {
-	if f.classLimit == nil {
-		return true
-	}
-	lim, ok := f.classLimit[c]
-	return !ok || f.insideOfClassLocked(c) < lim
-}
-
-// deferLocked parks a popped item whose class is at its limit,
-// preserving policy-pop order within the class. Called with f.mu held.
-func (f *Frontend) deferLocked(it *Item) {
-	if f.deferred == nil {
-		f.deferred = make(map[Class]*ring)
-	}
-	r := f.deferred[it.Class]
-	if r == nil {
-		r = &ring{}
-		f.deferred[it.Class] = r
-		i := 0
-		for i < len(f.deferredOrder) && f.deferredOrder[i] < it.Class {
-			i++
-		}
-		f.deferredOrder = append(f.deferredOrder, 0)
-		copy(f.deferredOrder[i+1:], f.deferredOrder[i:])
-		f.deferredOrder[i] = it.Class
-	}
-	r.push(it)
+	cs.deferred.push(it)
 	f.deferredCount++
 }
 
-// popDeferredLocked pops the next live, unexpired item from class c's
-// deferred ring, shedding expired ones into shedList. Called with f.mu
-// held.
-func (f *Frontend) popDeferredLocked(c Class, now float64, shedList *[]*Item) *Item {
-	r := f.deferred[c]
-	for r != nil && r.len() > 0 {
-		cand := r.pop()
-		f.deferredCount--
-		if cand.state == itemCanceled || cand.state == itemShed || cand.state == itemFailed {
-			// Withdrawn after deferral; its WFQ charge (if any) was
-			// settled when the policy popped it, so just drop it.
-			f.deadQueued--
+// popDeferredLocked pops the next live, unexpired deferred item,
+// visiting the classes highest-first and shedding expired items into
+// shedList on the way. Unless borrow is set, it skips classes at their
+// limit. Called with f.mu held.
+func (f *Frontend) popDeferredLocked(borrow bool, now float64, shedList *[]*Item) *Item {
+	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
+		cs := f.class(f.deferredOrder[i])
+		if !borrow && !cs.eligible() {
 			continue
 		}
-		if cand.Deadline > 0 && now > cand.Deadline {
-			cand.state = itemShed
-			f.shedLocked(cand)
-			*shedList = append(*shedList, cand)
-			continue
+		for cs.deferred.len() > 0 {
+			cand := cs.deferred.pop()
+			f.deferredCount--
+			if cand.state == itemCanceled || cand.state == itemShed || cand.state == itemFailed {
+				// Withdrawn after deferral; its WFQ charge (if any) was
+				// settled when the policy popped it, so just drop it.
+				f.deadQueued--
+				continue
+			}
+			if cand.Deadline > 0 && now > cand.Deadline {
+				cand.state = itemShed
+				f.shedLocked(cand)
+				*shedList = append(*shedList, cand)
+				continue
+			}
+			return cand
 		}
-		return cand
 	}
 	return nil
 }
@@ -1476,14 +1485,8 @@ func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item, now float64
 		return nil, nil, 0
 	}
 	now = f.clock.Now()
-	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
-		c := f.deferredOrder[i]
-		if !f.classEligibleLocked(c) {
-			continue
-		}
-		if cand := f.popDeferredLocked(c, now, &shedList); cand != nil {
-			return cand, shedList, now
-		}
+	if cand := f.popDeferredLocked(false, now, &shedList); cand != nil {
+		return cand, shedList, now
 	}
 	for {
 		cand := f.policy.Pop()
@@ -1506,21 +1509,16 @@ func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item, now float64
 			shedList = append(shedList, cand)
 			continue
 		}
-		if !f.classEligibleLocked(cand.Class) {
-			f.deferLocked(cand)
+		if cs := f.class(cand.Class); !cs.eligible() {
+			f.deferLocked(cand, cs)
 			continue
 		}
 		return cand, shedList, now
 	}
-	if f.strictLimit {
-		return nil, shedList, now
+	if !f.strictLimit {
+		it = f.popDeferredLocked(true, now, &shedList)
 	}
-	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
-		if cand := f.popDeferredLocked(f.deferredOrder[i], now, &shedList); cand != nil {
-			return cand, shedList, now
-		}
-	}
-	return nil, shedList, now
+	return it, shedList, now
 }
 
 // Discard completes an admitted item WITHOUT recording it in the
@@ -1538,8 +1536,7 @@ func (f *Frontend) Discard(it *Item) {
 	}
 	it.state = itemDone
 	it.Complete = f.clock.Now()
-	f.releaseSlot()
-	f.decClassLocked(it.Class)
+	f.releaseSlot(f.class(it.Class), false)
 	f.canceled++
 	f.mu.Unlock()
 	f.dispatch()
@@ -1571,22 +1568,12 @@ func (f *Frontend) complete(it *Item, o Outcome, measured bool) {
 	if it.state != itemDispatched {
 		panic(fmt.Sprintf("core: Complete on an item in state %d (double completion?)", it.state))
 	}
-	if c := it.Class; c >= 0 && int(c) < trackedClasses {
-		for {
-			s := f.word.Load()
-			if s&slowFlag != 0 {
-				break // waiters or a partition: take the mutex path
-			}
-			if s&insideMask == 0 {
-				panic("core: inside count underflow")
-			}
-			if f.word.CompareAndSwap(s, s-1) {
-				f.stampDone(it, o, measured)
-				f.classInside[c].Add(-1)
-				f.finishCompletion(it)
-				return
-			}
-		}
+	// A dispatched item's class has a record: its admission made one.
+	cs := f.class(it.Class)
+	if f.releaseSlot(cs, true) {
+		f.stampDone(it, o, measured)
+		f.finishCompletion(it, cs)
+		return
 	}
 	f.mu.Lock()
 	if it.state != itemDispatched {
@@ -1594,10 +1581,9 @@ func (f *Frontend) complete(it *Item, o Outcome, measured bool) {
 		panic(fmt.Sprintf("core: Complete on an item in state %d (double completion?)", it.state))
 	}
 	f.stampDone(it, o, measured)
-	f.releaseSlot()
-	f.decClassLocked(it.Class)
+	f.releaseSlot(cs, false)
 	f.mu.Unlock()
-	f.finishCompletion(it)
+	f.finishCompletion(it, cs)
 	f.dispatch()
 }
 
@@ -1613,17 +1599,23 @@ func (f *Frontend) stampDone(it *Item, o Outcome, measured bool) {
 	it.Outcome = o
 }
 
-// finishCompletion records a completed item in the metrics window and
-// delivers its callbacks. Shared by the fast and slow completion
-// paths; called WITHOUT f.mu held (metricsMu is taken here, and the
-// hooks may re-enter the frontend).
-func (f *Frontend) finishCompletion(it *Item) {
+// finishCompletion records a completed item (of the class whose
+// record is cs) in the metrics window and delivers its callbacks.
+// Shared by the fast and slow completion paths; called WITHOUT f.mu
+// held (metricsMu is taken here, and the hooks may re-enter the
+// frontend).
+func (f *Frontend) finishCompletion(it *Item, cs *classState) {
 	f.metricsMu.Lock()
 	f.metrics.Record(it)
 	if f.rtSample != nil {
 		rt := it.ResponseTime()
 		f.rtSample.Add(rt)
-		f.classReservoirLocked(it.Class).Add(rt)
+		if cs.rt == nil {
+			// The stream is derived from the class alone, so the order
+			// classes first complete in cannot perturb determinism.
+			cs.rt = stats.NewReservoir(f.rtCap, sim.NewRNG(f.rtSeed, 37+2*uint64(it.Class)))
+		}
+		cs.rt.Add(rt)
 	}
 	f.metricsMu.Unlock()
 	if it.done != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"testing"
 
 	"extsched/internal/sim"
@@ -122,15 +123,140 @@ func TestTryAcquireFallsBack(t *testing.T) {
 		}
 	})
 
-	t.Run("untracked class", func(t *testing.T) {
+}
+
+// TestEveryClassTakesFastPath checks that the fast path serves any
+// class in [0, MaxClass] — a class's first admission only creates its
+// record — and that a class outside the range is rejected.
+func TestEveryClassTakesFastPath(t *testing.T) {
+	eng := sim.NewEngine()
+
+	t.Run("class 8", func(t *testing.T) {
 		fe := New(eng.Clock(), backendFunc(func(*Item) {}), 4, NewFIFO())
-		if fe.TryAcquire(&Item{Class: Class(trackedClasses)}) {
-			t.Error("TryAcquire admitted an exotic class outside the tracked array")
+		it := &Item{Class: 8}
+		if !fe.TryAcquire(it) {
+			t.Fatal("TryAcquire refused class 8")
 		}
-		if fe.TryAcquire(&Item{Class: -1}) {
-			t.Error("TryAcquire admitted a negative class")
+		fe.Complete(it, Outcome{})
+		if n := fe.class(8).inside.Load(); n != 0 || fe.Inside() != 0 {
+			t.Errorf("class 8 inside %d, Inside %d after completion, want 0/0", n, fe.Inside())
 		}
 	})
+
+	t.Run("class 200 after the slow path", func(t *testing.T) {
+		var execs []*Item
+		fe := New(eng.Clock(), backendFunc(func(it *Item) { execs = append(execs, it) }), 1, NewFIFO())
+		a := &Item{}
+		if !fe.TryAcquire(a) {
+			t.Fatal("first TryAcquire should admit")
+		}
+		b := &Item{Class: 200}
+		fe.Submit(b, nil) // queues behind a: the slow path sees class 200
+		fe.Complete(a, Outcome{})
+		if len(execs) != 1 || execs[0] != b {
+			t.Fatal("queued class-200 item did not dispatch on Complete")
+		}
+		fe.Complete(b, Outcome{})
+		c := &Item{Class: 200}
+		if !fe.TryAcquire(c) {
+			t.Fatal("TryAcquire refused class 200 once the slow path had seen it")
+		}
+		fe.Complete(c, Outcome{})
+		if n := fe.class(200).inside.Load(); n != 0 || fe.Inside() != 0 {
+			t.Errorf("class 200 inside %d, Inside %d after completion, want 0/0", n, fe.Inside())
+		}
+	})
+
+	t.Run("MaxClass", func(t *testing.T) {
+		fe := New(eng.Clock(), backendFunc(func(*Item) {}), 4, NewFIFO())
+		it := &Item{Class: MaxClass}
+		if !fe.TryAcquire(it) {
+			t.Fatal("TryAcquire refused MaxClass")
+		}
+		fe.Complete(it, Outcome{})
+	})
+
+	t.Run("out of range", func(t *testing.T) {
+		fe := New(eng.Clock(), backendFunc(func(*Item) {}), 4, NewFIFO())
+		for name, call := range map[string]func(){
+			"TryAcquire(-1)":               func() { fe.TryAcquire(&Item{Class: -1}) },
+			"Submit(MaxClass+1)":           func() { fe.Submit(&Item{Class: MaxClass + 1}, nil) },
+			"SetClassLimits(-1)":           func() { fe.SetClassLimits(map[Class]int{-1: 1}) },
+			"SetAdmitDeadline(MaxClass+1)": func() { fe.SetAdmitDeadline(MaxClass+1, 1) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s did not panic", name)
+					}
+				}()
+				call()
+			}()
+		}
+		if fe.Inside() != 0 || fe.QueueLen() != 0 {
+			t.Errorf("a rejected class left inside %d, queued %d", fe.Inside(), fe.QueueLen())
+		}
+	})
+}
+
+// TestClassTableGrowthRace admits and completes items of existing
+// classes on the fast path from several goroutines while another
+// goroutine keeps submitting new classes, each of which adds a record
+// and some of which grow the class table. Run it with -race: a
+// fast-path count update lost to a table copy would leave a class's
+// inside count nonzero at quiescence.
+func TestClassTableGrowthRace(t *testing.T) {
+	const workers = 4
+	iters, newClasses := 5000, 2000
+	if testing.Short() {
+		iters, newClasses = 1000, 500
+	}
+	fe := New(sim.NewWallClock(), backendFunc(func(*Item) {}), 0, NewFIFO())
+	for c := Class(0); c < workers; c++ {
+		it := &Item{Class: c} // an existing record per worker
+		fe.Submit(it, nil)
+		fe.Complete(it, Outcome{})
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(c Class) {
+			defer wg.Done()
+			it := &Item{Class: c}
+			for i := 0; i < iters; i++ {
+				// Unlimited MPL and nothing ever queues, so the fast
+				// path must always admit.
+				if !fe.TryAcquire(it) {
+					t.Errorf("class %d: TryAcquire refused an idle unlimited gate", c)
+					return
+				}
+				fe.Complete(it, Outcome{})
+			}
+		}(Class(w))
+	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for c := Class(workers); c < Class(workers+newClasses); c++ {
+			it := &Item{Class: c}
+			fe.Submit(it, nil)
+			fe.Complete(it, Outcome{})
+		}
+	}()
+	wg.Wait()
+
+	if got := fe.Inside(); got != 0 {
+		t.Errorf("Inside = %d at quiescence, want 0", got)
+	}
+	table := fe.table()
+	if len(table) < workers+newClasses {
+		t.Errorf("class table holds %d classes, want >= %d", len(table), workers+newClasses)
+	}
+	for c, cs := range table {
+		if n := cs.inside.Load(); n != 0 {
+			t.Errorf("class %d inside = %d at quiescence, want 0", c, n)
+		}
+	}
 }
 
 // TestSetMPLShrinkBelowInflight verifies the lock-free counter's shrink

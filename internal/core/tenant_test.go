@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// TestExoticClassAccounting pins the bugfix for classes outside the
-// fast-path tracked range [0, trackedClasses): they always take the
-// slow path, and their completions must land in their own per-class
-// accumulator. Conservation is checked per class: everything submitted
+// TestExoticClassAccounting pins the bugfix for classes past the
+// small ones (8 and 200 here, which once always took the slow path):
+// their completions must land in their own per-class accumulator. Conservation is checked per class: everything submitted
 // is either completed or shed, under its own class ID.
 func TestExoticClassAccounting(t *testing.T) {
 	eng, fe := rig(t, 2, nil)

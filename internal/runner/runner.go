@@ -107,8 +107,8 @@ func (st Stack) sink() workload.Sink {
 type mark struct {
 	t                       float64
 	dropped, canceled, shed uint64
-	// shedClass splits shed by tenant class (nil while nothing shed).
-	shedClass              map[core.Class]uint64
+	// shedClass splits shed by class index (read it through shedOf).
+	shedClass              []uint64
 	waits, dl, preempt     uint64
 	failed, resub, retries uint64
 	cpuBusy, diskBusy      float64 // utilization·time products
@@ -128,6 +128,7 @@ func takeMark(st Stack) mark {
 	if c := st.Cluster; c != nil {
 		m.dropped, m.canceled = c.Dropped(), c.Canceled()
 		m.failed, m.resub, m.retries = c.Failed(), c.Resubmitted(), c.Retries()
+		m.shed, m.shedClass = c.Shed(), c.ShedClasses()
 		shards := c.Shards()
 		routed := c.Routed()
 		m.shards = make([]shardMark, len(shards))
@@ -137,13 +138,6 @@ func takeMark(st Stack) mark {
 			sm.routed = routed[i]
 			sm.upSec = c.UpSeconds(i)
 			sm.dropped = sh.FE.Dropped()
-			m.shed += sh.FE.Shed()
-			for c, n := range sh.FE.ShedClasses() {
-				if m.shedClass == nil {
-					m.shedClass = make(map[core.Class]uint64)
-				}
-				m.shedClass[c] += n
-			}
 			if sh.DB != nil {
 				s := sh.DB.Stats()
 				sm.waits, sm.dl, sm.preempt = s.Lock.Waits, s.Lock.Deadlocks, s.Lock.Preemptions
@@ -170,6 +164,14 @@ func takeMark(st Stack) mark {
 		m.diskBusy = st.DB.DiskUtilization() * m.t
 	}
 	return m
+}
+
+// shedOf returns class c's shed count in the mark.
+func (m *mark) shedOf(c core.Class) uint64 {
+	if int(c) < len(m.shedClass) {
+		return m.shedClass[c]
+	}
+	return 0
 }
 
 // utilDelta recovers the utilization over (a.t, b.t] from two
@@ -205,8 +207,8 @@ func activeClasses(m *core.Metrics, from, to mark) []core.Class {
 		classes = append(classes, cm.Class)
 	}
 	for c, n := range to.shedClass {
-		if n > from.shedClass[c] && m.ClassMetric(c).Completed() == 0 {
-			classes = append(classes, c)
+		if n > from.shedOf(core.Class(c)) && m.ClassMetric(core.Class(c)).Completed() == 0 {
+			classes = append(classes, core.Class(c))
 		}
 	}
 	slices.Sort(classes)
@@ -221,11 +223,11 @@ func (r *run) classStat(m *core.Metrics, from, to mark, c core.Class, withP95 bo
 		Class:     int(c),
 		Name:      r.className(c),
 		Completed: cm.Completed(),
-		Shed:      to.shedClass[c] - from.shedClass[c],
+		Shed:      to.shedOf(c) - from.shedOf(c),
 		Mean:      cm.RT.Mean(),
 	}
-	if rv := r.resClass[c]; rv != nil && withP95 {
-		cs.P95 = rv.Percentile(95)
+	if withP95 && int(c) < len(r.resClass) && r.resClass[c] != nil {
+		cs.P95 = r.resClass[c].Percentile(95)
 	}
 	return cs
 }
@@ -354,11 +356,11 @@ type run struct {
 	// RNG streams 37/41 that the gated p95 figures depend on.
 	resHigh, resLow *stats.Reservoir
 	// resClass samples response times per tenant class (run-so-far) for
-	// the per-class P95 report and snapshot fields. Lazily built, one
-	// reservoir per distinct class seen, on its own seeded stream — the
-	// res/resHigh/resLow draws are untouched, so the two-class figures
-	// stay bit-identical.
-	resClass map[core.Class]*stats.Reservoir
+	// the per-class P95 report and snapshot fields, indexed by class.
+	// Lazily built, one reservoir per distinct class seen, on its own
+	// seeded stream — the res/resHigh/resLow draws are untouched, so the
+	// two-class figures stay bit-identical.
+	resClass []*stats.Reservoir
 	// shardTotal / winShard split the window per shard (sharded stacks
 	// only): whole-window accumulators for Result.Shards, and
 	// per-interval completion counts for Snapshot.Shards.
@@ -451,16 +453,17 @@ func (r *run) converged() bool {
 // stream, so reservoirs are deterministic regardless of the order
 // classes first appear in.
 func (r *run) classRes(c core.Class) *stats.Reservoir {
+	if int(c) >= len(r.resClass) {
+		r.resClass = append(r.resClass, make([]*stats.Reservoir, int(c)+1-len(r.resClass))...)
+	}
 	rv := r.resClass[c]
 	if rv == nil {
-		if r.resClass == nil {
-			r.resClass = make(map[core.Class]*stats.Reservoir)
-		}
 		seed := r.st.Seed
 		if seed == 0 {
 			seed = 1
 		}
-		rv = stats.NewReservoir(r.st.PercentileSamples, sim.NewRNG(seed, 601+2*(uint64(int64(c))&0xffff)))
+		// The frontend admits only classes in [0, core.MaxClass].
+		rv = stats.NewReservoir(r.st.PercentileSamples, sim.NewRNG(seed, 601+2*uint64(c)))
 		r.resClass[c] = rv
 	}
 	return rv
