@@ -163,9 +163,6 @@ func run(args []string, out io.Writer) (err error) {
 		},
 		Recovery: rec,
 		Seed:     *seed,
-		// Sharded reports carry a per-shard p95 column (a constant-
-		// memory P² estimator per shard), which needs percentile mode.
-		PercentileSamples: percentileSamples(*shards),
 	})
 	if err != nil {
 		return err
@@ -295,16 +292,6 @@ func (s *shardTimes) Set(v string) error {
 	}
 	*s = append(*s, shardTime{at: t, shard: idx})
 	return nil
-}
-
-// percentileSamples enables percentile tracking for sharded runs (the
-// per-shard table's p95RT column reads 0 without it); unsharded runs
-// keep the config's own default (on when -slo or a deadline arms it).
-func percentileSamples(shards int) int {
-	if shards > 0 {
-		return 2048
-	}
-	return 0
 }
 
 // parseAutoscale decodes the -autoscale "min:max" fleet bounds; the

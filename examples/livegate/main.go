@@ -48,7 +48,7 @@ func (d *db) query() (inside time.Duration) {
 }
 
 func main() {
-	g, err := gate.New(gate.Config{PercentileSamples: 10000})
+	g, err := gate.New(gate.Config{})
 	if err != nil {
 		log.Fatal(err)
 	}

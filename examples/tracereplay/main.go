@@ -33,8 +33,7 @@ func main() {
 	// transiently exceed capacity — where the MPL choice matters.
 	sys, err := extsched.NewSystem(extsched.Config{
 		Workload: "W_CPU-inventory", CPUs: 4, Disks: 1,
-		PercentileSamples: 20000,
-		Seed:              1,
+		Seed: 1,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -94,10 +94,12 @@ type Config struct {
 	// mode: arrivals beyond the limit are dropped (the related-work
 	// comparison; pure external scheduling never drops).
 	QueueLimit int
-	// PercentileSamples, when > 0, reservoir-samples response times so
-	// Report carries P50/P95/P99 and a P95 per entry of Report.Classes.
-	// Setting SLO or AdmitDeadline defaults it to 2048 — those features
-	// are judged by per-class tails, so the report must carry them.
+	// PercentileSamples is kept so existing configs still compile;
+	// Validate still rejects a negative value.
+	//
+	// Deprecated: has no effect. Every Report carries P50/P95/P99 and
+	// a P95 per entry of Report.Classes, from a response-time sketch
+	// accurate to stats.SketchAlpha (1%).
 	PercentileSamples int
 	// SLO, when non-nil, runs every scenario under the latency-SLO
 	// controller from the start of its measurement window: the MPL is
@@ -406,18 +408,7 @@ func (s *System) buildStack(mpl int) (runner.Stack, error) {
 	if cfg.HighPriorityFraction > 0 {
 		gen.HighFrac = cfg.HighPriorityFraction
 	}
-	st := runner.Stack{
-		Eng: eng, Gen: gen,
-		PercentileSamples: cfg.PercentileSamples,
-		Seed:              cfg.Seed,
-	}
-	// An SLO or shedding config is judged by per-class tails: without
-	// sampling, the per-class P95s in Report.Classes would read 0 while
-	// the controller steers on real percentiles. Default the sampling on.
-	if st.PercentileSamples == 0 && (cfg.SLO != nil || cfg.AdmitDeadline != nil) {
-		st.PercentileSamples = 2048
-	}
-	st.SLO = cfg.SLO
+	st := runner.Stack{Eng: eng, Gen: gen, Seed: cfg.Seed, SLO: cfg.SLO}
 	if n := cfg.Shards.Count; n > 0 {
 		// Sharded: n identical DBMS+frontend pairs (per-shard queue
 		// policy instances — they are stateful) behind one dispatcher.

@@ -49,7 +49,7 @@ func TestConfigValidate(t *testing.T) {
 		{"valid full", Config{
 			Workload: "W_CPU-inventory", CPUs: 2, Disks: 1, Isolation: "SI",
 			MPL: 8, Policy: PolicyWFQ, WFQHighWeight: 3,
-			HighPriorityFraction: 0.2, QueueLimit: 50, PercentileSamples: 1000,
+			HighPriorityFraction: 0.2, QueueLimit: 50,
 		}, ""},
 	}
 	for _, tc := range cases {
@@ -280,7 +280,7 @@ func TestQueueLimitDropsUnderOverload(t *testing.T) {
 }
 
 func TestPercentilesReported(t *testing.T) {
-	s, err := NewSystem(Config{SetupID: 1, MPL: 5, PercentileSamples: 5000, Seed: 11})
+	s, err := NewSystem(Config{SetupID: 1, MPL: 5, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -122,8 +122,9 @@ type SLOTuneStatus struct {
 
 // EnableSLOTune attaches the latency-SLO controller to the gate's
 // completion stream: every Release feeds the loop's own observation
-// window, which samples the protected class's response times (seeded
-// by Config.Seed), and each closed window nudges the class partition —
+// window, whose sketch of the protected class's response times gives
+// the measured percentile, and each closed window nudges the class
+// partition —
 // a slot toward the protected class while its percentile target is
 // violated, a slot back once it is met with margin. The gate needs a
 // finite limit of at least 2 (a partition has two sides). Enabling
@@ -140,7 +141,7 @@ func (g *Gate) EnableSLOTune(tc SLOTuneConfig) error {
 		return err
 	}
 	return g.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
-		return controller.NewSLO(g.fe, g.seed, controller.SLOConfig{
+		return controller.NewSLO(g.fe, controller.SLOConfig{
 			Target: controller.SLOTarget{
 				Class:      core.Class(tc.Class),
 				Percentile: tc.Percentile,

@@ -144,15 +144,13 @@ func TestClassLimitsLiveGate(t *testing.T) {
 // TestSLOTunePrerequisites: the live SLO loop refuses gates it cannot
 // steer, and accepts any gate with a limit to partition.
 func TestSLOTunePrerequisites(t *testing.T) {
-	g, err := New(Config{Limit: 1, PercentileSamples: 100})
+	g, err := New(Config{Limit: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := g.EnableSLOTune(SLOTuneConfig{Class: ClassHigh, Target: 0.1}); err == nil {
 		t.Error("SLO tuning accepted a limit-1 gate")
 	}
-	// The loop samples its protected class's tail itself, so a gate
-	// without Stats percentiles is a valid gate.
 	g3, err := New(Config{Limit: 4})
 	if err != nil {
 		t.Fatal(err)
@@ -178,7 +176,7 @@ func TestSLOTunePrerequisites(t *testing.T) {
 // its minimum share of the window, however much another class
 // completes — the loop would otherwise steer on an unmeasured tail.
 func TestSLOTuneWaitsForItsOwnClass(t *testing.T) {
-	g, err := New(Config{Limit: 4, PercentileSamples: 100})
+	g, err := New(Config{Limit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

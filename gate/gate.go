@@ -42,6 +42,7 @@ import (
 	"extsched/internal/controller"
 	"extsched/internal/core"
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 	"extsched/metrics"
 )
 
@@ -87,7 +88,9 @@ var ErrQueueFull = errors.New("gate: queue full")
 // keeps the waiting time of everything still admitted bounded.
 var ErrDeadline = errors.New("gate: admission deadline exceeded")
 
-// Config assembles a gate.
+// Config assembles a gate. Response-time percentiles need no setting:
+// Stats always carries P50/P95/P99 and a P95 per class, within 1%
+// (stats.SketchAlpha).
 type Config struct {
 	// Limit is the initial MPL: the maximum number of concurrently
 	// admitted units of work. 0 means unlimited (pure accounting, no
@@ -114,11 +117,8 @@ type Config struct {
 	// partition — see core's work-conserving borrowing). Each limit
 	// must be >= 1. EnableSLOTune steers this partition automatically.
 	ClassLimits map[Class]int
-	// PercentileSamples, when > 0, reservoir-samples response times so
-	// Stats carries P50/P95/P99. Sampling is deterministic given Seed.
-	PercentileSamples int
-	// Seed drives the sampling reservoirs (the Stats percentiles and
-	// the SLO loop's tail sample); default 1.
+	// Seed seeds a Pool's sampled dispatch policies (Pool reads
+	// Member.Seed; a lone gate draws no random numbers); default 1.
 	Seed uint64
 
 	// clock overrides the time source (tests); nil = monotonic wall
@@ -151,9 +151,8 @@ type Gate struct {
 	// round trip allocates nothing.
 	slots sync.Pool
 	// loops holds the gate's control loops (auto-tune, and SLO tuning
-	// or fairness); every Release feeds them. seed is Config.Seed.
+	// or fairness); every Release feeds them.
 	loops controller.Slot
-	seed  uint64
 	errs  atomic.Uint64
 }
 
@@ -216,7 +215,7 @@ func New(cfg Config) (*Gate, error) {
 	if clock == nil {
 		clock = sim.NewWallClock()
 	}
-	g := &Gate{clock: clock, seed: cfg.Seed}
+	g := &Gate{clock: clock}
 	g.slots.New = func() any {
 		return &ticketSlot{g: g, admitted: make(chan struct{}, 1)}
 	}
@@ -242,13 +241,6 @@ func New(cfg Config) (*Gate, error) {
 		s := it.Payload.(*ticketSlot)
 		s.shed = true
 		s.admitted <- struct{}{}
-	}
-	if cfg.PercentileSamples > 0 {
-		seed := cfg.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		g.fe.EnablePercentiles(cfg.PercentileSamples, seed)
 	}
 	// The completion hook is installed once, before any traffic; the
 	// loop slot makes attaching and detaching loops race-free
@@ -477,9 +469,10 @@ func (g *Gate) ClassLimit(c Class) (limit int, ok bool) {
 	return l, ok
 }
 
-// ClassPercentile reports class c's p-th response-time percentile over
-// the current metrics window (0 unless Config.PercentileSamples is
-// set) — the signal an SLO is written against.
+// ClassPercentile reports class c's p-th response-time percentile (p
+// in [0,100]) over the current metrics window, within
+// stats.SketchAlpha (1%) — the signal an SLO is written against. It
+// allocates nothing.
 func (g *Gate) ClassPercentile(c Class, p float64) float64 {
 	return g.fe.ClassResponseTimePercentile(core.Class(c), p)
 }
@@ -556,17 +549,28 @@ func (g *Gate) SetWFQWeights(weights map[Class]float64) (ok bool, err error) {
 // ResetStats — and Dropped/Canceled/Errors are lifetime totals;
 // Classes splits the window per tenant class (look one up with
 // Class(id)); MeanInside is the admitted (dispatch-to-release) portion
-// of the response time. Only the fields a live gate genuinely cannot
-// know — Phase, CPUUtil, DiskUtil, Restarts — stay zero here.
+// of the response time; P50/P95/P99 and each class's P95 are always
+// populated, within 1% (stats.SketchAlpha). Only the fields a live
+// gate genuinely cannot know — Phase, CPUUtil, DiskUtil, Restarts —
+// stay zero here.
 type Stats = metrics.Snapshot
 
-// Stats snapshots the gate. The per-class slice is the only per-call
-// allocation (the percentile estimators reuse internal scratch), so
-// periodic reporters can call it freely; it does take the gate's
+// Stats snapshots the gate. Counts, means and percentiles all come
+// from one copy of the metrics window, so they cover the same
+// completions. P50/P95/P99 and each class's P95 are within
+// stats.SketchAlpha (1%) of the exact percentiles of that window.
+// Copying the window's sketches allocates, and Stats takes the gate's
 // internal locks briefly, so it is a reporting call, not a per-request
 // one — per-request code should stick to Limit/Inflight.
 func (g *Gate) Stats() Stats {
 	m := g.fe.Metrics()
+	return g.stats(&m, new(stats.Sketch))
+}
+
+// stats builds the gate's Stats from its metrics window m, merging the
+// class sketches through scratch.
+func (g *Gate) stats(m *core.Metrics, scratch *stats.Sketch) Stats {
+	all := m.Sketch(scratch)
 	s := Stats{
 		Time:         g.clock.Now(),
 		Window:       m.Window(),
@@ -578,9 +582,9 @@ func (g *Gate) Stats() Stats {
 		MeanResponse: m.All.Mean(),
 		MeanWait:     m.ExtWait.Mean(),
 		MeanInside:   m.Inside.Mean(),
-		P50:          g.fe.ResponseTimePercentile(50),
-		P95:          g.fe.ResponseTimePercentile(95),
-		P99:          g.fe.ResponseTimePercentile(99),
+		P50:          all.Quantile(0.50),
+		P95:          all.Quantile(0.95),
+		P99:          all.Quantile(0.99),
 		Dropped:      g.fe.Dropped(),
 		Canceled:     g.fe.Canceled(),
 		Errors:       g.errs.Load(),
@@ -593,7 +597,7 @@ func (g *Gate) Stats() Stats {
 // classStats assembles the per-tenant slice of a Stats snapshot: every
 // class that completed work this window or ever shed any, ascending.
 // The frontend has a record, and so a shed count, for every class in m.
-func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
+func (g *Gate) classStats(m *core.Metrics) []metrics.ClassStat {
 	var out []metrics.ClassStat
 	for c, shed := range g.fe.ShedClasses() {
 		cm := m.ClassMetric(core.Class(c))
@@ -606,7 +610,7 @@ func (g *Gate) classStats(m core.Metrics) []metrics.ClassStat {
 			Completed: cm.Completed(),
 			Shed:      shed,
 			Mean:      cm.RT.Mean(),
-			P95:       g.fe.ClassResponseTimePercentile(core.Class(c), 95),
+			P95:       cm.Sketch.Quantile(0.95),
 		})
 	}
 	return out

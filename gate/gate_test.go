@@ -551,7 +551,7 @@ func TestWatchStopSilencesLateTick(t *testing.T) {
 // TestWatchStopSilencesLateTick; asserting it here would race the
 // legitimate one-tick overlap Watch documents.)
 func TestWatchRace(t *testing.T) {
-	g, err := New(Config{Limit: 4, PercentileSamples: 256})
+	g, err := New(Config{Limit: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

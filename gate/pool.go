@@ -10,6 +10,7 @@ import (
 	"extsched/internal/cluster"
 	"extsched/internal/core"
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 	"extsched/metrics"
 )
 
@@ -84,8 +85,7 @@ type PoolConfig struct {
 	// [Min, Max]. See AutoscaleConfig.
 	Autoscale *AutoscaleConfig
 	// Member configures each member gate. Limit is PER MEMBER; so is
-	// QueueLimit. Percentile sampling seeds are decorrelated per member
-	// automatically.
+	// QueueLimit.
 	Member Config
 }
 
@@ -193,15 +193,7 @@ func NewPool(cfg PoolConfig) (*Pool, error) {
 			}
 			p.speeds[i] = cfg.Speeds[i]
 		}
-		mc := cfg.Member
-		if mc.PercentileSamples > 0 {
-			seed := mc.Seed
-			if seed == 0 {
-				seed = 1
-			}
-			mc.Seed = seed + uint64(i)
-		}
-		g, err := New(mc)
+		g, err := New(cfg.Member)
 		if err != nil {
 			return nil, err
 		}
@@ -527,15 +519,25 @@ func (p *Pool) MemberStats() []Stats {
 }
 
 // Stats aggregates the pool: counters and queue lengths sum across
-// members, mean times are completion-weighted, and Limit is the
-// fleet-wide limit (0 if any member is unlimited). Per-class means and
-// percentiles are per-member quantities — read them from MemberStats.
-// Shards carries each member's instantaneous state; this is a
-// CUMULATIVE snapshot, so Shards[i].Dispatched is the lifetime routed
-// count (like Dropped/Canceled, it survives ResetStats) while
-// Shards[i].Completed covers the member's current metrics window.
+// members, and Limit is the fleet-wide limit (0 if any member is
+// unlimited). Mean times and P50/P95/P99 are the fleet's: the members'
+// metrics windows are merged, sketches bucket by bucket, so the
+// percentiles are those of every member's completions together, within
+// stats.SketchAlpha (1%). Per-class stats are per-member quantities —
+// read them from MemberStats. Shards carries each member's
+// instantaneous state; this is a CUMULATIVE snapshot, so
+// Shards[i].Dispatched is the lifetime routed count (like
+// Dropped/Canceled, it survives ResetStats) while Shards[i].Completed
+// covers the member's current metrics window.
 func (p *Pool) Stats() Stats {
-	members := p.MemberStats()
+	var fleet core.Metrics
+	var scratch stats.Sketch
+	members := make([]Stats, len(p.members))
+	for i, g := range p.members {
+		w := g.fe.Metrics()
+		members[i] = g.stats(&w, &scratch)
+		fleet.Merge(&w)
+	}
 	routed := p.Routed()
 	p.mu.Lock()
 	speeds := append([]float64(nil), p.speeds...)
@@ -559,9 +561,17 @@ func (p *Pool) Stats() Stats {
 		}
 	}
 	p.mu.Unlock()
-	var out Stats
+	all := fleet.Sketch(&scratch)
+	out := Stats{
+		Completed:    fleet.Completed,
+		MeanResponse: fleet.All.Mean(),
+		MeanWait:     fleet.ExtWait.Mean(),
+		MeanInside:   fleet.Inside.Mean(),
+		P50:          all.Quantile(0.50),
+		P95:          all.Quantile(0.95),
+		P99:          all.Quantile(0.99),
+	}
 	unlimited := false
-	var wResp, wWait, wInside float64
 	for i, m := range members {
 		if i == 0 || m.Time > out.Time {
 			out.Time = m.Time
@@ -575,15 +585,10 @@ func (p *Pool) Stats() Stats {
 		out.Limit += m.Limit
 		out.Inflight += m.Inflight
 		out.Queued += m.Queued
-		out.Completed += m.Completed
 		out.Throughput += m.Throughput
 		out.Dropped += m.Dropped
 		out.Canceled += m.Canceled
 		out.Errors += m.Errors
-		c := float64(m.Completed)
-		wResp += c * m.MeanResponse
-		wWait += c * m.MeanWait
-		wInside += c * m.MeanInside
 		ss := metrics.ShardStat{
 			Shard:        i,
 			Speed:        speeds[i],
@@ -602,12 +607,6 @@ func (p *Pool) Stats() Stats {
 	}
 	if unlimited {
 		out.Limit = 0
-	}
-	if out.Completed > 0 {
-		n := float64(out.Completed)
-		out.MeanResponse = wResp / n
-		out.MeanWait = wWait / n
-		out.MeanInside = wInside / n
 	}
 	return out
 }

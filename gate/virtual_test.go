@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 )
 
 // vclock is a clock the test advances by hand; any goroutine may read
@@ -291,5 +292,61 @@ func TestClockReadsPerRequest(t *testing.T) {
 	step("queued completion", 1, func() { queued.Release(Result{}) })
 	if s := g.Stats(); s.Completed != 3 || s.Inflight != 0 || s.Queued != 0 {
 		t.Errorf("completed %d inflight %d queued %d, want 3, 0, 0", s.Completed, s.Inflight, s.Queued)
+	}
+}
+
+// TestPoolStatsFleetPercentiles: the pool's P50/P95/P99 are the fleet's,
+// from the members' windows merged. Two members hold their work for
+// different times, so neither member's tail is the fleet's; the pool's
+// P95 must equal the P95 of the merged member sketches and lie within
+// stats.SketchAlpha of the exact order statistic.
+func TestPoolStatsFleetPercentiles(t *testing.T) {
+	ck := &vclock{}
+	p, err := NewPool(PoolConfig{Members: 2, Dispatch: "rr", Member: Config{clock: ck}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	var rts []float64
+	now := 0.0
+	for i := 0; i < 400; i++ {
+		tk, err := p.AcquireRequest(ctx, Request{Class: Class(i % 3)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		hold := 0.001 * float64(1+i%7)
+		if tk.Member() == 1 {
+			hold = 0.05 * float64(1+i%11)
+		}
+		now += hold
+		ck.set(now)
+		tk.Release(Result{})
+		rts = append(rts, hold)
+	}
+	s := p.Stats()
+	if s.Completed != uint64(len(rts)) {
+		t.Fatalf("pool completed %d, want %d", s.Completed, len(rts))
+	}
+	var merged stats.Sketch
+	for i := 0; i < p.Members(); i++ {
+		w := p.Member(i).fe.Metrics()
+		for j := range w.Classes {
+			merged.Merge(&w.Classes[j].Sketch)
+		}
+	}
+	if got, want := s.P95, merged.Quantile(0.95); got != want {
+		t.Errorf("pool P95 %v, merged member sketches %v", got, want)
+	}
+	members := p.MemberStats()
+	if s.P95 == members[0].P95 || s.P95 == members[1].P95 {
+		t.Errorf("pool P95 %v equals a member's (%v, %v); the members' tails differ", s.P95, members[0].P95, members[1].P95)
+	}
+	for _, c := range []struct {
+		p, got float64
+	}{{50, s.P50}, {95, s.P95}, {99, s.P99}} {
+		want := stats.Percentile(rts, c.p)
+		if math.Abs(c.got-want) > stats.SketchAlpha*want*(1+1e-9) {
+			t.Errorf("pool p%v = %v, exact %v: beyond SketchAlpha", c.p, c.got, want)
+		}
 	}
 }

@@ -79,9 +79,8 @@ const (
 )
 
 // sampleStream is the dedicated RNG stream id for sampled dispatch
-// (kept distinct from recovery backoff 101, reservoirs 31/37/41/424242
-// and churn 211+i, so arming one feature never perturbs another's
-// draws).
+// (kept distinct from recovery backoff 101 and churn 211+i, so arming
+// one feature never perturbs another's draws).
 const sampleStream = 509
 
 // defaultSampleD is the classic power-of-two-choices default.

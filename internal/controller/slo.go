@@ -23,8 +23,6 @@ import (
 	"sync"
 
 	"extsched/internal/core"
-	"extsched/internal/sim"
-	"extsched/internal/stats"
 )
 
 // ClassGate is the control surface the SLO loop drives: a limit to
@@ -104,10 +102,11 @@ func (c SLOConfig) withDefaults() SLOConfig {
 }
 
 // SLOController partitions a gate's MPL across classes to hold a
-// latency SLO. Like the throughput controller it is a Loop: attach it
-// to the gate's Slot, or invoke Observe once per completion, from any
-// goroutine. It never "converges" — an SLO is held continuously, not
-// found once — so it keeps reacting for as long as it is attached.
+// latency SLO. Like the throughput and fairness controllers it is a
+// Loop that owns its observation window: attach it to the gate's Slot,
+// or invoke Observe once per completion, from any goroutine. It never
+// "converges" — an SLO is held continuously, not found once — so it
+// keeps reacting for as long as it is attached.
 type SLOController struct {
 	mu   sync.Mutex
 	gate ClassGate
@@ -122,26 +121,19 @@ type SLOController struct {
 	// percentile over the last closed window.
 	iterations   int
 	lastMeasured float64
-	// seen counts the current window's completions; tail samples the
-	// SLO class's response times in it.
-	seen int
-	tail *stats.Reservoir
+	// win tallies the current observation window's completions; the
+	// SLO class's sketch in it gives the measured percentile.
+	win core.Metrics
 }
-
-// sloSamples is the capacity of the SLO class's tail reservoir: large
-// enough for a stable percentile over a 50-completion window, small
-// enough to be free.
-const sloSamples = 2048
 
 // NewSLO builds an SLO controller over g and installs the initial
 // partition: an even split of the gate's current MPL (SLO class
 // rounded up), each class floored at MinClassLimit. The gate must have
 // a finite MPL of at least 2× MinClassLimit — a partition needs at
-// least one slot per class. The loop samples the SLO class's response
-// times itself, on stream 37+2×class of seed (0 = 1). Changing the
-// gate's MPL while the loop runs is fine: the partition re-spreads
-// over the new total at the next reaction.
-func NewSLO(g ClassGate, seed uint64, cfg SLOConfig) (*SLOController, error) {
+// least one slot per class. Changing the gate's MPL while the loop
+// runs is fine: the partition re-spreads over the new total at the
+// next reaction.
+func NewSLO(g ClassGate, cfg SLOConfig) (*SLOController, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Target.Target <= 0 {
 		return nil, fmt.Errorf("controller: SLO target %v must be positive seconds", cfg.Target.Target)
@@ -156,11 +148,7 @@ func NewSLO(g ClassGate, seed uint64, cfg SLOConfig) (*SLOController, error) {
 	if total < 2*cfg.MinClassLimit {
 		return nil, fmt.Errorf("controller: SLO partition needs MPL >= %d, gate has %d", 2*cfg.MinClassLimit, total)
 	}
-	if seed == 0 {
-		seed = 1
-	}
-	c := &SLOController{gate: g, cfg: cfg, sloShare: (total + 1) / 2,
-		tail: stats.NewReservoir(sloSamples, sim.NewRNG(seed, 37+2*uint64(int64(cfg.Target.Class)&0xffff)))}
+	c := &SLOController{gate: g, cfg: cfg, sloShare: (total + 1) / 2}
 	c.clampShare(total)
 	c.apply(total)
 	return c, nil
@@ -228,21 +216,19 @@ func (c *SLOController) Limits() (slo, other int) {
 func (c *SLOController) Observe(it *core.Item) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.seen++
-	if it.Class == c.cfg.Target.Class {
-		c.tail.Add(it.ResponseTime())
-	}
-	if c.seen < c.cfg.MinObservations {
+	c.win.Record(it)
+	if int(c.win.Completed) < c.cfg.MinObservations {
 		return
 	}
 	minSLO := c.cfg.MinObservations / 10
 	if minSLO < 5 {
 		minSLO = 5
 	}
-	if int(c.tail.Seen()) < minSLO {
+	tail := c.win.ClassMetric(c.cfg.Target.Class)
+	if int(tail.Completed()) < minSLO {
 		return
 	}
-	measured := c.tail.Percentile(c.cfg.Target.Percentile)
+	measured := tail.Sketch.Quantile(c.cfg.Target.Percentile / 100)
 	total := c.gate.MPL()
 	if total >= 2*c.cfg.MinClassLimit {
 		switch {
@@ -265,6 +251,5 @@ func (c *SLOController) Observe(it *core.Item) {
 	}
 	c.iterations++
 	c.lastMeasured = measured
-	c.seen = 0
-	c.tail.Reset()
+	c.win.Reset()
 }

@@ -44,7 +44,7 @@ func checkPartition(t *testing.T, g *fakeClassGate) {
 
 func TestSLOControllerSteersPartition(t *testing.T) {
 	g := &fakeClassGate{mpl: 10}
-	c, err := NewSLO(g, 1, SLOConfig{
+	c, err := NewSLO(g, SLOConfig{
 		Target:       SLOTarget{Class: core.ClassHigh, Target: 1.0},
 		GiveBackHold: 2,
 	})
@@ -111,7 +111,7 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 func TestSLOControllerWindowGates(t *testing.T) {
 	g := &fakeClassGate{mpl: 8}
 	cfg := SLOConfig{Target: SLOTarget{Class: core.ClassHigh, Target: 1.0}}
-	c, err := NewSLO(g, 1, cfg)
+	c, err := NewSLO(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSLOControllerWindowGates(t *testing.T) {
 		t.Fatal("reacted on an under-observed window")
 	}
 	// Enough overall, none from the SLO class.
-	c, err = NewSLO(g, 1, cfg)
+	c, err = NewSLO(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,19 +150,19 @@ func TestSLOControllerValidation(t *testing.T) {
 		{Target: SLOTarget{Class: core.ClassHigh, Target: 1}, Margin: 1.5},     // bad margin
 	}
 	for i, cfg := range cases {
-		if _, err := NewSLO(g, 1, cfg); err == nil {
+		if _, err := NewSLO(g, cfg); err == nil {
 			t.Errorf("case %d: invalid config accepted: %+v", i, cfg)
 		}
 	}
 	// An unset (or equal) OtherClass defaults to the complement: a
 	// low-class SLO partitions against high.
-	if _, err := NewSLO(&fakeClassGate{mpl: 8}, 1, SLOConfig{
+	if _, err := NewSLO(&fakeClassGate{mpl: 8}, SLOConfig{
 		Target: SLOTarget{Class: core.ClassLow, Target: 1},
 	}); err != nil {
 		t.Errorf("complement defaulting broken: %v", err)
 	}
 	// MPL too small to partition.
-	if _, err := NewSLO(&fakeClassGate{mpl: 1}, 1, SLOConfig{
+	if _, err := NewSLO(&fakeClassGate{mpl: 1}, SLOConfig{
 		Target: SLOTarget{Class: core.ClassHigh, Target: 1},
 	}); err == nil {
 		t.Error("MPL 1 accepted for a two-sided partition")

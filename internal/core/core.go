@@ -411,19 +411,19 @@ func sjfLess(a, b *Item) bool {
 }
 
 // Metrics is one windowed tally of completions: counts, response-time
-// accumulators overall and per class, and the inside / external-wait
-// split. Response times include external queueing (the paper's
-// definition). The frontend keeps one, and the scenario runner keeps
-// one per report scope; both fill it through Record.
+// accumulators overall and per class, each class's response-time
+// sketch, and the inside / external-wait split. Response times include
+// external queueing (the paper's definition). The frontend keeps one,
+// and the scenario runner and the control loops keep one per window;
+// all fill it through Record.
 type Metrics struct {
 	Completed uint64
 	All       stats.Accumulator // response time, all classes
 	Inside    stats.Accumulator // time inside the backend
 	ExtWait   stats.Accumulator // external queue wait
 	Restarts  uint64
-	// Classes splits All by class: one response-time accumulator per
-	// class that completed anything in the window, in ascending
-	// class-ID order.
+	// Classes splits All by class, one entry per class that completed
+	// anything in the window, in ascending class-ID order.
 	Classes    []ClassMetric
 	resetTime  float64
 	windowTime float64
@@ -436,6 +436,9 @@ type ClassMetric struct {
 	// RT accumulates the class's response times (count, mean,
 	// variance); merge windows or shards with RT.Merge.
 	RT stats.Accumulator
+	// Sketch holds the class's response times for quantiles, within
+	// stats.SketchAlpha; Sketch.Merge combines windows exactly.
+	Sketch stats.Sketch
 }
 
 // Completed returns the class's completion count (RT observation
@@ -458,14 +461,16 @@ func (m *Metrics) Record(it *Item) {
 	rt := it.ResponseTime()
 	m.Completed++
 	m.All.Add(rt)
-	m.class(it.Class).Add(rt)
+	cm := m.class(it.Class)
+	cm.RT.Add(rt)
+	cm.Sketch.Add(rt)
 	m.Inside.Add(it.Outcome.InsideTime)
 	m.ExtWait.Add(it.ExternalWait())
 	m.Restarts += uint64(it.Outcome.Restarts)
 }
 
-// Merge adds window o into m (parallel Welford merges, class by
-// class), e.g. to combine the shards of a cluster.
+// Merge adds window o into m (parallel Welford merges and sketch
+// merges, class by class), e.g. to combine the shards of a cluster.
 func (m *Metrics) Merge(o *Metrics) {
 	m.Completed += o.Completed
 	m.Restarts += o.Restarts
@@ -473,15 +478,47 @@ func (m *Metrics) Merge(o *Metrics) {
 	m.Inside.Merge(&o.Inside)
 	m.ExtWait.Merge(&o.ExtWait)
 	for i := range o.Classes {
-		m.class(o.Classes[i].Class).Merge(&o.Classes[i].RT)
+		cm := m.class(o.Classes[i].Class)
+		cm.RT.Merge(&o.Classes[i].RT)
+		cm.Sketch.Merge(&o.Classes[i].Sketch)
 	}
 }
 
-// Reset empties the window. Classes keeps its storage, so a window
-// that sees no new class allocates nothing; a copy of m taken before
-// Reset shares that storage and must not be read after the next Record.
+// Reset empties the window. Classes keeps its storage, sketches
+// included, so a window that sees no new class allocates nothing; a
+// copy of m taken before Reset shares that storage and must not be
+// read after the next Record (Clone makes one that may).
 func (m *Metrics) Reset() {
+	for i := range m.Classes {
+		m.Classes[i].Sketch.Reset()
+	}
 	*m = Metrics{Classes: m.Classes[:0]}
+}
+
+// Clone returns a copy of m that shares no storage with it.
+func (m *Metrics) Clone() Metrics {
+	c := *m
+	c.Classes = make([]ClassMetric, len(m.Classes))
+	for i := range m.Classes {
+		c.Classes[i] = m.Classes[i]
+		c.Classes[i].Sketch = m.Classes[i].Sketch.Clone()
+	}
+	return c
+}
+
+// Sketch returns the sketch of the window's response times, all
+// classes merged. A window with one class returns that class's own
+// sketch; otherwise the classes are merged into scratch, which is
+// overwritten. Either way the result must only be read.
+func (m *Metrics) Sketch(scratch *stats.Sketch) *stats.Sketch {
+	if len(m.Classes) == 1 {
+		return &m.Classes[0].Sketch
+	}
+	scratch.Reset()
+	for i := range m.Classes {
+		scratch.Merge(&m.Classes[i].Sketch)
+	}
+	return scratch
 }
 
 // find returns class c's index in Classes (or where it belongs) and
@@ -494,14 +531,19 @@ func (m *Metrics) find(c Class) (int, bool) {
 	return slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int { return cmp.Compare(cm.Class, c) })
 }
 
-// class returns class c's accumulator, inserting it in class-ID order
-// on first use.
-func (m *Metrics) class(c Class) *stats.Accumulator {
+// class returns class c's entry, inserting it in class-ID order on
+// first use. A new entry takes over the sketch storage that Reset left
+// in the slot just past the end, which the insert would overwrite.
+func (m *Metrics) class(c Class) *ClassMetric {
 	i, ok := m.find(c)
 	if !ok {
-		m.Classes = slices.Insert(m.Classes, i, ClassMetric{Class: c})
+		var spare stats.Sketch
+		if n := len(m.Classes); n < cap(m.Classes) {
+			spare = m.Classes[:n+1][n].Sketch
+		}
+		m.Classes = slices.Insert(m.Classes, i, ClassMetric{Class: c, Sketch: spare})
 	}
-	return &m.Classes[i].RT
+	return &m.Classes[i]
 }
 
 // WithWindow returns a copy of m whose Throughput is computed over the
@@ -550,14 +592,13 @@ func unpack(s uint64) (inside, limit int) {
 
 // classState is one class's gate state. Records are never freed or
 // moved, so the fast path may hold one across a growth of the table.
-// inside is atomic, rt is guarded by metricsMu, the rest by mu.
+// inside is atomic, the rest is guarded by mu.
 type classState struct {
-	inside        atomic.Int64     // dispatched, uncompleted items
-	limit         int              // partition cap (0 = uncapped)
-	deferred      *ring            // popped while at limit, in pop order
-	admitDeadline float64          // relative, in seconds (0 = none)
-	shed          uint64           // deadline sheds
-	rt            *stats.Reservoir // response-time sample
+	inside        atomic.Int64 // dispatched, uncompleted items
+	limit         int          // partition cap (0 = uncapped)
+	deferred      *ring        // popped while at limit, in pop order
+	admitDeadline float64      // relative, in seconds (0 = none)
+	shed          uint64       // deadline sheds
 }
 
 // eligible reports whether the class may dispatch under the current
@@ -580,12 +621,11 @@ type Frontend struct {
 	// CAS so the uncontended admit/complete path never locks mu. The
 	// flag bit itself only transitions under mu (updateSlowLocked).
 	word atomic.Uint64
-	// metricsMu guards metrics and the response-time reservoirs. It is
-	// deliberately separate from mu: the completion fast path records
-	// metrics under this tiny lock without touching the queue lock, and
-	// keeping one lock (rather than sharded cells) preserves the exact
-	// sequential accumulation order the deterministic simulator
-	// fingerprints depend on.
+	// metricsMu guards metrics. It is deliberately separate from mu:
+	// the completion fast path records metrics under this tiny lock
+	// without touching the queue lock, and keeping one lock (rather than
+	// sharded cells) preserves the exact sequential accumulation order
+	// the deterministic simulator fingerprints depend on.
 	metricsMu sync.Mutex
 	metrics   Metrics
 	// classes is the per-class table, indexed by class and long enough
@@ -645,16 +685,15 @@ type Frontend struct {
 	// OnShed, if set, observes deadline sheds (after the item's own
 	// done callback, outside the frontend lock).
 	OnShed func(*Item)
-	// rtSample, when enabled, reservoir-samples response times for
-	// percentile reporting (the records sample per class). Guarded by
-	// metricsMu, like the accumulators it rides along with.
-	rtSample *stats.Reservoir
-	rtCap    int
-	rtSeed   uint64
 	// tenantMu guards the tenant registry, which is append-only:
 	// RegisterClass hands out sequential class IDs.
 	tenantMu sync.Mutex
 	tenants  []Tenant
+	// firstMetrics backs metrics.Classes until a second class
+	// completes, so a gate's first completion allocates nothing for its
+	// window. It sits last, away from the atomics the fast path updates
+	// on other cores while a completion writes the entry.
+	firstMetrics [1]ClassMetric
 }
 
 // Tenant is one registered tenant: a class ID bound to a human name, a
@@ -731,6 +770,7 @@ func New(clock sim.Clock, backend Backend, mpl int, policy Policy) *Frontend {
 	f.firstPtrs = [2]*classState{&f.first[0], &f.first[1]}
 	f.firstTable = f.firstPtrs[:]
 	f.classes.Store(&f.firstTable)
+	f.metrics.Classes = f.firstMetrics[:0]
 	return f
 }
 
@@ -974,53 +1014,25 @@ func (f *Frontend) SetWFQWeights(weights map[Class]float64) bool {
 	return true
 }
 
-// EnablePercentiles turns on reservoir sampling of response times,
-// overall and per class (capacity samples each, deterministic given
-// seed). Enable before running for whole-run percentiles; enabling
-// mid-run samples from that point on.
-func (f *Frontend) EnablePercentiles(capacity int, seed uint64) {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	f.rtSample = stats.NewReservoir(capacity, sim.NewRNG(seed, 31))
-	for _, cs := range f.table() {
-		cs.rt = nil
-	}
-	f.rtCap, f.rtSeed = capacity, seed
-}
-
-// ResponseTimePercentile estimates the p-th percentile of response
-// times in the current window (0 when sampling is disabled or empty).
-func (f *Frontend) ResponseTimePercentile(p float64) float64 {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	if f.rtSample == nil {
-		return 0
-	}
-	return f.rtSample.Percentile(p)
-}
-
-// ClassResponseTimePercentile estimates the p-th percentile of class
-// c's response times in the current window (0 when sampling is disabled
-// or the class saw no completions).
+// ClassResponseTimePercentile returns the p-th percentile (p in
+// [0,100]) of class c's response times in the current window, within
+// stats.SketchAlpha (0 when the class saw no completions).
 func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
-	cs := f.class(c)
-	if cs == nil {
-		return 0
-	}
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	if cs.rt == nil {
+	i, ok := f.metrics.find(c)
+	if !ok {
 		return 0
 	}
-	return cs.rt.Percentile(p)
+	return f.metrics.Classes[i].Sketch.Quantile(p / 100)
 }
 
-// Metrics returns a snapshot of the metrics window.
+// Metrics returns a snapshot of the metrics window that shares no
+// storage with the frontend.
 func (f *Frontend) Metrics() Metrics {
 	f.metricsMu.Lock()
 	defer f.metricsMu.Unlock()
-	m := f.metrics
-	m.Classes = append([]ClassMetric(nil), f.metrics.Classes...)
+	m := f.metrics.Clone()
 	m.windowTime = f.clock.Now() - f.metrics.resetTime
 	return m
 }
@@ -1031,14 +1043,6 @@ func (f *Frontend) ResetMetrics() {
 	defer f.metricsMu.Unlock()
 	f.metrics.Reset()
 	f.metrics.resetTime = f.clock.Now()
-	if f.rtSample != nil {
-		f.rtSample.Reset()
-	}
-	for _, cs := range f.table() {
-		if cs.rt != nil {
-			cs.rt.Reset()
-		}
-	}
 }
 
 // tryFastAdmit is the lock-free admission path for an item of the
@@ -1572,7 +1576,7 @@ func (f *Frontend) complete(it *Item, o Outcome, measured bool) {
 	cs := f.class(it.Class)
 	if f.releaseSlot(cs, true) {
 		f.stampDone(it, o, measured)
-		f.finishCompletion(it, cs)
+		f.finishCompletion(it)
 		return
 	}
 	f.mu.Lock()
@@ -1583,7 +1587,7 @@ func (f *Frontend) complete(it *Item, o Outcome, measured bool) {
 	f.stampDone(it, o, measured)
 	f.releaseSlot(cs, false)
 	f.mu.Unlock()
-	f.finishCompletion(it, cs)
+	f.finishCompletion(it)
 	f.dispatch()
 }
 
@@ -1599,24 +1603,14 @@ func (f *Frontend) stampDone(it *Item, o Outcome, measured bool) {
 	it.Outcome = o
 }
 
-// finishCompletion records a completed item (of the class whose
-// record is cs) in the metrics window and delivers its callbacks.
+// finishCompletion records a completed item in the metrics window and
+// delivers its callbacks.
 // Shared by the fast and slow completion paths; called WITHOUT f.mu
 // held (metricsMu is taken here, and the hooks may re-enter the
 // frontend).
-func (f *Frontend) finishCompletion(it *Item, cs *classState) {
+func (f *Frontend) finishCompletion(it *Item) {
 	f.metricsMu.Lock()
 	f.metrics.Record(it)
-	if f.rtSample != nil {
-		rt := it.ResponseTime()
-		f.rtSample.Add(rt)
-		if cs.rt == nil {
-			// The stream is derived from the class alone, so the order
-			// classes first complete in cannot perturb determinism.
-			cs.rt = stats.NewReservoir(f.rtCap, sim.NewRNG(f.rtSeed, 37+2*uint64(it.Class)))
-		}
-		cs.rt.Add(rt)
-	}
 	f.metricsMu.Unlock()
 	if it.done != nil {
 		it.done(it)

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"extsched/internal/sim"
+	"extsched/internal/stats"
 )
 
 // backendFunc is defined in core_test.go; these tests reuse it.
@@ -205,13 +206,12 @@ func TestClassLimitsValidation(t *testing.T) {
 	fe.SetClassLimits(map[Class]int{ClassHigh: 0})
 }
 
-// TestClassPercentiles: per-class reservoirs split the response-time
+// TestClassPercentiles: per-class sketches split the response-time
 // tail by class.
 func TestClassPercentiles(t *testing.T) {
 	eng := sim.NewEngine()
 	var last *Item
 	fe := New(eng.Clock(), backendFunc(func(it *Item) { last = it }), 1, nil)
-	fe.EnablePercentiles(100, 1)
 	for i := 0; i < 20; i++ {
 		class := ClassLow
 		dur := 1.0
@@ -228,7 +228,8 @@ func TestClassPercentiles(t *testing.T) {
 	if hi <= 0 || lo <= 0 || hi >= lo {
 		t.Errorf("class p95s: high %v, low %v — want 0 < high < low", hi, lo)
 	}
-	if all := fe.ResponseTimePercentile(95); all < hi || all > lo {
+	m := fe.Metrics()
+	if all := m.Sketch(new(stats.Sketch)).Quantile(0.95); all < hi || all > lo {
 		t.Errorf("overall p95 %v outside [%v, %v]", all, hi, lo)
 	}
 }

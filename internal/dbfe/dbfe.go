@@ -77,7 +77,7 @@ func (t *Txn) ExternalWait() float64 { return t.Item.ExternalWait() }
 
 // Frontend is the external scheduler over a simulated DBMS. It embeds
 // the generic core.Frontend, so all gate controls (SetMPL, QueueLen,
-// Metrics, SetQueueLimit, EnablePercentiles, …) are available directly.
+// Metrics, SetQueueLimit, …) are available directly.
 type Frontend struct {
 	*core.Frontend
 	// head/tail is the submission-ordered intrusive list of outstanding

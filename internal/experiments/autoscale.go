@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"extsched/internal/core"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -36,9 +37,6 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(setup)
-	if opts.PercentileSamples <= 0 {
-		opts.PercentileSamples = 4000
-	}
 	// Per-shard nominal capacity from a no-MPL closed probe.
 	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
 	if err != nil {
@@ -104,7 +102,6 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		if err != nil {
 			return autoscaleOutcome{}, err
 		}
-		st.PercentileSamples = opts.PercentileSamples
 		var o autoscaleOutcome
 		o.rt = Series{Name: "high mean RT " + c.label}
 		o.fleet = Series{Name: "fleet size " + c.label}
@@ -134,7 +131,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		f.Series = append(f.Series, results[i].rt, results[i].fleet)
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, completed %d",
-			c.label, r.HighP95, r.Throughput, r.Completed))
+			c.label, r.Class(int(core.ClassHigh)).P95, r.Throughput, r.Completed))
 	}
 	auto, fixed := results[0].out, results[1].out
 	rep := auto.Autoscale
@@ -148,6 +145,6 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		fmt.Sprintf("capacity bill: %.0f shard-seconds autoscaled vs %.0f fixed (%.0f%% saved)",
 			rep.ShardSeconds, fixedBill, 100*(1-rep.ShardSeconds/fixedBill)),
 		fmt.Sprintf("expect: the fleet-size series tracks the diurnal curve and the high-class p95 stays comparable (%.3gs vs %.3gs) while the bill drops",
-			auto.Total.HighP95, fixed.Total.HighP95))
+			auto.Total.Class(int(core.ClassHigh)).P95, fixed.Total.Class(int(core.ClassHigh)).P95))
 	return f, nil
 }

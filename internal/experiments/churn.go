@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"extsched/internal/cluster"
+	"extsched/internal/core"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -36,9 +37,6 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(setup)
-	if opts.PercentileSamples <= 0 {
-		opts.PercentileSamples = 4000
-	}
 	// Per-shard nominal capacity from a no-MPL closed probe.
 	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
 	if err != nil {
@@ -100,7 +98,6 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		if err != nil {
 			return churnOutcome{}, err
 		}
-		st.PercentileSamples = opts.PercentileSamples
 		rp := c.rp
 		st.Recovery = &rp
 		var o churnOutcome
@@ -124,23 +121,24 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 		Title: fmt.Sprintf("Shard churn: shard %d of %d killed mid-burst, setup %d (resubmit+jsq vs shed+rr)",
 			victim, len(speeds), setupID),
 	}
+	high := int(core.ClassHigh)
 	for i, c := range configs {
 		r := results[i].out.Total
 		f.Series = append(f.Series, results[i].series)
 		f.Series = append(f.Series, Series{
 			Name: "highP95 " + c.label,
 			X:    []float64{0},
-			Y:    []float64{r.HighP95},
+			Y:    []float64{r.Class(high).P95},
 		})
 		f.Notes = append(f.Notes, fmt.Sprintf(
 			"%s: high p95 %.3gs, throughput %.2f tx/s, failed %d, resubmitted %d, retries %d",
-			c.label, r.HighP95, r.Throughput, r.Failed, r.Resubmitted, r.Retries))
+			c.label, r.Class(high).P95, r.Throughput, r.Failed, r.Resubmitted, r.Retries))
 	}
 	resub, shed := results[0].out.Total, results[1].out.Total
 	f.Notes = append(f.Notes,
 		fmt.Sprintf("fleet capacity %.2f tx/s; shard %d down from %.3gs to %.3gs of the burst phase",
 			capacity, victim, 0.3*seg, 0.7*seg),
 		fmt.Sprintf("expect: resubmit+jsq holds the high-class tail (p95 %.3gs vs %.3gs) and loses no work (failed %d vs %d)",
-			resub.HighP95, shed.HighP95, resub.Failed, shed.Failed))
+			resub.Class(high).P95, shed.Class(high).P95, resub.Failed, shed.Failed))
 	return f, nil
 }

@@ -88,7 +88,6 @@ func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTot
 	if err != nil {
 		return DispatchPoint{}, err
 	}
-	st.PercentileSamples = 4096
 	out, err := runner.Run(opts.ctx(), st, runner.Scenario{
 		Warmup: opts.Warmup,
 		Phases: []runner.Phase{{Kind: runner.PhaseOpen, Lambda: lambda, Duration: opts.Measure}},

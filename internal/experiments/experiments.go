@@ -130,10 +130,6 @@ type RunOpts struct {
 	// comparison of the ablations; pure external scheduling never
 	// drops).
 	QueueLimit int
-	// PercentileSamples, when > 0, reservoir-samples response times so
-	// RunPhases outcomes carry P50/P95/P99 and the per-class tails
-	// (deterministic given Seed).
-	PercentileSamples int
 	// Seed drives all randomness.
 	Seed uint64
 	// Ctx, when non-nil, cancels figure sweeps early: every Sweep a
@@ -222,10 +218,7 @@ func RunPhases(setup workload.Setup, mpl int, policy core.Policy, dbo workload.D
 	if err != nil {
 		return runner.Result{}, err
 	}
-	st := runner.Stack{
-		Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed,
-		PercentileSamples: opts.PercentileSamples,
-	}
+	st := runner.Stack{Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed}
 	return runner.Run(opts.ctx(), st, sc, obs...)
 }
 

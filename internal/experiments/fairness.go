@@ -69,9 +69,6 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 		return nil, err
 	}
 	opts = opts.withDefaults(setup)
-	if opts.PercentileSamples <= 0 {
-		opts.PercentileSamples = 4000
-	}
 	// Reference capacity from a no-MPL closed probe (the same probe
 	// every controller figure uses).
 	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
@@ -138,8 +135,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 		}
 		st := runner.Stack{
 			Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed,
-			PercentileSamples: opts.PercentileSamples,
-			ClassNames:        names,
+			ClassNames: names,
 		}
 		sc := runner.Scenario{
 			Warmup: opts.Warmup,

@@ -39,9 +39,6 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		return nil, err
 	}
 	opts = opts.withDefaults(setup)
-	if opts.PercentileSamples <= 0 {
-		opts.PercentileSamples = 4000
-	}
 	// Reference capacity and baseline response time from a no-MPL
 	// closed probe (the same probe every controller figure uses).
 	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
@@ -84,7 +81,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		}
 		var o sloOutcome
 		o.out = out
-		o.highP95 = out.Total.HighP95
+		o.highP95 = out.Total.Class(int(core.ClassHigh)).P95
 		if w := out.Total.SimSeconds; w > 0 {
 			// Every completion outside the high class is low-class work.
 			low := out.Total.Completed

@@ -28,9 +28,7 @@ type Report struct {
 	Failed        uint64  // txns terminally lost to shard failures
 	Resubmitted   uint64  // logical txns re-routed to a survivor at least once
 	Retries       uint64  // resubmission events (one txn can retry several times)
-	P50, P95, P99 float64 // run-so-far response-time percentiles (percentile sampling mode)
-	HighP95       float64 // high-class p95 (percentile sampling mode) — the SLO signal
-	LowP95        float64 // p95 of every class but high (percentile sampling mode)
+	P50, P95, P99 float64 // response-time percentiles of the window, within stats.SketchAlpha
 	// Classes is the per-tenant breakdown of the window, in ascending
 	// class-ID order: one entry per class that completed or shed work.
 	// Class looks one up by ID.
@@ -59,8 +57,7 @@ type ClassResult struct {
 	// rejections in the window.
 	Completed, Shed uint64
 	// MeanRT is the class's mean response time in seconds; P95 its
-	// 95th percentile (whole-run reports in percentile sampling mode
-	// only — phase slices carry no per-class reservoir).
+	// 95th percentile over the window, within stats.SketchAlpha.
 	MeanRT, P95 float64
 }
 
@@ -73,8 +70,10 @@ type PhaseResult struct {
 
 // ShardResult is one shard's slice of the whole measurement window
 // (sharded systems only). Its Report covers only the transactions the
-// dispatcher routed to this shard; device utilizations and lock
-// counters are the shard's own.
+// dispatcher routed to this shard; device utilizations, lock counters
+// and percentiles are the shard's own. The shards' sketches merge
+// exactly into the run's, so the fleet percentiles in Result.Total are
+// those of the union of the shards' completions.
 type ShardResult struct {
 	// Shard is the shard index; Speed its relative CPU speed when the
 	// run ended.
@@ -89,12 +88,6 @@ type ShardResult struct {
 	// was serving (1 when the scenario never touched it; a shard added
 	// mid-run accrues only from its join).
 	Availability float64
-	// P95 is the shard's own response-time 95th percentile, estimated
-	// with a constant-memory P² tracker (percentile sampling mode only,
-	// 0 otherwise). The estimator holds five markers per shard instead
-	// of a sample reservoir, so per-shard tails stay reportable at
-	// thousand-shard fleets without O(N·samples) memory.
-	P95 float64
 	Report
 }
 

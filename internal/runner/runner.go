@@ -67,10 +67,7 @@ type Stack struct {
 	// event without a factory is an error.
 	NewShard func(index int) (cluster.Shard, error)
 	Gen      *workload.Generator
-	// PercentileSamples, when > 0, reservoir-samples response times
-	// over the whole measurement window (deterministic given Seed).
-	PercentileSamples int
-	Seed              uint64
+	Seed     uint64
 	// SLO, when non-nil, attaches the latency-SLO controller for the
 	// whole run, from the moment the measurement window opens (an
 	// event-free way to run a scenario under SLO control; scenario
@@ -215,25 +212,22 @@ func activeClasses(m *core.Metrics, from, to mark) []core.Class {
 	return classes
 }
 
-// classStat is class c's slice of one window; withP95 adds the
-// run-so-far per-class percentile when percentile sampling is on.
-func (r *run) classStat(m *core.Metrics, from, to mark, c core.Class, withP95 bool) metrics.ClassStat {
+// classStat is class c's slice of one window.
+func (r *run) classStat(m *core.Metrics, from, to mark, c core.Class) metrics.ClassStat {
 	cm := m.ClassMetric(c)
-	cs := metrics.ClassStat{
+	return metrics.ClassStat{
 		Class:     int(c),
 		Name:      r.className(c),
 		Completed: cm.Completed(),
 		Shed:      to.shedOf(c) - from.shedOf(c),
 		Mean:      cm.RT.Mean(),
+		P95:       cm.Sketch.Quantile(0.95),
 	}
-	if withP95 && int(c) < len(r.resClass) && r.resClass[c] != nil {
-		cs.P95 = r.resClass[c].Percentile(95)
-	}
-	return cs
 }
 
-// fill sets the Report fields a completion tally determines.
-func fill(rep *Report, m *core.Metrics, window float64) {
+// fill sets the Report fields a completion tally determines; scratch
+// holds the merge of the class sketches the percentiles come from.
+func fill(rep *Report, m *core.Metrics, window float64, scratch *stats.Sketch) {
 	rep.SimSeconds = window
 	rep.Completed = m.Completed
 	if window > 0 {
@@ -244,15 +238,21 @@ func fill(rep *Report, m *core.Metrics, window float64) {
 	rep.ExternalW = m.ExtWait.Mean()
 	rep.DemandC2 = m.Inside.C2()
 	rep.Restarts = m.Restarts
+	rep.P50, rep.P95, rep.P99 = percentiles(m, scratch)
+}
+
+// percentiles returns the window's response-time p50, p95 and p99.
+func percentiles(m *core.Metrics, scratch *stats.Sketch) (p50, p95, p99 float64) {
+	all := m.Sketch(scratch)
+	return all.Quantile(0.50), all.Quantile(0.95), all.Quantile(0.99)
 }
 
 // report assembles a Report from a completion tally and its opening
-// mark. A whole-run report carries the run-so-far percentiles; a
-// phase slice has no reservoirs of its own.
-func (r *run) report(m *core.Metrics, from mark, whole bool) Report {
+// mark.
+func (r *run) report(m *core.Metrics, from mark) Report {
 	to := takeMark(r.st)
 	var rep Report
-	fill(&rep, m, to.t-from.t)
+	fill(&rep, m, to.t-from.t, &r.scratch)
 	rep.Dropped = to.dropped - from.dropped
 	rep.Shed = to.shed - from.shed
 	rep.LockWaits = to.waits - from.waits
@@ -263,15 +263,8 @@ func (r *run) report(m *core.Metrics, from mark, whole bool) Report {
 	rep.Retries = to.retries - from.retries
 	rep.CPUUtil = utilDelta(from.cpuBusy, to.cpuBusy, from.t, to.t)
 	rep.DiskUtil = utilDelta(from.diskBusy, to.diskBusy, from.t, to.t)
-	if whole && r.res != nil {
-		rep.P50 = r.res.Percentile(50)
-		rep.P95 = r.res.Percentile(95)
-		rep.P99 = r.res.Percentile(99)
-		rep.HighP95 = r.resHigh.Percentile(95)
-		rep.LowP95 = r.resLow.Percentile(95)
-	}
 	for _, c := range activeClasses(m, from, to) {
-		cs := r.classStat(m, from, to, c, whole)
+		cs := r.classStat(m, from, to, c)
 		rep.Classes = append(rep.Classes, ClassResult{
 			Class: cs.Class, Name: cs.Name, Completed: cs.Completed, Shed: cs.Shed, MeanRT: cs.Mean, P95: cs.P95,
 		})
@@ -349,28 +342,14 @@ type run struct {
 	// measurement window, the current phase and the current snapshot
 	// interval.
 	total, phase, window core.Metrics
-
-	res *stats.Reservoir
-	// resHigh / resLow sample response times of class 1 and of every
-	// other class (run-so-far, like res) for Report.HighP95/LowP95, on
-	// RNG streams 37/41 that the gated p95 figures depend on.
-	resHigh, resLow *stats.Reservoir
-	// resClass samples response times per tenant class (run-so-far) for
-	// the per-class P95 report and snapshot fields, indexed by class.
-	// Lazily built, one reservoir per distinct class seen, on its own
-	// seeded stream — the res/resHigh/resLow draws are untouched, so the
-	// two-class figures stay bit-identical.
-	resClass []*stats.Reservoir
+	// scratch receives the merged class sketches of a window whose
+	// percentiles are being read.
+	scratch stats.Sketch
 	// shardTotal / winShard split the window per shard (sharded stacks
-	// only): whole-window accumulators for Result.Shards, and
-	// per-interval completion counts for Snapshot.Shards.
+	// only): whole-window tallies for Result.Shards, and per-interval
+	// completion counts for Snapshot.Shards.
 	shardTotal []core.Metrics
 	winShard   []uint64
-	// shardP95 tracks each shard's own response-time p95 with a P²
-	// estimator — five markers per shard instead of a full reservoir,
-	// which keeps per-shard percentiles O(1) memory at thousand-shard
-	// fleets (percentile mode only, like res).
-	shardP95 []*stats.P2
 
 	totalMark, phaseMark, winMark mark
 	nextSnap                      float64
@@ -411,21 +390,6 @@ func (r *run) onComplete(shard int, t *dbfe.Txn) {
 			}
 			r.shardTotal[shard].Record(&t.Item)
 			r.winShard[shard]++
-			if r.shardP95 != nil {
-				for shard >= len(r.shardP95) {
-					r.shardP95 = append(r.shardP95, stats.NewP2(0.95))
-				}
-				r.shardP95[shard].Add(t.Item.ResponseTime())
-			}
-		}
-		if r.res != nil {
-			r.res.Add(t.Item.ResponseTime())
-			if t.Item.Class == core.ClassHigh {
-				r.resHigh.Add(t.Item.ResponseTime())
-			} else {
-				r.resLow.Add(t.Item.ResponseTime())
-			}
-			r.classRes(t.Item.Class).Add(t.Item.ResponseTime())
 		}
 	}
 	r.loops.Observe(&t.Item)
@@ -448,27 +412,6 @@ func (r *run) converged() bool {
 	return ok && ctl.Converged()
 }
 
-// classRes returns (building lazily) the run-so-far response-time
-// reservoir for tenant class c. Each class samples on its own seeded
-// stream, so reservoirs are deterministic regardless of the order
-// classes first appear in.
-func (r *run) classRes(c core.Class) *stats.Reservoir {
-	if int(c) >= len(r.resClass) {
-		r.resClass = append(r.resClass, make([]*stats.Reservoir, int(c)+1-len(r.resClass))...)
-	}
-	rv := r.resClass[c]
-	if rv == nil {
-		seed := r.st.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		// The frontend admits only classes in [0, core.MaxClass].
-		rv = stats.NewReservoir(r.st.PercentileSamples, sim.NewRNG(seed, 601+2*uint64(c)))
-		r.resClass[c] = rv
-	}
-	return rv
-}
-
 // Run executes the scenario on st. It validates sc against the stack
 // first (the stack's registered tenant names resolve, and shard
 // actions must fit its fleet), then applies the tenants block.
@@ -478,23 +421,21 @@ func (r *run) classRes(c core.Class) *stats.Reservoir {
 // internal breakpoint — phase boundaries, events, snapshot ticks — and
 // a canceled run returns ctx.Err() with the partial Result discarded.
 func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (Result, error) {
-	if err := sc.validate(&st); err != nil {
+	r := &run{st: st, sc: &sc, obs: obs}
+	return r.execute(ctx)
+}
+
+// execute is Run's body; the run keeps its tallies afterwards.
+func (r *run) execute(ctx context.Context) (Result, error) {
+	sc := r.sc
+	if err := sc.validate(&r.st); err != nil {
 		return Result{}, err
 	}
+	st := r.st
 	if len(sc.Tenants) > 0 {
 		if err := applyTenants(st, sc.Tenants); err != nil {
 			return Result{}, err
 		}
-	}
-	r := &run{st: st, sc: &sc, obs: obs}
-	if st.PercentileSamples > 0 {
-		seed := st.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		r.res = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 31))
-		r.resHigh = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 37))
-		r.resLow = stats.NewReservoir(st.PercentileSamples, sim.NewRNG(seed, 41))
 	}
 	if c := st.Cluster; c != nil {
 		// Arm the fault model unconditionally: lifecycle events and the
@@ -513,12 +454,6 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 		}
 		r.shardTotal = make([]core.Metrics, c.NumShards())
 		r.winShard = make([]uint64, c.NumShards())
-		if st.PercentileSamples > 0 {
-			r.shardP95 = make([]*stats.P2, c.NumShards())
-			for i := range r.shardP95 {
-				r.shardP95[i] = stats.NewP2(0.95)
-			}
-		}
 		c.OnComplete = r.onComplete
 	} else {
 		st.FE.OnComplete = func(t *dbfe.Txn) { r.onComplete(0, t) }
@@ -570,7 +505,7 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 		out.Phases = append(out.Phases, PhaseResult{
 			Name:   ph.label(),
 			Kind:   ph.Kind,
-			Report: r.report(&r.phase, r.phaseMark, false),
+			Report: r.report(&r.phase, r.phaseMark),
 		})
 		r.phase.Reset()
 		r.phaseMark = takeMark(st)
@@ -579,7 +514,7 @@ func Run(ctx context.Context, st Stack, sc Scenario, obs ...metrics.Observer) (R
 		}
 	}
 	r.measuring = false
-	out.Total = r.report(&r.total, r.totalMark, true)
+	out.Total = r.report(&r.total, r.totalMark)
 	out.Shards = r.shardReports()
 	out.FinalMPL = st.Gate().MPL()
 	// A disable event already recorded any loop that was detached.
@@ -801,7 +736,7 @@ func (r *run) attachSLO(spec SLOSpec) error {
 		return err
 	}
 	err = r.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
-		return controller.NewSLO(r.st.FE.Frontend, r.st.Seed, controller.SLOConfig{
+		return controller.NewSLO(r.st.FE.Frontend, controller.SLOConfig{
 			Target: controller.SLOTarget{
 				Class:      class,
 				Percentile: spec.Percentile,
@@ -1165,10 +1100,7 @@ func (r *run) shardReports() []ShardResult {
 		if i < len(r.shardTotal) {
 			m = r.shardTotal[i]
 		}
-		fill(&sr.Report, &m, to.t-from.t)
-		if i < len(r.shardP95) && r.shardP95[i].Count() > 0 {
-			sr.P95 = r.shardP95[i].Quantile()
-		}
+		fill(&sr.Report, &m, to.t-from.t, &r.scratch)
 		// A shard added mid-run is missing from the opening mark; its
 		// cumulative counters started at zero when it joined, so the
 		// whole-window delta is just the closing value.
@@ -1268,7 +1200,7 @@ func (r *run) classStats(to mark) []metrics.ClassStat {
 	}
 	out := make([]metrics.ClassStat, len(classes))
 	for i, c := range classes {
-		out[i] = r.classStat(&r.window, r.winMark, to, c, true)
+		out[i] = r.classStat(&r.window, r.winMark, to, c)
 	}
 	return out
 }
@@ -1304,11 +1236,7 @@ func (r *run) emitSnapshot(ph *Phase) {
 	if s.Window > 0 {
 		s.Throughput = float64(s.Completed) / s.Window
 	}
-	if r.res != nil {
-		s.P50 = r.res.Percentile(50)
-		s.P95 = r.res.Percentile(95)
-		s.P99 = r.res.Percentile(99)
-	}
+	s.P50, s.P95, s.P99 = percentiles(w, &r.scratch)
 	s.Classes = r.classStats(to)
 	if c := st.Cluster; c != nil {
 		s.FleetSize = c.NumShards()

@@ -518,7 +518,6 @@ func TestRunDeterministicAcrossRebuilds(t *testing.T) {
 	}
 	do := func() (Result, []metrics.Snapshot) {
 		st := testStack(t, 4, 7)
-		st.PercentileSamples = 1000
 		var col metrics.Collector
 		out, err := Run(context.Background(), st, spec, &col)
 		if err != nil {

@@ -478,10 +478,9 @@ func finite(vals ...float64) bool {
 	return true
 }
 
-// maxTenants bounds a tenants block. The limit keeps every tenant's
-// dedicated percentile-reservoir RNG stream distinct (streams are
-// spaced by class ID masked to 16 bits).
-const maxTenants = 1 << 15
+// maxTenants bounds a tenants block: tenant i is class i, and the
+// frontend accepts classes in [0, core.MaxClass].
+const maxTenants = core.MaxClass + 1
 
 // classOf maps a tenant name to its class ID: the tenants block first
 // (tenant i is class i), then the stack's registered names

@@ -51,10 +51,11 @@ type Snapshot struct {
 	// the backend.
 	MeanResponse, MeanWait, MeanInside float64
 
-	// P50/P95/P99 are response-time percentiles. They are populated
-	// only when percentile sampling is enabled, and — because the
-	// sampling reservoir spans the whole run — they always cover the
-	// run so far, not the interval window.
+	// P50/P95/P99 are response-time percentiles over the window, like
+	// the counters: interval snapshots cover only their interval, so a
+	// tail spike that has ended drops out of the next snapshot. They
+	// are always populated, from a log-bucketed sketch whose relative
+	// error is at most 1% (stats.SketchAlpha).
 	P50, P95, P99 float64
 
 	// Dropped counts admission-control rejections, Canceled withdrawn
@@ -112,9 +113,8 @@ type Snapshot struct {
 }
 
 // ClassStat is one priority class's (tenant's) slice of a Snapshot.
-// Completed, Shed and Mean follow the enclosing Snapshot's window
-// convention; P95 needs percentile sampling and covers the run so far
-// (like the Snapshot's own percentiles).
+// Completed, Shed, Mean and P95 all follow the enclosing Snapshot's
+// window convention.
 type ClassStat struct {
 	// Class is the small-integer class ID; Name is the registered
 	// tenant name (empty when no tenant registry is attached).
@@ -124,7 +124,7 @@ type ClassStat struct {
 	// rejections.
 	Completed, Shed uint64
 	// Mean is the class's mean response time in seconds; P95 its 95th
-	// response-time percentile (0 unless percentile sampling is on).
+	// response-time percentile, within 1% (stats.SketchAlpha).
 	Mean, P95 float64
 }
 

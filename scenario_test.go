@@ -17,7 +17,7 @@ import (
 // trace replay) run twice on ONE System produces bit-identical
 // Results, and an Observer receives at least 10 interval snapshots.
 func TestScenarioRerunBitIdentical(t *testing.T) {
-	sys, err := NewSystem(Config{SetupID: 1, MPL: 4, PercentileSamples: 2000, Seed: 11})
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestScenarioRerunBitIdentical(t *testing.T) {
 	}
 	// A fresh System with the same Config reproduces the same Result
 	// too (determinism is a property of the Config, not the instance).
-	sys2, err := NewSystem(Config{SetupID: 1, MPL: 4, PercentileSamples: 2000, Seed: 11})
+	sys2, err := NewSystem(Config{SetupID: 1, MPL: 4, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -437,7 +437,7 @@ func TestShardedScenarioRerunBitIdentical(t *testing.T) {
 // Results, sheds work deterministically, and ends with a partition
 // that respects the invariant (limits sum to the MPL, each >= 1).
 func TestSLOScenarioRerunBitIdentical(t *testing.T) {
-	sys, err := NewSystem(Config{SetupID: 1, MPL: 12, PercentileSamples: 2000, Seed: 31})
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 12, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -499,8 +499,8 @@ func TestSLOScenarioRerunBitIdentical(t *testing.T) {
 	}
 	// The whole point: the protected class's tail stays far below the
 	// unprotected one's under overload.
-	if !(r1.Total.HighP95 > 0 && r1.Total.HighP95 < r1.Total.LowP95) {
-		t.Errorf("class p95s high %v vs low %v — SLO class not protected", r1.Total.HighP95, r1.Total.LowP95)
+	if hi, lo := r1.Total.Class(1).P95, r1.Total.Class(0).P95; !(hi > 0 && hi < lo) {
+		t.Errorf("class p95s high %v vs low %v — SLO class not protected", hi, lo)
 	}
 }
 
@@ -683,7 +683,7 @@ func fingerprints() []fingerprint {
 	return []fingerprint{
 		{
 			name: "fig7",
-			cfg:  Config{SetupID: 1, MPL: 4, PercentileSamples: 2000, Seed: 11},
+			cfg:  Config{SetupID: 1, MPL: 4, Seed: 11},
 			sc: Scenario{
 				Name:           "accept",
 				Warmup:         10,
@@ -717,7 +717,7 @@ func fingerprints() []fingerprint {
 		},
 		{
 			name: "slo-shedding",
-			cfg:  Config{SetupID: 1, MPL: 12, PercentileSamples: 2000, Seed: 31},
+			cfg:  Config{SetupID: 1, MPL: 12, Seed: 31},
 			sc: Scenario{
 				Name:           "slo-shedding",
 				Warmup:         10,
@@ -794,7 +794,7 @@ func fingerprints() []fingerprint {
 // which CI runs it).
 func TestChurnRecycling(t *testing.T) {
 	cfg := Config{
-		SetupID: 1, MPL: 12, Seed: 41, PercentileSamples: 2000,
+		SetupID: 1, MPL: 12, Seed: 41,
 		Shards:   ShardSpec{Count: 4, Dispatch: "jsq"},
 		Recovery: &RecoverySpec{Mode: RecoveryResubmit, RetryBudget: 2},
 	}
@@ -903,7 +903,7 @@ func TestClassBreakdownConservation(t *testing.T) {
 	cases := append(fingerprints(),
 		fingerprint{
 			name: "tenants",
-			cfg:  Config{SetupID: 1, MPL: 8, PercentileSamples: 2000, Seed: 13},
+			cfg:  Config{SetupID: 1, MPL: 8, Seed: 13},
 			sc:   tenantScenario(),
 		},
 		// A closed phase whose clients see crashes, resubmissions and
@@ -911,7 +911,7 @@ func TestClassBreakdownConservation(t *testing.T) {
 		fingerprint{
 			name: "churn-deadlines",
 			cfg: Config{
-				SetupID: 1, MPL: 12, Seed: 41, PercentileSamples: 2000,
+				SetupID: 1, MPL: 12, Seed: 41,
 				Shards:        ShardSpec{Count: 4, Dispatch: "jsq"},
 				Recovery:      &RecoverySpec{Mode: RecoveryResubmit, RetryBudget: 2},
 				AdmitDeadline: &AdmitDeadline{High: 2, Low: 0.3},

@@ -62,7 +62,7 @@ func TestChurnSoakFlatHeap(t *testing.T) {
 	}
 	// Compare the late-run heap against the early steady state. The
 	// first quarter is excluded (warmup and lazily-grown buffers —
-	// percentile reservoirs, snapshot slices — are still filling); from
+	// sketch rings, snapshot slices — are still filling); from
 	// there the heap must be flat: mean of the last quarter within 1.5x
 	// of the second quarter's mean, plus a small absolute slack so a
 	// tiny baseline heap doesn't make the ratio twitchy.
@@ -88,13 +88,12 @@ func TestChurnSoakFlatHeap(t *testing.T) {
 
 // TestLargeFleetSoakBoundedMetrics is the nightly memory check for the
 // N >= 1000 path: a 1000-shard fleet under sampled dispatch runs a
-// long open phase with percentile tracking on, and the
-// garbage-collected heap must stay flat as transactions accumulate.
-// The metric state is designed to be bounded — the class reservoirs
-// share a fixed sample budget and the per-shard p95 estimators are
-// constant-memory P² trackers (five markers each, regardless of how
-// many observations stream through) — so heap growth proportional to
-// completions would mean one of them regressed to O(samples).
+// long open phase, and the garbage-collected heap must stay flat as
+// transactions accumulate. The metric state is designed to be bounded
+// — every window's per-class response-time sketch is a fixed ring of
+// buckets, allocated once and reused across window resets — so heap
+// growth proportional to completions would mean one of them regressed
+// to O(samples).
 func TestLargeFleetSoakBoundedMetrics(t *testing.T) {
 	if testing.Short() {
 		t.Skip("soak: long 1000-shard run, skipped with -short (nightly runs it in full)")
@@ -104,8 +103,7 @@ func TestLargeFleetSoakBoundedMetrics(t *testing.T) {
 	const shards = 1000
 	sys, err := NewSystem(Config{
 		Workload: "W_IO-browsing", MPL: 2 * shards, Seed: 9,
-		PercentileSamples: 4000,
-		Shards:            ShardSpec{Count: shards, Dispatch: "jsq-d:3"},
+		Shards: ShardSpec{Count: shards, Dispatch: "jsq-d:3"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -136,10 +134,10 @@ func TestLargeFleetSoakBoundedMetrics(t *testing.T) {
 		t.Fatalf("only %d heap samples; need enough to compare early vs late", len(heap))
 	}
 	// Percentile tracking must actually have run at this scale: the
-	// class reservoirs feed the run-level p95 and the per-shard P²
-	// estimators feed the shard table.
+	// class sketches feed the run-level p95 and each shard's window
+	// feeds the shard table.
 	if res.Total.P95 <= 0 {
-		t.Error("run-level p95 missing despite PercentileSamples")
+		t.Error("run-level p95 missing")
 	}
 	withP95 := 0
 	for _, sr := range res.Shards {
@@ -148,7 +146,7 @@ func TestLargeFleetSoakBoundedMetrics(t *testing.T) {
 		}
 	}
 	if withP95 < shards/2 {
-		t.Errorf("only %d of %d shards report a P² p95; sampled dispatch should have fed most of the fleet", withP95, shards)
+		t.Errorf("only %d of %d shards report a p95; sampled dispatch should have fed most of the fleet", withP95, shards)
 	}
 	// Same flat-heap rule as the churn soak: late-run mean within 1.5x
 	// of the early steady state plus a small absolute slack.

@@ -37,7 +37,7 @@ func tenantScenario() Scenario {
 // run twice on one System reproduces bit-for-bit — per-tenant
 // breakdown, fairness trajectory and snapshots included.
 func TestTenantScenarioRerunBitIdentical(t *testing.T) {
-	sys, err := NewSystem(Config{SetupID: 1, MPL: 8, PercentileSamples: 2000, Seed: 13})
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 8, Seed: 13})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +97,7 @@ func Test100TenantScenarioBoundedMemory(t *testing.T) {
 	for i := range tenants {
 		tenants[i] = TenantSpec{Name: "t" + string(rune('a'+i/26)) + string(rune('a'+i%26)), Share: 1.0 / n}
 	}
-	sys, err := NewSystem(Config{SetupID: 1, MPL: 8, PercentileSamples: 1000, Seed: 17})
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 8, Seed: 17})
 	if err != nil {
 		t.Fatal(err)
 	}
