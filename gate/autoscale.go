@@ -21,24 +21,18 @@ import (
 // controller the active members' backlog. An idle pool therefore never
 // shrinks on its own; callers who want that run their own ticker and
 // call AutoscaleTick.
-type AutoscaleConfig struct {
-	// Min and Max bound the active member count. Min >= 1; Max 0 means
-	// every built member, and must not exceed PoolConfig.Members. The
-	// pool starts at Min — capacity is added on demand, which is the
-	// point of autoscaling.
-	Min, Max int
-	// Interval is the seconds between controller evaluations (0 = 1).
-	Interval float64
-	// HighWater / LowWater are per-active-member backlog (queued +
-	// in flight) watermarks; see the simulator's AutoscaleSpec for the
-	// hysteresis semantics. Defaults: 8 and HighWater/4.
-	HighWater, LowWater float64
-	// BreachWindows / CalmWindows are the consecutive-interval runs
-	// required to scale up / down (defaults 2 and 3*BreachWindows).
-	BreachWindows, CalmWindows int
-	// Cooldown is the minimum seconds between actions (0 = 2*Interval).
-	Cooldown float64
-}
+//
+// It is the fleet controller's own config, with one meaning only the
+// pool gives it: Max 0 means every built member. Min >= 1, and Max must
+// not exceed PoolConfig.Members. The pool starts at Min — capacity is
+// added on demand, which is the point of autoscaling. Interval is the
+// seconds between controller evaluations (0 = 1); HighWater and
+// LowWater are per-active-member backlog (queued + in flight)
+// watermarks (defaults 8 and HighWater/4); BreachWindows and
+// CalmWindows are the consecutive-interval runs required to scale up
+// and down (defaults 2 and 3*BreachWindows); Cooldown is the minimum
+// seconds between actions (0 = 2*Interval).
+type AutoscaleConfig = autoscale.Config
 
 // armAutoscale validates cfg against the built fleet and installs the
 // controller. Called from NewPool before the pool is shared.
@@ -49,13 +43,7 @@ func (p *Pool) armAutoscale(cfg AutoscaleConfig) error {
 	if cfg.Max > len(p.members) {
 		return fmt.Errorf("gate: autoscale max %d exceeds the pool's %d members", cfg.Max, len(p.members))
 	}
-	ctl, err := autoscale.New(autoscale.Config{
-		Min: cfg.Min, Max: cfg.Max,
-		Interval:  cfg.Interval,
-		HighWater: cfg.HighWater, LowWater: cfg.LowWater,
-		BreachWindows: cfg.BreachWindows, CalmWindows: cfg.CalmWindows,
-		Cooldown: cfg.Cooldown,
-	})
+	ctl, err := autoscale.New(cfg)
 	if err != nil {
 		return fmt.Errorf("gate: %w", err)
 	}

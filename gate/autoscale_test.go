@@ -101,6 +101,47 @@ func TestPoolAutoscaleGrowsAndShrinks(t *testing.T) {
 	}
 }
 
+// TestPoolAutoscaleMaxZeroMeansEveryMember: Max 0 is the pool's own
+// meaning, "every built member" — the fleet controller alone would
+// reject a Max below Min. A 3-member pool armed with only Min builds,
+// starts at Min, and under sustained backlog scales up to all 3
+// members and no further.
+func TestPoolAutoscaleMaxZeroMeansEveryMember(t *testing.T) {
+	ck := &captureClock{}
+	p, err := NewPool(PoolConfig{
+		Members:   3,
+		Dispatch:  "jsq",
+		Autoscale: &AutoscaleConfig{Min: 1},
+		Member:    Config{Limit: 100, clock: ck},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.Active(); got != 1 {
+		t.Fatalf("pool starts with %d active members, want Min=1", got)
+	}
+	ctx := context.Background()
+	// Ten held tickets per interval keep every evaluation above the
+	// default high water (8 per active member).
+	for tick := 0; tick <= 8; tick++ {
+		ck.t = float64(tick)
+		for i := 0; i < 10; i++ {
+			if _, err := p.AcquireRequest(ctx, Request{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := p.Active(); got > 3 {
+			t.Fatalf("t=%d: %d active members, more than the 3 built", tick, got)
+		}
+	}
+	if got := p.Active(); got != 3 {
+		t.Errorf("active = %d under sustained backlog, want every member (3)", got)
+	}
+	if ups, downs := p.AutoscaleCounts(); ups != 2 || downs != 0 {
+		t.Errorf("autoscale counts = %d/%d, want 2 ups / 0 downs", ups, downs)
+	}
+}
+
 // TestPoolAutoscaleValidation: bounds are checked against the built
 // fleet, and the autoscale accessors are inert no-ops on a plain pool.
 func TestPoolAutoscaleValidation(t *testing.T) {

@@ -5,36 +5,25 @@ import (
 	"fmt"
 
 	"extsched/internal/controller"
-	"extsched/internal/core"
 )
 
 // TuneConfig parameterizes the feedback controller (the paper's
-// Section 4.3 loop) for a live gate.
-type TuneConfig struct {
-	// MaxThroughputLoss is the acceptable fractional throughput loss
-	// versus the reference (e.g. 0.05 = keep 95%). Required, in [0,1).
-	MaxThroughputLoss float64
-	// ReferenceThroughput is the no-limit optimum in completions per
-	// second — measure it by running the gate unlimited (Limit 0) under
-	// representative load and reading Stats().Throughput, or supply a
-	// capacity-model estimate. Required.
-	ReferenceThroughput float64
-	// MaxRTIncrease and ReferenceRT enable the optional response-time
-	// criterion: mean response must stay within (1+MaxRTIncrease) ×
-	// ReferenceRT. Zero values disable it.
-	MaxRTIncrease float64
-	ReferenceRT   float64
-	// MinObservations gates window close; default 100 completions (the
-	// paper's choice). Lower it for quick-converging demos and tests.
-	MinObservations int
-	// MaxWindow caps a window's completions; default 50×MinObservations.
-	MaxWindow int
-	// MinLimit / MaxLimit clamp the search range; defaults 1 and 200.
-	MinLimit, MaxLimit int
-	// HoldWindows is the number of consecutive no-change reactions
-	// after which the controller declares convergence; default 2.
-	HoldWindows int
-}
+// Section 4.3 loop) for a live gate. It is the controller's own
+// config:
+//
+//   - MaxThroughputLoss is the acceptable fractional throughput loss
+//     versus the reference (e.g. 0.05 = keep 95%). Required, in [0,1).
+//   - ReferenceThroughput is the no-limit optimum in completions per
+//     second — measure it by running the gate unlimited (Limit 0) under
+//     representative load and reading Stats().Throughput, or supply a
+//     capacity-model estimate. Required.
+//   - MaxRTIncrease and ReferenceRT enable the optional response-time
+//     criterion; zero values disable it.
+//   - MinObservations gates window close; default 100 completions (the
+//     paper's choice). Lower it for quick-converging demos and tests.
+//   - MaxWindow, MinLimit/MaxLimit and HoldWindows default to
+//     50×MinObservations, 1 and 200, and 2.
+type TuneConfig = controller.Config
 
 // TuneStatus reports the controller's progress.
 type TuneStatus struct {
@@ -64,21 +53,7 @@ func (g *Gate) EnableAutoTune(tc TuneConfig) error {
 		return fmt.Errorf("gate: auto-tune needs a finite starting limit (have %d); set Config.Limit or SetLimit first", g.fe.MPL())
 	}
 	return g.loops.Attach(controller.KindMPL, func() (controller.Loop, error) {
-		return controller.New(g.clock, g.fe, controller.Config{
-			Targets: controller.Targets{
-				MaxThroughputLoss: tc.MaxThroughputLoss,
-				MaxRTIncrease:     tc.MaxRTIncrease,
-			},
-			Reference: controller.Reference{
-				MaxThroughput: tc.ReferenceThroughput,
-				OptimalRT:     tc.ReferenceRT,
-			},
-			MinObservations: tc.MinObservations,
-			MaxWindow:       tc.MaxWindow,
-			MinMPL:          tc.MinLimit,
-			MaxMPL:          tc.MaxLimit,
-			HoldWindows:     tc.HoldWindows,
-		})
+		return controller.New(g.clock, g.fe, tc)
 	})
 }
 
@@ -90,23 +65,13 @@ func (g *Gate) DisableAutoTune() { g.loops.Detach(controller.KindMPL) }
 // a live gate: hold Class's Percentile-th response-time percentile at
 // or below Target seconds by partitioning the gate's limit across the
 // classes, leaving every slot the SLO does not need to OtherClass's
-// throughput. Combine with Config.AdmitDeadline on the other class to
-// shed un-startable work under overload.
-type SLOTuneConfig struct {
-	// Class is the protected class (usually ClassHigh).
-	Class Class
-	// OtherClass is the class slots are borrowed from; default
-	// ClassLow (or ClassHigh when Class is ClassLow).
-	OtherClass Class
-	// Percentile is the controlled percentile (0 = 95).
-	Percentile float64
-	// Target is the latency bound in seconds. Required, > 0.
-	Target float64
-	// MinObservations gates the SLO observation window (0 = 50).
-	MinObservations int
-	// Margin is the give-back hysteresis fraction (0 = 0.5).
-	Margin float64
-}
+// throughput. It is the SLO loop's own config: Class is usually
+// ClassHigh; OtherClass defaults to ClassLow (or ClassHigh when Class
+// is ClassLow); Percentile 0 means 95; Target is required, > 0;
+// MinObservations 0 means 50 and Margin 0 means 0.5. Both classes must
+// lie in [0, 65535]. Combine with Config.AdmitDeadline on the other
+// class to shed un-startable work under overload.
+type SLOTuneConfig = controller.SLOConfig
 
 // SLOTuneStatus reports the SLO loop's progress.
 type SLOTuneStatus struct {
@@ -141,16 +106,7 @@ func (g *Gate) EnableSLOTune(tc SLOTuneConfig) error {
 		return err
 	}
 	return g.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
-		return controller.NewSLO(g.fe, controller.SLOConfig{
-			Target: controller.SLOTarget{
-				Class:      core.Class(tc.Class),
-				Percentile: tc.Percentile,
-				Target:     tc.Target,
-			},
-			OtherClass:      core.Class(tc.OtherClass),
-			MinObservations: tc.MinObservations,
-			Margin:          tc.Margin,
-		})
+		return controller.NewSLO(g.fe, tc)
 	})
 }
 
@@ -165,13 +121,13 @@ func (g *Gate) SLOTuneStatus() SLOTuneStatus {
 	if !ok {
 		return SLOTuneStatus{}
 	}
-	slo, other := s.Limits()
+	st := s.Status()
 	return SLOTuneStatus{
 		Enabled:      true,
-		SLOLimit:     slo,
-		OtherLimit:   other,
-		Iterations:   s.Iterations(),
-		LastMeasured: s.LastMeasured(),
+		SLOLimit:     st.SLOLimit,
+		OtherLimit:   st.OtherLimit,
+		Iterations:   st.Iterations,
+		LastMeasured: st.LastMeasured,
 	}
 }
 
@@ -182,10 +138,11 @@ func (g *Gate) TuneStatus() TuneStatus {
 	if !ok {
 		return TuneStatus{Limit: g.fe.MPL()}
 	}
+	st := ctl.Status()
 	return TuneStatus{
 		Enabled:    true,
-		Converged:  ctl.Converged(),
-		Iterations: ctl.Iterations(),
+		Converged:  st.Converged,
+		Iterations: st.Iterations,
 		Limit:      g.fe.MPL(),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"extsched/internal/controller"
-	"extsched/internal/core"
 	"extsched/internal/fairness"
 )
 
@@ -15,22 +14,15 @@ import (
 // machinery the SLO loop drives (work-conserving — idle slots are still
 // lent across the partition), with the policy generalized from one
 // protected class to N weighted tenants.
-type FairnessConfig struct {
-	// Weights maps each governed tenant class to its relative share
-	// weight (every weight > 0; >= 2 classes). Nil means "govern the
-	// registered tenants": the classes and weights passed to
-	// RegisterClass.
-	Weights map[Class]float64
-	// MinObservations gates fairness-window close (0 = 50).
-	MinObservations int
-	// Hysteresis is the imbalance ratio a busy donor must exceed before
-	// a slot moves (0 = 1.2; must be >= 1 otherwise).
-	Hysteresis float64
-	// Strict makes the partition a hard cap: a tenant at its limit
-	// never borrows idle capacity. Trades utilization for latency
-	// isolation. Default false (work-conserving borrowing).
-	Strict bool
-}
+//
+// It is the fairness loop's own config, with one meaning only the gate
+// gives it: nil Weights means "govern the registered tenants", the
+// classes and weights passed to RegisterClass. Otherwise Weights maps
+// each governed tenant class (in [0, 65535]) to its relative share
+// weight (every weight > 0; >= 2 classes). MinObservations 0 means 50;
+// Hysteresis 0 means 1.2 (must be >= 1 otherwise); Strict makes the
+// partition a hard cap, trading utilization for latency isolation.
+type FairnessConfig = fairness.Config
 
 // FairnessStatus reports the fairness loop's progress.
 type FairnessStatus struct {
@@ -58,29 +50,23 @@ type FairnessStatus struct {
 // fairness re-spreads the weights over each new limit at its next
 // reaction, and holds while the limit is below one slot per tenant.
 func (g *Gate) EnableFairness(fc FairnessConfig) error {
-	weights := make(map[core.Class]float64, len(fc.Weights))
 	if fc.Weights == nil {
-		for _, t := range g.fe.Tenants() {
-			weights[t.Class] = t.Weight
+		ts := g.fe.Tenants()
+		if len(ts) < 2 {
+			return fmt.Errorf("gate: fairness over registered tenants needs >= 2 RegisterClass calls (have %d); or pass explicit Weights", len(ts))
 		}
-		if len(weights) < 2 {
-			return fmt.Errorf("gate: fairness over registered tenants needs >= 2 RegisterClass calls (have %d); or pass explicit Weights", len(weights))
+		fc.Weights = make(map[Class]float64, len(ts))
+		for _, t := range ts {
+			fc.Weights[t.Class] = t.Weight
 		}
-	} else {
-		for c, w := range fc.Weights {
-			if err := checkClass(c); err != nil {
-				return err
-			}
-			weights[core.Class(c)] = w
+	}
+	for c := range fc.Weights {
+		if err := checkClass(c); err != nil {
+			return err
 		}
 	}
 	return g.loops.Attach(controller.KindFairness, func() (controller.Loop, error) {
-		return fairness.New(g.fe, fairness.Config{
-			Weights:         weights,
-			MinObservations: fc.MinObservations,
-			Hysteresis:      fc.Hysteresis,
-			Strict:          fc.Strict,
-		})
+		return fairness.New(g.fe, fc)
 	})
 }
 
@@ -101,15 +87,11 @@ func (g *Gate) FairnessStatus() FairnessStatus {
 	if !ok {
 		return FairnessStatus{}
 	}
-	limits := f.Limits()
-	out := make(map[Class]int, len(limits))
-	for c, l := range limits {
-		out[Class(c)] = l
-	}
+	st := f.Status()
 	return FairnessStatus{
 		Enabled:    true,
-		Limits:     out,
-		Iterations: f.Iterations(),
-		Moves:      f.Moves(),
+		Limits:     st.Limits,
+		Iterations: st.Iterations,
+		Moves:      st.Moves,
 	}
 }

@@ -49,14 +49,15 @@ import (
 // Class is a small-integer priority class in [0, 65535]; every class
 // takes the lock-free fast path, and one outside the range is an error.
 // ClassHigh receives strict preference under the "priority" policy;
-// WFQ keeps one virtual queue per distinct value.
-type Class int
+// WFQ keeps one virtual queue per distinct value. It is the frontend's
+// own class type, so the loop configs' class fields take it directly.
+type Class = core.Class
 
 const (
 	// ClassLow is the default (background) class.
-	ClassLow Class = 0
+	ClassLow = core.ClassLow
 	// ClassHigh is the preferred class.
-	ClassHigh Class = 1
+	ClassHigh = core.ClassHigh
 )
 
 // Policy names the built-in queue orderings.
@@ -200,14 +201,7 @@ func New(cfg Config) (*Gate, error) {
 	if cfg.QueueLimit < 0 {
 		return nil, fmt.Errorf("gate: QueueLimit %d must be >= 0", cfg.QueueLimit)
 	}
-	var weights map[core.Class]float64
-	if cfg.WFQWeights != nil {
-		weights = make(map[core.Class]float64, len(cfg.WFQWeights))
-		for c, w := range cfg.WFQWeights {
-			weights[core.Class(c)] = w
-		}
-	}
-	policy, err := core.NewPolicy(string(cfg.Policy), weights)
+	policy, err := core.NewPolicy(string(cfg.Policy), cfg.WFQWeights)
 	if err != nil {
 		return nil, fmt.Errorf("gate: %w", err)
 	}
@@ -285,7 +279,7 @@ func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) 
 	}
 	s := g.slots.Get().(*ticketSlot)
 	it := &s.item
-	it.Class = core.Class(req.Class)
+	it.Class = req.Class
 	it.SizeHint = req.SizeHint
 	it.Payload = s
 	if g.fe.TryAcquire(it) {
@@ -423,7 +417,7 @@ func (g *Gate) SetAdmitDeadline(c Class, seconds float64) error {
 	if seconds < 0 {
 		return fmt.Errorf("gate: class %d admit deadline %v must be >= 0", c, seconds)
 	}
-	g.fe.SetAdmitDeadline(core.Class(c), seconds)
+	g.fe.SetAdmitDeadline(c, seconds)
 	return nil
 }
 
@@ -432,7 +426,6 @@ func (g *Gate) SetAdmitDeadline(c Class, seconds float64) error {
 // Idle capacity is still lent across the partition, so the gate stays
 // work-conserving.
 func (g *Gate) SetClassLimits(limits map[Class]int) error {
-	cl := make(map[core.Class]int, len(limits))
 	for c, l := range limits {
 		if err := checkClass(c); err != nil {
 			return err
@@ -440,33 +433,21 @@ func (g *Gate) SetClassLimits(limits map[Class]int) error {
 		if l < 1 {
 			return fmt.Errorf("gate: class %d limit %d must be >= 1", c, l)
 		}
-		cl[core.Class(c)] = l
 	}
-	g.fe.SetClassLimits(cl)
+	g.fe.SetClassLimits(limits)
 	return nil
 }
 
 // ClassLimits returns the current per-class partition (nil when none).
 // Allocates a fresh map per call; per-request readers should use
 // ClassLimit instead.
-func (g *Gate) ClassLimits() map[Class]int {
-	cl := g.fe.ClassLimits()
-	if cl == nil {
-		return nil
-	}
-	out := make(map[Class]int, len(cl))
-	for c, l := range cl {
-		out[Class(c)] = l
-	}
-	return out
-}
+func (g *Gate) ClassLimits() map[Class]int { return g.fe.ClassLimits() }
 
 // ClassLimit returns class c's limit under the current partition (ok
 // false when the class is uncapped or no partition is set). Unlike
 // ClassLimits it allocates nothing.
 func (g *Gate) ClassLimit(c Class) (limit int, ok bool) {
-	l, ok := g.fe.ClassLimit(core.Class(c))
-	return l, ok
+	return g.fe.ClassLimit(c)
 }
 
 // ClassPercentile reports class c's p-th response-time percentile (p
@@ -474,7 +455,7 @@ func (g *Gate) ClassLimit(c Class) (limit int, ok bool) {
 // stats.SketchAlpha (1%) — the signal an SLO is written against. It
 // allocates nothing.
 func (g *Gate) ClassPercentile(c Class, p float64) float64 {
-	return g.fe.ClassResponseTimePercentile(core.Class(c), p)
+	return g.fe.ClassResponseTimePercentile(c, p)
 }
 
 // Tenant describes one registered tenant class.
@@ -505,7 +486,7 @@ func (g *Gate) RegisterClass(name string, weight, sloTarget float64) (Class, err
 	if sloTarget < 0 {
 		return 0, fmt.Errorf("gate: tenant %q SLO target %v must be >= 0", name, sloTarget)
 	}
-	return Class(g.fe.RegisterClass(name, weight, sloTarget)), nil
+	return g.fe.RegisterClass(name, weight, sloTarget), nil
 }
 
 // Tenants returns the registered tenants in registration (= class ID)
@@ -517,28 +498,26 @@ func (g *Gate) Tenants() []Tenant {
 	}
 	out := make([]Tenant, len(ts))
 	for i, t := range ts {
-		out[i] = Tenant{Class: Class(t.Class), Name: t.Name, Weight: t.Weight, SLOTarget: t.SLOTarget}
+		out[i] = Tenant{Class: t.Class, Name: t.Name, Weight: t.Weight, SLOTarget: t.SLOTarget}
 	}
 	return out
 }
 
 // TenantName returns the registered name for a class (empty when the
 // class was never registered).
-func (g *Gate) TenantName(c Class) string { return g.fe.TenantName(core.Class(c)) }
+func (g *Gate) TenantName(c Class) string { return g.fe.TenantName(c) }
 
 // SetWFQWeights reweights the WFQ policy per class (classes absent from
 // the map keep their current weight). Returns an error for a
 // non-positive weight; reports ok=false (with no error) when the gate's
 // policy is not WFQ.
 func (g *Gate) SetWFQWeights(weights map[Class]float64) (ok bool, err error) {
-	cw := make(map[core.Class]float64, len(weights))
 	for c, w := range weights {
 		if w <= 0 {
 			return false, fmt.Errorf("gate: class %d WFQ weight %v must be > 0", c, w)
 		}
-		cw[core.Class(c)] = w
 	}
-	return g.fe.SetWFQWeights(cw), nil
+	return g.fe.SetWFQWeights(weights), nil
 }
 
 // Stats is a point-in-time snapshot of the gate. It is the shared

@@ -290,7 +290,7 @@ func (p *Pool) route(req Request) (member int, probe bool, err error) {
 	if len(loads) == 0 {
 		return 0, false, ErrMemberDown
 	}
-	j := p.policy.Pick(loads, core.Class(req.Class), req.SizeHint)
+	j := p.policy.Pick(loads, req.Class, req.SizeHint)
 	if j < 0 || j >= len(idx) {
 		panic(fmt.Sprintf("gate: dispatch policy %s picked member %d of %d", p.policy.Name(), j, len(idx)))
 	}

@@ -24,6 +24,10 @@
 // previous action has not yet absorbed. Observations strictly between
 // the two water marks reset both runs — the dead band that keeps the
 // fleet from oscillating when load hovers near a threshold.
+//
+// Config is the one vocabulary for this loop: the live pool takes it
+// directly (gate.AutoscaleConfig is an alias), and the scenario runner
+// translates its JSON spec into it.
 package autoscale
 
 import "fmt"

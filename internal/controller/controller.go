@@ -34,6 +34,11 @@
 // and keeps constant-size state — counters, its window and its last
 // reaction, never a growing log — so a loop can stay attached to a
 // live gate indefinitely.
+//
+// Config and SLOConfig are the one vocabulary for these loops: the live
+// gate takes them directly (gate.TuneConfig and gate.SLOTuneConfig are
+// aliases), and the scenario runner translates its name-keyed JSON
+// specs into them.
 package controller
 
 import (
@@ -63,109 +68,75 @@ type Gate interface {
 	Inside() int
 }
 
-// Targets are the DBA-specified tolerances.
-type Targets struct {
-	// MaxThroughputLoss is the largest acceptable fractional loss of
-	// throughput versus the no-MPL optimum (e.g. 0.05).
-	MaxThroughputLoss float64
-	// MaxRTIncrease is the largest acceptable fractional increase of
-	// overall mean response time versus the reference (e.g. 0.05).
-	// Zero disables the response-time criterion.
-	MaxRTIncrease float64
-}
-
-// Reference holds the "optimal" baselines the controller compares
-// against: the throughput and mean response time of the system run
-// without an MPL, obtained from the queueing models or a probe run.
-type Reference struct {
-	MaxThroughput float64
-	// OptimalRT is the no-MPL mean response time. Zero disables the
-	// response-time criterion.
-	OptimalRT float64
-}
-
-// Config tunes the control loop.
+// Config tunes the control loop. The live gate takes it as
+// gate.TuneConfig, and the scenario runner builds it from a
+// ControllerSpec.
 type Config struct {
-	Targets
-	Reference Reference
+	// MaxThroughputLoss is the largest acceptable fractional loss of
+	// throughput versus the no-MPL optimum (e.g. 0.05). Required, in
+	// [0,1).
+	MaxThroughputLoss float64
+	// ReferenceThroughput is the no-MPL optimum in completions per
+	// second: the throughput of the system run without an MPL, from
+	// the queueing models or a probe run. Required.
+	ReferenceThroughput float64
+	// MaxRTIncrease and ReferenceRT enable the optional response-time
+	// criterion: mean response must stay within (1+MaxRTIncrease) ×
+	// ReferenceRT, the no-MPL mean response time. Zero values disable
+	// it.
+	MaxRTIncrease float64
+	ReferenceRT   float64
 	// MinObservations gates window close; default 100 (paper).
 	MinObservations int
-	// Confidence and MaxRelCI gate window close on the response-time
-	// CI: half-width/mean <= MaxRelCI at the given confidence.
-	// Defaults 0.95 and 0.15.
-	Confidence float64
-	MaxRelCI   float64
-	// TputRelCI gates window close on the throughput estimate: the
-	// relative CI half-width of the mean inter-completion time must
-	// fall below it. A reaction that discriminates a 5% throughput
-	// loss needs windows measured better than 5%; the default is
-	// MaxThroughputLoss/2 (with a floor of 0.02), which is what makes
-	// the loop immune to window noise. Windows are capped at
-	// MaxWindow completions regardless.
-	TputRelCI float64
 	// MaxWindow caps a window's completions (default 50×MinObservations).
 	MaxWindow int
-	// Step is the base MPL adjustment per reaction; default 1.
-	Step int
-	// AdaptiveStep doubles the step while consecutive reactions move
-	// in the same direction (capped at MaxStep) and resets it on a
-	// reversal or hold. This recovers quickly when the queueing
-	// jump-start misjudges the system; with an accurate jump-start it
-	// never engages. Default true.
-	AdaptiveStep *bool
-	// MaxStep caps the adaptive step; default 16.
-	MaxStep int
-	// MinMPL / MaxMPL clamp the search range; defaults 1 and 200.
-	MinMPL, MaxMPL int
+	// MinLimit / MaxLimit clamp the search range; defaults 1 and 200.
+	MinLimit, MaxLimit int
 	// HoldWindows is the number of consecutive no-change reactions
 	// after which the controller declares convergence; default 2.
 	HoldWindows int
-	// DecreaseMargin: only lower the MPL when the throughput target
-	// is met with this extra margin (fraction of the allowed slack),
-	// providing the hysteresis that prevents oscillation. Default 0.5.
-	DecreaseMargin float64
+}
+
+// The window-close gates and the step rule. A window closes once the
+// response-time CI is within maxRelCI of the mean at the given
+// confidence and the throughput estimate is within tputRelCI. The step
+// starts at 1, doubles while consecutive reactions move in the same
+// direction (capped at maxStep) and resets on a reversal or hold,
+// which recovers quickly when the queueing jump-start misjudges the
+// system; with an accurate jump-start it never engages. A decrease
+// needs the throughput target met with decreaseMargin of the allowed
+// slack to spare, the hysteresis that prevents oscillation.
+const (
+	confidence     = 0.95
+	maxRelCI       = 0.15
+	maxStep        = 16
+	decreaseMargin = 0.5
+)
+
+// tputRelCI is the relative CI half-width of the mean inter-completion
+// time a window must reach before it closes (unless it hits
+// MaxWindow). A reaction that discriminates a 5% throughput loss needs
+// windows measured better than 5%, so it is half the allowed loss,
+// floored at 0.02: that is what makes the loop immune to window noise.
+func (c Config) tputRelCI() float64 {
+	return max(c.MaxThroughputLoss/2, 0.02)
 }
 
 func (c Config) withDefaults() Config {
 	if c.MinObservations <= 0 {
 		c.MinObservations = 100
 	}
-	if c.Confidence == 0 {
-		c.Confidence = 0.95
+	if c.MinLimit <= 0 {
+		c.MinLimit = 1
 	}
-	if c.MaxRelCI == 0 {
-		c.MaxRelCI = 0.15
-	}
-	if c.Step <= 0 {
-		c.Step = 1
-	}
-	if c.AdaptiveStep == nil {
-		on := true
-		c.AdaptiveStep = &on
-	}
-	if c.MaxStep <= 0 {
-		c.MaxStep = 16
-	}
-	if c.MinMPL <= 0 {
-		c.MinMPL = 1
-	}
-	if c.MaxMPL <= 0 {
-		c.MaxMPL = 200
+	if c.MaxLimit <= 0 {
+		c.MaxLimit = 200
 	}
 	if c.HoldWindows <= 0 {
 		c.HoldWindows = 2
 	}
-	if c.TputRelCI == 0 {
-		c.TputRelCI = c.MaxThroughputLoss / 2
-		if c.TputRelCI < 0.02 {
-			c.TputRelCI = 0.02
-		}
-	}
 	if c.MaxWindow <= 0 {
 		c.MaxWindow = 50 * c.MinObservations
-	}
-	if c.DecreaseMargin == 0 {
-		c.DecreaseMargin = 0.5
 	}
 	return c
 }
@@ -228,34 +199,31 @@ func New(clock sim.Clock, g Gate, cfg Config) (*Controller, error) {
 	if cfg.MaxThroughputLoss < 0 || cfg.MaxThroughputLoss >= 1 {
 		return nil, fmt.Errorf("controller: MaxThroughputLoss %v outside [0,1)", cfg.MaxThroughputLoss)
 	}
-	if cfg.Reference.MaxThroughput <= 0 {
-		return nil, fmt.Errorf("controller: Reference.MaxThroughput required")
+	if cfg.ReferenceThroughput <= 0 {
+		return nil, fmt.Errorf("controller: ReferenceThroughput required")
 	}
-	c := &Controller{clock: clock, gate: g, cfg: cfg, floor: cfg.MinMPL - 1, step: cfg.Step}
+	c := &Controller{clock: clock, gate: g, cfg: cfg, floor: cfg.MinLimit - 1, step: 1}
 	c.resetWindow()
 	return c, nil
 }
 
-// Converged reports whether the controller has settled.
-func (c *Controller) Converged() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.converged
+// Status is the controller's progress, read under one lock so its
+// fields come from the same reaction.
+type Status struct {
+	// Converged reports whether the controller has settled.
+	Converged bool
+	// Iterations is the number of completed reactions.
+	Iterations int
+	// Last is the most recent reaction (the zero Decision before the
+	// first).
+	Last Decision
 }
 
-// Iterations returns the number of completed reactions.
-func (c *Controller) Iterations() int {
+// Status returns the controller's progress.
+func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.iterations
-}
-
-// Last returns the most recent reaction (the zero Decision before the
-// first).
-func (c *Controller) Last() Decision {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.last
+	return Status{Converged: c.converged, Iterations: c.iterations, Last: c.last}
 }
 
 // Observe tallies one completed item into the observation window, and
@@ -284,10 +252,10 @@ func (c *Controller) Observe(it *core.Item) {
 		return
 	}
 	if int(m.Completed) < c.cfg.MaxWindow {
-		if m.All.RelativeCIHalfWidth(c.cfg.Confidence) > c.cfg.MaxRelCI {
+		if m.All.RelativeCIHalfWidth(confidence) > maxRelCI {
 			return
 		}
-		if c.interCompletion.RelativeCIHalfWidth(c.cfg.Confidence) > c.cfg.TputRelCI {
+		if c.interCompletion.RelativeCIHalfWidth(confidence) > c.cfg.tputRelCI() {
 			return
 		}
 	}
@@ -316,11 +284,11 @@ func (c *Controller) react(m core.Metrics) {
 	cfg := c.cfg
 	tput := m.Throughput()
 	rt := m.All.Mean()
-	tputTarget := (1 - cfg.MaxThroughputLoss) * cfg.Reference.MaxThroughput
+	tputTarget := (1 - cfg.MaxThroughputLoss) * cfg.ReferenceThroughput
 	tputOK := tput >= tputTarget
 	rtOK := true
-	if cfg.MaxRTIncrease > 0 && cfg.Reference.OptimalRT > 0 {
-		rtOK = rt <= (1+cfg.MaxRTIncrease)*cfg.Reference.OptimalRT
+	if cfg.MaxRTIncrease > 0 && cfg.ReferenceRT > 0 {
+		rtOK = rt <= (1+cfg.MaxRTIncrease)*cfg.ReferenceRT
 	}
 	mpl := c.gate.MPL()
 	action := Hold
@@ -332,8 +300,8 @@ func (c *Controller) react(m core.Metrics) {
 			c.floor = mpl
 		}
 		step := c.nextStep(Increase)
-		if mpl+step > cfg.MaxMPL {
-			step = cfg.MaxMPL - mpl
+		if mpl+step > cfg.MaxLimit {
+			step = cfg.MaxLimit - mpl
 		}
 		if step > 0 {
 			action = Increase
@@ -372,18 +340,12 @@ func (c *Controller) react(m core.Metrics) {
 }
 
 // nextStep returns the step for an intended action, doubling while the
-// direction persists (when AdaptiveStep) and resetting otherwise.
+// direction persists and resetting to 1 otherwise.
 func (c *Controller) nextStep(intended Action) int {
-	if !*c.cfg.AdaptiveStep {
-		return c.cfg.Step
-	}
 	if c.last.Action == intended {
-		c.step *= 2
-		if c.step > c.cfg.MaxStep {
-			c.step = c.cfg.MaxStep
-		}
+		c.step = min(2*c.step, maxStep)
 	} else {
-		c.step = c.cfg.Step
+		c.step = 1
 	}
 	return c.step
 }
@@ -391,8 +353,8 @@ func (c *Controller) nextStep(intended Action) int {
 // comfortably reports whether tput exceeds the target with hysteresis
 // margin, so that a decrease is unlikely to immediately bounce back.
 func (c *Controller) comfortably(tput, target float64) bool {
-	slack := c.cfg.MaxThroughputLoss * c.cfg.Reference.MaxThroughput
-	return tput >= target+c.cfg.DecreaseMargin*slack
+	slack := c.cfg.MaxThroughputLoss * c.cfg.ReferenceThroughput
+	return tput >= target+decreaseMargin*slack
 }
 
 // JumpStartInput feeds the queueing models that pick the starting MPL.

@@ -122,12 +122,12 @@ func TestJumpStartValidation(t *testing.T) {
 func TestNewValidation(t *testing.T) {
 	eng, fe, _ := buildRig(t, 1, 5, 1)
 	_ = eng
-	if _, err := New(eng.Clock(), fe, Config{Targets: Targets{MaxThroughputLoss: 0.05}}); err == nil {
+	if _, err := New(eng.Clock(), fe, Config{MaxThroughputLoss: 0.05}); err == nil {
 		t.Error("missing reference accepted")
 	}
 	if _, err := New(eng.Clock(), fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 1.5},
-		Reference: Reference{MaxThroughput: 10},
+		MaxThroughputLoss:   1.5,
+		ReferenceThroughput: 10,
 	}); err == nil {
 		t.Error("loss >= 1 accepted")
 	}
@@ -152,15 +152,16 @@ func TestConvergesFromJumpStart(t *testing.T) {
 	// Warm up before attaching so the pool and lock state are hot.
 	eng.Run(20)
 	ctl := attach(t, eng, fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: refTput},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: refTput,
 	})
 	eng.Run(2000)
-	if !ctl.Converged() {
-		t.Fatalf("controller did not converge; last reaction: %+v", ctl.Last())
+	st := ctl.Status()
+	if !st.Converged {
+		t.Fatalf("controller did not converge; last reaction: %+v", st.Last)
 	}
-	if ctl.Iterations() >= 10 {
-		t.Errorf("converged in %d iterations, want < 10 (last %+v)", ctl.Iterations(), ctl.Last())
+	if st.Iterations >= 10 {
+		t.Errorf("converged in %d iterations, want < 10 (last %+v)", st.Iterations, st.Last)
 	}
 	final := fe.MPL()
 	if final < 1 || final > 40 {
@@ -184,12 +185,12 @@ func TestIncreasesWhenStartedTooLow(t *testing.T) {
 	eng, fe, _ := buildRig(t, 8, 1, 6)
 	eng.Run(50)
 	ctl := attach(t, eng, fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: refTput},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: refTput,
 	})
 	eng.Run(4000)
 	if fe.MPL() <= 1 {
-		t.Errorf("MPL stayed at %d; expected increases (last %+v)", fe.MPL(), ctl.Last())
+		t.Errorf("MPL stayed at %d; expected increases (last %+v)", fe.MPL(), ctl.Status().Last)
 	}
 }
 
@@ -198,12 +199,12 @@ func TestDecreasesWhenStartedTooHigh(t *testing.T) {
 	eng, fe, _ := buildRig(t, 1, 60, 8)
 	eng.Run(20)
 	ctl := attach(t, eng, fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: refTput},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: refTput,
 	})
 	eng.Run(2000)
 	if fe.MPL() >= 60 {
-		t.Errorf("MPL stayed at %d; expected decreases (last %+v)", fe.MPL(), ctl.Last())
+		t.Errorf("MPL stayed at %d; expected decreases (last %+v)", fe.MPL(), ctl.Status().Last)
 	}
 }
 
@@ -218,12 +219,12 @@ func TestNoReactionWithoutLoad(t *testing.T) {
 	gen, _ := workload.NewGenerator(setup.Workload, 3)
 	workload.NewClosedDriver(eng, fe, gen, 2, dist.NewDeterministic(1)).Start()
 	ctl := attach(t, eng, fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: 80},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: 80,
 	})
 	eng.Run(500)
-	if ctl.Iterations() != 0 {
-		t.Errorf("controller reacted %d times on an idle system: %+v", ctl.Iterations(), ctl.Last())
+	if st := ctl.Status(); st.Iterations != 0 {
+		t.Errorf("controller reacted %d times on an idle system: %+v", st.Iterations, st.Last)
 	}
 }
 
@@ -232,14 +233,15 @@ func TestHistoryRecordsMetrics(t *testing.T) {
 	eng, fe, _ := buildRig(t, 1, 3, 9)
 	eng.Run(10)
 	ctl := attach(t, eng, fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: refTput},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: refTput,
 	})
 	eng.Run(500)
-	if ctl.Iterations() == 0 {
+	st := ctl.Status()
+	if st.Iterations == 0 {
 		t.Fatal("no reactions")
 	}
-	if d := ctl.Last(); d.Iteration != ctl.Iterations() || d.Throughput <= 0 || d.MeanRT <= 0 || d.MPL < 1 {
+	if d := st.Last; d.Iteration != st.Iterations || d.Throughput <= 0 || d.MeanRT <= 0 || d.MPL < 1 {
 		t.Errorf("bad decision record: %+v", d)
 	}
 }
@@ -258,8 +260,8 @@ func (fixedGate) Inside() int   { return 4 }
 // so no inter-completion time is negative.
 func TestObserveClampsOutOfOrderStamps(t *testing.T) {
 	ctl, err := New(sim.NewEngine().Clock(), fixedGate{}, Config{
-		Reference:       Reference{MaxThroughput: 100},
-		MinObservations: 1000,
+		ReferenceThroughput: 100,
+		MinObservations:     1000,
 	})
 	if err != nil {
 		t.Fatal(err)

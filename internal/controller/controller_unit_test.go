@@ -26,34 +26,28 @@ func unitRig(t *testing.T, mpl int) (*sim.Engine, *dbfe.Frontend) {
 }
 
 func TestConfigDefaults(t *testing.T) {
-	c := Config{Targets: Targets{MaxThroughputLoss: 0.05}}.withDefaults()
+	c := Config{MaxThroughputLoss: 0.05}.withDefaults()
 	if c.MinObservations != 100 {
 		t.Errorf("MinObservations = %d", c.MinObservations)
 	}
-	if c.Confidence != 0.95 || c.MaxRelCI != 0.15 {
-		t.Errorf("CI defaults wrong: %v %v", c.Confidence, c.MaxRelCI)
-	}
-	if c.TputRelCI != 0.025 {
-		t.Errorf("TputRelCI = %v, want loss/2 = 0.025", c.TputRelCI)
+	if got := c.tputRelCI(); got != 0.025 {
+		t.Errorf("tputRelCI = %v, want loss/2 = 0.025", got)
 	}
 	if c.MaxWindow != 5000 {
 		t.Errorf("MaxWindow = %d, want 50x observations", c.MaxWindow)
 	}
-	if !*c.AdaptiveStep || c.MaxStep != 16 {
-		t.Error("adaptive step defaults wrong")
-	}
 	// Tiny loss: CI floor applies.
-	c2 := Config{Targets: Targets{MaxThroughputLoss: 0.01}}.withDefaults()
-	if c2.TputRelCI != 0.02 {
-		t.Errorf("TputRelCI floor = %v, want 0.02", c2.TputRelCI)
+	c2 := Config{MaxThroughputLoss: 0.01}.withDefaults()
+	if got := c2.tputRelCI(); got != 0.02 {
+		t.Errorf("tputRelCI floor = %v, want 0.02", got)
 	}
 }
 
 func TestNextStepAdaptive(t *testing.T) {
 	eng, fe := unitRig(t, 5)
 	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: 100},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -77,32 +71,11 @@ func TestNextStepAdaptive(t *testing.T) {
 	}
 }
 
-func TestNextStepConstantWhenDisabled(t *testing.T) {
-	eng, fe := unitRig(t, 5)
-	off := false
-	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:      Targets{MaxThroughputLoss: 0.05},
-		Reference:    Reference{MaxThroughput: 100},
-		AdaptiveStep: &off,
-		Step:         2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl.last.Action = Increase
-	for i := 0; i < 4; i++ {
-		if s := ctl.nextStep(Increase); s != 2 {
-			t.Fatalf("constant step = %d, want 2", s)
-		}
-		ctl.last.Action = Increase
-	}
-}
-
 func TestReactIncreasesOnViolation(t *testing.T) {
 	eng, fe := unitRig(t, 3)
 	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: 100},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -116,7 +89,7 @@ func TestReactIncreasesOnViolation(t *testing.T) {
 	if ctl.floor != 3 {
 		t.Errorf("floor = %d, want 3 (marked infeasible)", ctl.floor)
 	}
-	d := ctl.Last()
+	d := ctl.Status().Last
 	if d.Action != Increase || d.TputOK {
 		t.Errorf("decision = %+v", d)
 	}
@@ -125,8 +98,8 @@ func TestReactIncreasesOnViolation(t *testing.T) {
 func TestReactDecreasesWithMargin(t *testing.T) {
 	eng, fe := unitRig(t, 10)
 	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05},
-		Reference: Reference{MaxThroughput: 100},
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -141,9 +114,9 @@ func TestReactDecreasesWithMargin(t *testing.T) {
 func TestReactHoldsAtBoundary(t *testing.T) {
 	eng, fe := unitRig(t, 4)
 	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:     Targets{MaxThroughputLoss: 0.05},
-		Reference:   Reference{MaxThroughput: 100},
-		HoldWindows: 2,
+		MaxThroughputLoss:   0.05,
+		ReferenceThroughput: 100,
+		HoldWindows:         2,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,11 +126,11 @@ func TestReactHoldsAtBoundary(t *testing.T) {
 	if fe.MPL() != 4 {
 		t.Errorf("MPL = %d, want hold at 4", fe.MPL())
 	}
-	if ctl.Converged() {
+	if ctl.Status().Converged {
 		t.Error("converged after one hold, want 2")
 	}
 	ctl.react(syntheticWindow(96, 0.05, 200))
-	if !ctl.Converged() {
+	if !ctl.Status().Converged {
 		t.Error("not converged after HoldWindows holds")
 	}
 }
@@ -165,8 +138,8 @@ func TestReactHoldsAtBoundary(t *testing.T) {
 func TestReactRTViolation(t *testing.T) {
 	eng, fe := unitRig(t, 4)
 	ctl, err := New(eng.Clock(), fe, Config{
-		Targets:   Targets{MaxThroughputLoss: 0.05, MaxRTIncrease: 0.10},
-		Reference: Reference{MaxThroughput: 100, OptimalRT: 0.1},
+		MaxThroughputLoss: 0.05, MaxRTIncrease: 0.10,
+		ReferenceThroughput: 100, ReferenceRT: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -176,7 +149,7 @@ func TestReactRTViolation(t *testing.T) {
 	if fe.MPL() != 5 {
 		t.Errorf("MPL = %d, want 5 (RT violated)", fe.MPL())
 	}
-	d := ctl.Last()
+	d := ctl.Status().Last
 	if d.RTOK || !d.TputOK {
 		t.Errorf("decision flags wrong: %+v", d)
 	}

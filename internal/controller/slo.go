@@ -34,25 +34,22 @@ type ClassGate interface {
 	SetClassLimits(map[core.Class]int)
 }
 
-// SLOTarget is one class's latency objective: the Percentile-th
-// response-time percentile must stay at or below Target seconds.
-type SLOTarget struct {
+// SLOConfig tunes the SLO loop: hold Class's Percentile-th
+// response-time percentile at or below Target seconds. The live gate
+// takes it as gate.SLOTuneConfig, and the scenario runner builds it
+// from an SLOSpec.
+type SLOConfig struct {
 	// Class is the protected class (usually core.ClassHigh).
 	Class core.Class
+	// OtherClass is the class the SLO class borrows slots from; left
+	// zero (or equal to Class) it defaults to low, or to high for a
+	// low target. The partition always covers exactly these two
+	// classes; any other class stays uncapped.
+	OtherClass core.Class
 	// Percentile is the controlled percentile (e.g. 95); default 95.
 	Percentile float64
 	// Target is the latency bound in seconds. Required, > 0.
 	Target float64
-}
-
-// SLOConfig tunes the SLO loop.
-type SLOConfig struct {
-	Target SLOTarget
-	// OtherClass is the class the SLO class borrows slots from; left
-	// zero (or equal to the target class) it defaults to low, or to
-	// high for a low target. The partition always covers exactly
-	// these two classes; any other class stays uncapped.
-	OtherClass core.Class
 	// MinObservations gates window close: the window needs this many
 	// completions overall AND a tenth of it (at least 5) from the SLO
 	// class, so a reaction never steers on an unmeasured tail. Default
@@ -63,26 +60,28 @@ type SLOConfig struct {
 	// Margin×Target (default 0.5), so the partition does not oscillate
 	// at the boundary.
 	Margin float64
-	// GiveBackHold is how many CONSECUTIVE below-margin windows it
-	// takes to hand one slot back (default 4). Taking is per-window,
-	// giving back is deliberately slower: with work-conserving
-	// borrowing an oversized SLO share costs the other class almost
-	// nothing while the SLO class is idle (the idle slots are lent
-	// out), whereas an undersized share at the next burst costs the SLO
-	// class its tail. Asymmetric pacing keeps the share from decaying
-	// between burst episodes.
-	GiveBackHold int
-	// MinClassLimit floors each class's share; default 1.
-	MinClassLimit int
 }
 
+// giveBackHold is how many CONSECUTIVE below-margin windows it takes to
+// hand one slot back. Taking is per-window, giving back is
+// deliberately slower: with work-conserving borrowing an oversized SLO
+// share costs the other class almost nothing while the SLO class is
+// idle (the idle slots are lent out), whereas an undersized share at
+// the next burst costs the SLO class its tail. Asymmetric pacing keeps
+// the share from decaying between burst episodes. minClassLimit floors
+// each class's share.
+const (
+	giveBackHold  = 4
+	minClassLimit = 1
+)
+
 func (c SLOConfig) withDefaults() SLOConfig {
-	if c.Target.Percentile == 0 {
-		c.Target.Percentile = 95
+	if c.Percentile == 0 {
+		c.Percentile = 95
 	}
-	if c.OtherClass == c.Target.Class {
+	if c.OtherClass == c.Class {
 		c.OtherClass = core.ClassLow
-		if c.Target.Class == core.ClassLow {
+		if c.Class == core.ClassLow {
 			c.OtherClass = core.ClassHigh
 		}
 	}
@@ -91,12 +90,6 @@ func (c SLOConfig) withDefaults() SLOConfig {
 	}
 	if c.Margin == 0 {
 		c.Margin = 0.5
-	}
-	if c.GiveBackHold <= 0 {
-		c.GiveBackHold = 4
-	}
-	if c.MinClassLimit <= 0 {
-		c.MinClassLimit = 1
 	}
 	return c
 }
@@ -128,25 +121,24 @@ type SLOController struct {
 
 // NewSLO builds an SLO controller over g and installs the initial
 // partition: an even split of the gate's current MPL (SLO class
-// rounded up), each class floored at MinClassLimit. The gate must have
-// a finite MPL of at least 2× MinClassLimit — a partition needs at
-// least one slot per class. Changing the gate's MPL while the loop
+// rounded up). The gate must have a finite MPL of at least 2 — a
+// partition needs at least one slot per class. Changing the gate's MPL while the loop
 // runs is fine: the partition re-spreads over the new total at the
 // next reaction.
 func NewSLO(g ClassGate, cfg SLOConfig) (*SLOController, error) {
 	cfg = cfg.withDefaults()
-	if cfg.Target.Target <= 0 {
-		return nil, fmt.Errorf("controller: SLO target %v must be positive seconds", cfg.Target.Target)
+	if cfg.Target <= 0 {
+		return nil, fmt.Errorf("controller: SLO target %v must be positive seconds", cfg.Target)
 	}
-	if cfg.Target.Percentile <= 0 || cfg.Target.Percentile >= 100 {
-		return nil, fmt.Errorf("controller: SLO percentile %v outside (0,100)", cfg.Target.Percentile)
+	if cfg.Percentile <= 0 || cfg.Percentile >= 100 {
+		return nil, fmt.Errorf("controller: SLO percentile %v outside (0,100)", cfg.Percentile)
 	}
 	if cfg.Margin < 0 || cfg.Margin >= 1 {
 		return nil, fmt.Errorf("controller: SLO margin %v outside [0,1)", cfg.Margin)
 	}
 	total := g.MPL()
-	if total < 2*cfg.MinClassLimit {
-		return nil, fmt.Errorf("controller: SLO partition needs MPL >= %d, gate has %d", 2*cfg.MinClassLimit, total)
+	if total < 2*minClassLimit {
+		return nil, fmt.Errorf("controller: SLO partition needs MPL >= %d, gate has %d", 2*minClassLimit, total)
 	}
 	c := &SLOController{gate: g, cfg: cfg, sloShare: (total + 1) / 2}
 	c.clampShare(total)
@@ -154,58 +146,52 @@ func NewSLO(g ClassGate, cfg SLOConfig) (*SLOController, error) {
 	return c, nil
 }
 
-// clampShare keeps the SLO share inside [MinClassLimit, total-MinClassLimit].
+// clampShare keeps the SLO share inside [minClassLimit, total-minClassLimit].
 func (c *SLOController) clampShare(total int) {
-	if c.sloShare < c.cfg.MinClassLimit {
-		c.sloShare = c.cfg.MinClassLimit
+	if c.sloShare < minClassLimit {
+		c.sloShare = minClassLimit
 	}
-	if max := total - c.cfg.MinClassLimit; c.sloShare > max {
+	if max := total - minClassLimit; c.sloShare > max {
 		c.sloShare = max
 	}
 }
 
 // apply pushes the current partition to the gate. The two limits
-// always sum to the gate's MPL and each stays >= MinClassLimit — the
+// always sum to the gate's MPL and each stays >= minClassLimit — the
 // partition invariant the property tests pin.
 func (c *SLOController) apply(total int) {
 	c.gate.SetClassLimits(map[core.Class]int{
-		c.cfg.Target.Class: c.sloShare,
-		c.cfg.OtherClass:   total - c.sloShare,
+		c.cfg.Class:      c.sloShare,
+		c.cfg.OtherClass: total - c.sloShare,
 	})
 }
 
-// Iterations returns the number of completed reactions.
-func (c *SLOController) Iterations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.iterations
+// SLOStatus is the SLO loop's progress, read under one lock so its
+// fields come from the same reaction.
+type SLOStatus struct {
+	// SLOLimit / OtherLimit are the current slot partition, clamped
+	// against the gate's CURRENT MPL: an external limit change between
+	// reactions (SetLimit, a composed MPL loop) shrinks the reported
+	// share rather than producing a negative other side; the next
+	// closed window re-spreads the stored share the same way.
+	SLOLimit, OtherLimit int
+	// Iterations is the number of completed reactions.
+	Iterations int
+	// LastMeasured is the SLO class's percentile, in seconds, over the
+	// last closed window (0 before the first reaction).
+	LastMeasured float64
 }
 
-// LastMeasured returns the SLO class's percentile, in seconds, over the
-// last closed window (0 before the first reaction).
-func (c *SLOController) LastMeasured() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.lastMeasured
-}
-
-// Limits returns the current (sloClass, otherClass) slot partition,
-// clamped against the gate's CURRENT MPL: an external limit change
-// between reactions (SetLimit, a composed MPL loop) shrinks the
-// reported share rather than producing a negative other side; the
-// next closed window re-spreads the stored share the same way.
-func (c *SLOController) Limits() (slo, other int) {
+// Status returns the SLO loop's progress.
+func (c *SLOController) Status() SLOStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	total := c.gate.MPL()
-	slo = c.sloShare
-	if max := total - c.cfg.MinClassLimit; slo > max {
-		slo = max
-	}
+	slo := min(c.sloShare, total-minClassLimit)
 	if slo < 0 {
 		slo = 0
 	}
-	return slo, total - slo
+	return SLOStatus{SLOLimit: slo, OtherLimit: total - slo, Iterations: c.iterations, LastMeasured: c.lastMeasured}
 }
 
 // Observe tallies one completed item into the observation window: when
@@ -224,20 +210,20 @@ func (c *SLOController) Observe(it *core.Item) {
 	if minSLO < 5 {
 		minSLO = 5
 	}
-	tail := c.win.ClassMetric(c.cfg.Target.Class)
+	tail := c.win.ClassMetric(c.cfg.Class)
 	if int(tail.Completed()) < minSLO {
 		return
 	}
-	measured := tail.Sketch.Quantile(c.cfg.Target.Percentile / 100)
+	measured := tail.Sketch.Quantile(c.cfg.Percentile / 100)
 	total := c.gate.MPL()
-	if total >= 2*c.cfg.MinClassLimit {
+	if total >= 2*minClassLimit {
 		switch {
-		case measured > c.cfg.Target.Target:
+		case measured > c.cfg.Target:
 			c.sloShare++
 			c.belowCount = 0
-		case measured < c.cfg.Margin*c.cfg.Target.Target:
+		case measured < c.cfg.Margin*c.cfg.Target:
 			c.belowCount++
-			if c.belowCount >= c.cfg.GiveBackHold {
+			if c.belowCount >= giveBackHold {
 				c.sloShare--
 				c.belowCount = 0
 			}

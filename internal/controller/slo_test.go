@@ -44,10 +44,7 @@ func checkPartition(t *testing.T, g *fakeClassGate) {
 
 func TestSLOControllerSteersPartition(t *testing.T) {
 	g := &fakeClassGate{mpl: 10}
-	c, err := NewSLO(g, SLOConfig{
-		Target:       SLOTarget{Class: core.ClassHigh, Target: 1.0},
-		GiveBackHold: 2,
-	})
+	c, err := NewSLO(g, SLOConfig{Class: core.ClassHigh, Target: 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,22 +70,27 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 		t.Fatalf("low floor violated: %d", g.limits[core.ClassLow])
 	}
 
-	// Give-back is paced: it takes GiveBackHold consecutive calm
+	// Give-back is paced: it takes giveBackHold consecutive calm
 	// windows per returned slot.
 	high := g.limits[core.ClassHigh]
-	window(c, 0.1)
-	checkPartition(t, g)
-	if g.limits[core.ClassHigh] != high {
-		t.Fatal("gave back after a single calm window")
+	for i := 1; i < giveBackHold; i++ {
+		window(c, 0.1)
+		checkPartition(t, g)
+		if g.limits[core.ClassHigh] != high {
+			t.Fatalf("gave back after %d calm windows, want %d", i, giveBackHold)
+		}
 	}
 	window(c, 0.1)
 	checkPartition(t, g)
 	if g.limits[core.ClassHigh] != high-1 {
-		t.Fatalf("high share %d after %d calm windows, want %d", g.limits[core.ClassHigh], 2, high-1)
+		t.Fatalf("high share %d after %d calm windows, want %d", g.limits[core.ClassHigh], giveBackHold, high-1)
 	}
 
 	// In-band windows (between margin and target) hold AND reset the
 	// give-back count.
+	for i := 1; i < giveBackHold; i++ {
+		window(c, 0.1)
+	}
 	window(c, 0.8)
 	window(c, 0.1)
 	checkPartition(t, g)
@@ -101,8 +103,8 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 	window(c, 0.8)
 	checkPartition(t, g)
 
-	if c.Iterations() == 0 || c.LastMeasured() != 0.8 {
-		t.Fatalf("reaction bookkeeping broken: %d iterations, last measured %v", c.Iterations(), c.LastMeasured())
+	if st := c.Status(); st.Iterations == 0 || st.LastMeasured != 0.8 {
+		t.Fatalf("reaction bookkeeping broken: %d iterations, last measured %v", st.Iterations, st.LastMeasured)
 	}
 }
 
@@ -110,7 +112,7 @@ func TestSLOControllerSteersPartition(t *testing.T) {
 // overall or from the SLO class — must not trigger a reaction.
 func TestSLOControllerWindowGates(t *testing.T) {
 	g := &fakeClassGate{mpl: 8}
-	cfg := SLOConfig{Target: SLOTarget{Class: core.ClassHigh, Target: 1.0}}
+	cfg := SLOConfig{Class: core.ClassHigh, Target: 1.0}
 	c, err := NewSLO(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +121,7 @@ func TestSLOControllerWindowGates(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		c.Observe(&core.Item{Class: core.ClassHigh, Complete: 5})
 	}
-	if c.Iterations() != 0 {
+	if c.Status().Iterations != 0 {
 		t.Fatal("reacted on an under-observed window")
 	}
 	// Enough overall, none from the SLO class.
@@ -130,24 +132,24 @@ func TestSLOControllerWindowGates(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		c.Observe(&core.Item{Class: core.ClassLow, Complete: 5})
 	}
-	if c.Iterations() != 0 {
+	if c.Status().Iterations != 0 {
 		t.Fatal("reacted with zero SLO-class completions")
 	}
 	// The fifth SLO-class completion closes the window.
 	for i := 0; i < 5; i++ {
 		c.Observe(&core.Item{Class: core.ClassHigh, Complete: 5})
 	}
-	if c.Iterations() != 1 || c.LastMeasured() != 5 {
-		t.Fatalf("after 5 SLO-class completions: %d iterations, last measured %v", c.Iterations(), c.LastMeasured())
+	if st := c.Status(); st.Iterations != 1 || st.LastMeasured != 5 {
+		t.Fatalf("after 5 SLO-class completions: %d iterations, last measured %v", st.Iterations, st.LastMeasured)
 	}
 }
 
 func TestSLOControllerValidation(t *testing.T) {
 	g := &fakeClassGate{mpl: 8}
 	cases := []SLOConfig{
-		{Target: SLOTarget{Class: core.ClassHigh}},                             // no target
-		{Target: SLOTarget{Class: core.ClassHigh, Target: 1, Percentile: 100}}, // bad percentile
-		{Target: SLOTarget{Class: core.ClassHigh, Target: 1}, Margin: 1.5},     // bad margin
+		{Class: core.ClassHigh},                             // no target
+		{Class: core.ClassHigh, Target: 1, Percentile: 100}, // bad percentile
+		{Class: core.ClassHigh, Target: 1, Margin: 1.5},     // bad margin
 	}
 	for i, cfg := range cases {
 		if _, err := NewSLO(g, cfg); err == nil {
@@ -156,15 +158,11 @@ func TestSLOControllerValidation(t *testing.T) {
 	}
 	// An unset (or equal) OtherClass defaults to the complement: a
 	// low-class SLO partitions against high.
-	if _, err := NewSLO(&fakeClassGate{mpl: 8}, SLOConfig{
-		Target: SLOTarget{Class: core.ClassLow, Target: 1},
-	}); err != nil {
+	if _, err := NewSLO(&fakeClassGate{mpl: 8}, SLOConfig{Class: core.ClassLow, Target: 1}); err != nil {
 		t.Errorf("complement defaulting broken: %v", err)
 	}
 	// MPL too small to partition.
-	if _, err := NewSLO(&fakeClassGate{mpl: 1}, SLOConfig{
-		Target: SLOTarget{Class: core.ClassHigh, Target: 1},
-	}); err == nil {
+	if _, err := NewSLO(&fakeClassGate{mpl: 1}, SLOConfig{Class: core.ClassHigh, Target: 1}); err == nil {
 		t.Error("MPL 1 accepted for a two-sided partition")
 	}
 }

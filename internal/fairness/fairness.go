@@ -18,6 +18,10 @@
 // the per-class limits always sum to the gate's MPL, and every tenant
 // keeps at least one slot (no tenant can be starved out entirely, so
 // an aggressor can never capture the whole gate).
+//
+// Config is the one vocabulary for this loop: the live gate takes it
+// directly (gate.FairnessConfig is an alias), and the scenario runner
+// translates its name-keyed JSON spec into it.
 package fairness
 
 import (
@@ -188,29 +192,25 @@ func (c *Controller) apply() {
 	c.gate.SetClassLimits(out)
 }
 
-// Limits returns a copy of the current partition.
-func (c *Controller) Limits() map[core.Class]int {
+// Status is the fairness loop's progress, read under one lock so its
+// fields come from the same reaction.
+type Status struct {
+	// Limits is a copy of the current partition.
+	Limits map[core.Class]int
+	// Iterations counts completed reactions; Moves how many of them
+	// actually moved a slot.
+	Iterations, Moves int
+}
+
+// Status returns the fairness loop's progress.
+func (c *Controller) Status() Status {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make(map[core.Class]int, len(c.limits))
 	for cl, l := range c.limits {
 		out[cl] = l
 	}
-	return out
-}
-
-// Iterations returns the number of completed reactions.
-func (c *Controller) Iterations() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.iterations
-}
-
-// Moves returns how many reactions actually moved a slot.
-func (c *Controller) Moves() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.moves
+	return Status{Limits: out, Iterations: c.iterations, Moves: c.moves}
 }
 
 // Observe tallies one completed item into the observation window: when

@@ -43,8 +43,8 @@ func (g *fakeGate) window(ctl *Controller, perSlot int, demand map[core.Class]in
 		}
 	}
 	sort.Slice(classes, func(i, j int) bool { return classes[i] < classes[j] })
-	start := ctl.Iterations()
-	for n := 0; n < 10000 && len(classes) > 0 && ctl.Iterations() == start; n++ {
+	start := ctl.Status().Iterations
+	for n := 0; n < 10000 && len(classes) > 0 && ctl.Status().Iterations == start; n++ {
 		c := classes[0]
 		for _, o := range classes[1:] {
 			if next[o] < next[c] {
@@ -181,7 +181,7 @@ func TestConvergesToWeightedShares(t *testing.T) {
 			t.Errorf("class %d limit = %d, want %d±1 (final %v)", c, got, want, g.limits)
 		}
 	}
-	if ctl.Moves() == 0 {
+	if ctl.Status().Moves == 0 {
 		t.Error("controller never moved a slot")
 	}
 }
@@ -227,8 +227,8 @@ func TestHysteresisHoldsBalance(t *testing.T) {
 	for w := 0; w < 10; w++ {
 		g.window(ctl, 20, nil)
 	}
-	if ctl.Moves() != 0 {
-		t.Errorf("balanced system moved %d slots", ctl.Moves())
+	if m := ctl.Status().Moves; m != 0 {
+		t.Errorf("balanced system moved %d slots", m)
 	}
 	if g.limits[0] != 4 || g.limits[1] != 4 {
 		t.Errorf("balanced partition drifted to %v", g.limits)

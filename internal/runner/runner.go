@@ -409,7 +409,7 @@ func (r *run) converged() bool {
 		return false
 	}
 	ctl, ok := r.loops.Loop(controller.KindMPL).(*controller.Controller)
-	return ok && ctl.Converged()
+	return ok && ctl.Status().Converged
 }
 
 // Run executes the scenario on st. It validates sc against the stack
@@ -702,16 +702,12 @@ func (r *run) attachController(cs ControllerSpec) error {
 	gate := r.st.Gate()
 	err := r.loops.Attach(controller.KindMPL, func() (controller.Loop, error) {
 		return controller.New(r.st.Eng.Clock(), gate, controller.Config{
-			Targets: controller.Targets{
-				MaxThroughputLoss: cs.MaxThroughputLoss,
-				MaxRTIncrease:     cs.MaxRTIncrease,
-			},
-			Reference: controller.Reference{
-				MaxThroughput: cs.ReferenceThroughput,
-				OptimalRT:     cs.ReferenceRT,
-			},
-			MinObservations: cs.MinObservations,
-			HoldWindows:     cs.HoldWindows,
+			MaxThroughputLoss:   cs.MaxThroughputLoss,
+			ReferenceThroughput: cs.ReferenceThroughput,
+			MaxRTIncrease:       cs.MaxRTIncrease,
+			ReferenceRT:         cs.ReferenceRT,
+			MinObservations:     cs.MinObservations,
+			HoldWindows:         cs.HoldWindows,
 		})
 	})
 	if err != nil {
@@ -737,11 +733,9 @@ func (r *run) attachSLO(spec SLOSpec) error {
 	}
 	err = r.loops.Attach(controller.KindSLO, func() (controller.Loop, error) {
 		return controller.NewSLO(r.st.FE.Frontend, controller.SLOConfig{
-			Target: controller.SLOTarget{
-				Class:      class,
-				Percentile: spec.Percentile,
-				Target:     spec.Target,
-			},
+			Class:           class,
+			Percentile:      spec.Percentile,
+			Target:          spec.Target,
 			MinObservations: spec.MinObservations,
 			Margin:          spec.Margin,
 		})
@@ -780,23 +774,25 @@ func (r *run) attachFairness(spec FairnessSpec) error {
 func (r *run) record(l controller.Loop) {
 	switch l := l.(type) {
 	case *controller.Controller:
+		st := l.Status()
 		t := r.out.Tune
 		t.FinalMPL = r.st.Gate().MPL()
-		t.Iterations = l.Iterations()
-		t.Converged = l.Converged()
+		t.Iterations = st.Iterations
+		t.Converged = st.Converged
 	case *controller.SLOController:
+		st := l.Status()
 		s := r.out.SLO
-		s.SLOLimit, s.OtherLimit = l.Limits()
-		s.Iterations = l.Iterations()
-		s.LastMeasured = l.LastMeasured()
+		s.SLOLimit, s.OtherLimit = st.SLOLimit, st.OtherLimit
+		s.Iterations = st.Iterations
+		s.LastMeasured = st.LastMeasured
 	case *fairness.Controller:
-		limits := l.Limits()
+		st := l.Status()
 		f := &FairnessResult{
-			Limits:     make(map[int]int, len(limits)),
-			Iterations: l.Iterations(),
-			Moves:      l.Moves(),
+			Limits:     make(map[int]int, len(st.Limits)),
+			Iterations: st.Iterations,
+			Moves:      st.Moves,
 		}
-		for c, n := range limits {
+		for c, n := range st.Limits {
 			f.Limits[int(c)] = n
 		}
 		r.out.Fairness = f

@@ -18,12 +18,12 @@ package metrics
 // the measurement window that produced it.
 //
 // Two window conventions are in use, and Window tells them apart:
-// streaming observers (Scenario runs, Gate.Watch) emit per-interval
-// snapshots whose counters cover only the Window seconds since the
-// previous snapshot, while Gate.Stats returns a cumulative snapshot
-// covering the whole current metrics window. Lifetime counters
-// (Dropped, Canceled, Errors) follow the same rule: deltas in interval
-// snapshots, totals in cumulative ones.
+// Scenario runs stream per-interval snapshots whose counters cover only
+// the Window seconds since the previous snapshot, while the live gate's
+// Stats — and Gate.Watch, which streams Stats at each tick — report a
+// cumulative snapshot covering the whole current metrics window.
+// Lifetime counters (Dropped, Canceled, Errors) follow the same rule:
+// deltas in interval snapshots, totals in cumulative ones.
 type Snapshot struct {
 	// Time is the snapshot instant in seconds since the run (or gate)
 	// epoch — simulated seconds for the simulator, wall seconds live.
