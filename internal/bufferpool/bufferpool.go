@@ -15,6 +15,11 @@
 // (Knuth, TAOCP vol. 3, §6.4, Algorithm R). A probe compares the key
 // through the arena node a hit touches anyway, an eviction leaves no
 // tombstone behind, and nothing is allocated after New.
+//
+// A pool smaller than its database is prewarmed without replaying the
+// warm-up's accesses: Pool.Warm installs exactly the pool that n
+// replayed accesses from an AccessPattern would leave, by walking that
+// access stream backwards until the pool is full.
 package bufferpool
 
 import (
@@ -273,6 +278,51 @@ func (p *Pool) CollectDirty(max int) int {
 	return n
 }
 
+// Warm fills an empty pool with exactly the pages, in exactly the
+// recency order, that n calls of Access(pat.Sample(sim.NewRNG(seed,
+// stream))) would leave in it, without making those calls. An LRU's
+// content after any access sequence is the sequence's last capacity
+// distinct pages, most recent first (Mattson et al., "Evaluation
+// techniques for storage hierarchies", IBM Syst. J. 1970), so Warm
+// walks the n samples backwards through sim.ReverseStream, two draws
+// per sample, appends each page not yet resident at the least recently
+// used end, and stops as soon as the pool is full. Hits, misses and
+// dirty flags stay zero; arena slots and index cluster order may differ
+// from the replay's, but nothing observable depends on them. Nothing
+// is allocated.
+func (p *Pool) Warm(pat AccessPattern, seed, stream uint64, n int) {
+	if len(p.nodes) != 0 {
+		panic("bufferpool: Warm needs an empty pool")
+	}
+	r := sim.NewReverseStream(seed, stream, 2*n)
+	for len(p.nodes) < p.capacity && r.Left() > 0 {
+		u := r.Uint64() // the sample's second draw comes back first
+		p.appendLRU(pat.page(sim.Float64From(r.Uint64()), u))
+	}
+}
+
+// appendLRU makes page, if it is not resident, the least recently used
+// page of a pool that is not full. One index probe both finds a
+// resident page and, failing that, the empty cell the page goes in.
+func (p *Pool) appendLRU(page uint64) {
+	mask := len(p.index) - 1
+	c := p.home(page)
+	for ; p.index[c] != 0; c = (c + 1) & mask {
+		if p.nodes[p.index[c]-1].page == page {
+			return
+		}
+	}
+	i := int32(len(p.nodes))
+	p.nodes = append(p.nodes, lruNode{page: page, prev: p.tail, next: -1})
+	p.index[c] = i + 1
+	if p.tail >= 0 {
+		p.nodes[p.tail].next = i
+	} else {
+		p.head = i
+	}
+	p.tail = i
+}
+
 // ResetStats clears hit/miss counters (contents stay, so a warmed pool
 // can be measured in steady state).
 func (p *Pool) ResetStats() {
@@ -304,19 +354,24 @@ func (a AccessPattern) Validate() error {
 	return nil
 }
 
-// Sample draws a page id.
+// Sample draws a page id: one Float64 draw picks the hot or the cold
+// set, then one Uint64 draw picks the page in it.
 func (a AccessPattern) Sample(g *sim.RNG) uint64 {
+	f := g.Float64()
+	return a.page(f, g.Uint64())
+}
+
+// page is Sample's rule as a function of its two draws: f, the Float64
+// variate, and u, the Uint64 draw that follows it.
+func (a AccessPattern) page(f float64, u uint64) uint64 {
 	hot := uint64(float64(a.DBPages) * a.HotFrac)
 	if hot < 1 {
 		hot = 1
 	}
-	if g.Float64() < a.HotAccess {
-		return g.Uint64() % hot
+	if f < a.HotAccess || a.DBPages == hot {
+		return u % hot
 	}
-	if a.DBPages == hot {
-		return g.Uint64() % hot
-	}
-	return hot + g.Uint64()%(a.DBPages-hot)
+	return hot + u%(a.DBPages-hot)
 }
 
 // ExpectedMissRatio approximates the steady-state miss ratio of an LRU

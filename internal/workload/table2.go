@@ -5,7 +5,6 @@ import (
 
 	"extsched/internal/dbms"
 	"extsched/internal/lockmgr"
-	"extsched/internal/sim"
 )
 
 // Setup is one Table 2 experimental configuration: a workload bound to
@@ -108,21 +107,19 @@ func (s Setup) Demands() (cpu, io float64) {
 // without consuming simulated time, so measurements don't include the
 // cold-start miss storm (the paper measures steady state; a real
 // benchmark run warms for minutes first). Fully-cached workloads get
-// every page touched once; partially-cached ones get the LRU driven by
-// the access pattern until its content distribution stabilizes.
+// every page touched once. Partially-cached ones get exactly the pool
+// that 5 × capacity accesses drawn from the access pattern (stream 77
+// of seed) would leave, enough for the LRU's content distribution to
+// stabilise; bufferpool.Pool.Warm installs that pool by walking the
+// access stream backwards until the pool is full, without replaying it.
 func Prewarm(db *dbms.DB, spec Spec, seed uint64) {
 	pool := db.Pool()
-	pat := spec.Pattern()
 	if uint64(pool.Capacity()) >= spec.DBPages {
 		for p := uint64(0); p < spec.DBPages; p++ {
 			pool.Access(p)
 		}
 	} else {
-		g := sim.NewRNG(seed, 77)
-		n := 5 * pool.Capacity()
-		for i := 0; i < n; i++ {
-			pool.Access(pat.Sample(g))
-		}
+		pool.Warm(spec.Pattern(), seed, 77, 5*pool.Capacity())
 	}
 	pool.ResetStats()
 }
