@@ -13,6 +13,10 @@ import (
 // recycled transaction path fails go test. Each system runs once to
 // warm lazily built state, then at two horizons; the difference cancels
 // the set-up (stack build, pool prewarm), leaving the per-commit cost.
+// All three are allocation-flat in their horizon — tenants-16's
+// deadline sheds included, since a dispatch links the items it sheds
+// through the items themselves — so each ceiling sits about 3x above
+// the 0.012-0.016 allocations per commit they measure.
 func TestAllocsPerCommitCeiling(t *testing.T) {
 	if raceEnabled {
 		// The race detector's instrumentation allocates on its own
@@ -32,17 +36,17 @@ func TestAllocsPerCommitCeiling(t *testing.T) {
 		{"closed", Config{SetupID: 1, MPL: 10, Policy: PolicyFIFO, PercentileSamples: 4000},
 			func(dur float64) Scenario {
 				return Scenario{Warmup: 20, Phases: []Phase{{Kind: PhaseClosed, Clients: 100, Duration: dur}}}
-			}, 0.1},
+			}, 0.04},
 		{"open-sharded", Config{SetupID: 11, MPL: 16, PercentileSamples: 4000, Shards: ShardSpec{Count: 4, Dispatch: "jsq"}},
 			func(dur float64) Scenario {
 				return Scenario{Warmup: 20, SampleInterval: 20, Phases: []Phase{{Kind: PhaseOpen, Lambda: 112, Duration: dur}}}
-			}, 0.1},
+			}, 0.05},
 		{"tenants-16", Config{SetupID: 2, MPL: 16, Policy: PolicyWFQ, PercentileSamples: 4000},
 			func(dur float64) Scenario {
 				return Scenario{SampleInterval: 10, Tenants: tenants, Fairness: &FairnessSpec{Strict: true},
 					Phases: []Phase{{Kind: PhaseBurst, Lambda: 228, BurstFactor: 2, Duration: dur,
 						Events: []Event{{SetTenantDeadlines: map[string]float64{"aggressor": 2}}}}}}
-			}, 0.5},
+			}, 0.04},
 	}
 	for _, c := range cases {
 		sys, err := NewSystem(c.cfg)

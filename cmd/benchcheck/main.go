@@ -6,7 +6,8 @@
 // dispatch-policy pick cost at fleet sizes 8 and 1000 (the sampled
 // "jsq-d" path must stay allocation-free and flat in N), the DBMS
 // model's allocations (a cold-key lock request, a CPU burst and a
-// disk I/O at 0 per op; a warmed closed setup-1 run per commit), and the
+// disk I/O at 0 per op; a warmed closed setup-1 run per commit), the
+// frontend's dispatch-time shed (0 per op), and the
 // deterministic summary numbers of the fig7, dispatch, slo, churn,
 // autoscale and fairness figures — and compares
 // them against the committed BENCH_baseline.json with per-metric
@@ -411,6 +412,15 @@ func measure() ([]Metric, error) {
 	add("lockmgr/acquire_release_cold/allocs_op", "allocs", lockAllocs)
 	add("cpusched/submit_complete/allocs_op", "allocs", cpuAllocs)
 	add("disk/submit_complete/allocs_op", "allocs", diskAllocs)
+
+	// Frontend: one item submitted past its admission deadline, which
+	// the dispatch sheds and delivers. Sheds are linked through the
+	// items, so shedding allocates nothing.
+	shedAllocs, err := shedDispatchAllocs()
+	if err != nil {
+		return nil, err
+	}
+	add("core/shed_dispatch/allocs_op", "allocs", shedAllocs)
 	perTxn, err := closedRunAllocs()
 	if err != nil {
 		return nil, err
@@ -520,6 +530,33 @@ func modelLayerAllocs() (lock, cpu, dsk float64) {
 	dsk = float64(r.AllocsPerOp())
 	return lock, cpu, dsk
 }
+
+// shedDispatchAllocs measures allocations per dispatch-time shed: a
+// reused item whose deadline has passed is submitted to an idle
+// frontend, whose dispatch pops it, sheds it and runs its callbacks.
+func shedDispatchAllocs() (float64, error) {
+	eng := sim.NewEngine()
+	fe := core.New(eng.Clock(), execNothing{}, 1, core.NewFIFO())
+	eng.Run(1)
+	it := &core.Item{Deadline: 0.5}
+	shed := 0
+	done := func(*core.Item) { shed++ }
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			fe.Submit(it, done)
+		}
+	})
+	if uint64(shed) != fe.Shed() || !it.WasShed() {
+		return 0, fmt.Errorf("shed benchmark: %d callbacks for %d sheds", shed, fe.Shed())
+	}
+	return float64(r.AllocsPerOp()), nil
+}
+
+// execNothing is a Backend that never runs anything.
+type execNothing struct{}
+
+func (execNothing) Exec(*core.Item) {}
 
 // closedRunAllocs measures heap allocations per commit of the paper's
 // closed system (setup 1, MPL 10 FIFO, 100 clients, no think time)

@@ -122,6 +122,10 @@ type Item struct {
 	seq     uint64
 	state   itemState
 	done    func(*Item)
+	// shedNext links the items one dispatch sheds into a shedList, so
+	// they are delivered in pop order with nothing allocated. dispatch
+	// clears it before the item's callbacks run.
+	shedNext *Item
 }
 
 // ResponseTime is Complete − Arrival (external wait + inside time).
@@ -1351,14 +1355,33 @@ func (f *Frontend) Dropped() uint64 {
 	return f.dropped
 }
 
+// shedList is a FIFO of shed items linked through Item.shedNext. It
+// lives on dispatch's stack, so collecting a dispatch's sheds
+// allocates nothing.
+type shedList struct{ head, tail *Item }
+
+func (l *shedList) push(it *Item) {
+	if l.tail == nil {
+		l.head = it
+	} else {
+		l.tail.shedNext = it
+	}
+	l.tail = it
+}
+
 // dispatch admits queued items while the MPL allows. Backend.Exec and
 // the shed callbacks run outside the lock, so backends may call back
 // into the frontend (and completions on other goroutines may
-// interleave).
+// interleave). The items a pass sheds are linked through the items
+// themselves and delivered in pop order, before the admitted item's
+// Exec, with nothing allocated; each link is cleared before its
+// callbacks run, so a callback that recycles or resubmits the item
+// (and so re-enters dispatch) never sees a stale link.
 func (f *Frontend) dispatch() {
 	for {
+		var sheds shedList
 		f.mu.Lock()
-		it, shedList, now := f.nextDispatchLocked()
+		it, now := f.nextDispatchLocked(&sheds)
 		if it != nil {
 			it.state = itemDispatched
 			it.Dispatch = now
@@ -1368,8 +1391,11 @@ func (f *Frontend) dispatch() {
 		f.updateSlowLocked()
 		hook := f.OnShed
 		f.mu.Unlock()
-		for _, s := range shedList {
+		for s := sheds.head; s != nil; {
+			next := s.shedNext
+			s.shedNext = nil
 			notifyShed(s, hook)
+			s = next
 		}
 		if it == nil {
 			return
@@ -1434,9 +1460,9 @@ func (f *Frontend) deferLocked(it *Item, cs *classState) {
 
 // popDeferredLocked pops the next live, unexpired deferred item,
 // visiting the classes highest-first and shedding expired items into
-// shedList on the way. Unless borrow is set, it skips classes at their
+// sheds on the way. Unless borrow is set, it skips classes at their
 // limit. Called with f.mu held.
-func (f *Frontend) popDeferredLocked(borrow bool, now float64, shedList *[]*Item) *Item {
+func (f *Frontend) popDeferredLocked(borrow bool, now float64, sheds *shedList) *Item {
 	for i := len(f.deferredOrder) - 1; i >= 0; i-- {
 		cs := f.class(f.deferredOrder[i])
 		if !borrow && !cs.eligible() {
@@ -1454,7 +1480,7 @@ func (f *Frontend) popDeferredLocked(borrow bool, now float64, shedList *[]*Item
 			if cand.Deadline > 0 && now > cand.Deadline {
 				cand.state = itemShed
 				f.shedLocked(cand)
-				*shedList = append(*shedList, cand)
+				sheds.push(cand)
 				continue
 			}
 			return cand
@@ -1464,8 +1490,8 @@ func (f *Frontend) popDeferredLocked(borrow bool, now float64, shedList *[]*Item
 }
 
 // nextDispatchLocked picks the next item to dispatch, or nil. Expired
-// items encountered along the way are shed and returned for callback
-// delivery outside the lock. Called with f.mu held.
+// items encountered along the way are shed and pushed onto sheds for
+// callback delivery outside the lock. Called with f.mu held.
 //
 // Selection order: (1) class-deferred items whose class has room —
 // they were popped by the policy first, so they go first; (2) the
@@ -1484,13 +1510,13 @@ func (f *Frontend) popDeferredLocked(borrow bool, now float64, shedList *[]*Item
 // now is the clock reading the deadline checks used (0 when the gate
 // was full and the clock went unread); the caller stamps a returned
 // item's Dispatch with it instead of reading the clock again.
-func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item, now float64) {
+func (f *Frontend) nextDispatchLocked(sheds *shedList) (it *Item, now float64) {
 	if inside, limit := unpack(f.word.Load()); limit != 0 && inside >= limit {
-		return nil, nil, 0
+		return nil, 0
 	}
 	now = f.clock.Now()
-	if cand := f.popDeferredLocked(false, now, &shedList); cand != nil {
-		return cand, shedList, now
+	if cand := f.popDeferredLocked(false, now, sheds); cand != nil {
+		return cand, now
 	}
 	for {
 		cand := f.policy.Pop()
@@ -1510,19 +1536,19 @@ func (f *Frontend) nextDispatchLocked() (it *Item, shedList []*Item, now float64
 			if da, ok := f.policy.(discardAware); ok {
 				da.discarded(cand)
 			}
-			shedList = append(shedList, cand)
+			sheds.push(cand)
 			continue
 		}
 		if cs := f.class(cand.Class); !cs.eligible() {
 			f.deferLocked(cand, cs)
 			continue
 		}
-		return cand, shedList, now
+		return cand, now
 	}
 	if !f.strictLimit {
-		it = f.popDeferredLocked(true, now, &shedList)
+		it = f.popDeferredLocked(true, now, sheds)
 	}
-	return it, shedList, now
+	return it, now
 }
 
 // Discard completes an admitted item WITHOUT recording it in the
