@@ -383,7 +383,7 @@ func BenchmarkSimulatedSecond(b *testing.B) {
 		b.StopTimer()
 		opts := experiments.RunOpts{Warmup: 1, Measure: 1, Seed: uint64(i + 1)}
 		b.StartTimer()
-		if _, err := experiments.RunClosed(setup, 10, nil, workload.DBOptions{}, opts); err != nil {
+		if _, err := experiments.RunClosed(setup, 10, "", workload.DBOptions{}, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,11 +49,10 @@ import (
 	"extsched/internal/cluster"
 	"extsched/internal/core"
 	"extsched/internal/cpusched"
-	"extsched/internal/dbfe"
-	"extsched/internal/dbms"
 	"extsched/internal/disk"
 	"extsched/internal/experiments"
 	"extsched/internal/lockmgr"
+	"extsched/internal/runner"
 	"extsched/internal/sim"
 	"extsched/internal/workload"
 )
@@ -567,25 +566,18 @@ func closedRunAllocs() (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	eng := sim.NewEngine()
-	db, err := dbms.New(eng, setup.BuildConfig(workload.DBOptions{Seed: 1}))
+	st, err := runner.NewStack(runner.Build{Setup: setup, MPL: 10, Seed: 1})
 	if err != nil {
 		return 0, err
 	}
-	workload.Prewarm(db, setup.Workload, 1)
-	gen, err := workload.NewGenerator(setup.Workload, 1)
-	if err != nil {
-		return 0, err
-	}
-	fe := dbfe.New(eng, db, 10, core.NewFIFO())
-	workload.NewClosedDriver(eng, fe, gen, 100, nil).Start()
-	eng.Run(20)
+	workload.NewClosedDriver(st.Eng, st.FE, st.Gen, 100, nil).Start()
+	st.Eng.Run(20)
 	var m0, m1 runtime.MemStats
-	c0 := db.Stats().Committed
+	c0 := st.DB.Stats().Committed
 	runtime.ReadMemStats(&m0)
-	eng.Run(220)
+	st.Eng.Run(220)
 	runtime.ReadMemStats(&m1)
-	commits := db.Stats().Committed - c0
+	commits := st.DB.Stats().Committed - c0
 	if commits == 0 {
 		return 0, fmt.Errorf("closed setup-1 run committed nothing")
 	}

@@ -41,14 +41,12 @@ import (
 	"extsched/internal/cluster"
 	"extsched/internal/controller"
 	"extsched/internal/core"
-	"extsched/internal/dbfe"
 	"extsched/internal/dbms"
 	"extsched/internal/dist"
 	"extsched/internal/lockmgr"
 	"extsched/internal/queueing/mva"
 	"extsched/internal/queueing/qbd"
 	"extsched/internal/runner"
-	"extsched/internal/sim"
 	"extsched/internal/workload"
 	"extsched/metrics"
 )
@@ -298,10 +296,11 @@ func (c Config) Validate() error {
 // System binds a resolved configuration to the scenario engine. It
 // holds no simulation state between runs: Run (and the RunClosed /
 // RunOpen / AutoTune wrappers) each assemble a pristine engine, DBMS,
-// frontend and generator from the Config's seed, which is what makes a
-// System reusable and its runs reproducible. A System is not safe for
-// concurrent use; build one per goroutine (they are cheap — assembly
-// happens per run).
+// frontend and generator from the Config's seed through
+// runner.NewStack, the builder behind every experiment too. That is
+// what makes a System reusable and its runs reproducible. A System is
+// not safe for concurrent use; build one per goroutine (they are cheap
+// — assembly happens per run).
 type System struct {
 	cfg       Config
 	setup     workload.Setup
@@ -386,80 +385,34 @@ func (s *System) Observe(obs ...metrics.Observer) {
 	s.observers = append(s.observers, obs...)
 }
 
-// buildStack assembles the pristine per-run simulation state.
+// buildStack translates the Config into the runner's stack
+// description and assembles pristine per-run simulation state.
 func (s *System) buildStack(mpl int) (runner.Stack, error) {
 	cfg := s.cfg
 	w := cfg.WFQHighWeight
 	if w <= 0 {
 		w = 4
 	}
-	wfqWeights := map[core.Class]float64{core.ClassHigh: w, core.ClassLow: 1}
-	dbo := workload.DBOptions{
-		LockPolicy:  map[bool]lockmgr.Policy{true: lockmgr.PriorityFIFO, false: lockmgr.FIFO}[cfg.InternalLockPriority],
-		POW:         cfg.InternalLockPriority,
-		CPUPriority: cfg.InternalCPUPriority,
-		Seed:        cfg.Seed,
+	b := runner.Build{
+		Setup: s.setup,
+		DB: workload.DBOptions{
+			LockPolicy:  map[bool]lockmgr.Policy{true: lockmgr.PriorityFIFO, false: lockmgr.FIFO}[cfg.InternalLockPriority],
+			POW:         cfg.InternalLockPriority,
+			CPUPriority: cfg.InternalCPUPriority,
+		},
+		MPL:        mpl,
+		Policy:     cfg.Policy,
+		WFQWeights: map[core.Class]float64{core.ClassHigh: w, core.ClassLow: 1},
+		QueueLimit: cfg.QueueLimit,
+		Shards:     cfg.Shards.Count,
+		Speeds:     cfg.Shards.Speeds,
+		Dispatch:   cfg.Shards.Dispatch,
+		Seed:       cfg.Seed,
 	}
-	eng := sim.NewEngine()
-	gen, err := workload.NewGenerator(s.setup.Workload, cfg.Seed)
-	if err != nil {
-		return runner.Stack{}, err
+	if ad := cfg.AdmitDeadline; ad != nil {
+		b.AdmitDeadlines = map[core.Class]float64{core.ClassHigh: ad.High, core.ClassLow: ad.Low}
 	}
-	if cfg.HighPriorityFraction > 0 {
-		gen.HighFrac = cfg.HighPriorityFraction
-	}
-	st := runner.Stack{Eng: eng, Gen: gen, Seed: cfg.Seed, SLO: cfg.SLO}
-	if n := cfg.Shards.Count; n > 0 {
-		// Sharded: n identical DBMS+frontend pairs (per-shard queue
-		// policy instances — they are stateful) behind one dispatcher.
-		// makeShard also serves scenario shard_add events, which grow
-		// the fleet mid-run with index-seeded nominal-speed members.
-		makeShard := func(i int, speed float64) (cluster.Shard, error) {
-			sdbo := dbo
-			sdbo.CPUSpeed = speed
-			sdbo.Seed = cluster.ShardSeed(cfg.Seed, i)
-			db, err := dbms.New(eng, s.setup.BuildConfig(sdbo))
-			if err != nil {
-				return cluster.Shard{}, err
-			}
-			policy, err := core.NewPolicy(cfg.Policy, wfqWeights)
-			if err != nil {
-				return cluster.Shard{}, err
-			}
-			fe := dbfe.New(eng, db, 0, policy)
-			if cfg.QueueLimit > 0 {
-				fe.SetQueueLimit(cfg.QueueLimit)
-			}
-			if ad := cfg.AdmitDeadline; ad != nil {
-				fe.SetAdmitDeadline(core.ClassHigh, ad.High)
-				fe.SetAdmitDeadline(core.ClassLow, ad.Low)
-			}
-			workload.Prewarm(db, s.setup.Workload, sdbo.Seed)
-			return cluster.Shard{FE: fe, DB: db, Speed: speed}, nil
-		}
-		shards := make([]cluster.Shard, n)
-		for i := range shards {
-			speed := 1.0
-			if len(cfg.Shards.Speeds) > 0 {
-				speed = cfg.Shards.Speeds[i]
-			}
-			sh, err := makeShard(i, speed)
-			if err != nil {
-				return runner.Stack{}, err
-			}
-			shards[i] = sh
-		}
-		dp, err := cluster.NewPolicySeeded(cfg.Shards.Dispatch, cfg.Seed)
-		if err != nil {
-			return runner.Stack{}, err
-		}
-		disp, err := cluster.NewDispatcher(dp, shards)
-		if err != nil {
-			return runner.Stack{}, err
-		}
-		disp.SetMPL(mpl)
-		st.Cluster = disp
-		st.NewShard = func(i int) (cluster.Shard, error) { return makeShard(i, 1) }
+	if cfg.Shards.Count > 0 {
 		rp := cluster.RecoveryPolicy{Seed: cfg.Seed}
 		if r := cfg.Recovery; r != nil {
 			rp.Resubmit = r.Mode == RecoveryResubmit
@@ -467,30 +420,19 @@ func (s *System) buildStack(mpl int) (runner.Stack, error) {
 			rp.BackoffBase = r.BackoffBase
 			rp.BackoffCap = r.BackoffCap
 		}
-		st.Recovery = &rp
-		return st, nil
+		b.Recovery = &rp
 	}
-	db, err := dbms.New(eng, s.setup.BuildConfig(dbo))
+	st, err := runner.NewStack(b)
 	if err != nil {
 		return runner.Stack{}, err
 	}
-	policy, err := core.NewPolicy(cfg.Policy, wfqWeights)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	fe := dbfe.New(eng, db, mpl, policy)
-	if cfg.QueueLimit > 0 {
-		fe.SetQueueLimit(cfg.QueueLimit)
+	if cfg.HighPriorityFraction > 0 {
+		st.Gen.HighFrac = cfg.HighPriorityFraction
 	}
 	if cl := cfg.ClassLimits; cl != nil {
-		fe.SetClassLimits(map[core.Class]int{core.ClassHigh: cl.High, core.ClassLow: cl.Low})
+		st.FE.SetClassLimits(map[core.Class]int{core.ClassHigh: cl.High, core.ClassLow: cl.Low})
 	}
-	if ad := cfg.AdmitDeadline; ad != nil {
-		fe.SetAdmitDeadline(core.ClassHigh, ad.High)
-		fe.SetAdmitDeadline(core.ClassLow, ad.Low)
-	}
-	workload.Prewarm(db, s.setup.Workload, cfg.Seed)
-	st.DB, st.FE = db, fe
+	st.SLO = cfg.SLO
 	return st, nil
 }
 

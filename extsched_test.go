@@ -1,9 +1,13 @@
 package extsched
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
+
+	"extsched/internal/experiments"
+	"extsched/internal/workload"
 )
 
 func TestNewSystemFromSetupID(t *testing.T) {
@@ -294,5 +298,69 @@ func TestPercentilesReported(t *testing.T) {
 	// The mean lies between P50 and P99 for these right-skewed RTs.
 	if rep.MeanRT < rep.P50*0.5 || rep.MeanRT > rep.P99 {
 		t.Errorf("mean %v inconsistent with percentiles (%v, %v)", rep.MeanRT, rep.P50, rep.P99)
+	}
+}
+
+// TestSystemAndHarnessBuildTheSameRun pins System's Config → stack
+// translation (lock policy, high-class fraction, WFQ weights, shard
+// seeds, dispatch) against the experiment harness's: both assemble
+// through runner.NewStack, so the same setup, MPL and seed must give
+// the same run.
+func TestSystemAndHarnessBuildTheSameRun(t *testing.T) {
+	ctx := context.Background()
+	setup1, err := workload.SetupByID(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(Config{SetupID: 1, MPL: 10, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := Scenario{Warmup: 10, Phases: []Phase{{Kind: PhaseClosed, Clients: 100, Duration: 30}}}
+	got, err := sys.Run(ctx, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := experiments.RunPhases(setup1, 10, "", workload.DBOptions{}, experiments.RunOpts{Seed: 3}, sc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Total.Completed == 0 {
+		t.Fatal("unsharded run completed nothing")
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("unsharded: System and harness results differ\nsystem:  %+v\nharness: %+v", got.Total, want.Total)
+	}
+
+	// Sharded: four nominal-speed jsq-routed shards of setup 3 (about
+	// 9 tx/s each) under open load at about 70% of the fleet's
+	// capacity.
+	const lambda, warmup, measure = 25.0, 5.0, 30.0
+	setup3, err := workload.SetupByID(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err = NewSystem(Config{SetupID: 3, MPL: 16, Seed: 2, Shards: ShardSpec{Count: 4, Dispatch: "jsq"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := sys.Run(ctx, Scenario{Warmup: warmup, Phases: []Phase{{Kind: PhaseOpen, Lambda: lambda, Duration: measure}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pt, err := experiments.RunDispatch(setup3, []float64{1, 1, 1, 1}, "jsq", 16, lambda,
+		experiments.RunOpts{Seed: 2, Warmup: warmup, Measure: measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Shards) != 4 || res.Total.Completed == 0 {
+		t.Fatalf("sharded run: %d shards, %d completions", len(res.Shards), res.Total.Completed)
+	}
+	if res.Total.Throughput != pt.Throughput || res.Total.MeanRT != pt.MeanRT || res.Total.P95 != pt.P95 {
+		t.Errorf("sharded: System tput %v mean %v p95 %v, harness %v %v %v",
+			res.Total.Throughput, res.Total.MeanRT, res.Total.P95, pt.Throughput, pt.MeanRT, pt.P95)
+	}
+	if !reflect.DeepEqual(res.Shards, pt.Shards) {
+		t.Errorf("sharded: per-shard results differ\nsystem:  %+v\nharness: %+v", res.Shards, pt.Shards)
 	}
 }

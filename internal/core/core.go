@@ -110,7 +110,8 @@ type Item struct {
 	// For a shed item, Complete is the shed instant and Dispatch stays 0.
 	Arrival, Dispatch, Complete float64
 	// Deadline is the absolute latest clock time by which the item must
-	// START (be dispatched); 0 means none. Submit stamps it from the
+	// START (be dispatched). 0 means none; every other value, negative
+	// included, is an absolute clock time. Submit stamps it from the
 	// frontend's per-class admit deadlines when the caller left it zero;
 	// callers may pre-set an absolute deadline instead. An item that
 	// cannot start by its deadline is shed: it never executes, its done
@@ -1477,7 +1478,7 @@ func (f *Frontend) popDeferredLocked(borrow bool, now float64, sheds *shedList) 
 				f.deadQueued--
 				continue
 			}
-			if cand.Deadline > 0 && now > cand.Deadline {
+			if cand.Deadline != 0 && now > cand.Deadline {
 				cand.state = itemShed
 				f.shedLocked(cand)
 				sheds.push(cand)
@@ -1530,7 +1531,7 @@ func (f *Frontend) nextDispatchLocked(sheds *shedList) (it *Item, now float64) {
 			}
 			continue
 		}
-		if cand.Deadline > 0 && now > cand.Deadline {
+		if cand.Deadline != 0 && now > cand.Deadline {
 			cand.state = itemShed
 			f.shedLocked(cand)
 			if da, ok := f.policy.(discardAware); ok {

@@ -59,6 +59,36 @@ func TestShedDeliveryAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestShedPastDeadlineOnFreshClock: a pre-set deadline is an absolute
+// clock time, and only 0 means none. On a clock that starts at 0, a
+// deadline already past when the item is built is negative; it must
+// shed the item at its dispatch, as an expired positive one does,
+// instead of letting it wait for a slot.
+func TestShedPastDeadlineOnFreshClock(t *testing.T) {
+	eng := sim.NewEngine()
+	var running *Item
+	fe := New(eng.Clock(), backendFunc(func(it *Item) { running = it }), 1, NewFIFO())
+	blocker := &Item{}
+	fe.Submit(blocker, nil)
+	negative := &Item{Deadline: eng.Now() - 1}
+	positive := &Item{Deadline: 0.5}
+	survivor := &Item{}
+	for _, it := range []*Item{negative, positive, survivor} {
+		fe.Submit(it, nil)
+	}
+	eng.Run(1)
+	fe.Complete(blocker, Outcome{})
+	if !negative.WasShed() || !positive.WasShed() {
+		t.Errorf("shed: negative deadline %v, positive deadline %v; want both", negative.WasShed(), positive.WasShed())
+	}
+	if running != survivor {
+		t.Error("the item without a deadline was not the one admitted")
+	}
+	if fe.Shed() != 2 {
+		t.Errorf("Shed = %d, want 2", fe.Shed())
+	}
+}
+
 // TestShedDeliveryOrderAndReentry pins the delivery contract of the
 // sheds one dispatch collects: each item's done callback, then the
 // OnShed hook, in pop order, all before the admitted item's Exec; a

@@ -27,7 +27,7 @@ func GroupCommitAblation(setupID int, mpls []int, opts RunOpts) (*Figure, error)
 	// Flatten (variant, MPL) into one parallel sweep.
 	tputs, err := SweepContext(opts.ctx(), len(variants)*len(mpls), func(i int) (float64, error) {
 		gc, m := variants[i/len(mpls)], mpls[i%len(mpls)]
-		r, err := RunClosed(setup, m, nil, workload.DBOptions{GroupCommit: gc}, opts)
+		r, err := RunClosed(setup, m, "", workload.DBOptions{GroupCommit: gc}, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -75,7 +75,7 @@ func POWAblation(opts RunOpts) (*Figure, error) {
 	low := Series{Name: "LowPrio RT (s)"}
 	preempt := Series{Name: "preemptions"}
 	results, err := SweepContext(opts.ctx(), len(variants), func(i int) (RunResult, error) {
-		return RunClosed(setup, 0, nil, variants[i].dbo, opts)
+		return RunClosed(setup, 0, "", variants[i].dbo, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -111,16 +111,9 @@ func PolicyComparison(setupID, mpl int, opts RunOpts) (*Figure, error) {
 	mean := Series{Name: "Mean RT (s)"}
 	high := Series{Name: "HighPrio RT (s)"}
 	tput := Series{Name: "tput (tx/s)"}
-	policies := []struct {
-		name string
-		mk   func() core.Policy
-	}{
-		{"fifo", func() core.Policy { return core.NewFIFO() }},
-		{"sjf", func() core.Policy { return core.NewSJF() }},
-		{"priority", func() core.Policy { return core.NewPriority() }},
-	}
+	policies := []string{core.PolicyFIFO, core.PolicySJF, core.PolicyPriority}
 	results, err := SweepContext(opts.ctx(), len(policies), func(i int) (RunResult, error) {
-		return RunClosed(setup, mpl, policies[i].mk(), workload.DBOptions{}, opts)
+		return RunClosed(setup, mpl, policies[i], workload.DBOptions{}, opts)
 	})
 	if err != nil {
 		return nil, err
@@ -133,7 +126,7 @@ func PolicyComparison(setupID, mpl int, opts RunOpts) (*Figure, error) {
 		high.Y = append(high.Y, r.Class(highClass).MeanRT)
 		tput.X = append(tput.X, x)
 		tput.Y = append(tput.Y, r.Throughput)
-		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, policies[i].name))
+		f.Notes = append(f.Notes, fmt.Sprintf("x=%d: %s", i, policies[i]))
 	}
 	f.Series = []Series{mean, high, tput}
 	f.Notes = append(f.Notes, "expect: SJF lowest overall mean RT; priority lowest high-class RT; throughput ~unchanged")
@@ -149,7 +142,7 @@ func AdmissionComparison(setupID, mpl, queueLimit int, utilization float64, opts
 	if err != nil {
 		return nil, err
 	}
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -195,7 +188,7 @@ type openLimitResult struct {
 // runOpenWithLimit is RunOpen plus a frontend queue bound.
 func runOpenWithLimit(setup workload.Setup, mpl int, lambda float64, limit int, opts RunOpts) (openLimitResult, error) {
 	opts.QueueLimit = limit
-	r, err := RunOpen(setup, mpl, lambda, nil, workload.DBOptions{}, opts)
+	r, err := RunOpen(setup, mpl, lambda, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return openLimitResult{}, err
 	}

@@ -38,7 +38,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	opts = opts.withDefaults(setup)
 	// Per-shard nominal capacity from a no-MPL closed probe.
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -98,7 +98,7 @@ func AutoscaleFigure(setupID int, opts RunOpts) (*Figure, error) {
 		for j := range speeds {
 			speeds[j] = 1
 		}
-		st, err := buildShardedStack(setup, speeds, "jsq-d:3", perShardMPL*c.shards, workload.DBOptions{}, opts)
+		st, err := runner.NewStack(opts.shardedBuild(setup, speeds, "jsq-d:3", perShardMPL*c.shards))
 		if err != nil {
 			return autoscaleOutcome{}, err
 		}

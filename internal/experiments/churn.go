@@ -38,7 +38,7 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	opts = opts.withDefaults(setup)
 	// Per-shard nominal capacity from a no-MPL closed probe.
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -94,12 +94,12 @@ func ChurnFigure(setupID int, opts RunOpts) (*Figure, error) {
 	}
 	results, err := SweepContext(opts.ctx(), len(configs), func(i int) (churnOutcome, error) {
 		c := configs[i]
-		st, err := buildShardedStack(setup, speeds, c.dispatch, mplTotal, workload.DBOptions{}, opts)
+		b := opts.shardedBuild(setup, speeds, c.dispatch, mplTotal)
+		b.Recovery = &c.rp
+		st, err := runner.NewStack(b)
 		if err != nil {
 			return churnOutcome{}, err
 		}
-		rp := c.rp
-		st.Recovery = &rp
 		var o churnOutcome
 		o.series = Series{Name: "high mean RT " + c.label}
 		out, err := runner.Run(opts.ctx(), st, spec(), metrics.ObserverFunc(func(s metrics.Snapshot) {

@@ -30,7 +30,7 @@ func RunController(setupID int, lossFrac float64, jumpStart bool, opts RunOpts) 
 	opts = opts.withDefaults(setup)
 	// Reference optimum from a no-MPL probe run (the deployed tool
 	// would use the models or an initial calibration run the same way).
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return ControllerRun{}, err
 	}
@@ -51,7 +51,7 @@ func RunController(setupID int, lossFrac float64, jumpStart bool, opts RunOpts) 
 	// the feedback loop; observation windows are CI-gated, so their
 	// length adapts to the workload's noise — give the loop a generous
 	// horizon and stop at convergence.
-	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Scenario{
+	out, err := RunPhases(setup, start, "", workload.DBOptions{}, opts, runner.Scenario{
 		Warmup:         opts.Warmup,
 		SampleInterval: opts.Measure / 10, // convergence-check granularity
 		Phases: []runner.Phase{{

@@ -4,70 +4,19 @@ import (
 	"fmt"
 
 	"extsched/internal/cluster"
-	"extsched/internal/dbfe"
-	"extsched/internal/dbms"
 	"extsched/internal/runner"
-	"extsched/internal/sim"
 	"extsched/internal/workload"
 )
 
-// buildShard assembles one simulated backend (DBMS + frontend) on eng
-// at the given relative CPU speed, derived deterministically from the
-// base seed and the shard index.
-func buildShard(eng *sim.Engine, setup workload.Setup, dbo workload.DBOptions, speed float64, idx int, opts RunOpts) (cluster.Shard, error) {
-	sdbo := dbo
-	sdbo.CPUSpeed = speed
-	sdbo.Seed = cluster.ShardSeed(dbo.Seed, idx)
-	db, err := dbms.New(eng, setup.BuildConfig(sdbo))
-	if err != nil {
-		return cluster.Shard{}, err
-	}
-	fe := dbfe.New(eng, db, 0, nil)
-	if opts.QueueLimit > 0 {
-		fe.SetQueueLimit(opts.QueueLimit)
-	}
-	workload.Prewarm(db, setup.Workload, sdbo.Seed)
-	return cluster.Shard{FE: fe, DB: db, Speed: speed}, nil
-}
-
-// buildShardedStack assembles a sharded dispatch stack: one engine,
-// len(speeds) DBMS+frontend pairs at the given relative CPU speeds,
-// and a dispatcher with the named policy. mplTotal is the cluster-wide
-// MPL (split across shards). The stack carries a NewShard factory so
-// autoscaled specs can grow the fleet past the built set; policies are
-// seed-aware, so sampled dispatch ("jsq-d") reruns bit-identically
-// while the plain policies ignore the seed entirely.
-func buildShardedStack(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, dbo workload.DBOptions, opts RunOpts) (runner.Stack, error) {
-	if dbo.Seed == 0 {
-		dbo.Seed = opts.Seed
-	}
-	eng := sim.NewEngine()
-	shards := make([]cluster.Shard, len(speeds))
-	for i, speed := range speeds {
-		sh, err := buildShard(eng, setup, dbo, speed, i, opts)
-		if err != nil {
-			return runner.Stack{}, err
-		}
-		shards[i] = sh
-	}
-	policy, err := cluster.NewPolicySeeded(dispatch, opts.Seed)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	disp, err := cluster.NewDispatcher(policy, shards)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	disp.SetMPL(mplTotal)
-	gen, err := workload.NewGenerator(setup.Workload, opts.Seed)
-	if err != nil {
-		return runner.Stack{}, err
-	}
-	st := runner.Stack{Eng: eng, Cluster: disp, Gen: gen, Seed: opts.Seed}
-	st.NewShard = func(i int) (cluster.Shard, error) {
-		return buildShard(eng, setup, dbo, 1, i, opts)
-	}
-	return st, nil
+// shardedBuild describes a sharded harness stack: len(speeds) FIFO
+// backends at the given relative CPU speeds behind the named dispatch
+// policy, with mplTotal the cluster-wide MPL (split across shards).
+// Sampled dispatch ("jsq-d") draws from the run seed, so it reruns
+// bit-identically; the plain policies ignore the seed.
+func (o RunOpts) shardedBuild(setup workload.Setup, speeds []float64, dispatch string, mplTotal int) runner.Build {
+	b := o.build(setup, mplTotal, "", workload.DBOptions{})
+	b.Shards, b.Speeds, b.Dispatch = len(speeds), speeds, dispatch
+	return b
 }
 
 // DispatchPoint is one measured sharded run.
@@ -84,7 +33,7 @@ type DispatchPoint struct {
 // RunDispatch measures one dispatch policy on a heterogeneous shard
 // fleet under open Poisson arrivals at the given rate.
 func RunDispatch(setup workload.Setup, speeds []float64, dispatch string, mplTotal int, lambda float64, opts RunOpts) (DispatchPoint, error) {
-	st, err := buildShardedStack(setup, speeds, dispatch, mplTotal, workload.DBOptions{}, opts)
+	st, err := runner.NewStack(opts.shardedBuild(setup, speeds, dispatch, mplTotal))
 	if err != nil {
 		return DispatchPoint{}, err
 	}
@@ -127,7 +76,7 @@ func DispatchFigure(setupID int, slowFactor float64, opts RunOpts) (*Figure, err
 	}
 	opts = opts.withDefaults(setup)
 	// Per-shard nominal capacity from a no-MPL closed probe.
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}

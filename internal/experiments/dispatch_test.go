@@ -18,7 +18,7 @@ func TestDispatchJSQBeatsRR(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := RunOpts{Warmup: 20, Measure: 120, Seed: 1}
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -11,19 +11,20 @@
 // Sweep, a worker-pool parallel map that preserves input order:
 //
 //	tputs, err := experiments.Sweep(len(mpls), func(i int) (float64, error) {
-//		r, err := experiments.RunClosed(setup, mpls[i], nil, workload.DBOptions{}, opts)
+//		r, err := experiments.RunClosed(setup, mpls[i], "", workload.DBOptions{}, opts)
 //		if err != nil {
 //			return 0, err
 //		}
-//		return r.Throughput(), nil
+//		return r.Throughput, nil
 //	})
 //
-// Each point builds a private sim.Engine, DBMS, and seed-derived RNG
-// streams, so points share no state and the merged results are
-// bit-identical to a sequential loop (see TestSweepDeterminism). The
-// pool size comes from DefaultWorkers (0 = GOMAXPROCS; 1 forces the
-// sequential path); SweepWorkers takes an explicit size. See
-// EXPERIMENTS.md for how to regenerate figures and benchmark flags.
+// Each point builds a private stack through runner.NewStack (its own
+// sim.Engine, DBMS and seed-derived RNG streams), so points share no
+// state and the merged results are bit-identical to a sequential loop
+// (see TestSweepDeterminism). The pool size comes from DefaultWorkers
+// (0 = GOMAXPROCS; 1 forces the sequential path); SweepWorkers takes
+// an explicit size. See EXPERIMENTS.md for how to regenerate figures
+// and benchmark flags.
 package experiments
 
 import (
@@ -31,11 +32,7 @@ import (
 	"fmt"
 	"strings"
 
-	"extsched/internal/core"
-	"extsched/internal/dbfe"
-	"extsched/internal/dbms"
 	"extsched/internal/runner"
-	"extsched/internal/sim"
 	"extsched/internal/workload"
 	"extsched/metrics"
 )
@@ -186,44 +183,26 @@ type RunResult struct {
 	runner.Report
 }
 
-// buildStack assembles engine + DB + frontend + generator for a setup,
-// with the buffer pool pre-warmed.
-func buildStack(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts) (*sim.Engine, *dbms.DB, *dbfe.Frontend, *workload.Generator, error) {
-	if dbo.Seed == 0 {
-		dbo.Seed = opts.Seed
-	}
-	eng := sim.NewEngine()
-	db, err := dbms.New(eng, setup.BuildConfig(dbo))
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	fe := dbfe.New(eng, db, mpl, policy)
-	if opts.QueueLimit > 0 {
-		fe.SetQueueLimit(opts.QueueLimit)
-	}
-	gen, err := workload.NewGenerator(setup.Workload, opts.Seed)
-	if err != nil {
-		return nil, nil, nil, nil, err
-	}
-	workload.Prewarm(db, setup.Workload, opts.Seed)
-	return eng, db, fe, gen, nil
+// build describes a harness run at the given MPL, queue policy (by
+// core.NewPolicy name; "" = FIFO) and DB options for runner.NewStack.
+func (o RunOpts) build(setup workload.Setup, mpl int, policy string, dbo workload.DBOptions) runner.Build {
+	return runner.Build{Setup: setup, DB: dbo, MPL: mpl, Policy: policy, QueueLimit: o.QueueLimit, Seed: o.Seed}
 }
 
 // RunPhases measures a setup under an arbitrary phased scenario — the
 // general entry every specialized Run* helper builds on, and the one
 // scenario-shaped figures (Surge) drive directly. Observers receive
 // one windowed snapshot per sc.SampleInterval.
-func RunPhases(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts, sc runner.Scenario, obs ...metrics.Observer) (runner.Result, error) {
-	eng, db, fe, gen, err := buildStack(setup, mpl, policy, dbo, opts)
+func RunPhases(setup workload.Setup, mpl int, policy string, dbo workload.DBOptions, opts RunOpts, sc runner.Scenario, obs ...metrics.Observer) (runner.Result, error) {
+	st, err := runner.NewStack(opts.build(setup, mpl, policy, dbo))
 	if err != nil {
 		return runner.Result{}, err
 	}
-	st := runner.Stack{Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed}
 	return runner.Run(opts.ctx(), st, sc, obs...)
 }
 
 // runOne measures a single-phase scenario and shapes it as a RunResult.
-func runOne(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts, ph runner.Phase) (RunResult, error) {
+func runOne(setup workload.Setup, mpl int, policy string, dbo workload.DBOptions, opts RunOpts, ph runner.Phase) (RunResult, error) {
 	out, err := RunPhases(setup, mpl, policy, dbo, opts, runner.Scenario{
 		Warmup: opts.Warmup,
 		Phases: []runner.Phase{ph},
@@ -235,9 +214,9 @@ func runOne(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOp
 }
 
 // RunClosed measures a Table 2 setup at the given MPL (0 = no limit)
-// under the paper's closed system, with the given external policy
-// (nil = FIFO) and DB options.
-func RunClosed(setup workload.Setup, mpl int, policy core.Policy, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
+// under the paper's closed system, with the named external queue
+// policy ("" = FIFO) and DB options.
+func RunClosed(setup workload.Setup, mpl int, policy string, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
 	opts = opts.withDefaults(setup)
 	return runOne(setup, mpl, policy, dbo, opts, runner.Phase{
 		Kind: runner.PhaseClosed, Clients: opts.Clients, Duration: opts.Measure,
@@ -248,7 +227,7 @@ func RunClosed(setup workload.Setup, mpl int, policy core.Policy, dbo workload.D
 // The report covers exactly the measured window: transactions still
 // queued or executing when it closes are not counted (the runner's
 // windowing rule).
-func RunOpen(setup workload.Setup, mpl int, lambda float64, policy core.Policy, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
+func RunOpen(setup workload.Setup, mpl int, lambda float64, policy string, dbo workload.DBOptions, opts RunOpts) (RunResult, error) {
 	opts = opts.withDefaults(setup)
 	return runOne(setup, mpl, policy, dbo, opts, runner.Phase{
 		Kind: runner.PhaseOpen, Lambda: lambda, Duration: opts.Measure,

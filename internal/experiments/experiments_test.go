@@ -14,7 +14,7 @@ var fastOpts = RunOpts{Warmup: 20, Measure: 150, Seed: 1}
 
 func TestRunClosedBasics(t *testing.T) {
 	setup, _ := workload.SetupByID(1)
-	r, err := RunClosed(setup, 5, nil, workload.DBOptions{}, fastOpts)
+	r, err := RunClosed(setup, 5, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,11 +31,11 @@ func TestRunClosedBasics(t *testing.T) {
 
 func TestRunClosedDeterministic(t *testing.T) {
 	setup, _ := workload.SetupByID(1)
-	a, err := RunClosed(setup, 5, nil, workload.DBOptions{}, fastOpts)
+	a, err := RunClosed(setup, 5, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunClosed(setup, 5, nil, workload.DBOptions{}, fastOpts)
+	b, err := RunClosed(setup, 5, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestFigure10Shape(t *testing.T) {
 
 func TestFindMPLForLoss(t *testing.T) {
 	setup, _ := workload.SetupByID(8) // 4 disks
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, fastOpts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestFindMPLForLoss(t *testing.T) {
 		t.Errorf("5%%-loss MPL on 4 disks = %d, want >= 4", mpl5)
 	}
 	// Verify the chosen MPL actually meets the target.
-	r, err := RunClosed(setup, mpl5, nil, workload.DBOptions{}, fastOpts)
+	r, err := RunClosed(setup, mpl5, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

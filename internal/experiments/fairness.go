@@ -71,7 +71,7 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 	opts = opts.withDefaults(setup)
 	// Reference capacity from a no-MPL closed probe (the same probe
 	// every controller figure uses).
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -114,10 +114,12 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 	}
 
 	runOne := func(c config) (fairnessOutcome, error) {
-		eng, db, fe, gen, err := buildStack(setup, mpl, nil, workload.DBOptions{}, opts)
+		st, err := runner.NewStack(opts.build(setup, mpl, "", workload.DBOptions{}))
 		if err != nil {
 			return fairnessOutcome{}, err
 		}
+		st.ClassNames = names
+		fe := st.FE
 		weights := make(map[core.Class]float64, len(c.mix))
 		byName := make(map[string]float64, len(c.mix))
 		for _, m := range c.mix {
@@ -130,12 +132,8 @@ func fairnessFigure(setupID, mpl int, pvFrac, victimWeight float64, aggFactor in
 			weights[cl] = w
 			byName[names[cl]] = w
 		}
-		if err := gen.SetMix(c.mix); err != nil {
+		if err := st.Gen.SetMix(c.mix); err != nil {
 			return fairnessOutcome{}, err
-		}
-		st := runner.Stack{
-			Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed,
-			ClassNames: names,
 		}
 		sc := runner.Scenario{
 			Warmup: opts.Warmup,

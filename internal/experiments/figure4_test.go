@@ -42,7 +42,7 @@ func TestFig4Shape(t *testing.T) {
 // Table 1 row asserts).
 func TestBalancedUtilization(t *testing.T) {
 	setup, _ := workload.SetupByID(11)
-	r, err := RunClosed(setup, 20, nil, workload.DBOptions{}, fastOpts)
+	r, err := RunClosed(setup, 20, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestBalancedUtilization(t *testing.T) {
 // barely touches the CPU.
 func TestIOBoundUtilizationProfile(t *testing.T) {
 	setup, _ := workload.SetupByID(5)
-	r, err := RunClosed(setup, 10, nil, workload.DBOptions{}, fastOpts)
+	r, err := RunClosed(setup, 10, "", workload.DBOptions{}, fastOpts)
 	if err != nil {
 		t.Fatal(err)
 	}

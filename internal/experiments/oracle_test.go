@@ -93,7 +93,7 @@ func TestOracleClosedVsMVA(t *testing.T) {
 		horizon = 4000
 	}
 	for _, n := range pops {
-		out, err := RunPhases(setup, 0, nil, workload.DBOptions{},
+		out, err := RunPhases(setup, 0, "", workload.DBOptions{},
 			RunOpts{Seed: 3, Warmup: 1, Measure: 1, Clients: n}, // explicit spec below
 			runner.Scenario{
 				Warmup: 100,
@@ -137,11 +137,11 @@ func TestOracleOpenVsMMC(t *testing.T) {
 		horizon = 6000 // nightly soak: 3x the arrivals, tighter CI
 	}
 	opts := RunOpts{Seed: 5}
-	eng, db, fe, gen, err := buildStack(setup, 0, nil, workload.DBOptions{}, opts)
+	st, err := runner.NewStack(opts.build(setup, 0, "", workload.DBOptions{}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := runner.Run(opts.ctx(), runner.Stack{Eng: eng, DB: db, FE: fe, Gen: gen, Seed: opts.Seed},
+	out, err := runner.Run(opts.ctx(), st,
 		runner.Scenario{
 			Warmup: 100,
 			Phases: []runner.Phase{{
@@ -158,7 +158,7 @@ func TestOracleOpenVsMMC(t *testing.T) {
 	// positively correlated, so inflate the iid CI half-width by a
 	// safety factor; the floor keeps the assertion meaningful if the CI
 	// collapses.
-	all := fe.Metrics().All
+	all := st.FE.Metrics().All
 	if all.Count() != int64(out.Total.Completed) {
 		t.Fatalf("frontend window holds %d completions, report %d", all.Count(), out.Total.Completed)
 	}

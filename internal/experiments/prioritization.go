@@ -29,7 +29,7 @@ func FindMPLForLoss(setup workload.Setup, baselineTput, lossFrac float64, maxMPL
 		mpl = maxMPL
 	}
 	measure := func(m int) (float64, error) {
-		r, err := RunClosed(setup, m, nil, workload.DBOptions{}, opts)
+		r, err := RunClosed(setup, m, "", workload.DBOptions{}, opts)
 		if err != nil {
 			return 0, err
 		}
@@ -115,7 +115,7 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
@@ -123,7 +123,7 @@ func RunPrioritization(setupID int, lossFrac float64, opts RunOpts) (Prioritizat
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
-	prio, err := RunClosed(setup, mpl, core.NewPriority(), workload.DBOptions{}, opts)
+	prio, err := RunClosed(setup, mpl, core.PolicyPriority, workload.DBOptions{}, opts)
 	if err != nil {
 		return PrioritizationResult{}, err
 	}
@@ -220,7 +220,7 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 		// CPU-bound: renice-style CPU priorities (DB2 on Linux).
 		internalOpts = workload.DBOptions{CPUPriority: true}
 	}
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +237,7 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 	// sequential MPL search). All four fan out in parallel.
 	out, err := SweepContext(opts.ctx(), 1+len(externals), func(i int) (InternalComparison, error) {
 		if i == 0 {
-			internal, err := RunClosed(setup, 0, nil, internalOpts, opts)
+			internal, err := RunClosed(setup, 0, "", internalOpts, opts)
 			if err != nil {
 				return InternalComparison{}, err
 			}
@@ -253,7 +253,7 @@ func CompareInternalExternal(setupID int, opts RunOpts) ([]InternalComparison, e
 		if err != nil {
 			return InternalComparison{}, err
 		}
-		r, err := RunClosed(setup, mpl, core.NewPriority(), workload.DBOptions{}, opts)
+		r, err := RunClosed(setup, mpl, core.PolicyPriority, workload.DBOptions{}, opts)
 		if err != nil {
 			return InternalComparison{}, err
 		}

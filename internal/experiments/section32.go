@@ -20,7 +20,7 @@ func Section32RT(setupID int, utilization float64, mpls []int, opts RunOpts) (*F
 	}
 	// Saturation throughput bounds the arrival rate: λ = ρ · X_max,
 	// with X_max measured on the closed system without MPL.
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -36,7 +36,7 @@ func Section32RT(setupID int, utilization float64, mpls []int, opts RunOpts) (*F
 	var noMPL float64
 	grid := append(append([]int{}, mpls...), 0) // trailing 0 = no-MPL reference
 	rts, err := SweepContext(opts.ctx(), len(grid), func(i int) (float64, error) {
-		r, err := RunOpen(setup, grid[i], lambda, nil, workload.DBOptions{}, opts)
+		r, err := RunOpen(setup, grid[i], lambda, "", workload.DBOptions{}, opts)
 		if err != nil {
 			return 0, err
 		}

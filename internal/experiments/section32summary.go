@@ -59,13 +59,13 @@ func minMPLForRT(setupID int, utilization, tolerance float64, mpls []int, opts R
 	if err != nil {
 		return 0, 0, err
 	}
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return 0, 0, err
 	}
 	lambda := utilization * base.Throughput
 	probe := func(m int) (float64, error) {
-		r, err := RunOpen(setup, m, lambda, nil, workload.DBOptions{}, opts)
+		r, err := RunOpen(setup, m, lambda, "", workload.DBOptions{}, opts)
 		if err != nil {
 			return 0, err
 		}

@@ -41,7 +41,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 	opts = opts.withDefaults(setup)
 	// Reference capacity and baseline response time from a no-MPL
 	// closed probe (the same probe every controller figure uses).
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -75,7 +75,7 @@ func SLOFigure(setupID int, targetP95 float64, opts RunOpts) (*Figure, error) {
 		}
 	}
 	runOne := func(mpl int, events []runner.Event) (sloOutcome, error) {
-		out, err := RunPhases(setup, mpl, nil, workload.DBOptions{}, opts, spec(events))
+		out, err := RunPhases(setup, mpl, "", workload.DBOptions{}, opts, spec(events))
 		if err != nil {
 			return sloOutcome{}, err
 		}

@@ -24,7 +24,7 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	}
 	opts = opts.withDefaults(setup)
 	// Reference optimum from a no-MPL probe (parallel-safe: one run).
-	base, err := RunClosed(setup, 0, nil, workload.DBOptions{}, opts)
+	base, err := RunClosed(setup, 0, "", workload.DBOptions{}, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -46,7 +46,7 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	}
 	seg := opts.Measure
 	var col metrics.Collector
-	out, err := RunPhases(setup, start, nil, workload.DBOptions{}, opts, runner.Scenario{
+	out, err := RunPhases(setup, start, "", workload.DBOptions{}, opts, runner.Scenario{
 		Warmup:         opts.Warmup,
 		SampleInterval: seg / 10,
 		Phases: []runner.Phase{

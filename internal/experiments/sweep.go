@@ -198,7 +198,7 @@ func throughputGrid(ids []int, mpls []int, opts RunOpts) ([]Series, error) {
 		if err != nil {
 			return 0, err
 		}
-		r, err := RunClosed(setup, p.mpl, nil, workload.DBOptions{}, opts)
+		r, err := RunClosed(setup, p.mpl, "", workload.DBOptions{}, opts)
 		if err != nil {
 			return 0, fmt.Errorf("setup %d MPL %d: %w", p.setupID, p.mpl, err)
 		}

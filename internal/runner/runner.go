@@ -1,11 +1,12 @@
-// Package runner executes phased workload scenarios on an assembled
-// simulation stack. It defines the scenario and result vocabulary once
-// (package extsched re-exports each type by alias) and is the engine
-// behind the public Scenario API (extsched.System.Run) and the
-// experiment harness's runs: one place that owns the measurement-window
-// rule, phase sequencing, mid-phase control events, and interval
-// snapshot streaming, so that every run in the repository measures the
-// same way.
+// Package runner assembles simulation stacks and executes phased
+// workload scenarios on them. It defines the scenario and result
+// vocabulary once (package extsched re-exports each type by alias) and
+// is the engine behind the public Scenario API (extsched.System.Run)
+// and the experiment harness's runs: one place that builds every
+// simulated system (NewStack: DBMS, frontends, dispatcher, pre-warmed
+// pools) and owns the measurement-window rule, phase sequencing,
+// mid-phase control events, and interval snapshot streaming, so that
+// every run in the repository is assembled and measured the same way.
 //
 // # The windowing rule
 //
@@ -44,10 +45,11 @@ import (
 	"extsched/metrics"
 )
 
-// Stack is the assembled simulation a scenario runs on. Exactly one of
-// two shapes: single-backend (DB + FE set, Cluster nil) or sharded
-// (Cluster set, DB/FE ignored). The runner owns the completion hooks
-// (FE.OnComplete or Cluster.OnComplete) for the duration of the run.
+// Stack is the assembled simulation a scenario runs on; NewStack builds
+// it. Exactly one of two shapes: single-backend (DB + FE set, Cluster
+// nil) or sharded (Cluster set, DB/FE ignored). The runner owns the
+// completion hooks (FE.OnComplete or Cluster.OnComplete) for the
+// duration of the run.
 type Stack struct {
 	Eng *sim.Engine
 	DB  *dbms.DB

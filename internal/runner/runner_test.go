@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"extsched/internal/dbfe"
-	"extsched/internal/dbms"
-	"extsched/internal/sim"
 	"extsched/internal/trace"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -28,18 +25,11 @@ func setupStack(t *testing.T, setupID, mpl int, seed uint64) Stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	db, err := dbms.New(eng, setup.BuildConfig(workload.DBOptions{Seed: seed}))
+	st, err := NewStack(Build{Setup: setup, MPL: mpl, Seed: seed})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := dbfe.New(eng, db, mpl, nil)
-	gen, err := workload.NewGenerator(setup.Workload, seed)
-	if err != nil {
-		t.Fatal(err)
-	}
-	workload.Prewarm(db, setup.Workload, seed)
-	return Stack{Eng: eng, DB: db, FE: fe, Gen: gen, Seed: seed}
+	return st
 }
 
 func TestSpecValidate(t *testing.T) {

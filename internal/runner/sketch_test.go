@@ -5,11 +5,7 @@ import (
 	"reflect"
 	"testing"
 
-	"extsched/internal/cluster"
 	"extsched/internal/core"
-	"extsched/internal/dbfe"
-	"extsched/internal/dbms"
-	"extsched/internal/sim"
 	"extsched/internal/workload"
 	"extsched/metrics"
 )
@@ -65,31 +61,11 @@ func TestShardSketchesMergeToRunSketch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := sim.NewEngine()
-	shards := make([]cluster.Shard, 3)
-	for i := range shards {
-		seed := cluster.ShardSeed(6, i)
-		db, err := dbms.New(eng, setup.BuildConfig(workload.DBOptions{Seed: seed, CPUSpeed: 1 + float64(i)/2}))
-		if err != nil {
-			t.Fatal(err)
-		}
-		workload.Prewarm(db, setup.Workload, seed)
-		shards[i] = cluster.Shard{FE: dbfe.New(eng, db, 0, nil), DB: db, Speed: 1 + float64(i)/2}
-	}
-	policy, err := cluster.NewPolicySeeded("jsq-d:2", 6)
+	st, err := NewStack(Build{Setup: setup, MPL: 12, Shards: 3, Speeds: []float64{1, 1.5, 2}, Dispatch: "jsq-d:2", Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	disp, err := cluster.NewDispatcher(policy, shards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	disp.SetMPL(12)
-	gen, err := workload.NewGenerator(setup.Workload, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r := &run{st: Stack{Eng: eng, Cluster: disp, Gen: gen, Seed: 6}, sc: &Scenario{
+	r := &run{st: st, sc: &Scenario{
 		Warmup:         5,
 		SampleInterval: 10,
 		Phases:         []Phase{{Kind: PhaseBurst, Lambda: 60, BurstFactor: 3, BurstPeriod: 10, Duration: 60}},
