@@ -353,6 +353,26 @@ func measure() ([]Metric, error) {
 	})
 	add("gate/middleware/allocs_op", "allocs", float64(r.AllocsPerOp()))
 
+	// Live set-up: what a service pays before its first response — New,
+	// Middleware and the first request through them (gate
+	// BenchmarkGateSetup, the live benchmark workloads' set-up loop).
+	ok := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) { w.WriteHeader(http.StatusOK) })
+	r = testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			g, err := gate.New(gate.Config{Limit: 64, Policy: gate.FIFO})
+			if err != nil {
+				b.Fatal(err)
+			}
+			rec := httptest.NewRecorder()
+			gate.Middleware(g, ok).ServeHTTP(rec, mr)
+			if rec.Code != http.StatusOK {
+				b.Fatalf("set-up request answered %d", rec.Code)
+			}
+		}
+	})
+	add("gate/setup/allocs_op", "allocs", float64(r.AllocsPerOp()))
+
 	// Dispatch pick cost: the per-transaction routing decision at fleet
 	// sizes 8 and 1000 for full-scan jsq versus sampled jsq-d. The
 	// sampled path is what makes thousand-shard fleets tractable, so it

@@ -138,3 +138,22 @@ func BenchmarkGateAcquireReleaseWFQ(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkGateSetup measures what a service pays before its first
+// response: New, Middleware and the first request through them — the
+// set-up loop body of the live benchmark workloads (bench/live.go).
+func BenchmarkGateSetup(b *testing.B) {
+	req := httptest.NewRequest(http.MethodGet, "/", nil)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		g, err := New(Config{Limit: 64, Policy: FIFO})
+		if err != nil {
+			b.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		Middleware(g, okHandler).ServeHTTP(rec, req)
+		if rec.Code != http.StatusOK {
+			b.Fatalf("set-up request answered %d", rec.Code)
+		}
+	}
+}

@@ -36,6 +36,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -148,9 +149,19 @@ type Result struct {
 type Gate struct {
 	fe    *core.Frontend
 	clock sim.Clock
+	// wall is the gate's clock unless Config.clock overrides it; held
+	// here, it costs the set-up no allocation of its own.
+	wall sim.WallClock
 	// slots recycles ticketSlots so the uncontended Acquire/Release
-	// round trip allocates nothing.
+	// round trip allocates nothing. sync.Pool keeps slots per P, so a
+	// core's releases keep recording into the same metrics stripe.
 	slots sync.Pool
+	// stripes is the frontend's number of metrics stripes, and
+	// nextStripe numbers the ticket slots as they are made: a slot
+	// starts on stripe number % stripes, so the first uses stripe 0,
+	// and keeps the stripe its item last recorded into.
+	stripes    uint32
+	nextStripe atomic.Uint32
 	// loops holds the gate's control loops (auto-tune, and SLO tuning
 	// or fairness); every Release feeds them.
 	loops controller.Slot
@@ -168,6 +179,8 @@ type ticketSlot struct {
 	item core.Item
 	// admitted carries the admission (or shed) wake-up: capacity 1,
 	// one token per submission, consumed before the slot is reused.
+	// It is made when the slot's first request goes to Submit: a slot
+	// that only ever takes the fast path never needs one.
 	admitted chan struct{}
 	gen      atomic.Uint64
 	// shed is set (before the admitted token is sent) when the ticket
@@ -205,15 +218,16 @@ func New(cfg Config) (*Gate, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gate: %w", err)
 	}
-	clock := cfg.clock
-	if clock == nil {
-		clock = sim.NewWallClock()
+	g := &Gate{clock: cfg.clock, stripes: uint32(runtime.GOMAXPROCS(0))}
+	if g.clock == nil {
+		g.wall = *sim.NewWallClock()
+		g.clock = &g.wall
 	}
-	g := &Gate{clock: clock}
-	g.slots.New = func() any {
-		return &ticketSlot{g: g, admitted: make(chan struct{}, 1)}
-	}
-	g.fe = core.New(clock, backend{}, cfg.Limit, policy)
+	g.fe = core.New(g.clock, backend{}, cfg.Limit, policy)
+	// One metrics stripe per P: concurrent releases record without
+	// contending for one lock, and the stripes past the first are
+	// allocated only once a second slot's release needs one.
+	g.fe.SetMetricsStripes(int(g.stripes))
 	if cfg.QueueLimit > 0 {
 		g.fe.SetQueueLimit(cfg.QueueLimit)
 	}
@@ -277,13 +291,21 @@ func (g *Gate) AcquireRequest(ctx context.Context, req Request) (Ticket, error) 
 	if err := checkClass(req.Class); err != nil {
 		return Ticket{}, err
 	}
-	s := g.slots.Get().(*ticketSlot)
+	s, _ := g.slots.Get().(*ticketSlot)
+	if s == nil {
+		s = &ticketSlot{g: g}
+		s.item.Stripe = (g.nextStripe.Add(1) - 1) % g.stripes
+	}
 	it := &s.item
 	it.Class = req.Class
 	it.SizeHint = req.SizeHint
 	it.Payload = s
 	if g.fe.TryAcquire(it) {
 		return Ticket{s: s, gen: s.gen.Load()}, nil
+	}
+	if s.admitted == nil {
+		// The slot is still the caller's alone: Submit publishes it.
+		s.admitted = make(chan struct{}, 1)
 	}
 	if !g.fe.Submit(it, nil) {
 		g.putSlot(s)
@@ -354,7 +376,7 @@ func (g *Gate) armDeadline(it *core.Item) (stop func()) {
 // putSlot resets a settled slot — no queue references, admitted token
 // consumed — and returns it to the pool.
 func (g *Gate) putSlot(s *ticketSlot) {
-	s.item = core.Item{}
+	s.item = core.Item{Stripe: s.item.Stripe}
 	s.shed = false
 	s.sw = statusWriter{}
 	g.slots.Put(s)
@@ -363,7 +385,8 @@ func (g *Gate) putSlot(s *ticketSlot) {
 // Release frees the ticket's slot, recording res. The next waiting
 // request (per the queue policy) is admitted on the caller's
 // goroutine before Release returns. On the uncontended path this is a
-// lock-free CAS plus the metrics update — no mutex, no allocation —
+// lock-free CAS plus the metrics update under the lock of one per-core
+// metrics stripe — no queue mutex, no allocation —
 // and one clock read: the completion stamp, from which the time the
 // work held its slot is also taken.
 func (t Ticket) Release(res Result) { t.release(res) }
@@ -453,7 +476,8 @@ func (g *Gate) ClassLimit(c Class) (limit int, ok bool) {
 // ClassPercentile reports class c's p-th response-time percentile (p
 // in [0,100]) over the current metrics window, within
 // stats.SketchAlpha (1%) — the signal an SLO is written against. It
-// allocates nothing.
+// merges only class c's part of each metrics stripe, into a buffer it
+// reuses, so it allocates only while that buffer grows.
 func (g *Gate) ClassPercentile(c Class, p float64) float64 {
 	return g.fe.ClassResponseTimePercentile(c, p)
 }
@@ -534,13 +558,15 @@ func (g *Gate) SetWFQWeights(weights map[Class]float64) (ok bool, err error) {
 // stay zero here.
 type Stats = metrics.Snapshot
 
-// Stats snapshots the gate. Counts, means and percentiles all come
-// from one copy of the metrics window, so they cover the same
-// completions. P50/P95/P99 and each class's P95 are within
-// stats.SketchAlpha (1%) of the exact percentiles of that window.
-// Copying the window's sketches allocates, and Stats takes the gate's
-// internal locks briefly, so it is a reporting call, not a per-request
-// one — per-request code should stick to Limit/Inflight.
+// Stats snapshots the gate. Releases record into per-core stripes of
+// the metrics window; Stats locks every stripe and merges them into
+// one copy, so counts, means and percentiles cover the same
+// completions, and the counts and sketches merge exactly. P50/P95/P99
+// and each class's P95 are within stats.SketchAlpha (1%) of the exact
+// percentiles of that window. Copying the window's sketches allocates,
+// and Stats takes the gate's internal locks briefly, so it is a
+// reporting call, not a per-request one — per-request code should
+// stick to Limit/Inflight.
 func (g *Gate) Stats() Stats {
 	m := g.fe.Metrics()
 	return g.stats(&m, new(stats.Sketch))

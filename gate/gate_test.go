@@ -329,6 +329,110 @@ func TestConcurrentAcquireReleaseInvariant(t *testing.T) {
 	}
 }
 
+// TestStripedStatsConservation: goroutines acquire and release over
+// two classes at real parallelism, so the completions spread over the
+// gate's metrics stripes. Stats counts each completion once, per class
+// too, and a ResetStats racing the load loses or double-counts
+// nothing: a release that returned before the reset began is gone from
+// the window, and one whose Acquire began after the reset returned is
+// in it.
+func TestStripedStatsConservation(t *testing.T) {
+	const workers, perWorker = 8, 1000
+	g, err := New(Config{Limit: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// phase runs the load, calling ResetStats once half of it is done
+	// when resetMid is set, and returns per class the releases that
+	// must be in the window and those that must not.
+	phase := func(resetMid bool) (in, out [2]uint64) {
+		var resetStarted, resetDone atomic.Bool
+		var released atomic.Int64
+		half := make(chan struct{})
+		var mu sync.Mutex
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var myIn, myOut [2]uint64
+				for i := 0; i < perWorker; i++ {
+					c := (w + i) % 2
+					after := resetDone.Load()
+					tk, err := g.AcquireRequest(context.Background(), Request{Class: Class(c)})
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					tk.Release(Result{})
+					if after {
+						myIn[c]++
+					}
+					if !resetStarted.Load() {
+						myOut[c]++
+					}
+					if released.Add(1) == workers*perWorker/2 {
+						close(half)
+					}
+				}
+				mu.Lock()
+				for c := range in {
+					in[c] += myIn[c]
+					out[c] += myOut[c]
+				}
+				mu.Unlock()
+			}(w)
+		}
+		if resetMid {
+			<-half
+			resetStarted.Store(true)
+			g.ResetStats()
+			resetDone.Store(true)
+		}
+		wg.Wait()
+		return in, out
+	}
+	const perClass = workers * perWorker / 2
+	exact := func(when string) {
+		t.Helper()
+		s := g.Stats()
+		if s.Completed != 2*perClass || s.Inflight != 0 || s.Queued != 0 {
+			t.Errorf("%s: %d completed, %d in flight, %d queued; want %d, 0, 0",
+				when, s.Completed, s.Inflight, s.Queued, 2*perClass)
+		}
+		for c := 0; c < 2; c++ {
+			if got := s.Class(c).Completed; got != perClass {
+				t.Errorf("%s: class %d completed %d, want %d", when, c, got, perClass)
+			}
+		}
+	}
+
+	phase(false)
+	exact("first run")
+
+	g.ResetStats()
+	if s := g.Stats(); s.Completed != 0 || len(s.Classes) != 0 {
+		t.Fatalf("after ResetStats: %d completed in %d classes, want an empty window", s.Completed, len(s.Classes))
+	}
+	in, out := phase(true)
+	s := g.Stats()
+	var sum uint64
+	for c := 0; c < 2; c++ {
+		got := s.Class(c).Completed
+		sum += got
+		if got < in[c] || got > perClass-out[c] {
+			t.Errorf("reset mid-run: class %d window holds %d completions, want %d to %d", c, got, in[c], perClass-out[c])
+		}
+	}
+	if s.Completed != sum {
+		t.Errorf("reset mid-run: window holds %d completions, its classes %d", s.Completed, sum)
+	}
+
+	g.ResetStats()
+	phase(false)
+	exact("run after the reset")
+}
+
 // TestConcurrentCancellationStorm mixes cancellations into concurrent
 // load; the gate's accounting must stay exact.
 func TestConcurrentCancellationStorm(t *testing.T) {

@@ -122,7 +122,13 @@ type Item struct {
 	Outcome Outcome
 	seq     uint64
 	state   itemState
-	done    func(*Item)
+	// Stripe picks the metrics stripe the item's completion records
+	// into (see SetMetricsStripes); it must be below the frontend's
+	// stripe count. A completion that finds its stripe's lock held
+	// records into the next stripe and sets Stripe to it. The zero
+	// value, stripe 0, is the only one a frontend with one stripe has.
+	Stripe uint32
+	done   func(*Item)
 	// shedNext links the items one dispatch sheds into a shedList, so
 	// they are delivered in pop order with nothing allocated. dispatch
 	// clears it before the item's callbacks run.
@@ -536,6 +542,15 @@ func (m *Metrics) find(c Class) (int, bool) {
 	return slices.BinarySearchFunc(m.Classes, c, func(cm ClassMetric, c Class) int { return cmp.Compare(cm.Class, c) })
 }
 
+// classSketch returns class c's sketch, or nil when the class
+// completed nothing in the window.
+func (m *Metrics) classSketch(c Class) *stats.Sketch {
+	if i, ok := m.find(c); ok {
+		return &m.Classes[i].Sketch
+	}
+	return nil
+}
+
 // class returns class c's entry, inserting it in class-ID order on
 // first use. A new entry takes over the sketch storage that Reset left
 // in the slot just past the end, which the insert would overwrite.
@@ -615,38 +630,62 @@ func (cs *classState) eligible() bool {
 // Frontend is the external scheduler: the MPL gate plus the reorderable
 // queue, generic over the executing backend and the time source. All
 // methods are safe for concurrent use.
+//
+// Its fields are grouped by who writes them, so that a fast admit or
+// release on one core does not invalidate the cache lines the others
+// only read. A Frontend is larger than 512 bytes, and every allocation
+// size class from 512 bytes up is a multiple of 64, so the allocator
+// places it on a cache-line boundary: the first group opens a line of
+// its own, and no neighbouring object shares a line with the last.
 type Frontend struct {
-	mu      sync.Mutex
-	clock   sim.Clock
-	backend Backend
-	policy  Policy
-	seq     uint64
+	// Written by every fast admit and release: the gate word and the
+	// inside counters of classes 0 and 1, all in the first cache line.
+
 	// word is the packed gate state (see insideBits and friends): the
 	// inside count, the MPL limit, and the slow flag, maintained with
 	// CAS so the uncontended admit/complete path never locks mu. The
 	// flag bit itself only transitions under mu (updateSlowLocked).
 	word atomic.Uint64
-	// metricsMu guards metrics. It is deliberately separate from mu:
-	// the completion fast path records metrics under this tiny lock
-	// without touching the queue lock, and keeping one lock (rather than
-	// sharded cells) preserves the exact sequential accumulation order
-	// the deterministic simulator fingerprints depend on.
-	metricsMu sync.Mutex
-	metrics   Metrics
-	// classes is the per-class table, indexed by class and long enough
-	// for every class seen. A growth (under mu) publishes a longer copy
-	// pointing at the same records, so no fast-path update is lost.
-	classes atomic.Pointer[[]*classState]
 	// first holds the records of classes 0 and 1, and firstTable the
 	// table that starts from them, so a frontend that sees no other
 	// class allocates nothing for its table.
-	first      [2]classState
+	first [2]classState
+
+	// Read-mostly: set before traffic flows, or changed rarely.
+
+	clock   sim.Clock
+	backend Backend
+	// classes is the per-class table, indexed by class and long enough
+	// for every class seen. A growth (under mu) publishes a longer copy
+	// pointing at the same records, so no fast-path update is lost.
+	classes    atomic.Pointer[[]*classState]
 	firstPtrs  [2]*classState
 	firstTable []*classState
 	// deadlineArmed counts classes with an admit deadline configured.
 	// Nonzero forces every submission through the slow path, where the
 	// deadlines can be read under mu.
 	deadlineArmed atomic.Int32
+	// nstripes is the number of metrics stripes (SetMetricsStripes);
+	// stripes holds stripes 1..nstripes-1 once a completion has landed
+	// on one of them.
+	nstripes uint32
+	stripes  atomic.Pointer[stripeSet]
+	// OnComplete, if set, observes every completion (used by drivers
+	// for closed-loop clients and by controller wiring). Set hooks
+	// before traffic flows; they run outside the frontend lock.
+	OnComplete func(*Item)
+	// OnDrop, if set, observes admission-control rejections.
+	OnDrop func(*Item)
+	// OnShed, if set, observes deadline sheds (after the item's own
+	// done callback, outside the frontend lock).
+	OnShed func(*Item)
+
+	// Written under mu by the slow path, which the fast path never
+	// takes; they also keep stripe 0 off the read-mostly lines.
+
+	mu     sync.Mutex
+	policy Policy
+	seq    uint64
 	// partitioned is set while class limits partition the MPL: a class
 	// at its limit does not dispatch while another class has eligible
 	// work, but capacity is never left idle (work-conserving borrowing
@@ -681,24 +720,45 @@ type Frontend struct {
 	// conservation invariant reads
 	// accepted == completed + inside + queued + canceled + shed + failed.
 	failed uint64
-	// OnComplete, if set, observes every completion (used by drivers
-	// for closed-loop clients and by controller wiring). Set hooks
-	// before traffic flows; they run outside the frontend lock.
-	OnComplete func(*Item)
-	// OnDrop, if set, observes admission-control rejections.
-	OnDrop func(*Item)
-	// OnShed, if set, observes deadline sheds (after the item's own
-	// done callback, outside the frontend lock).
-	OnShed func(*Item)
 	// tenantMu guards the tenant registry, which is append-only:
 	// RegisterClass hands out sequential class IDs.
 	tenantMu sync.Mutex
 	tenants  []Tenant
-	// firstMetrics backs metrics.Classes until a second class
-	// completes, so a gate's first completion allocates nothing for its
-	// window. It sits last, away from the atomics the fast path updates
-	// on other cores while a completion writes the entry.
-	firstMetrics [1]ClassMetric
+
+	// metrics is stripe 0 of the metrics window, written by every
+	// completion that records into it. Its lock is deliberately
+	// separate from mu: the completion fast path records metrics under
+	// it without touching the queue lock. The simulator records every
+	// completion here, in completion order, so the same-seed
+	// fingerprints stay exact; only a frontend given more stripes (the
+	// live gate) spreads its completions.
+	metrics metricsStripe
+}
+
+// metricsStripe is one part of a frontend's metrics window under its
+// own lock. Reads lock every stripe and merge them; counts and sketches
+// merge exactly.
+type metricsStripe struct {
+	mu sync.Mutex
+	m  Metrics
+	// first backs m.Classes until a second class completes, so the
+	// stripe's first completion allocates nothing for its window.
+	first [1]ClassMetric
+}
+
+// stripeSet is the metrics stripes past stripe 0, allocated at once by
+// the first completion that lands on one of them.
+type stripeSet struct {
+	stripes []paddedStripe
+	// scratch merges one class's sketches for
+	// ClassResponseTimePercentile, under every stripe's lock.
+	scratch stats.Sketch
+}
+
+// paddedStripe keeps neighbouring stripes off each other's cache lines.
+type paddedStripe struct {
+	metricsStripe
+	_ [64]byte
 }
 
 // Tenant is one registered tenant: a class ID bound to a human name, a
@@ -770,13 +830,71 @@ func New(clock sim.Clock, backend Backend, mpl int, policy Policy) *Frontend {
 	if policy == nil {
 		policy = NewFIFO()
 	}
-	f := &Frontend{clock: clock, backend: backend, policy: policy}
+	f := &Frontend{clock: clock, backend: backend, policy: policy, nstripes: 1}
 	f.word.Store(uint64(mpl) << limitShift)
 	f.firstPtrs = [2]*classState{&f.first[0], &f.first[1]}
 	f.firstTable = f.firstPtrs[:]
 	f.classes.Store(&f.firstTable)
-	f.metrics.Classes = f.firstMetrics[:0]
+	f.metrics.m.Classes = f.metrics.first[:0]
 	return f
+}
+
+// SetMetricsStripes splits the metrics window into k stripes, each
+// under its own lock, so completions on different cores record
+// without contending (in the manner of a striped counter); reads merge
+// them. An item's Stripe picks the stripe its completion records into.
+// Call it before any item completes. A new frontend has one stripe.
+func (f *Frontend) SetMetricsStripes(k int) {
+	if k < 1 {
+		panic(fmt.Sprintf("core: %d metrics stripes, want at least 1", k))
+	}
+	f.nstripes = uint32(k)
+}
+
+// stripe returns metrics stripe i, allocating stripes 1..nstripes-1 on
+// the first completion that lands on one of them.
+func (f *Frontend) stripe(i uint32) *metricsStripe {
+	if i == 0 {
+		return &f.metrics
+	}
+	set := f.stripes.Load()
+	if set == nil {
+		set = &stripeSet{stripes: make([]paddedStripe, f.nstripes-1)}
+		for j := range set.stripes {
+			s := &set.stripes[j]
+			s.m.Classes = s.first[:0]
+		}
+		if !f.stripes.CompareAndSwap(nil, set) {
+			set = f.stripes.Load()
+		}
+	}
+	return &set.stripes[i-1].metricsStripe
+}
+
+// lockMetrics locks every metrics stripe, stripe 0 first, and returns
+// the stripes past stripe 0 (nil while none is allocated). A
+// completion holds one stripe's lock at a time, so this order cannot
+// deadlock; a stripe set published after the load records only
+// completions that come after the caller's snapshot or reset.
+func (f *Frontend) lockMetrics() *stripeSet {
+	f.metrics.mu.Lock()
+	set := f.stripes.Load()
+	if set != nil {
+		for i := range set.stripes {
+			set.stripes[i].mu.Lock()
+		}
+	}
+	return set
+}
+
+// unlockMetrics releases what lockMetrics took.
+func (f *Frontend) unlockMetrics(set *stripeSet) {
+	if set != nil {
+		for i := range set.stripes {
+			set.stripes[i].mu.Unlock()
+		}
+	}
+	f.metrics.mu.Unlock()
 }
 
 // table returns the per-class table. Lock-free.
@@ -1021,33 +1139,58 @@ func (f *Frontend) SetWFQWeights(weights map[Class]float64) bool {
 
 // ClassResponseTimePercentile returns the p-th percentile (p in
 // [0,100]) of class c's response times in the current window, within
-// stats.SketchAlpha (0 when the class saw no completions).
+// stats.SketchAlpha (0 when the class saw no completions). With more
+// than one stripe it merges class c's sketches, and nothing else, into
+// a scratch sketch that it reuses.
 func (f *Frontend) ClassResponseTimePercentile(c Class, p float64) float64 {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	i, ok := f.metrics.find(c)
-	if !ok {
+	set := f.lockMetrics()
+	defer f.unlockMetrics(set)
+	sk := f.metrics.m.classSketch(c)
+	if set != nil {
+		set.scratch.Reset()
+		if sk != nil {
+			set.scratch.Merge(sk)
+		}
+		for i := range set.stripes {
+			if o := set.stripes[i].m.classSketch(c); o != nil {
+				set.scratch.Merge(o)
+			}
+		}
+		sk = &set.scratch
+	}
+	if sk == nil {
 		return 0
 	}
-	return f.metrics.Classes[i].Sketch.Quantile(p / 100)
+	return sk.Quantile(p / 100)
 }
 
-// Metrics returns a snapshot of the metrics window that shares no
-// storage with the frontend.
+// Metrics returns a snapshot of the metrics window, its stripes
+// merged, that shares no storage with the frontend.
 func (f *Frontend) Metrics() Metrics {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	m := f.metrics.Clone()
-	m.windowTime = f.clock.Now() - f.metrics.resetTime
+	set := f.lockMetrics()
+	defer f.unlockMetrics(set)
+	m := f.metrics.m.Clone()
+	if set != nil {
+		for i := range set.stripes {
+			m.Merge(&set.stripes[i].m)
+		}
+	}
+	m.windowTime = f.clock.Now() - f.metrics.m.resetTime
 	return m
 }
 
-// ResetMetrics starts a fresh measurement window (e.g. after warmup).
+// ResetMetrics starts a fresh measurement window (e.g. after warmup),
+// emptying every stripe.
 func (f *Frontend) ResetMetrics() {
-	f.metricsMu.Lock()
-	defer f.metricsMu.Unlock()
-	f.metrics.Reset()
-	f.metrics.resetTime = f.clock.Now()
+	set := f.lockMetrics()
+	defer f.unlockMetrics(set)
+	f.metrics.m.Reset()
+	f.metrics.m.resetTime = f.clock.Now()
+	if set != nil {
+		for i := range set.stripes {
+			set.stripes[i].m.Reset()
+		}
+	}
 }
 
 // tryFastAdmit is the lock-free admission path for an item of the
@@ -1579,7 +1722,7 @@ func (f *Frontend) Discard(it *Item) {
 // When the slow flag is clear at the instant of the slot-freeing CAS —
 // nothing queued, no class partition — the completion never takes the
 // queue mutex: the CAS frees the slot, metrics are recorded under
-// metricsMu, the callbacks run, and there is nobody to dispatch. If
+// the item's stripe lock, the callbacks run, and there is nobody to dispatch. If
 // anything was waiting, the flag was set (it is only cleared under the
 // mutex once the queue is empty), the CAS fails or the flag check
 // does, and the completion falls through to the mutex path, whose
@@ -1630,15 +1773,24 @@ func (f *Frontend) stampDone(it *Item, o Outcome, measured bool) {
 	it.Outcome = o
 }
 
-// finishCompletion records a completed item in the metrics window and
-// delivers its callbacks.
+// finishCompletion records a completed item in its stripe of the
+// metrics window and delivers its callbacks.
 // Shared by the fast and slow completion paths; called WITHOUT f.mu
-// held (metricsMu is taken here, and the hooks may re-enter the
-// frontend).
+// held (the stripe's lock is taken here, and the hooks may re-enter
+// the frontend).
 func (f *Frontend) finishCompletion(it *Item) {
-	f.metricsMu.Lock()
-	f.metrics.Record(it)
-	f.metricsMu.Unlock()
+	s := f.stripe(it.Stripe)
+	if !s.mu.TryLock() {
+		// Another core holds the stripe: move the item on to the next
+		// one, as a striped counter rehashes a contended cell, so a
+		// caller that recycles the item with its Stripe records there
+		// from now on.
+		it.Stripe = (it.Stripe + 1) % f.nstripes
+		s = f.stripe(it.Stripe)
+		s.mu.Lock()
+	}
+	s.m.Record(it)
+	s.mu.Unlock()
 	if it.done != nil {
 		it.done(it)
 	}

@@ -3,6 +3,7 @@ package core
 import (
 	"sync"
 	"testing"
+	"unsafe"
 
 	"extsched/internal/sim"
 )
@@ -304,5 +305,26 @@ func TestSetMPLShrinkBelowInflight(t *testing.T) {
 	}
 	if fe.QueueLen() != 0 {
 		t.Fatalf("QueueLen=%d after drain, want 0", fe.QueueLen())
+	}
+}
+
+// TestFastPathHotLine pins the Frontend layout its doc describes: the
+// fields every fast admit and release writes — the gate word and the
+// inside counters of classes 0 and 1 — fill the first cache line with
+// nothing read-mostly beside them, and the struct stays large enough
+// (512 bytes) for the allocator to start it on a line boundary.
+func TestFastPathHotLine(t *testing.T) {
+	var f Frontend
+	if size := unsafe.Sizeof(f); size < 512 {
+		t.Errorf("Frontend is %d bytes, under the 512 that align it to a cache line", size)
+	}
+	if off := unsafe.Offsetof(f.word); off != 0 {
+		t.Errorf("word at offset %d, want 0", off)
+	}
+	if end := unsafe.Offsetof(f.first) + unsafe.Sizeof(f.first[0]) + unsafe.Sizeof(f.first[1].inside); end > 64 {
+		t.Errorf("class 1's inside counter ends at byte %d, past the first cache line", end)
+	}
+	if off := unsafe.Offsetof(f.clock); off < 64 {
+		t.Errorf("the read-mostly fields start at byte %d, inside the hot first line", off)
 	}
 }

@@ -149,9 +149,10 @@ func sweep[T any](ctx context.Context, workers, n int, fn func(i int) (T, error)
 	}
 	wg.Wait()
 	// Report the lowest-indexed outcome, mirroring the sequential loop:
-	// it would have stopped at the first bad point, panic or error.
-	// Panics outrank cancellation (they are model bugs, not shutdown).
-	for i := 0; i < n; i++ {
+	// it would have stopped at the first bad point, panic or error, so
+	// a panic past a failed point is not raised. Panics outrank
+	// cancellation (they are model bugs, not shutdown).
+	for i := 0; i < n && errs[i] == nil; i++ {
 		if panics[i] != nil {
 			panic(fmt.Sprintf("experiments: sweep point %d panicked: %v\nworker stack:\n%s",
 				i, panics[i].value, panics[i].stack))
