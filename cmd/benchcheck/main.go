@@ -18,6 +18,7 @@
 //	benchcheck -out BENCH_current.json          # also write the fresh measurements
 //	benchcheck -update                          # re-baseline (when a speedup lands,
 //	                                            # commit the refreshed file in the same PR)
+//	benchcheck -cpuprofile cpu.out              # also profile the measurements
 //
 // Two metric families behave differently:
 //
@@ -34,6 +35,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"math"
@@ -52,6 +54,7 @@ import (
 	"extsched/internal/disk"
 	"extsched/internal/experiments"
 	"extsched/internal/lockmgr"
+	"extsched/internal/profile"
 	"extsched/internal/runner"
 	"extsched/internal/sim"
 	"extsched/internal/workload"
@@ -101,10 +104,18 @@ func main() {
 		outPath      = flag.String("out", "", "write the fresh measurements to this file")
 		update       = flag.Bool("update", false, "rewrite the baseline from the fresh measurements (keeps existing per-metric tolerances)")
 		timeTol      = flag.Float64("time-tolerance", 0, "override the tolerance of every \"time\"-kind metric (0 = use the baseline's). CI runs on whatever hardware it gets, so it widens these; local runs keep the strict per-metric values")
+		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile of the measurements to this file")
+		memProf      = flag.String("memprofile", "", "write a heap profile at the end of the measurements to this file")
 	)
 	flag.Parse()
 
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "benchcheck:", err)
+		os.Exit(1)
+	}
 	fresh, err := measure()
+	err = errors.Join(err, stopProfile())
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchcheck:", err)
 		os.Exit(1)

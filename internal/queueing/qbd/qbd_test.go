@@ -1,6 +1,7 @@
 package qbd
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -251,7 +252,7 @@ func TestBinarySearchMatchesLinearScan(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lin, err := MinMPLForResponseTimeLinear(tc.lambda, job, tc.tol, tc.maxMPL)
+		lin, err := minMPLForResponseTimeLinear(tc.lambda, job, tc.tol, tc.maxMPL)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -271,4 +272,26 @@ func TestMinMPLUnreachableTarget(t *testing.T) {
 	if m != 6 {
 		t.Errorf("unreachable target should return maxMPL+1, got %d", m)
 	}
+}
+
+// minMPLForResponseTimeLinear is the O(maxMPL) scan that validates
+// MinMPLForResponseTime's binary search (and its monotonicity
+// assumption).
+func minMPLForResponseTimeLinear(lambda float64, job dist.H2, tolerance float64, maxMPL int) (int, error) {
+	rho := lambda * job.Mean()
+	if rho >= 1 {
+		return 0, fmt.Errorf("qbd: unstable system, rho = %v", rho)
+	}
+	psRT := job.Mean() / (1 - rho)
+	target := psRT * (1 + tolerance)
+	for mpl := 1; mpl <= maxMPL; mpl++ {
+		sol, err := Solve(Model{Lambda: lambda, Job: job, MPL: mpl})
+		if err != nil {
+			return 0, err
+		}
+		if sol.MeanRT <= target {
+			return mpl, nil
+		}
+	}
+	return maxMPL + 1, nil
 }
