@@ -48,6 +48,7 @@ import (
 	"testing"
 
 	"extsched/gate"
+	"extsched/internal/bufferpool"
 	"extsched/internal/cluster"
 	"extsched/internal/core"
 	"extsched/internal/cpusched"
@@ -443,6 +444,12 @@ func measure() ([]Metric, error) {
 	add("cpusched/submit_complete/allocs_op", "allocs", cpuAllocs)
 	add("disk/submit_complete/allocs_op", "allocs", diskAllocs)
 
+	// Buffer pool: a hit on a fully-cached pool, which stays dense, and
+	// an evicting miss on a full one, which has left the dense state.
+	hitAllocs, evictAllocs := poolAllocs()
+	add("bufferpool/cached_hit/allocs_op", "allocs", hitAllocs)
+	add("bufferpool/evicting_access/allocs_op", "allocs", evictAllocs)
+
 	// Frontend: one item submitted past its admission deadline, which
 	// the dispatch sheds and delivers. Sheds are linked through the
 	// items, so shedding allocates nothing.
@@ -559,6 +566,40 @@ func modelLayerAllocs() (lock, cpu, dsk float64) {
 	})
 	dsk = float64(r.AllocsPerOp())
 	return lock, cpu, dsk
+}
+
+// poolAllocs measures allocations per buffer-pool access: a hit on a
+// pool filled with pages 0..4095 in order, as Prewarm fills a
+// fully-cached pool, and a miss on a full pool cycled over one page
+// more than it holds, so that every access evicts.
+func poolAllocs() (hit, evict float64) {
+	const capacity = 4096
+	r := testing.Benchmark(func(b *testing.B) {
+		p := bufferpool.New(capacity)
+		for i := uint64(0); i < capacity; i++ {
+			p.Access(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Access(uint64(i*37) % capacity)
+		}
+	})
+	hit = float64(r.AllocsPerOp())
+
+	r = testing.Benchmark(func(b *testing.B) {
+		p := bufferpool.New(capacity)
+		for i := uint64(0); i <= capacity; i++ {
+			p.Access(i)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Access(uint64(i) % (capacity + 1))
+		}
+	})
+	evict = float64(r.AllocsPerOp())
+	return hit, evict
 }
 
 // shedDispatchAllocs measures allocations per dispatch-time shed: a

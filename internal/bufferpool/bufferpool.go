@@ -8,13 +8,15 @@
 // (W_IO-inventory: 6 GB data / 100 MB pool).
 //
 // Every simulated page access probes the pool, and every run builds and
-// prewarms a fresh one per shard, so the page index is the hottest data
-// structure in the simulator. It is an open-addressed table over the
-// pool's node arena rather than a Go map: one int32 per cell, a fixed
-// multiplicative hash, linear probing and backward-shift deletion
-// (Knuth, TAOCP vol. 3, §6.4, Algorithm R). A probe compares the key
-// through the arena node a hit touches anyway, an eviction leaves no
-// tombstone behind, and nothing is allocated after New.
+// prewarms a fresh one per shard, so the pool is the hottest data
+// structure in the simulator. A fully-cached pool stays dense (see Pool)
+// until something needs its LRU order: no page index, no recency list,
+// and a hit is one store. Otherwise the page index is an open-addressed
+// table over the pool's node arena rather than a Go map: one int32 per
+// cell, a fixed multiplicative hash, linear probing and backward-shift
+// deletion (Knuth, TAOCP vol. 3, §6.4, Algorithm R). A probe compares
+// the key through the arena node a hit touches anyway, an eviction
+// leaves no tombstone behind, and nothing is allocated after New.
 //
 // A pool smaller than its database is prewarmed without replaying the
 // warm-up's accesses: Pool.Warm installs exactly the pool that n
@@ -23,15 +25,17 @@
 package bufferpool
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"extsched/internal/sim"
 )
 
-// lruNode is one arena slot of the pool's intrusive recency list.
-// prev/next are arena indices; -1 terminates.
+// lruNode is one arena slot of the pool's intrusive recency list: prev/next
+// are arena indices, -1 terminates. A dense pool's page is a last-access tick.
 type lruNode struct {
 	page       uint64
 	prev, next int32
@@ -43,6 +47,14 @@ const fibMul = 0x9E3779B97F4A7C15
 
 // Pool is an LRU page cache with dirty-page tracking for the
 // background flusher (checkpointer).
+//
+// A new pool is dense: slot i holds page i, a hit stores the next tick
+// in its node, and a miss on page Resident() of a pool that is not full
+// appends it. LRU order is a function of each page's last access
+// (Mattson et al., IBM Syst. J. 1970), so the first operation that
+// needs it — a miss on any other page or on a full pool, CollectDirty,
+// Warm — builds the list and the index from the ticks, for good. Slots
+// do not move, so the dirty bitset stays valid.
 //
 // The recency list is an intrusive doubly-linked list over a node
 // arena rather than a container/list: a node is allocated once per
@@ -76,6 +88,8 @@ type Pool struct {
 	misses     uint64
 	dirty      []uint64 // bit i set: arena slot i holds a dirty page
 	nDirty     int
+	dense      bool   // slot i holds page i; no index or list yet
+	tick       uint64 // the dense state's access clock
 	// evictedDirty counts dirty pages pushed out by eviction; a real
 	// engine must write those back synchronously, so a high count
 	// signals an undersized pool or a lazy flusher.
@@ -90,6 +104,7 @@ func New(capacity int) *Pool {
 	logLen := bits.Len(uint(capacity + capacity/2))
 	return &Pool{
 		capacity: capacity,
+		dense:    true,
 		head:     -1,
 		tail:     -1,
 		nodes:    make([]lruNode, 0, capacity),
@@ -112,6 +127,9 @@ func (p *Pool) home(page uint64) int {
 
 // lookup returns page's arena slot, or -1 if it is not resident.
 func (p *Pool) lookup(page uint64) int32 {
+	if p.dense && page < uint64(len(p.nodes)) {
+		return int32(page) // any other page finds the empty index's 0
+	}
 	mask := len(p.index) - 1
 	for c := p.home(page); ; c = (c + 1) & mask {
 		s := p.index[c]
@@ -203,6 +221,21 @@ func (p *Pool) HitRatio() float64 {
 // loaded (caller is responsible for charging the disk I/O), possibly
 // evicting the least recently used page.
 func (p *Pool) Access(page uint64) bool {
+	if p.dense {
+		if n := uint64(len(p.nodes)); page < n || page == n && n < uint64(p.capacity) {
+			p.tick++
+			if page < n {
+				p.hits++
+				p.nodes[page].page = p.tick
+				return true
+			}
+			p.misses++
+			p.nodes = append(p.nodes, lruNode{page: p.tick})
+			return false
+		}
+		p.leaveDense()
+		return p.Access(page)
+	}
 	if i := p.lookup(page); i >= 0 {
 		p.hits++
 		if p.head != i {
@@ -229,6 +262,30 @@ func (p *Pool) Access(page uint64) bool {
 	p.insert(i)
 	p.pushFront(i)
 	return false
+}
+
+// leaveDense builds a dense pool's list and index from its ticks, which
+// are unique, sorting in the still-empty index: nothing is allocated.
+func (p *Pool) leaveDense() {
+	if !p.dense {
+		return
+	}
+	p.dense = false
+	order := p.index[:len(p.nodes)]
+	for i := range order {
+		order[i] = int32(i)
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		return cmp.Compare(p.nodes[a].page, p.nodes[b].page)
+	})
+	for _, i := range order {
+		p.pushFront(i)
+	}
+	clear(order)
+	for i := range p.nodes {
+		p.nodes[i].page = uint64(i)
+		p.insert(int32(i))
+	}
 }
 
 // clearDirty clears arena slot i's dirty flag and reports whether it
@@ -269,6 +326,7 @@ func (p *Pool) EvictedDirty() uint64 { return p.evictedDirty }
 // from the least recently used end forward, so the pages closest to
 // eviction are written first and the batch is the same on every run.
 func (p *Pool) CollectDirty(max int) int {
+	p.leaveDense()
 	n := 0
 	for i := p.tail; i >= 0 && n < max && p.nDirty > 0; i = p.nodes[i].prev {
 		if p.clearDirty(i) {
@@ -294,6 +352,7 @@ func (p *Pool) Warm(pat AccessPattern, seed, stream uint64, n int) {
 	if len(p.nodes) != 0 {
 		panic("bufferpool: Warm needs an empty pool")
 	}
+	p.leaveDense() // empty, so there is nothing to build
 	r := sim.NewReverseStream(seed, stream, 2*n)
 	for len(p.nodes) < p.capacity && r.Left() > 0 {
 		u := r.Uint64() // the sample's second draw comes back first
@@ -381,7 +440,7 @@ func (a AccessPattern) page(f float64, u uint64) uint64 {
 // Σ_pages (1 − e^(−p·T)) = capacity. It captures the cold-access
 // pollution that evicts hot pages, which a naive "hot pages stay
 // cached" model misses. Used by the analytic jump-start; the simulator
-// runs the real LRU.
+// runs the real LRU; float64(a*b) keeps a product from fusing into an add.
 func (a AccessPattern) ExpectedMissRatio(capacity int) float64 {
 	total := float64(a.DBPages)
 	c := float64(capacity)
@@ -397,9 +456,9 @@ func (a AccessPattern) ExpectedMissRatio(capacity int) float64 {
 	}
 	// Occupancy as a function of the characteristic time T.
 	occupancy := func(t float64) float64 {
-		occ := hot * (1 - math.Exp(-pHot*t))
+		occ := float64(hot * (1 - math.Exp(-pHot*t)))
 		if cold > 0 {
-			occ += cold * (1 - math.Exp(-pCold*t))
+			occ += float64(cold * (1 - math.Exp(-pCold*t)))
 		}
 		return occ
 	}
@@ -421,9 +480,9 @@ func (a AccessPattern) ExpectedMissRatio(capacity int) float64 {
 		}
 	}
 	t := (lo + hi) / 2
-	miss := a.HotAccess * math.Exp(-pHot*t)
+	miss := float64(a.HotAccess * math.Exp(-pHot*t))
 	if cold > 0 {
-		miss += (1 - a.HotAccess) * math.Exp(-pCold*t)
+		miss += float64((1 - a.HotAccess) * math.Exp(-pCold*t))
 	}
 	return miss
 }

@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"math"
 	"testing"
+
+	"extsched/internal/sim"
 )
 
 // refLRU is the specification the pool must match: a map plus a
@@ -161,6 +163,149 @@ func FuzzPoolMatchesReferenceLRU(f *testing.F) {
 		}
 		checkAgainstReference(t, 1+int(capRaw%40), 1+int(rounds%64), ops)
 	})
+}
+
+// checkDenseAgainstReference fills a pool and the reference with pages
+// 0..k−1 in order, which keeps the pool dense, then replays ops as
+// checkAgainstReference does over a page set that starts with 0..k+1,
+// so accesses keep the pool dense until one misses on any other page
+// or on a full pool, or until a CollectDirty. An op from 250 up on an
+// empty pool Warms it instead, the fourth way out of the dense state,
+// and the reference replays the warm-up's accesses. Hits, misses and
+// whether the pool is still dense are compared after every op as well,
+// and the recency order at the end.
+func checkDenseAgainstReference(t *testing.T, capacity, k, rounds int, ops []byte) {
+	t.Helper()
+	p, ref := New(capacity), newRefLRU(capacity)
+	var hits, misses uint64
+	dense := true // what the exit rules say p.dense must be
+	access := func(step int, page uint64) {
+		if n := uint64(p.Resident()); page > n || page == n && p.Resident() == capacity {
+			dense = false
+		}
+		got, want := p.Access(page), ref.access(page)
+		if got != want {
+			t.Fatalf("op %d: Access(%d) = %v, reference %v", step, page, got, want)
+		}
+		if want {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	var pages []uint64
+	for i := uint64(0); i < uint64(k+2); i++ {
+		pages = append(pages, i)
+	}
+	for _, page := range pages[:k] {
+		access(-1, page)
+	}
+	if !p.dense {
+		t.Fatalf("pages 0..%d appended in order left the dense state", k-1)
+	}
+	pages = append(pages, fuzzPages(p)...)
+	for j := 0; j+1 < rounds*len(ops); j += 2 {
+		op, arg := ops[j%len(ops)], ops[(j+1)%len(ops)]
+		page := pages[int(arg)%len(pages)]
+		switch {
+		case op < 200:
+			access(j/2, page)
+		case op < 240:
+			p.MarkDirty(page)
+			ref.markDirty(page)
+		case op < 250 || p.Resident() > 0:
+			dense = false
+			batch := int(arg % 8)
+			if got, want := p.CollectDirty(batch), ref.collectDirty(batch); got != want {
+				t.Fatalf("op %d: CollectDirty(%d) = %d, reference %d", j/2, batch, got, want)
+			}
+		default:
+			dense = false
+			pat := AccessPattern{DBPages: uint64(k + 2 + capacity), HotFrac: 0.5, HotAccess: 0.5}
+			p.Warm(pat, uint64(arg), 77, int(arg))
+			g := sim.NewRNG(uint64(arg), 77)
+			for i := 0; i < int(arg); i++ {
+				ref.access(pat.Sample(g))
+			}
+		}
+		if p.Resident() != ref.order.Len() || p.DirtyCount() != len(ref.dirty) ||
+			p.EvictedDirty() != ref.evictedDirty || p.Hits() != hits || p.Misses() != misses || p.dense != dense {
+			t.Fatalf("op %d: resident/dirty/evictedDirty/hits/misses/dense = %d/%d/%d/%d/%d/%v, reference %d/%d/%d/%d/%d/%v", j/2,
+				p.Resident(), p.DirtyCount(), p.EvictedDirty(), p.Hits(), p.Misses(), p.dense,
+				ref.order.Len(), len(ref.dirty), ref.evictedDirty, hits, misses, dense)
+		}
+	}
+	got, e := recency(t, p), ref.order.Front()
+	for i, page := range got {
+		if want := e.Value.(uint64); page != want {
+			t.Fatalf("recency position %d holds page %d, reference %d", i, page, want)
+		}
+		e = e.Next()
+	}
+}
+
+func FuzzDensePoolMatchesReference(f *testing.F) {
+	// A miss on a page other than the next one leaves the dense state:
+	// pages[33] is MaxUint64, after hits, appends and a dirty mark.
+	f.Add(uint8(9), uint8(4), uint8(0), []byte{0, 1, 0, 4, 220, 2, 0, 5, 0, 0, 0, 33, 0, 2, 250, 3})
+	// So does a miss on the page after the next one, page k+1.
+	f.Add(uint8(9), uint8(4), uint8(0), []byte{0, 5, 0, 4, 0, 5, 220, 4, 250, 2, 0, 0})
+	// A miss on a full pool: pages 0..5 fill a pool of 6, then page 6.
+	f.Add(uint8(5), uint8(6), uint8(0), []byte{0, 3, 220, 0, 0, 6, 0, 1, 220, 4, 0, 7, 250, 1})
+	// CollectDirty on a dense pool, then misses on the pages a dense
+	// pool would have appended.
+	f.Add(uint8(7), uint8(5), uint8(0), []byte{0, 2, 220, 1, 220, 3, 0, 1, 245, 2, 0, 5, 0, 6, 0, 4})
+	// Warm on the empty pool, then accesses to the warmed pages.
+	f.Add(uint8(3), uint8(0), uint8(0), []byte{250, 20, 0, 0, 0, 1, 220, 1, 0, 2, 245, 7, 0, 30})
+	for _, capRaw := range []uint8{0, 1, 6, 15, 39} {
+		f.Add(capRaw, uint8(capRaw+1), uint8(63), churn(97, 56))
+		f.Add(capRaw, uint8(capRaw/2), uint8(31), churn(131, 255))
+	}
+	f.Fuzz(func(t *testing.T, capRaw, kRaw, rounds uint8, ops []byte) {
+		if len(ops) > 512 {
+			ops = ops[:512]
+		}
+		capacity := 1 + int(capRaw%40)
+		checkDenseAgainstReference(t, capacity, int(kRaw)%(capacity+1), 1+int(rounds%64), ops)
+	})
+}
+
+func TestCachedAccessAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	p := New(capacity)
+	for i := uint64(0); i < capacity; i++ {
+		p.Access(i)
+		p.MarkDirty(i)
+	}
+	next := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !p.Access(next * 37 % capacity) {
+			t.Fatal("access to a fully-cached pool missed")
+		}
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("cached Access allocates %v times per call, want 0", allocs)
+	}
+	if !p.dense {
+		t.Error("hits on a pool filled with pages 0..63 in order left the dense state")
+	}
+
+	// Leaving the dense state sorts in the index's own memory.
+	pools := make([]*Pool, 21) // AllocsPerRun calls f once more to warm up
+	for i := range pools {
+		pools[i] = New(capacity)
+		for j := uint64(0); j < capacity; j++ {
+			pools[i].Access(j * 11 % capacity)
+		}
+	}
+	allocs = testing.AllocsPerRun(len(pools)-1, func() {
+		pools[next%uint64(len(pools))].CollectDirty(1)
+		next++
+	})
+	if allocs != 0 {
+		t.Errorf("leaving the dense state allocates %v times, want 0", allocs)
+	}
 }
 
 func TestEvictingAccessAllocatesNothing(t *testing.T) {

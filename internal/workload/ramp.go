@@ -160,7 +160,7 @@ func NewBurstDriver(eng *sim.Engine, fe Sink, gen *Generator, lambda, factor, pe
 	}
 	seed := gen.rng.Uint64()
 	// Normalize so (hi+lo)/2 == lambda with hi/lo == factor².
-	f2 := factor * factor
+	f2 := float64(factor * factor)
 	d := &BurstDriver{
 		eng: eng, fe: fe, gen: gen,
 		hi: 2 * lambda * f2 / (f2 + 1), lo: 2 * lambda / (f2 + 1), period: period,
@@ -175,7 +175,7 @@ func NewBurstDriver(eng *sim.Engine, fe Sink, gen *Generator, lambda, factor, pe
 // schedules the first candidate arrival.
 func (d *BurstDriver) Start() {
 	d.on = true
-	d.flipAt = d.eng.Now() + d.modRng.ExpFloat64()*d.period
+	d.flipAt = d.eng.Now() + float64(d.modRng.ExpFloat64()*d.period)
 	d.next()
 }
 
@@ -211,7 +211,7 @@ func (d *BurstDriver) Arrived() uint64 { return d.arrived }
 func (d *BurstDriver) rate(t float64) float64 {
 	for t >= d.flipAt {
 		d.on = !d.on
-		d.flipAt += d.modRng.ExpFloat64() * d.period
+		d.flipAt += float64(d.modRng.ExpFloat64() * d.period)
 	}
 	if d.on {
 		return d.hi

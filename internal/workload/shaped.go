@@ -90,7 +90,7 @@ func (d *ShapedDriver) Rate(t float64) float64 {
 	el := t - d.start
 	r := d.base
 	if d.amp > 0 {
-		r *= 1 + d.amp*math.Sin(2*math.Pi*el/d.period)
+		r *= 1 + float64(d.amp*math.Sin(2*math.Pi*el/d.period))
 	}
 	if d.flashFactor > 1 && el >= d.flashAt && el < d.flashAt+d.flashDur {
 		r *= d.flashFactor

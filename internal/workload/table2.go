@@ -107,7 +107,10 @@ func (s Setup) Demands() (cpu, io float64) {
 // without consuming simulated time, so measurements don't include the
 // cold-start miss storm (the paper measures steady state; a real
 // benchmark run warms for minutes first). Fully-cached workloads get
-// every page touched once. Partially-cached ones get exactly the pool
+// every page touched once, in page order, which is one append per page
+// and leaves the pool in its dense state (see package bufferpool): no
+// page index and no recency list are built, and every later hit is one
+// store until something needs them. Partially-cached ones get exactly the pool
 // that 5 × capacity accesses drawn from the access pattern (stream 77
 // of seed) would leave, enough for the LRU's content distribution to
 // stabilise; bufferpool.Pool.Warm installs that pool by walking the

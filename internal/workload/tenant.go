@@ -115,7 +115,7 @@ func (g *Generator) nextTenant() dbms.TxnProfile {
 		demand := 0.0
 		for k := range p.Ops {
 			p.Ops[k].CPUWork *= mult
-			demand += p.Ops[k].CPUWork + float64(len(p.Ops[k].Pages))*ioPerPage
+			demand += p.Ops[k].CPUWork + float64(float64(len(p.Ops[k].Pages))*ioPerPage)
 		}
 		p.EstimatedDemand = demand
 	}

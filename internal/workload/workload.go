@@ -12,6 +12,10 @@
 // hot-spot contention, and — critically for Section 3.2 — the squared
 // coefficient of variation of service demand (C² ≈ 1–1.5 for the
 // TPC-C-like workloads, C² ≈ 15 for the TPC-W-like ones).
+//
+// A product that feeds an add is rounded explicitly (float64(a*b)),
+// so no platform fuses the two into one multiply-add, and demand
+// estimates and arrival times are the same on every architecture.
 package workload
 
 import (
@@ -90,7 +94,7 @@ func (s Spec) MissRatio() float64 {
 func (s Spec) MeanCPUDemand() float64 {
 	total := 0.0
 	for _, t := range s.Types {
-		total += t.Prob * float64(t.Ops) * t.CPUPerOp.Mean()
+		total += float64(t.Prob * float64(t.Ops) * t.CPUPerOp.Mean())
 	}
 	return total
 }
@@ -100,7 +104,7 @@ func (s Spec) MeanCPUDemand() float64 {
 func (s Spec) MeanPageAccesses() float64 {
 	total := 0.0
 	for _, t := range s.Types {
-		total += t.Prob * float64(t.Ops*t.PagesPerOp)
+		total += float64(t.Prob * float64(t.Ops*t.PagesPerOp))
 	}
 	return total
 }
@@ -271,7 +275,7 @@ func (g *Generator) NextWithClass(class lockmgr.Class) dbms.TxnProfile {
 			pages[p] = g.pattern.Sample(g.rng)
 		}
 		cpu := tt.CPUPerOp.Sample(g.rng)
-		demand += cpu + float64(len(pages))*g.missEst*g.Spec.DiskService.Mean()
+		demand += cpu + float64(float64(len(pages))*g.missEst*g.Spec.DiskService.Mean())
 		ops[i].Write = g.rng.Float64() < tt.WriteFrac
 		ops[i].CPUWork = cpu
 	}
