@@ -22,7 +22,6 @@ import (
 	"os"
 
 	"extsched"
-	"extsched/internal/controller"
 	"extsched/internal/profile"
 	"extsched/internal/workload"
 )
@@ -80,25 +79,7 @@ func run(args []string, out io.Writer) (err error) {
 		*cpus, *disks = s.CPUs, s.Disks
 		*cpuDemand, *ioDemand = s.Demands()
 		fmt.Fprintf(out, "%s\n", s)
-		fmt.Fprintf(out, "demand estimates: cpu=%.4fs io=%.4fs per transaction (disk CV²=%.2f)\n",
-			*cpuDemand, *ioDemand, s.Workload.DiskService.C2())
-		// The setup knows its disks' service variability; use the
-		// CV²-aware model, as the controller's jump-start does.
-		start, err := controller.JumpStart(controller.JumpStartInput{
-			CPUs: s.CPUs, Disks: s.Disks,
-			CPUDemand: *cpuDemand, IODemand: *ioDemand,
-			DiskCV2:            s.Workload.DiskService.C2(),
-			ThroughputFraction: 1 - *maxLoss,
-			Lambda:             *lambda,
-			MeanDemand:         *meanDem,
-			DemandC2:           *c2,
-			RTTolerance:        *maxRTInc,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(out, "recommended MPL (CV²-aware jump-start model): %d\n", start)
-		return nil
+		fmt.Fprintf(out, "demand estimates: cpu=%.4fs io=%.4fs per transaction\n", *cpuDemand, *ioDemand)
 	}
 	if *cpuDemand == 0 && *ioDemand == 0 {
 		return fmt.Errorf("need -cpu-demand and/or -io-demand (or -setup)")

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"strconv"
 	"strings"
 	"testing"
+
+	"extsched/internal/workload"
 )
 
 func TestRunList(t *testing.T) {
@@ -34,8 +37,41 @@ func TestRunSetupMode(t *testing.T) {
 	if err := run([]string{"-setup", "8"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(out.String(), "recommended MPL (CV²-aware jump-start model):") {
-		t.Errorf("missing jump-start recommendation:\n%s", out.String())
+	if !strings.Contains(out.String(), "recommended MPL: 58\n") {
+		t.Errorf("missing the setup's recommendation:\n%s", out.String())
+	}
+}
+
+// TestSetupMatchesExplicitDemands: -setup only fills in the hardware
+// and demand flags, so setup 8 and the same hardware given as explicit
+// demands print the same recommendation.
+func TestSetupMatchesExplicitDemands(t *testing.T) {
+	recommended := func(args ...string) string {
+		var out strings.Builder
+		if err := run(args, &out); err != nil {
+			t.Fatal(err)
+		}
+		for _, line := range strings.Split(out.String(), "\n") {
+			if strings.HasPrefix(line, "recommended MPL:") {
+				return line
+			}
+		}
+		t.Fatalf("no recommendation in output:\n%s", out.String())
+		return ""
+	}
+	s, err := workload.SetupByID(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpuD, ioD := s.Demands()
+	g := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
+	for _, loss := range []string{"0.05", "0.2"} {
+		fromSetup := recommended("-setup", "8", "-max-loss", loss)
+		explicit := recommended("-cpus", strconv.Itoa(s.CPUs), "-disks", strconv.Itoa(s.Disks),
+			"-cpu-demand", g(cpuD), "-io-demand", g(ioD), "-max-loss", loss)
+		if fromSetup != explicit {
+			t.Errorf("loss %s: -setup 8 printed %q, explicit demands %q", loss, fromSetup, explicit)
+		}
 	}
 }
 

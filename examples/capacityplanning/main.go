@@ -1,7 +1,10 @@
 // Capacity planning with the pure queueing models — no simulation.
 // This is what a DBA can compute on a napkin before touching the
 // system: how does the lowest safe MPL scale with hardware, and how
-// does workload variability move the response-time bound?
+// does workload variability move the response-time bound? Every number
+// comes from extsched.RecommendMPL, the same Section 4 recommender
+// (exact MVA for throughput, QBD for response time) that mpltool and
+// the controller's starting MPL use.
 //
 //	go run ./examples/capacityplanning
 package main

@@ -42,10 +42,7 @@ import (
 	"extsched/internal/controller"
 	"extsched/internal/core"
 	"extsched/internal/dbms"
-	"extsched/internal/dist"
 	"extsched/internal/lockmgr"
-	"extsched/internal/queueing/mva"
-	"extsched/internal/queueing/qbd"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -496,11 +493,9 @@ func (s *System) Setup() string { return s.setup.String() }
 // at convergence.
 func (s *System) AutoTune(clients int, maxLoss, referenceTput, horizon float64) (TuneResult, error) {
 	cpuD, ioD := s.setup.Demands()
-	start, err := controller.JumpStart(controller.JumpStartInput{
+	rec, err := controller.Recommend(controller.Model{
 		CPUs: s.setup.CPUs, Disks: s.setup.Disks,
-		CPUDemand: cpuD, IODemand: ioD,
-		DiskCV2:            s.setup.Workload.DiskService.C2(),
-		ThroughputFraction: 1 - maxLoss,
+		CPUDemand: cpuD, IODemand: ioD, Loss: maxLoss,
 	})
 	if err != nil {
 		return TuneResult{}, err
@@ -520,7 +515,7 @@ func (s *System) AutoTune(clients int, maxLoss, referenceTput, horizon float64) 
 				StopOnConverge:      true,
 			}}},
 		}},
-	}, &start)
+	}, &rec.MPL)
 	if err != nil {
 		return TuneResult{}, err
 	}
@@ -531,47 +526,22 @@ func (s *System) AutoTune(clients int, maxLoss, referenceTput, horizon float64) 
 }
 
 // Recommendation is the output of the pure-model MPL tool.
-type Recommendation struct {
-	// ThroughputMPL is the Section 4.1 MVA bound: the lowest MPL
-	// keeping throughput within the loss tolerance.
-	ThroughputMPL int
-	// ResponseTimeMPL is the Section 4.2 QBD bound (0 when no open-
-	// system load was specified).
-	ResponseTimeMPL int
-	// MPL is the recommendation: the max of the two bounds.
-	MPL int
-}
+type Recommendation = controller.Recommendation
 
 // RecommendMPL runs the paper's analytic tool without any simulation:
 // given hardware shape, per-transaction demands, and tolerances, it
-// returns the lowest MPL the queueing models consider safe.
+// returns the lowest MPL the queueing models consider safe, searching
+// MPLs up to 500 (see controller.Recommend for the cap and error rule).
 // lambda/meanDemand/demandC2 describe the open-system load for the
 // response-time bound; pass zeros to skip it.
 func RecommendMPL(cpus, disks int, cpuDemand, ioDemand, maxTputLoss float64,
 	lambda, meanDemand, demandC2, maxRTIncrease float64) (Recommendation, error) {
-	nw, err := mva.Balanced(cpus, disks, cpuDemand, ioDemand)
-	if err != nil {
-		return Recommendation{}, err
-	}
-	rec := Recommendation{ThroughputMPL: nw.MinMPLForFraction(1-maxTputLoss, 500)}
-	rec.MPL = rec.ThroughputMPL
-	if lambda > 0 && meanDemand > 0 && demandC2 > 1 {
-		if rho := lambda * meanDemand; rho < 1 {
-			tol := maxRTIncrease
-			if tol <= 0 {
-				tol = 0.1
-			}
-			m, err := qbd.MinMPLForResponseTime(lambda, dist.FitH2(meanDemand, demandC2), tol, 200)
-			if err != nil {
-				return Recommendation{}, err
-			}
-			rec.ResponseTimeMPL = m
-			if m > rec.MPL {
-				rec.MPL = m
-			}
-		}
-	}
-	return rec, nil
+	return controller.Recommend(controller.Model{
+		CPUs: cpus, Disks: disks, CPUDemand: cpuDemand, IODemand: ioDemand,
+		Loss:   maxTputLoss,
+		Lambda: lambda, MeanDemand: meanDemand, DemandC2: demandC2,
+		RTTolerance: maxRTIncrease,
+	})
 }
 
 // Setups lists the paper's Table 2 setups as display strings.

@@ -43,8 +43,9 @@ type TuneStatus struct {
 // when the throughput (or response-time) target is violated, down when
 // both are met with margin — converging on the lowest feasible limit.
 // The gate's limit must be >= 1 (the controller needs a finite
-// starting point; use JumpStart-style estimates or a modest guess —
-// the adaptive step recovers from misjudged starts). Enabling twice
+// starting point; use the queueing models' estimate from
+// extsched.RecommendMPL or a modest guess — the adaptive step recovers
+// from misjudged starts). Enabling twice
 // replaces the previous controller, which opens a fresh window.
 // Auto-tune may run alongside SLO tuning or fairness, which split
 // whatever limit it sets.

@@ -11,10 +11,12 @@
 // the no-MPL optimum predicted by the models or measured by probing —
 // and nudges the MPL by a small constant step: up when a target is
 // violated, down when both targets are met with margin, holding (and
-// declaring convergence) at the lowest feasible value. The jump-start
-// from MVA (throughput) and the QBD response-time model gives the loop
-// a close-to-optimal starting MPL, which is what makes small constant
-// steps converge in under ten iterations.
+// declaring convergence) at the lowest feasible value. The jump-start,
+// Recommend's MVA throughput and QBD response-time bounds, gives the
+// loop a close-to-optimal starting MPL, which is what makes small
+// constant steps converge in under ten iterations. Recommend is also
+// the repository's one Section 4 MPL tool (extsched.RecommendMPL,
+// cmd/mpltool).
 //
 // The loop is deliberately ignorant of what it tunes: it consumes a
 // completion stream (Observe, called once per completed item, which it
@@ -46,9 +48,6 @@ import (
 	"sync"
 
 	"extsched/internal/core"
-	"extsched/internal/dist"
-	"extsched/internal/queueing/mva"
-	"extsched/internal/queueing/qbd"
 	"extsched/internal/sim"
 	"extsched/internal/stats"
 )
@@ -192,7 +191,7 @@ type Controller struct {
 
 // New builds a controller over g and opens its first observation
 // window. The gate's MPL should already be set to the jump-start value
-// (see JumpStart). The caller owns the wiring: attach it to the gate's
+// (see Recommend). The caller owns the wiring: attach it to the gate's
 // Slot, or invoke Observe once per completion.
 func New(clock sim.Clock, g Gate, cfg Config) (*Controller, error) {
 	cfg = cfg.withDefaults()
@@ -284,7 +283,7 @@ func (c *Controller) react(m core.Metrics) {
 	cfg := c.cfg
 	tput := m.Throughput()
 	rt := m.All.Mean()
-	tputTarget := (1 - cfg.MaxThroughputLoss) * cfg.ReferenceThroughput
+	tputTarget := float64((1 - cfg.MaxThroughputLoss) * cfg.ReferenceThroughput)
 	tputOK := tput >= tputTarget
 	rtOK := true
 	if cfg.MaxRTIncrease > 0 && cfg.ReferenceRT > 0 {
@@ -354,72 +353,5 @@ func (c *Controller) nextStep(intended Action) int {
 // margin, so that a decrease is unlikely to immediately bounce back.
 func (c *Controller) comfortably(tput, target float64) bool {
 	slack := c.cfg.MaxThroughputLoss * c.cfg.ReferenceThroughput
-	return tput >= target+decreaseMargin*slack
-}
-
-// JumpStartInput feeds the queueing models that pick the starting MPL.
-type JumpStartInput struct {
-	CPUs, Disks int
-	// CPUDemand / IODemand are per-transaction demand estimates in
-	// seconds (workload.Setup.Demands).
-	CPUDemand, IODemand float64
-	// CPUCV2 / DiskCV2 are the per-visit service variabilities of the
-	// devices (zero = 1, exponential). Low-variance disks (seek-bound
-	// drives) saturate at lower MPLs, and the model should know.
-	CPUCV2, DiskCV2 float64
-	// ThroughputFraction is 1 − MaxThroughputLoss.
-	ThroughputFraction float64
-	// Open-system response-time model inputs; zero values skip the RT
-	// bound (closed experiments).
-	Lambda      float64 // offered arrival rate
-	MeanDemand  float64 // mean total service demand
-	DemandC2    float64 // squared coefficient of variation of demand
-	RTTolerance float64 // acceptable RT increase over PS, e.g. 0.1
-	// MaxMPL caps the search; default 200.
-	MaxMPL int
-}
-
-// JumpStart returns the model-predicted starting MPL: the max of the
-// MVA throughput bound (Section 4.1) and the QBD response-time bound
-// (Section 4.2).
-func JumpStart(in JumpStartInput) (int, error) {
-	if in.MaxMPL <= 0 {
-		in.MaxMPL = 200
-	}
-	if in.ThroughputFraction <= 0 || in.ThroughputFraction > 1 {
-		return 0, fmt.Errorf("controller: ThroughputFraction %v outside (0,1]", in.ThroughputFraction)
-	}
-	cpuCV2, diskCV2 := in.CPUCV2, in.DiskCV2
-	if cpuCV2 == 0 {
-		cpuCV2 = 1
-	}
-	if diskCV2 == 0 {
-		diskCV2 = 1
-	}
-	nw, err := mva.BalancedCV(in.CPUs, in.Disks, in.CPUDemand, in.IODemand, cpuCV2, diskCV2)
-	if err != nil {
-		return 0, fmt.Errorf("controller: jump-start model: %w", err)
-	}
-	start := nw.MinMPLForFraction(in.ThroughputFraction, in.MaxMPL)
-	if start > in.MaxMPL {
-		start = in.MaxMPL
-	}
-	if in.Lambda > 0 && in.MeanDemand > 0 && in.DemandC2 > 1 {
-		rho := in.Lambda * in.MeanDemand
-		if rho < 1 {
-			tol := in.RTTolerance
-			if tol <= 0 {
-				tol = 0.1
-			}
-			job := dist.FitH2(in.MeanDemand, in.DemandC2)
-			rtMPL, err := qbd.MinMPLForResponseTime(in.Lambda, job, tol, in.MaxMPL)
-			if err == nil && rtMPL > start && rtMPL <= in.MaxMPL {
-				start = rtMPL
-			}
-		}
-	}
-	if start < 1 {
-		start = 1
-	}
-	return start, nil
+	return tput >= target+float64(decreaseMargin*slack)
 }

@@ -65,15 +65,15 @@ func measureBaseline(t *testing.T, setupID int, seed uint64, horizon float64) (f
 
 func TestJumpStartScalesWithDisks(t *testing.T) {
 	mk := func(disks int) int {
-		m, err := JumpStart(JumpStartInput{
+		rec, err := Recommend(Model{
 			CPUs: 1, Disks: disks,
 			CPUDemand: 0.001, IODemand: 0.2,
-			ThroughputFraction: 0.95,
+			Loss: 0.05,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		return rec.MPL
 	}
 	m1, m4 := mk(1), mk(4)
 	if m4 <= m1 {
@@ -85,36 +85,36 @@ func TestJumpStartScalesWithDisks(t *testing.T) {
 }
 
 func TestJumpStartRTBoundRaises(t *testing.T) {
-	base, err := JumpStart(JumpStartInput{
+	base, err := Recommend(Model{
 		CPUs: 1, Disks: 1,
 		CPUDemand: 0.1, IODemand: 0,
-		ThroughputFraction: 0.95,
+		Loss: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	withRT, err := JumpStart(JumpStartInput{
+	withRT, err := Recommend(Model{
 		CPUs: 1, Disks: 1,
 		CPUDemand: 0.1, IODemand: 0,
-		ThroughputFraction: 0.95,
-		Lambda:             7, // rho 0.7
-		MeanDemand:         0.1,
-		DemandC2:           15,
-		RTTolerance:        0.1,
+		Loss:        0.05,
+		Lambda:      7, // rho 0.7
+		MeanDemand:  0.1,
+		DemandC2:    15,
+		RTTolerance: 0.1,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if withRT <= base {
-		t.Errorf("high-C² RT bound should raise the start: base %d, withRT %d", base, withRT)
+	if withRT.MPL <= base.MPL {
+		t.Errorf("high-C² RT bound should raise the start: base %d, withRT %d", base.MPL, withRT.MPL)
 	}
 }
 
 func TestJumpStartValidation(t *testing.T) {
-	if _, err := JumpStart(JumpStartInput{CPUs: 1, Disks: 1, CPUDemand: 1, ThroughputFraction: 0}); err == nil {
+	if _, err := Recommend(Model{CPUs: 1, Disks: 1, CPUDemand: 1, Loss: 1}); err == nil {
 		t.Error("zero fraction accepted")
 	}
-	if _, err := JumpStart(JumpStartInput{CPUs: 0, Disks: 0, ThroughputFraction: 0.9}); err == nil {
+	if _, err := Recommend(Model{CPUs: 0, Disks: 0, Loss: 0.1}); err == nil {
 		t.Error("no resources accepted")
 	}
 }
@@ -140,15 +140,15 @@ func TestConvergesFromJumpStart(t *testing.T) {
 	setup, _ := workload.SetupByID(1)
 	refTput, _ := measureBaseline(t, 1, 99, 120)
 	cpuD, ioD := setup.Demands()
-	start, err := JumpStart(JumpStartInput{
+	rec, err := Recommend(Model{
 		CPUs: setup.CPUs, Disks: setup.Disks,
 		CPUDemand: cpuD, IODemand: ioD,
-		ThroughputFraction: 0.95,
+		Loss: 0.05,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, fe, _ := buildRig(t, 1, start, 42)
+	eng, fe, _ := buildRig(t, 1, rec.MPL, 42)
 	// Warm up before attaching so the pool and lock state are hot.
 	eng.Run(20)
 	ctl := attach(t, eng, fe, Config{

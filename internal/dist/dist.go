@@ -66,7 +66,7 @@ func NewUniform(lo, hi float64) Uniform {
 	return Uniform{lo: lo, hi: hi}
 }
 
-func (d Uniform) Sample(g *sim.RNG) float64 { return d.lo + g.Float64()*(d.hi-d.lo) }
+func (d Uniform) Sample(g *sim.RNG) float64 { return d.lo + float64(g.Float64()*(d.hi-d.lo)) }
 func (d Uniform) Mean() float64             { return (d.lo + d.hi) / 2 }
 func (d Uniform) C2() float64 {
 	m := d.Mean()
@@ -94,13 +94,13 @@ func NewLognormal(mean, c2 float64) Lognormal {
 	return Lognormal{
 		mean:  mean,
 		c2:    c2,
-		mu:    math.Log(mean) - sigma2/2,
+		mu:    math.Log(mean) - float64(sigma2/2),
 		sigma: math.Sqrt(sigma2),
 	}
 }
 
 func (d Lognormal) Sample(g *sim.RNG) float64 {
-	return math.Exp(d.mu + d.sigma*g.NormFloat64())
+	return math.Exp(d.mu + float64(d.sigma*g.NormFloat64()))
 }
 func (d Lognormal) Mean() float64 { return d.mean }
 func (d Lognormal) C2() float64   { return d.c2 }
@@ -137,7 +137,7 @@ func FitH2(mean, c2 float64) H2 {
 		c2 = minC2
 	}
 	// Balanced means: each phase contributes half the mean.
-	p := 0.5 * (1 + math.Sqrt((c2-1)/(c2+1)))
+	p := float64(0.5 * (1 + math.Sqrt((c2-1)/(c2+1))))
 	return H2{P: p, Mu1: 2 * p / mean, Mu2: 2 * (1 - p) / mean}
 }
 

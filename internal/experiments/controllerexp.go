@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"extsched/internal/controller"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 )
@@ -36,13 +35,7 @@ func RunController(setupID int, lossFrac float64, jumpStart bool, opts RunOpts) 
 	}
 	start := 1
 	if jumpStart {
-		cpuD, ioD := setup.Demands()
-		start, err = controller.JumpStart(controller.JumpStartInput{
-			CPUs: setup.CPUs, Disks: setup.Disks,
-			CPUDemand: cpuD, IODemand: ioD,
-			DiskCV2:            setup.Workload.DiskService.C2(),
-			ThroughputFraction: 1 - lossFrac,
-		})
+		start, err = modelMPL(setup, lossFrac, 0)
 		if err != nil {
 			return ControllerRun{}, err
 		}

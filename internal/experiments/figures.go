@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
+	"extsched/internal/controller"
 	"extsched/internal/dist"
-	"extsched/internal/queueing/mva"
 	"extsched/internal/queueing/qbd"
 	"extsched/internal/stats"
 )
@@ -89,18 +89,27 @@ func Figure7() (*Figure, error) {
 	}
 	curves, err := Sweep(len(disks), func(i int) (diskCurve, error) {
 		d := disks[i]
-		nw, err := mva.Balanced(0, d, 0, ioDemand)
+		m := controller.Model{Disks: d, IODemand: ioDemand, Cap: 2000}
+		nw, err := m.Network()
 		if err != nil {
 			return diskCurve{}, err
 		}
-		res := nw.Solve(maxMPL)
 		c := diskCurve{s: Series{Name: fmt.Sprintf("%ddisks", d)}}
-		for _, r := range res {
+		for _, r := range nw.Solve(maxMPL) {
 			c.s.X = append(c.s.X, float64(r.Population))
 			c.s.Y = append(c.s.Y, r.Throughput)
 		}
-		c.min80 = nw.MinMPLForFraction(0.80, 2000)
-		c.min95 = nw.MinMPLForFraction(0.95, 2000)
+		m.Loss = 0.20
+		r80, err := controller.Recommend(m)
+		if err != nil {
+			return diskCurve{}, err
+		}
+		m.Loss = 0.05
+		r95, err := controller.Recommend(m)
+		if err != nil {
+			return diskCurve{}, err
+		}
+		c.min80, c.min95 = r80.ThroughputMPL, r95.ThroughputMPL
 		return c, nil
 	})
 	if err != nil {

@@ -3,9 +3,9 @@ package experiments
 import (
 	"fmt"
 
+	"extsched/internal/controller"
 	"extsched/internal/core"
 	"extsched/internal/lockmgr"
-	"extsched/internal/queueing/mva"
 	"extsched/internal/workload"
 )
 
@@ -13,20 +13,16 @@ import (
 // the closed system stays within lossFrac of baselineTput. The search
 // is jump-started from the MVA model (Section 4.1) and refined with
 // short measured runs, mirroring how the paper's tool would be used
-// offline. maxMPL bounds the search.
+// offline. maxMPL bounds the search; it is an error if the model finds
+// no MPL up to maxMPL.
 func FindMPLForLoss(setup workload.Setup, baselineTput, lossFrac float64, maxMPL int, opts RunOpts) (int, error) {
 	if baselineTput <= 0 {
 		return 0, fmt.Errorf("experiments: baseline throughput must be positive")
 	}
 	target := (1 - lossFrac) * baselineTput
-	cpuD, ioD := setup.Demands()
-	nw, err := mva.Balanced(setup.CPUs, setup.Disks, cpuD, ioD)
+	mpl, err := modelMPL(setup, lossFrac, maxMPL)
 	if err != nil {
 		return 0, err
-	}
-	mpl := nw.MinMPLForFraction(1-lossFrac, maxMPL)
-	if mpl > maxMPL {
-		mpl = maxMPL
 	}
 	measure := func(m int) (float64, error) {
 		r, err := RunClosed(setup, m, "", workload.DBOptions{}, opts)
@@ -66,6 +62,19 @@ func FindMPLForLoss(setup workload.Setup, baselineTput, lossFrac float64, maxMPL
 		tput = t2
 	}
 	return mpl, nil
+}
+
+// modelMPL returns the Section 4.1 recommendation for a closed run of
+// setup at the given throughput loss, searching MPLs up to limit (0
+// means controller.Recommend's default).
+func modelMPL(setup workload.Setup, loss float64, limit int) (int, error) {
+	cpuD, ioD := setup.Demands()
+	rec, err := controller.Recommend(controller.Model{
+		CPUs: setup.CPUs, Disks: setup.Disks,
+		CPUDemand: cpuD, IODemand: ioD,
+		Loss: loss, Cap: limit,
+	})
+	return rec.MPL, err
 }
 
 // highClass and lowClass are the two-class workloads' IDs in a

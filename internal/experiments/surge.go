@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"extsched/internal/controller"
 	"extsched/internal/runner"
 	"extsched/internal/workload"
 	"extsched/metrics"
@@ -34,13 +33,7 @@ func SurgeFigure(setupID int, lossFrac float64, opts RunOpts) (*Figure, error) {
 	}
 	// The controller needs a finite starting MPL; jump-start it from
 	// the queueing models, exactly as the AutoTune workflow does.
-	cpuD, ioD := setup.Demands()
-	start, err := controller.JumpStart(controller.JumpStartInput{
-		CPUs: setup.CPUs, Disks: setup.Disks,
-		CPUDemand: cpuD, IODemand: ioD,
-		DiskCV2:            setup.Workload.DiskService.C2(),
-		ThroughputFraction: 1 - lossFrac,
-	})
+	start, err := modelMPL(setup, lossFrac, 0)
 	if err != nil {
 		return nil, err
 	}

@@ -107,7 +107,7 @@ func (m *Matrix) Mul(b *Matrix) *Matrix {
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
-				c.Data[i*c.Cols+j] += a * b.At(k, j)
+				c.Data[i*c.Cols+j] += float64(a * b.At(k, j))
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func (m *Matrix) MulVec(v []float64) []float64 {
 	for i := 0; i < m.Rows; i++ {
 		s := 0.0
 		for j := 0; j < m.Cols; j++ {
-			s += m.At(i, j) * v[j]
+			s += float64(m.At(i, j) * v[j])
 		}
 		out[i] = s
 	}
@@ -141,7 +141,7 @@ func VecMul(v []float64, m *Matrix) []float64 {
 			continue
 		}
 		for j := 0; j < m.Cols; j++ {
-			out[j] += vi * m.At(i, j)
+			out[j] += float64(vi * m.At(i, j))
 		}
 	}
 	return out
@@ -186,8 +186,8 @@ func (m *Matrix) Inverse() (*Matrix, error) {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				a.Set(r, j, a.At(r, j)-f*a.At(col, j))
-				inv.Set(r, j, inv.At(r, j)-f*inv.At(col, j))
+				a.Set(r, j, a.At(r, j)-float64(f*a.At(col, j)))
+				inv.Set(r, j, inv.At(r, j)-float64(f*inv.At(col, j)))
 			}
 		}
 	}
@@ -230,15 +230,15 @@ func SolveLinear(a *Matrix, b []float64) ([]float64, error) {
 				continue
 			}
 			for j := col; j < n; j++ {
-				m.Set(r, j, m.At(r, j)-f*m.At(col, j))
+				m.Set(r, j, m.At(r, j)-float64(f*m.At(col, j)))
 			}
-			x[r] -= f * x[col]
+			x[r] -= float64(f * x[col])
 		}
 	}
 	for i := n - 1; i >= 0; i-- {
 		s := x[i]
 		for j := i + 1; j < n; j++ {
-			s -= m.At(i, j) * x[j]
+			s -= float64(m.At(i, j) * x[j])
 		}
 		x[i] = s / m.At(i, i)
 	}

@@ -4,7 +4,9 @@
 // CPU and one per disk, Fig. 6), a fixed population equal to the MPL
 // circulates among them, and the achieved throughput relative to the
 // bottleneck bound tells us the lowest MPL that keeps throughput within
-// a DBA-specified fraction of optimal (Fig. 7).
+// a DBA-specified fraction of optimal (Fig. 7). Service is exponential
+// at every station, so the recursion is exact (Reiser and Lavenberg,
+// JACM 27(2), 1980).
 package mva
 
 import (
@@ -30,29 +32,6 @@ type Station struct {
 	// station in seconds (visit count × service time per visit).
 	Demand float64
 	Kind   StationKind
-	// ServiceCV2 is the squared coefficient of variation of the
-	// station's service time. Zero means 1 (exponential, the exact
-	// product-form case). Other values apply the approximate-MVA
-	// residual-service correction: an arriving customer waits for the
-	// full demand of each QUEUED customer but only the residual
-	// (1+CV²)/2 · D of the one IN SERVICE, so
-	//
-	//	R(n) = D·(1 + Q(n−1) − U(n−1)·(1 − (1+CV²)/2)).
-	//
-	// Low-variance devices (seek-bounded disks) thus queue less at
-	// moderate populations — a sharper knee — while the bottleneck
-	// bound X ≤ 1/Dmax is preserved (the correction vanishes against
-	// the Q term as the station saturates).
-	ServiceCV2 float64
-}
-
-// residualFactor returns (1+CV²)/2, the mean residual service seen by
-// an arrival, in units of D.
-func (s Station) residualFactor() float64 {
-	if s.ServiceCV2 == 0 {
-		return 1
-	}
-	return (1 + s.ServiceCV2) / 2
 }
 
 // Network is a closed product-form queueing network.
@@ -81,25 +60,20 @@ func NewNetwork(stations []Station) (*Network, error) {
 	return &Network{Stations: stations}, nil
 }
 
-// Balanced returns the paper's worst-case model with exponential
-// service everywhere: see BalancedCV.
-func Balanced(cpus, disks int, cpuDemand, ioDemand float64) (*Network, error) {
-	return BalancedCV(cpus, disks, cpuDemand, ioDemand, 1, 1)
-}
-
-// BalancedCV builds the Section 4.1 model of a DBMS with cpus CPUs and
-// disks striped data disks.
+// Balanced builds the Section 4.1 model of a DBMS with cpus CPUs and
+// disks striped data disks, with exponential service everywhere (the
+// exact product-form case).
 //
 // Disks are modeled as independent stations with demand ioDemand/disks
-// each (data striped evenly), with diskCV2 as the per-I/O service
-// variability. The CPU pool is different: any runnable process can use
-// any core, so it behaves like one multi-server station rather than
-// `cpus` independent queues. We apply Seidmann's decomposition: a
-// c-server station with total demand D becomes a queueing station with
-// demand D/c plus a delay station with demand D·(c−1)/c — exact at the
-// light- and heavy-load limits and a good approximation between.
-// Either demand may be zero (e.g. a pure-I/O workload), but not both.
-func BalancedCV(cpus, disks int, cpuDemand, ioDemand, cpuCV2, diskCV2 float64) (*Network, error) {
+// each (data striped evenly). The CPU pool is different: any runnable
+// process can use any core, so it behaves like one multi-server station
+// rather than `cpus` independent queues. We apply Seidmann's
+// decomposition: a c-server station with total demand D becomes a
+// queueing station with demand D/c plus a delay station with demand
+// D·(c−1)/c — exact at the light- and heavy-load limits and a good
+// approximation between. Either demand may be zero (e.g. a pure-I/O
+// workload), but not both.
+func Balanced(cpus, disks int, cpuDemand, ioDemand float64) (*Network, error) {
 	if cpus < 0 || disks < 0 || cpus+disks == 0 {
 		return nil, fmt.Errorf("mva: need at least one resource (cpus=%d disks=%d)", cpus, disks)
 	}
@@ -109,7 +83,7 @@ func BalancedCV(cpus, disks int, cpuDemand, ioDemand, cpuCV2, diskCV2 float64) (
 			return nil, fmt.Errorf("mva: cpu demand %v with zero CPUs", cpuDemand)
 		}
 		c := float64(cpus)
-		st = append(st, Station{Name: "cpu", Demand: cpuDemand / c, ServiceCV2: cpuCV2})
+		st = append(st, Station{Name: "cpu", Demand: cpuDemand / c})
 		if cpus > 1 {
 			st = append(st, Station{Name: "cpu-parallel", Demand: cpuDemand * (c - 1) / c, Kind: Delay})
 		}
@@ -119,7 +93,7 @@ func BalancedCV(cpus, disks int, cpuDemand, ioDemand, cpuCV2, diskCV2 float64) (
 			return nil, fmt.Errorf("mva: io demand %v with zero disks", ioDemand)
 		}
 		for i := 0; i < disks; i++ {
-			st = append(st, Station{Name: fmt.Sprintf("disk%d", i), Demand: ioDemand / float64(disks), ServiceCV2: diskCV2})
+			st = append(st, Station{Name: fmt.Sprintf("disk%d", i), Demand: ioDemand / float64(disks)})
 		}
 	}
 	return NewNetwork(st)
@@ -142,7 +116,6 @@ func (nw *Network) Solve(n int) []Result {
 	}
 	k := len(nw.Stations)
 	q := make([]float64, k) // Q_i(population-1), starts at 0
-	u := make([]float64, k) // U_i(population-1), starts at 0
 	results := make([]Result, 0, n)
 	for pop := 1; pop <= n; pop++ {
 		r := make([]float64, k)
@@ -152,14 +125,9 @@ func (nw *Network) Solve(n int) []Result {
 			case Delay:
 				r[i] = s.Demand
 			default:
-				// Queued customers cost a full demand each; the one in
-				// service only its residual. For CV²=1 the correction
-				// vanishes and this is exact MVA.
-				rr := s.Demand * (1 + q[i] - u[i]*(1-s.residualFactor()))
-				if rr < s.Demand {
-					rr = s.Demand
-				}
-				r[i] = rr
+				// Arrival theorem: an arriving customer finds the
+				// queue of the network with one customer fewer.
+				r[i] = s.Demand * (1 + q[i])
 			}
 			total += r[i]
 		}
@@ -168,10 +136,6 @@ func (nw *Network) Solve(n int) []Result {
 		for i, s := range nw.Stations {
 			q[i] = x * r[i]
 			util[i] = x * s.Demand
-			u[i] = util[i]
-			if u[i] > 1 {
-				u[i] = 1
-			}
 		}
 		qCopy := make([]float64, k)
 		copy(qCopy, q)

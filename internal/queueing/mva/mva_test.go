@@ -298,3 +298,56 @@ func (nw *Network) binarySearchMinMPL(fraction float64, maxN int) int {
 	}
 	return lo
 }
+
+func TestSeidmannMultiCPUSaturatesEarly(t *testing.T) {
+	// A 2-CPU pool modeled with Seidmann's decomposition reaches near
+	// max throughput at a small population — unlike two independent
+	// FCFS stations with random routing.
+	pool, err := Balanced(2, 0, 0.02, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	xmax := 2 / 0.02
+	// The decomposition's bottleneck bound is 1/(D/c) = c/D.
+	if math.Abs(pool.MaxThroughput()-xmax) > 1e-9 {
+		t.Fatalf("max throughput = %v, want %v", pool.MaxThroughput(), xmax)
+	}
+	if got := pool.Throughput(4); got < 0.85*xmax {
+		t.Errorf("X(4) = %v, want >= 85%% of %v with flexible sharing", got, xmax)
+	}
+	if m := pool.MinMPLForFraction(0.95, 100); m > 8 {
+		t.Errorf("min MPL for 95%% on 2 flexible CPUs = %d, want small", m)
+	}
+}
+
+func TestBalancedMixedResources(t *testing.T) {
+	nw, err := Balanced(2, 4, 0.02, 0.04)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Stations: cpu, cpu-parallel (delay), 4 disks.
+	if len(nw.Stations) != 6 {
+		t.Fatalf("stations = %d, want 6", len(nw.Stations))
+	}
+	delays := 0
+	for _, s := range nw.Stations {
+		if s.Kind == Delay {
+			delays++
+		}
+	}
+	if delays != 1 {
+		t.Errorf("delay stations = %d, want 1 (cpu-parallel)", delays)
+	}
+	// Sanity: monotone and bounded.
+	prev := 0.0
+	for n := 1; n <= 40; n++ {
+		x := nw.Throughput(n)
+		if x < prev-1e-9 {
+			t.Fatalf("throughput decreased at n=%d", n)
+		}
+		if x > nw.MaxThroughput()+1e-9 {
+			t.Fatalf("throughput exceeded bound at n=%d", n)
+		}
+		prev = x
+	}
+}

@@ -108,12 +108,12 @@ func (m Model) blocks() (a0, a1, a2 *linalg.Matrix) {
 		// Departure with replacement from the queue: the replacement's
 		// phase is drawn with probability (p, q).
 		if n1 > 0 {
-			a2.Set(n1, n1, a2.At(n1, n1)+r1*p)
-			a2.Set(n1, n1-1, a2.At(n1, n1-1)+r1*q)
+			a2.Set(n1, n1, a2.At(n1, n1)+float64(r1*p))
+			a2.Set(n1, n1-1, a2.At(n1, n1-1)+float64(r1*q))
 		}
 		if n2 > 0 {
-			a2.Set(n1, n1+1, a2.At(n1, n1+1)+r2*p)
-			a2.Set(n1, n1, a2.At(n1, n1)+r2*q)
+			a2.Set(n1, n1+1, a2.At(n1, n1+1)+float64(r2*p))
+			a2.Set(n1, n1, a2.At(n1, n1)+float64(r2*q))
 		}
 		a1.Set(n1, n1, -(m.Lambda + r1 + r2))
 	}
@@ -174,8 +174,8 @@ func Solve(m Model) (*Solution, error) {
 			from := offset[n] + n1
 			// Arrivals.
 			if n < mpl {
-				addRate(from, offset[n+1]+n1+1, lam*p)
-				addRate(from, offset[n+1]+n1, lam*q)
+				addRate(from, offset[n+1]+n1+1, float64(lam*p))
+				addRate(from, offset[n+1]+n1, float64(lam*q))
 			} else {
 				// Level mpl → mpl+1 leaves the boundary; only the
 				// outflow contributes to the diagonal. The matching
@@ -266,14 +266,14 @@ func Solve(m Model) (*Solution, error) {
 	// E[N] = Σ_{n<mpl} n·|π_n| + π_mpl·[mpl·(I−R)⁻¹ + R·(I−R)⁻²]·1.
 	for n := 0; n < mpl; n++ {
 		for _, v := range sol.Boundary[n] {
-			sol.MeanJobs += float64(n) * v
+			sol.MeanJobs += float64(float64(n) * v)
 		}
 	}
 	piM := sol.Boundary[mpl]
 	term1 := iMinusRInv.Scale(float64(mpl)).MulVec(ones)
 	term2 := r.Mul(iMinusRInv).Mul(iMinusRInv).MulVec(ones)
 	for i, v := range piM {
-		sol.MeanJobs += v * (term1[i] + term2[i])
+		sol.MeanJobs += float64(v * (term1[i] + term2[i]))
 	}
 	if math.IsNaN(sol.MeanJobs) || sol.MeanJobs < 0 {
 		return nil, fmt.Errorf("qbd: invalid mean population %v", sol.MeanJobs)
@@ -323,7 +323,7 @@ func spectralRadius(m *linalg.Matrix) float64 {
 // chain (a larger service pool dominates pathwise), so binary search
 // applies; the linear scan variant below is kept as a cross-check.
 func MinMPLForResponseTime(lambda float64, job dist.H2, tolerance float64, maxMPL int) (int, error) {
-	rho := lambda * job.Mean()
+	rho := float64(lambda * job.Mean())
 	if rho >= 1 {
 		return 0, fmt.Errorf("qbd: unstable system, rho = %v", rho)
 	}

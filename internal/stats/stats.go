@@ -36,7 +36,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.m2 += float64(delta * (x - a.mean))
 }
 
 // Count returns the number of observations.
